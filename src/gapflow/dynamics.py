@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -124,7 +125,7 @@ class CurrentVector:
         return {m: float(j) for m, j in zip(self.ids, self.J)}
 
     def total_positive(self) -> float:
-        return float(np.clip(self.J, 0.0, None).sum())
+        return float(np.maximum(self.J, 0.0).sum())
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,14 @@ class EffectiveGenerator:
     def __post_init__(self):
         if self.dense is None and self.dim <= DENSE_DIM_LIMIT:
             object.__setattr__(self, "dense", self.matrix.toarray())
+
+    @cached_property
+    def launch_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Launch indices concatenated in launch_ids order, and the offset at
+        which each component's run starts."""
+        runs = [self.launch_indices[cid] for cid in self.launch_ids]
+        starts = np.cumsum([0] + [len(r) for r in runs])[:-1].astype(np.intp)
+        return (np.concatenate(runs) if runs else np.empty(0, dtype=np.intp)), starts
 
     @property
     def conserves_norm(self) -> bool:
@@ -314,12 +323,10 @@ def component_currents(state: np.ndarray, gen: EffectiveGenerator,
     case. ``model`` is accepted for callers that carry one around.
     """
     psi = np.asarray(state, dtype=np.complex128)
+    idx, starts = gen.launch_runs
     dpsi = gen.apply(psi)
-    J = np.empty(len(gen.launch_ids))
-    for k, comp_id in enumerate(gen.launch_ids):
-        idx = gen.launch_indices[comp_id]
-        J[k] = 2.0 * float(np.vdot(psi[idx], dpsi[idx]).real)
-    return CurrentVector(ids=gen.launch_ids, J=J)
+    w = (psi[idx].conj() * dpsi[idx]).real
+    return CurrentVector(ids=gen.launch_ids, J=2.0 * np.add.reduceat(w, starts))
 
 
 def fd_current_check(state: np.ndarray, gen: EffectiveGenerator,

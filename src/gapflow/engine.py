@@ -1,26 +1,35 @@
-"""Stochastic trigger, component choice, collapse, and the epoch state machine.
+"""Stochastic trigger, component choice, collapse, and the epoch loop.
 
-A trajectory alternates deterministic RK4 evolution with stochastic hits. Per
-step of length h the hit probability is p = 1 - exp(-r h) where r is the
-trapezoid average of the rate (sum of positive launch currents over total
-square modulus) at the step endpoints; a hit is only accepted when the rate at
-the step's end is positive, so a chosen component always has positive current
-at t_sc. After a hit the non-chosen components are zeroed exactly, the chosen
-one is marked realized, any gap sourced by it is bridged (its high side
-becomes launch), and a new epoch begins under a freshly assembled generator.
+A trajectory is a run of epochs, each integrated by fixed-step RK4 under one
+generator. The hit rate r is the sum of positive launch currents over the
+total square modulus. A step of length h whose end rate is positive adds the
+trapezoid hazard r_bar h to the epoch's cumulative hazard H (a step ending at
+rate 0 adds nothing, so a chosen component always has positive current at
+t_sc). One E ~ Exp(1) is drawn per epoch and the hit lands on the first step
+whose H exceeds E: survival to step k is exp(-H_k), the product of
+exp(-r_bar h), as for a per-step draw with p = 1 - exp(-r_bar h) (the
+waiting-time method of Monte-Carlo wavefunction solvers). A hit zeroes the
+other components exactly, marks the chosen one realized, bridges the gaps it
+sources and starts the next epoch; with no bridged gap left the trajectory is
+quiescent.
 
-The nrules3 and nrules4 variants share every code path here; the variant only
-relabels the frozen status in reports. Trajectories are deterministic given
-(model, ruleset, cfg, gap_mode, seed, trajectory index): randomness comes from
-a counter-based Philox substream keyed by the trajectory index, so ensemble
-results cannot depend on scheduling.
+Every generator mode is homogeneous of degree 1 (the compensated loss J/s_low
+is scale-free), so an epoch is tabulated from a canonical start, psi0 or the
+unit basis state of a one-dimensional chosen component, and a trajectory
+carries a complex scale c: states c times the table's, s and J |c|^2 times,
+rates and hazard unchanged. run_trajectory and run_ensemble share the epoch
+loop EpochRunner.walk; an ensemble shares the tables between trajectories.
+
+nrules3 and nrules4 share every code path; the variant only relabels the
+frozen status. Randomness comes from a counter-based Philox substream keyed
+by (seed, trajectory index), so results cannot depend on scheduling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,20 +156,15 @@ def post_collapse_statuses(model: ScenarioModel, chosen: int) -> dict[int, str]:
     return statuses
 
 
-def apply_collapse(engine: EngineState, chosen: int, model: ScenarioModel,
-                   policy: str = PRESERVE_TOTAL) -> EngineState:
-    """Zero everything outside ``chosen`` and open the next epoch.
+def collapse_state(psi: np.ndarray, chosen: int, model: ScenarioModel,
+                   policy: str = PRESERVE_TOTAL) -> np.ndarray:
+    """``psi`` with everything outside ``chosen`` zeroed.
 
     Under preserve_total (default) the surviving amplitudes are rescaled so
     the total square modulus is unchanged; under raw they are kept verbatim.
     """
     if policy not in NORM_POLICIES:
         raise GapflowError(f"unknown norm policy {policy!r}")
-    if engine.statuses.get(chosen) != LAUNCH:
-        raise GapflowError(
-            f"component {chosen} has status {engine.statuses.get(chosen)!r}, "
-            "only a launch component can realize")
-    psi = engine.state
     s_pre = square_modulus(psi)
     collapsed = project(psi, chosen, model)
     s_chosen = square_modulus(collapsed)
@@ -169,55 +173,20 @@ def apply_collapse(engine: EngineState, chosen: int, model: ScenarioModel,
             f"component {chosen} has zero amplitude at collapse time")
     if policy == PRESERVE_TOTAL:
         collapsed *= math.sqrt(s_pre / s_chosen)
+    return collapsed
+
+
+def apply_collapse(engine: EngineState, chosen: int, model: ScenarioModel,
+                   policy: str = PRESERVE_TOTAL) -> EngineState:
+    """Collapse ``engine`` onto ``chosen`` and open the next epoch."""
+    if engine.statuses.get(chosen) != LAUNCH:
+        raise GapflowError(
+            f"component {chosen} has status {engine.statuses.get(chosen)!r}, "
+            "only a launch component can realize")
     return EngineState(epoch=engine.epoch + 1, t=engine.t,
                        statuses=post_collapse_statuses(model, chosen),
-                       state=collapsed, rng_stream=engine.rng_stream)
-
-
-def _statuses_key(statuses: Mapping[int, str]) -> tuple:
-    return tuple(sorted(statuses.items()))
-
-
-def _get_generator(cache, model, ruleset, mode, statuses, epoch) -> EffectiveGenerator:
-    if cache is None:
-        return assemble_generator(model, ruleset, mode, statuses=statuses, epoch=epoch)
-    key = (_statuses_key(statuses), mode, ruleset, epoch)
-    gen = cache.get(key)
-    if gen is None:
-        gen = assemble_generator(model, ruleset, mode, statuses=statuses, epoch=epoch)
-        cache[key] = gen
-    return gen
-
-
-class _Recorder:
-    def __init__(self, model: ScenarioModel, candidate_ids: tuple[int, ...]):
-        self.model = model
-        self.component_ids = tuple(c.id for c in model.components)
-        self.candidate_ids = candidate_ids
-        self.rows_t: list[float] = []
-        self.rows_s: list[float] = []
-        self.rows_m: list[list[float]] = []
-        self.rows_j: list[list[float]] = []
-
-    def add(self, t: float, psi: np.ndarray, J: CurrentVector):
-        self.rows_t.append(t)
-        self.rows_s.append(square_modulus(psi))
-        self.rows_m.append(
-            [float(np.vdot(psi[idx], psi[idx]).real)
-             for idx in (self.model.index_arrays[cid] for cid in self.component_ids)])
-        jmap = J.as_dict()
-        self.rows_j.append([jmap.get(cid, 0.0) for cid in self.candidate_ids])
-
-    def build(self) -> TrajectorySamples:
-        n = len(self.rows_t)
-        return TrajectorySamples(
-            times=np.array(self.rows_t),
-            s=np.array(self.rows_s),
-            moduli=np.array(self.rows_m) if n else np.empty((0, len(self.component_ids))),
-            currents=np.array(self.rows_j) if n else np.empty((0, len(self.candidate_ids))),
-            component_ids=self.component_ids,
-            current_ids=self.candidate_ids,
-        )
+                       state=collapse_state(engine.state, chosen, model, policy),
+                       rng_stream=engine.rng_stream)
 
 
 def step_plan(cfg: IntegratorConfig) -> list[tuple[float, float, bool]]:
@@ -255,6 +224,196 @@ def _check_epoch_drift(gen, cfg, s_now, s_epoch_start, elapsed):
                 f"within epoch (elapsed {elapsed})")
 
 
+def _abs2(c: complex) -> float:
+    return c.real * c.real + c.imag * c.imag
+
+
+class Row(NamedTuple):
+    """One point of an epoch, unscaled (see EpochTable)."""
+
+    state: np.ndarray
+    J: np.ndarray
+    s: float
+    neg: int            # steps with a negative current, epoch start to here
+
+
+class EpochTable:
+    """Deterministic evolution of one epoch from its canonical start state.
+
+    Row 0 is the start and row k the state after k steps of dt, each with its
+    currents J, square modulus s, rate, the gated cumulative trapezoid hazard
+    H through it and the number of steps so far with a negative current.
+    Rows are computed on demand, each from the one before, and never change,
+    so trajectories sharing a table see the same floats however far it grew.
+    """
+
+    def __init__(self, gen: EffectiveGenerator, start: np.ndarray, dt: float,
+                 steps: int, trigger_off: bool):
+        self.gen, self.dt, self.trigger_off = gen, dt, trigger_off
+        self.states = np.empty((steps + 1, gen.dim), dtype=np.complex128)
+        self.J = np.empty((steps + 1, len(gen.launch_ids)))
+        self.s, self.rate, self.H = np.empty(steps + 1), np.empty(steps + 1), np.zeros(steps + 1)
+        self.neg = np.zeros(steps + 1, dtype=np.int64)
+        self.states[0], self.J[0], self.s[0], self.rate[0] = self._point(start)
+        self.n = 0          # steps tabulated
+
+    def _point(self, psi: np.ndarray) -> tuple:
+        Jv = component_currents(psi, self.gen)
+        s = square_modulus(psi)
+        return psi, Jv.J, s, (0.0 if self.trigger_off else hit_rate(Jv, s))
+
+    def advance(self, k: int, h: float) -> tuple:
+        """(state, J, s, rate, H) one step of h after row k."""
+        psi, J, s, rate = self._point(step(self.states[k], self.gen, h))
+        H = float(self.H[k])
+        if rate > 0.0:
+            H += 0.5 * (float(self.rate[k]) + rate) * h
+        return psi, J, s, rate, H
+
+    def row(self, k: int) -> Row:
+        return Row(self.states[k], self.J[k], float(self.s[k]), int(self.neg[k]))
+
+    def hit_step(self, E: float, steps: int) -> int | None:
+        """First of the first ``steps`` steps whose hazard exceeds E, or None;
+        the table grows until it holds ``steps`` steps or its hazard passes E."""
+        k = k0 = self.n
+        while k < steps and self.H[k] <= E:
+            (self.states[k + 1], self.J[k + 1], self.s[k + 1], self.rate[k + 1],
+             self.H[k + 1]) = self.advance(k, self.dt)
+            k += 1
+        if k > k0:
+            self.neg[k0 + 1:k + 1] = self.neg[k0] + np.cumsum(
+                (self.J[k0 + 1:k + 1] < 0.0).any(axis=1))
+            self.n = k
+        m = min(self.n, steps)
+        r = int(np.searchsorted(self.H[:m + 1], E, side="right"))
+        return r if r <= m else None
+
+
+class Leg(NamedTuple):
+    """One epoch of one trajectory."""
+
+    table: EpochTable
+    scale: complex          # the trajectory's state is scale * table state
+    k0: int                 # steps of the run before the epoch
+    n: int                  # steps integrated in the epoch
+    t: float                # time after them: the hit time when chosen is set
+    last: Row               # the epoch's point at t
+    chosen: int | None
+
+
+class EpochRunner:
+    """The epoch loop of run_trajectory and run_ensemble, with its step plan."""
+
+    def __init__(self, model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
+                 gap_mode: GapSemantics, seed: int, policy: str = PRESERVE_TOTAL,
+                 gen_cache: dict | None = None):
+        self.model, self.ruleset, self.cfg, self.gap_mode = model, ruleset, cfg, gap_mode
+        self.seed, self.policy = seed, policy
+        plan = step_plan(cfg)
+        # Time and sample flag after k steps of the run, from k = 0.
+        self.times = [0.0] + [t for t, _, _ in plan]
+        self.sampled = [True] + [flag for _, _, flag in plan]
+        self.rem = plan[-1][1] if plan and plan[-1][1] != cfg.dt else 0.0
+        self.n_full = len(plan) - (self.rem > 0.0)
+        self.gen_cache = gen_cache
+        self._gens: dict = {}       # (last chosen component, epoch) -> generator
+
+    def generator(self, chosen: int | None, epoch: int) -> EffectiveGenerator:
+        """Generator after collapsing onto ``chosen`` (None: the initial one)."""
+        gen = self._gens.get((chosen, epoch))
+        if gen is None:
+            statuses = (self.model.initial_statuses() if chosen is None
+                        else post_collapse_statuses(self.model, chosen))
+            key = (tuple(sorted(statuses.items())), self.gap_mode, self.ruleset, epoch)
+            cache = self.gen_cache if self.gen_cache is not None else {}
+            gen = cache.get(key)
+            if gen is None:
+                gen = cache[key] = assemble_generator(self.model, self.ruleset, self.gap_mode,
+                                                      statuses=statuses, epoch=epoch)
+            self._gens[(chosen, epoch)] = gen
+        return gen
+
+    def _epoch(self, table: EpochTable, k0: int, E: float) -> tuple[int, Row, bool]:
+        """(steps, point after them, hit) of an epoch that starts after k0 steps."""
+        steps = max(self.n_full - k0, 0)
+        r = table.hit_step(E, steps)
+        if r is not None:
+            return r, table.row(r), True
+        if self.rem and k0 <= self.n_full:
+            # The shorter last step starts from a different row for each
+            # trajectory, so the table does not keep it.
+            psi, J, s, _, H = table.advance(steps, self.rem)
+            return steps + 1, Row(psi, J, s, int(table.neg[steps]) + bool((J < 0.0).any())), H > E
+        return steps, table.row(steps), False
+
+    def walk(self, index: int, tables: dict | None = None) -> tuple[list[Leg], str]:
+        """Run trajectory ``index``: one Leg per epoch, and its terminal.
+
+        ``tables`` shares epoch tables between calls, keyed by epoch and last
+        chosen component; without it every epoch gets a table of its own.
+        """
+        rng = trajectory_rng(self.seed, index)
+        model, cfg = self.model, self.cfg
+        legs: list[Leg] = []
+        chosen, k0, start, scale = None, 0, model.psi0, 1.0
+        while True:
+            epoch = len(legs)
+            gen = self.generator(chosen, epoch)
+            # With no bridged gap left after a collapse the realized component
+            # evolves unitarily and no further hit can fire.
+            quiescent = epoch > 0 and not gen.backflows
+            shared = tables is not None and (chosen is None or len(model.index_arrays[chosen]) == 1)
+            table = tables.get((epoch, chosen)) if shared else None
+            if table is None:
+                steps = 0 if quiescent else self.n_full - (0 if shared else min(k0, self.n_full))
+                table = EpochTable(gen, start, cfg.dt, steps, self.ruleset.trigger_suspended)
+                if shared:
+                    tables[(epoch, chosen)] = table
+            if quiescent:
+                legs.append(Leg(table, scale, k0, 0, self.times[k0], table.row(0), None))
+                return legs, TERMINAL_QUIESCENT
+            n, row, hit = self._epoch(table, k0, rng.standard_exponential())
+            s2 = _abs2(scale)
+            _check_epoch_drift(gen, cfg, s2 * row.s, s2 * float(table.s[0]),
+                               self.times[k0 + n] - self.times[k0])
+            chosen = choose_component(rng, CurrentVector(gen.launch_ids, s2 * row.J)) if hit else None
+            legs.append(Leg(table, scale, k0, n, self.times[k0 + n], row, chosen))
+            if not hit:
+                return legs, TERMINAL_T_MAX
+            psi = collapse_state(scale * row.state, chosen, model, self.policy)
+            idx = model.index_arrays[chosen]
+            if len(idx) == 1:
+                start, scale = np.zeros_like(psi), complex(psi[idx[0]])
+                start[idx[0]] = 1.0
+            else:
+                start, scale = psi, 1.0
+            k0 += n
+
+    def samples(self, legs: list[Leg]) -> TrajectorySamples:
+        """A walk's recorded rows: each epoch's start, its sampled steps and
+        its last step (the pre-collapse row of a hit), scaled to the trajectory."""
+        model, cand = self.model, self.model.launch_candidate_ids
+        rows = []       # (t, scale, unscaled state, unscaled J, generator)
+        for leg in legs:
+            tab, c = leg.table, leg.scale
+            rows += [(self.times[leg.k0 + r], c, tab.states[r], tab.J[r], tab.gen)
+                     for r in range(max(leg.n, 1)) if r == 0 or self.sampled[leg.k0 + r]]
+            if leg.n:
+                rows.append((leg.t, c, leg.last.state, leg.last.J, tab.gen))
+        column = {m: i for i, m in enumerate(cand)}
+        currents = np.zeros((len(rows), len(cand)))
+        for i, (_, c, _, J, gen) in enumerate(rows):
+            currents[i, [column[m] for m in gen.launch_ids]] = _abs2(c) * J
+        states = np.array([c * state for _, c, state, _, _ in rows])
+        sq = (states.conj() * states).real
+        ids = tuple(c.id for c in model.components)
+        return TrajectorySamples(
+            times=np.array([row[0] for row in rows]), s=sq.sum(axis=1),
+            moduli=np.stack([sq[:, model.index_arrays[i]].sum(axis=1) for i in ids], axis=1),
+            currents=currents, component_ids=ids, current_ids=cand)
+
+
 def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
                    gap_mode: GapSemantics, seed: int, *,
                    traj_index: int = 0,
@@ -267,81 +426,14 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
     rule sets drive the very same code and so produce identical event
     sequences for identical seeds.
     """
-    rng = trajectory_rng(seed, traj_index)
-    engine = EngineState(epoch=0, t=0.0, statuses=model.initial_statuses(),
-                         state=model.psi0.copy(), rng_stream=rng)
-    gen = _get_generator(gen_cache, model, ruleset, gap_mode, engine.statuses, 0)
-    candidates = model.launch_candidate_ids
-    recorder = _Recorder(model, candidates) if record_samples else None
-    events: list[CollapseEvent] = []
-    terminal = TERMINAL_T_MAX
-    negative_steps = 0
-    n_steps = 0
-
-    psi = engine.state
-    J = component_currents(psi, gen)
-    s = square_modulus(psi)
-    rate_prev = hit_rate(J, s) if not ruleset.trigger_suspended else 0.0
-    s_epoch_start, t_epoch_start = s, 0.0
-    if recorder:
-        recorder.add(0.0, psi, J)
-    last_recorded_t = 0.0
-
-    for t_next, h, is_sample in step_plan(cfg):
-        psi_next = step(psi, gen, h)
-        n_steps += 1
-        J_next = component_currents(psi_next, gen)
-        if np.any(J_next.J < 0.0):
-            negative_steps += 1
-        s_next = square_modulus(psi_next)
-        rate_next = hit_rate(J_next, s_next) if not ruleset.trigger_suspended else 0.0
-
-        hit = False
-        if rate_next > 0.0:
-            r_bar = 0.5 * (rate_prev + rate_next)
-            hit = sample_hit(rng, r_bar, h)
-
-        if hit:
-            _check_epoch_drift(gen, cfg, s_next, s_epoch_start, t_next - t_epoch_start)
-            if recorder:
-                recorder.add(t_next, psi_next, J_next)
-            chosen = choose_component(rng, J_next)
-            events.append(CollapseEvent(t_sc=t_next, chosen=chosen, pre_hit_s=s_next,
-                                        pre_hit_J=J_next, epoch=engine.epoch,
-                                        norm_policy=policy))
-            engine.state, engine.t = psi_next, t_next
-            engine = apply_collapse(engine, chosen, model, policy)
-            gen = _get_generator(gen_cache, model, ruleset, gap_mode,
-                                 engine.statuses, engine.epoch)
-            psi = engine.state
-            J = component_currents(psi, gen)
-            s = square_modulus(psi)
-            rate_prev = hit_rate(J, s) if not ruleset.trigger_suspended else 0.0
-            s_epoch_start, t_epoch_start = s, t_next
-            if recorder:
-                recorder.add(t_next, psi, J)
-            last_recorded_t = t_next
-            if not gen.backflows:
-                # No bridged gap survives the collapse: the realized component
-                # evolves unitarily and no further hit can fire.
-                terminal = TERMINAL_QUIESCENT
-                break
-        else:
-            psi = psi_next
-            rate_prev = rate_next
-            if recorder and is_sample:
-                recorder.add(t_next, psi, J_next)
-                last_recorded_t = t_next
-        engine.t = t_next
-
-    engine.state = psi
-    if terminal == TERMINAL_T_MAX:
-        engine.t = cfg.t_max
-        s_final = square_modulus(psi)
-        _check_epoch_drift(gen, cfg, s_final, s_epoch_start, cfg.t_max - t_epoch_start)
-        if recorder and (not recorder.rows_t or last_recorded_t != cfg.t_max):
-            recorder.add(cfg.t_max, psi, component_currents(psi, gen))
-
+    runner = EpochRunner(model, ruleset, cfg, gap_mode, seed, policy, gen_cache)
+    legs, terminal = runner.walk(traj_index)
+    events = [CollapseEvent(t_sc=leg.t, chosen=leg.chosen, pre_hit_s=_abs2(leg.scale) * leg.last.s,
+                            pre_hit_J=CurrentVector(leg.table.gen.launch_ids,
+                                                    _abs2(leg.scale) * leg.last.J),
+                            epoch=epoch, norm_policy=policy)
+              for epoch, leg in enumerate(legs) if leg.chosen is not None]
+    end = legs[-1]
     meta = {
         "trajectory_id": traj_index,
         "master_seed": seed,
@@ -349,11 +441,11 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
         "suspended": sorted(ruleset.suspended),
         "gap_mode": gap_mode.token,
         "norm_policy": policy,
-        "n_steps": n_steps,
-        "negative_current_steps": negative_steps,
-        "epochs": engine.epoch,
-        "final_t": engine.t,
-        "final_s": square_modulus(psi),
+        "n_steps": sum(leg.n for leg in legs),
+        "negative_current_steps": sum(leg.last.neg for leg in legs),
+        "epochs": len(events),
+        "final_t": end.t,
+        "final_s": _abs2(end.scale) * end.last.s,
     }
-    return TrajectoryRecord(samples=recorder.build() if recorder else None,
+    return TrajectoryRecord(samples=runner.samples(legs) if record_samples else None,
                             events=events, terminal=terminal, meta=meta)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import GapSemantics, IntegratorConfig, assemble_generator, evolve
-from .engine import PRESERVE_TOTAL, run_trajectory, step_grid
+from .engine import PRESERVE_TOTAL, EpochRunner, step_grid
 from .errors import GapflowError, ProvenanceError
 from .model import ScenarioModel
 from .rules import RuleSet
@@ -150,127 +150,35 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
 
 # --- ensemble execution -----------------------------------------------------
 
-class _PrehitTable:
-    """Shared epoch-0 tabulation for every trajectory of an ensemble.
-
-    Until the first hit, all trajectories evolve through the same
-    deterministic states, so the per-step hit probabilities, currents, and
-    pre-hit states can be computed once. A trajectory then only replays its
-    own Bernoulli draws against the table; the draw sequence and every float
-    match run_trajectory bit for bit.
-    """
-
-    def __init__(self, model, ruleset, cfg, gap_mode):
-        from .dynamics import component_currents, step
-        from .engine import hit_rate, post_collapse_statuses, step_plan
-        from .model import square_modulus
-
-        self.cfg = cfg
-        self.plan = step_plan(cfg)
-        gen = assemble_generator(model, ruleset, gap_mode)
-        self.gen = gen
-        self.launch_ids = gen.launch_ids
-        trig_off = ruleset.trigger_suspended
-
-        n = len(self.plan)
-        self.t_ends = [t for t, _, _ in self.plan]
-        # p < 0 encodes "gate closed, no draw happens on this step"
-        self.p = np.full(n, -1.0)
-        self.states = np.empty((n, model.dim), dtype=np.complex128)
-        self.J_rows = np.empty((n, len(gen.launch_ids)))
-        self.s_arr = np.empty(n)
-        self.neg_prefix = np.zeros(n, dtype=np.int64)
-
-        psi = model.psi0.copy()
-        J = component_currents(psi, gen)
-        s = square_modulus(psi)
-        self.s0 = s
-        rate_prev = 0.0 if trig_off else hit_rate(J, s)
-        neg = 0
-        for k, (_t_next, h, _) in enumerate(self.plan):
-            psi = step(psi, gen, h)
-            Jv = component_currents(psi, gen)
-            if np.any(Jv.J < 0.0):
-                neg += 1
-            s = square_modulus(psi)
-            rate_next = 0.0 if trig_off else hit_rate(Jv, s)
-            if rate_next > 0.0:
-                self.p[k] = -math.expm1(-0.5 * (rate_prev + rate_next) * h)
-            self.states[k] = psi
-            self.J_rows[k] = Jv.J
-            self.s_arr[k] = s
-            self.neg_prefix[k] = neg
-            rate_prev = rate_next
-
-        # Choices whose post-collapse generator has no bridged gap left end
-        # the trajectory on the spot; others need the generic engine loop.
-        self.quiescent_after = {}
-        for m in gen.launch_ids:
-            statuses = post_collapse_statuses(model, m)
-            g2 = assemble_generator(model, ruleset, gap_mode,
-                                    statuses=statuses, epoch=1)
-            self.quiescent_after[m] = not g2.backflows
-
-    def check_drift(self, k: int | None):
-        from .engine import _check_epoch_drift
-        if k is None:
-            if self.plan:
-                _check_epoch_drift(self.gen, self.cfg, self.s_arr[-1], self.s0,
-                                   self.cfg.t_max)
-        else:
-            _check_epoch_drift(self.gen, self.cfg, self.s_arr[k], self.s0,
-                               self.t_ends[k])
-
-
 def _run_range(model, ruleset, cfg, gap_mode, master_seed, policy, start, stop):
-    """Trajectory summaries for indices [start, stop); used by worker processes."""
-    from .dynamics import CurrentVector
-    from .engine import (TERMINAL_QUIESCENT, TERMINAL_T_MAX, choose_component,
-                         trajectory_rng)
+    """Summaries (index, first hit time or nan, first choice or -1, collapses,
+    negative-current steps, terminal) of trajectories [start, stop).
 
-    table = _PrehitTable(model, ruleset, cfg, gap_mode)
-    p = table.p.tolist()
-    n_steps = len(p)
+    Each runs run_trajectory's epoch loop with the range's shared tables, so
+    epoch 0 and each epoch after a collapse onto a one-dimensional component
+    is integrated once and each trajectory only draws against it.
+    """
+    runner = EpochRunner(model, ruleset, cfg, gap_mode, master_seed, policy)
+    tables: dict = {}
     out = []
-    cache: dict = {}
     for index in range(start, stop):
-        rng = trajectory_rng(master_seed, index)
-        hit_k = -1
-        for k in range(n_steps):
-            pk = p[k]
-            if pk >= 0.0 and rng.random() < pk:
-                hit_k = k
-                break
-        if hit_k < 0:
-            table.check_drift(None)
-            neg = int(table.neg_prefix[-1]) if n_steps else 0
-            out.append((index, math.nan, -1, 0, neg, TERMINAL_T_MAX))
-            continue
-        table.check_drift(hit_k)
-        chosen = choose_component(
-            rng, CurrentVector(table.launch_ids, table.J_rows[hit_k]))
-        if table.quiescent_after[chosen]:
-            out.append((index, table.t_ends[hit_k], chosen, 1,
-                        int(table.neg_prefix[hit_k]), TERMINAL_QUIESCENT))
-            continue
-        # Chained continuation: replay this trajectory through the full
-        # engine (fresh substream, so the draws come out identical).
-        rec = run_trajectory(model, ruleset, cfg, gap_mode, master_seed,
-                             traj_index=index, policy=policy,
-                             record_samples=False, gen_cache=cache)
-        ev = rec.first_event
-        out.append((index, ev.t_sc, ev.chosen, len(rec.events),
-                    rec.meta["negative_current_steps"], rec.terminal))
+        legs, terminal = runner.walk(index, tables)
+        first = legs[0]
+        hit = first.chosen is not None
+        out.append((index, first.t if hit else math.nan, first.chosen if hit else -1,
+                    sum(leg.chosen is not None for leg in legs),
+                    sum(leg.last.neg for leg in legs), terminal))
     return out
 
 
 def run_ensemble(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
                  gap_mode: GapSemantics, n: int, master_seed: int, *,
                  n_workers: int = 1, policy: str = PRESERVE_TOTAL) -> EnsembleStats:
-    """Aggregate n independent trajectories.
+    """Aggregate n independent trajectories, each run as run_trajectory runs it.
 
     Results are identical for any n_workers: substreams are keyed by
-    trajectory index and the reduce runs in index order.
+    trajectory index, shared epoch tables hold the same floats however far a
+    worker grew them, and the reduce runs in index order.
     """
     if n < 1:
         raise GapflowError(f"ensemble size must be >= 1, got {n}")

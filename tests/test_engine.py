@@ -17,6 +17,8 @@ from gapflow.engine import (
     TERMINAL_QUIESCENT,
     TERMINAL_T_MAX,
     EngineState,
+    EpochRunner,
+    EpochTable,
     apply_collapse,
     choose_component,
     hit_rate,
@@ -228,6 +230,30 @@ def test_step_grid_lists_step_endpoints():
     cfg = IntegratorConfig(dt=0.5, t_max=2.0)
     grid = step_grid(cfg)
     assert list(grid) == [0.5, 1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("build, chosen", [(three_mode, None), (chain_three_level, None),
+                                           (chain_three_level, 1)])
+def test_epoch_hazard_matches_per_step_survival(build, chosen):
+    """exp(-H_k) of an epoch table equals the per-step draw's survival
+    prod_{j<=k} (1 - p_j), p_j = -expm1(-r_bar_j h), gated on the end rate."""
+    model = build()
+    cfg = IntegratorConfig(dt=0.01, t_max=6.0)
+    runner = EpochRunner(model, R3, cfg, ONEWAY, 0)
+    epoch = 0 if chosen is None else 1
+    if chosen is None:
+        start = model.psi0
+    else:
+        start = np.zeros(model.dim, dtype=complex)
+        start[model.indices_of(chosen)[0]] = 1.0
+    n = len(step_plan(cfg))
+    table = EpochTable(runner.generator(chosen, epoch), start, cfg.dt, n, False)
+    assert table.hit_step(np.inf, n) is None and table.n == n
+    rate = table.rate
+    r_bar = np.where(rate[1:] > 0.0, 0.5 * (rate[:-1] + rate[1:]), 0.0)
+    survival = np.cumprod(1.0 + np.expm1(-r_bar * cfg.dt))
+    np.testing.assert_allclose(np.exp(-table.H[1:]), survival, rtol=1e-12, atol=0.0)
+    assert table.H[-1] > 1.0  # the epoch carries real hazard mass
 
 
 # ---------------------------------------------------------------------------

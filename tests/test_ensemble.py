@@ -19,7 +19,7 @@ from gapflow.ensemble import (
     run_ensemble,
 )
 from gapflow.errors import GapflowError, ProvenanceError
-from gapflow.fixtures import three_mode, two_level
+from gapflow.fixtures import chain_three_level, three_mode, two_level
 from gapflow.model import load_scenario
 from gapflow.rules import NRULES3, RuleSet
 
@@ -120,15 +120,60 @@ def test_ensemble_matches_per_index_trajectories(three_mode_model):
 
 
 def test_ensemble_chained_fixture_uses_fallback(chain_model):
-    """Multi-epoch continuations leave the memoized path but stay exact."""
+    """Chained trajectories leave the epoch-0 table for the shared epoch-1
+    table; every summary must equal per-index run_trajectory exactly."""
     cfg = IntegratorConfig(dt=0.01, t_max=12.0)
     stats = run_ensemble(chain_model, R3, cfg, ONEWAY, 30, 5)
+    times, comps, terminals, negative = [], [], {}, 0
     for k in range(30):
         rec = run_trajectory(chain_model, R3, cfg, ONEWAY, 5, traj_index=k,
                              record_samples=False)
         ev = rec.first_event
         if ev is not None:
-            assert stats.hit_times[list(stats.hit_times).index(ev.t_sc)] == ev.t_sc
+            times.append(ev.t_sc)
+            comps.append(ev.chosen)
+        terminals[rec.terminal] = terminals.get(rec.terminal, 0) + 1
+        negative += rec.meta["negative_current_steps"]
+    assert np.array_equal(stats.hit_times, np.array(times))
+    assert np.array_equal(stats.hit_components, np.array(comps))
+    assert stats.totals["terminals"] == terminals
+    assert stats.totals["negative_current_steps"] == negative
+    assert terminals.get("quiescent", 0) > 0  # some trajectories cascaded
+
+
+def test_shared_epoch_one_table_matches_second_hit_law(chain_model):
+    """After C1 realizes, the shared epoch-1 table drives the C1 -> C2 hit.
+
+    From the collapse at t1 the second hit has survival
+    S1(tau) = 1 / (1 + 0.49 tau^2) (g2 = 0.7), so the expected number of
+    quiescent terminals is sum over first hits of 1 - S1(t_max - t1). At
+    t_max = 3 a coupling of 0.6 instead of 0.7 moves z by about 6.
+    """
+    cfg = IntegratorConfig(dt=0.01, t_max=3.0)
+    stats = run_ensemble(chain_model, R3, cfg, ONEWAY, 2000, 4242)
+    assert set(stats.hit_components.tolist()) == {1}
+    tau = cfg.t_max - stats.hit_times
+    p = 1.0 - 1.0 / (1.0 + 0.49 * tau**2)
+    observed = stats.totals["terminals"].get("quiescent", 0)
+    z = (observed - p.sum()) / np.sqrt(np.sum(p * (1.0 - p)))
+    assert abs(z) < 4.0, (observed, p.sum(), z)
+
+
+def test_shorter_last_step_matches_per_index_trajectories():
+    """A t_max off the dt grid ends every epoch with a shorter step, taken
+    per trajectory from the shared table; hits may land on it."""
+    tail_hits = 0
+    for model, t_max, n in ((three_mode(), 0.505, 400), (chain_three_level(), 2.005, 100)):
+        cfg = IntegratorConfig(dt=0.01, t_max=t_max)
+        stats = run_ensemble(model, R3, cfg, ONEWAY, n, 9)
+        recs = [run_trajectory(model, R3, cfg, ONEWAY, 9, traj_index=k, record_samples=False)
+                for k in range(n)]
+        assert np.array_equal(stats.hit_times,
+                              np.array([r.first_event.t_sc for r in recs if r.events]))
+        assert stats.totals["negative_current_steps"] == 0
+        tail_hits += sum(ev.t_sc == t_max for r in recs for ev in r.events)
+        assert all(r.meta["final_t"] == t_max for r in recs if r.terminal == "t_max")
+    assert tail_hits > 0
 
 
 def test_worker_counts_agree_bitwise(three_mode_model):
