@@ -240,51 +240,47 @@ class Row(NamedTuple):
 class EpochTable:
     """Deterministic evolution of one epoch from its canonical start state.
 
-    Row 0 is the start and row k the state after k steps of dt, each with its
-    currents J, square modulus s, rate, the gated cumulative trapezoid hazard
-    H through it and the number of steps so far with a negative current.
-    Rows are computed on demand, each from the one before, and never change,
-    so trajectories sharing a table see the same floats however far it grew.
+    Row 0 is the start and row k the point after k steps of dt; every row's
+    rate and gated cumulative trapezoid hazard H through it are kept. Rows are
+    computed on demand, each from the one before, and never change, so
+    trajectories sharing a table see the same floats however far it grew.
+    With ``keep`` given, only row 0, the last row and the rows in ``keep`` are
+    held; without it, every row.
     """
 
     def __init__(self, gen: EffectiveGenerator, start: np.ndarray, dt: float,
-                 steps: int, trigger_off: bool):
-        self.gen, self.dt, self.trigger_off = gen, dt, trigger_off
-        self.states = np.empty((steps + 1, gen.dim), dtype=np.complex128)
-        self.J = np.empty((steps + 1, len(gen.launch_ids)))
-        self.s, self.rate, self.H = np.empty(steps + 1), np.empty(steps + 1), np.zeros(steps + 1)
-        self.neg = np.zeros(steps + 1, dtype=np.int64)
-        self.states[0], self.J[0], self.s[0], self.rate[0] = self._point(start)
+                 steps: int, trigger_off: bool, keep: set[int] | None = None):
+        self.gen, self.dt, self.trigger_off, self.keep = gen, dt, trigger_off, keep
+        self.rate, self.H = np.empty(steps + 1), np.zeros(steps + 1)
+        J, s, self.rate[0] = self._point(start)
+        self.rows = {0: Row(start, J, s, 0)}
         self.n = 0          # steps tabulated
 
     def _point(self, psi: np.ndarray) -> tuple:
         Jv = component_currents(psi, self.gen)
         s = square_modulus(psi)
-        return psi, Jv.J, s, (0.0 if self.trigger_off else hit_rate(Jv, s))
+        return Jv.J, s, (0.0 if self.trigger_off else hit_rate(Jv, s))
 
-    def advance(self, k: int, h: float) -> tuple:
-        """(state, J, s, rate, H) one step of h after row k."""
-        psi, J, s, rate = self._point(step(self.states[k], self.gen, h))
+    def advance(self, k: int, h: float) -> tuple[Row, float, float]:
+        """(row, rate, H) one step of h after row k."""
+        prev = self.rows[k]
+        psi = step(prev.state, self.gen, h)
+        J, s, rate = self._point(psi)
         H = float(self.H[k])
         if rate > 0.0:
             H += 0.5 * (float(self.rate[k]) + rate) * h
-        return psi, J, s, rate, H
-
-    def row(self, k: int) -> Row:
-        return Row(self.states[k], self.J[k], float(self.s[k]), int(self.neg[k]))
+        return Row(psi, J, s, prev.neg + bool((J < 0.0).any())), rate, H
 
     def hit_step(self, E: float, steps: int) -> int | None:
         """First of the first ``steps`` steps whose hazard exceeds E, or None;
         the table grows until it holds ``steps`` steps or its hazard passes E."""
-        k = k0 = self.n
+        k = self.n
         while k < steps and self.H[k] <= E:
-            (self.states[k + 1], self.J[k + 1], self.s[k + 1], self.rate[k + 1],
-             self.H[k + 1]) = self.advance(k, self.dt)
+            self.rows[k + 1], self.rate[k + 1], self.H[k + 1] = self.advance(k, self.dt)
+            if k and self.keep is not None and k not in self.keep:
+                del self.rows[k]
             k += 1
-        if k > k0:
-            self.neg[k0 + 1:k + 1] = self.neg[k0] + np.cumsum(
-                (self.J[k0 + 1:k + 1] < 0.0).any(axis=1))
-            self.n = k
+        self.n = k
         m = min(self.n, steps)
         r = int(np.searchsorted(self.H[:m + 1], E, side="right"))
         return r if r <= m else None
@@ -316,22 +312,18 @@ class EpochRunner:
         self.sampled = [True] + [flag for _, _, flag in plan]
         self.rem = plan[-1][1] if plan and plan[-1][1] != cfg.dt else 0.0
         self.n_full = len(plan) - (self.rem > 0.0)
-        self.gen_cache = gen_cache
-        self._gens: dict = {}       # (last chosen component, epoch) -> generator
+        # (model, rule set, mode, last chosen component, epoch) -> generator
+        self._gens = gen_cache if gen_cache is not None else {}
 
     def generator(self, chosen: int | None, epoch: int) -> EffectiveGenerator:
         """Generator after collapsing onto ``chosen`` (None: the initial one)."""
-        gen = self._gens.get((chosen, epoch))
+        key = (self.model, self.ruleset, self.gap_mode, chosen, epoch)
+        gen = self._gens.get(key)
         if gen is None:
             statuses = (self.model.initial_statuses() if chosen is None
                         else post_collapse_statuses(self.model, chosen))
-            key = (tuple(sorted(statuses.items())), self.gap_mode, self.ruleset, epoch)
-            cache = self.gen_cache if self.gen_cache is not None else {}
-            gen = cache.get(key)
-            if gen is None:
-                gen = cache[key] = assemble_generator(self.model, self.ruleset, self.gap_mode,
-                                                      statuses=statuses, epoch=epoch)
-            self._gens[(chosen, epoch)] = gen
+            gen = self._gens[key] = assemble_generator(self.model, self.ruleset, self.gap_mode,
+                                                       statuses=statuses, epoch=epoch)
         return gen
 
     def _epoch(self, table: EpochTable, k0: int, E: float) -> tuple[int, Row, bool]:
@@ -339,19 +331,24 @@ class EpochRunner:
         steps = max(self.n_full - k0, 0)
         r = table.hit_step(E, steps)
         if r is not None:
-            return r, table.row(r), True
+            return r, table.rows[r], True
         if self.rem and k0 <= self.n_full:
             # The shorter last step starts from a different row for each
             # trajectory, so the table does not keep it.
-            psi, J, s, _, H = table.advance(steps, self.rem)
-            return steps + 1, Row(psi, J, s, int(table.neg[steps]) + bool((J < 0.0).any())), H > E
-        return steps, table.row(steps), False
+            row, _, H = table.advance(steps, self.rem)
+            return steps + 1, row, H > E
+        return steps, table.rows[steps], False
 
-    def walk(self, index: int, tables: dict | None = None) -> tuple[list[Leg], str]:
+    def walk(self, index: int, tables: dict | None = None,
+             record: bool = False) -> tuple[list[Leg], str]:
         """Run trajectory ``index``: one Leg per epoch, and its terminal.
 
-        ``tables`` shares epoch tables between calls, keyed by epoch and last
-        chosen component; without it every epoch gets a table of its own.
+        ``tables`` shares the tables of epoch 0 and of each epoch after a
+        collapse onto a one-dimensional component between walks, keyed by
+        epoch and last chosen component; a shared table holds every row, as
+        any row may be some trajectory's hit. Any other table serves this walk
+        alone and holds the states of its start and last row only, and with
+        ``record`` those of the sampled rows that samples() reads.
         """
         rng = trajectory_rng(self.seed, index)
         model, cfg = self.model, self.cfg
@@ -366,16 +363,19 @@ class EpochRunner:
             shared = tables is not None and (chosen is None or len(model.index_arrays[chosen]) == 1)
             table = tables.get((epoch, chosen)) if shared else None
             if table is None:
-                steps = 0 if quiescent else self.n_full - (0 if shared else min(k0, self.n_full))
-                table = EpochTable(gen, start, cfg.dt, steps, self.ruleset.trigger_suspended)
+                keep = None if shared else (
+                    {r for r in range(self.n_full + 1 - k0) if self.sampled[k0 + r]}
+                    if record else set())
+                table = EpochTable(gen, start, cfg.dt, 0 if quiescent else self.n_full,
+                                   self.ruleset.trigger_suspended, keep)
                 if shared:
                     tables[(epoch, chosen)] = table
             if quiescent:
-                legs.append(Leg(table, scale, k0, 0, self.times[k0], table.row(0), None))
+                legs.append(Leg(table, scale, k0, 0, self.times[k0], table.rows[0], None))
                 return legs, TERMINAL_QUIESCENT
             n, row, hit = self._epoch(table, k0, rng.standard_exponential())
             s2 = _abs2(scale)
-            _check_epoch_drift(gen, cfg, s2 * row.s, s2 * float(table.s[0]),
+            _check_epoch_drift(gen, cfg, s2 * row.s, s2 * table.rows[0].s,
                                self.times[k0 + n] - self.times[k0])
             chosen = choose_component(rng, CurrentVector(gen.launch_ids, s2 * row.J)) if hit else None
             legs.append(Leg(table, scale, k0, n, self.times[k0 + n], row, chosen))
@@ -394,18 +394,18 @@ class EpochRunner:
         """A walk's recorded rows: each epoch's start, its sampled steps and
         its last step (the pre-collapse row of a hit), scaled to the trajectory."""
         model, cand = self.model, self.model.launch_candidate_ids
-        rows = []       # (t, scale, unscaled state, unscaled J, generator)
+        rows = []       # (t, scale, unscaled Row, generator)
         for leg in legs:
             tab, c = leg.table, leg.scale
-            rows += [(self.times[leg.k0 + r], c, tab.states[r], tab.J[r], tab.gen)
+            rows += [(self.times[leg.k0 + r], c, tab.rows[r], tab.gen)
                      for r in range(max(leg.n, 1)) if r == 0 or self.sampled[leg.k0 + r]]
             if leg.n:
-                rows.append((leg.t, c, leg.last.state, leg.last.J, tab.gen))
+                rows.append((leg.t, c, leg.last, tab.gen))
         column = {m: i for i, m in enumerate(cand)}
         currents = np.zeros((len(rows), len(cand)))
-        for i, (_, c, _, J, gen) in enumerate(rows):
-            currents[i, [column[m] for m in gen.launch_ids]] = _abs2(c) * J
-        states = np.array([c * state for _, c, state, _, _ in rows])
+        for i, (_, c, row, gen) in enumerate(rows):
+            currents[i, [column[m] for m in gen.launch_ids]] = _abs2(c) * row.J
+        states = np.array([c * row.state for _, c, row, _ in rows])
         sq = (states.conj() * states).real
         ids = tuple(c.id for c in model.components)
         return TrajectorySamples(
@@ -427,7 +427,7 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
     sequences for identical seeds.
     """
     runner = EpochRunner(model, ruleset, cfg, gap_mode, seed, policy, gen_cache)
-    legs, terminal = runner.walk(traj_index)
+    legs, terminal = runner.walk(traj_index, record=record_samples)
     events = [CollapseEvent(t_sc=leg.t, chosen=leg.chosen, pre_hit_s=_abs2(leg.scale) * leg.last.s,
                             pre_hit_J=CurrentVector(leg.table.gen.launch_ids,
                                                     _abs2(leg.scale) * leg.last.J),

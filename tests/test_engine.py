@@ -256,6 +256,26 @@ def test_epoch_hazard_matches_per_step_survival(build, chosen):
     assert table.H[-1] > 1.0  # the epoch carries real hazard mass
 
 
+def test_epoch_table_keep_holds_only_the_rows_it_names():
+    """A table with ``keep`` holds row 0, its last row and the rows in keep,
+    with the same floats as a table that holds every row."""
+    cfg = IntegratorConfig(dt=0.01, t_max=2.0)
+    model = chain_three_level()
+    gen = EpochRunner(model, R3, cfg, ONEWAY, 0).generator(None, 0)
+    n = len(step_plan(cfg))
+    full = EpochTable(gen, model.psi0, cfg.dt, n, False)
+    lean = EpochTable(gen, model.psi0, cfg.dt, n, False, keep={7, 50})
+    full.hit_step(np.inf, n)
+    lean.hit_step(np.inf, n)
+    assert sorted(full.rows) == list(range(n + 1))
+    assert sorted(lean.rows) == [0, 7, 50, n]
+    for k in lean.rows:
+        assert np.array_equal(lean.rows[k].state, full.rows[k].state)
+        assert np.array_equal(lean.rows[k].J, full.rows[k].J)
+        assert (lean.rows[k].s, lean.rows[k].neg) == (full.rows[k].s, full.rows[k].neg)
+    assert np.array_equal(lean.H, full.H) and np.array_equal(lean.rate, full.rate)
+
+
 # ---------------------------------------------------------------------------
 # Full trajectories
 # ---------------------------------------------------------------------------
@@ -289,11 +309,11 @@ def test_trajectory_is_deterministic(two_level_model):
 
 
 def test_trajectory_seed_changes_outcome(two_level_model):
-    # An outcome is the whole event sequence; a trajectory with no hit
-    # before t_max (probability 1/37 per seed here) is one outcome too.
-    outcomes = {tuple((e.t_sc, e.chosen) for e in run_once(two_level_model, seed=s).events)
-                for s in range(12)}
-    assert len(outcomes) > 6
+    # A seed may have no hit before t_max (probability 1/37 each here); the
+    # first-hit times of the seeds that hit are compared.
+    firsts = [run_once(two_level_model, seed=s).first_event for s in range(12)]
+    times = {e.t_sc for e in firsts if e is not None}
+    assert len(times) > 6
 
 
 def test_traj_index_differs_from_seed_zero(two_level_model):
