@@ -312,18 +312,18 @@ class EpochRunner:
         self.sampled = [True] + [flag for _, _, flag in plan]
         self.rem = plan[-1][1] if plan and plan[-1][1] != cfg.dt else 0.0
         self.n_full = len(plan) - (self.rem > 0.0)
-        # (model, rule set, mode, last chosen component, epoch) -> generator
-        self._gens = gen_cache if gen_cache is not None else {}
+        # (last chosen, epoch) -> generator; a caller's cache has one per (model, rules, mode)
+        self._gens = ({} if gen_cache is None
+                      else gen_cache.setdefault((model, ruleset, gap_mode), {}))
 
     def generator(self, chosen: int | None, epoch: int) -> EffectiveGenerator:
         """Generator after collapsing onto ``chosen`` (None: the initial one)."""
-        key = (self.model, self.ruleset, self.gap_mode, chosen, epoch)
-        gen = self._gens.get(key)
+        gen = self._gens.get((chosen, epoch))
         if gen is None:
             statuses = (self.model.initial_statuses() if chosen is None
                         else post_collapse_statuses(self.model, chosen))
-            gen = self._gens[key] = assemble_generator(self.model, self.ruleset, self.gap_mode,
-                                                       statuses=statuses, epoch=epoch)
+            gen = self._gens[(chosen, epoch)] = assemble_generator(
+                self.model, self.ruleset, self.gap_mode, statuses=statuses, epoch=epoch)
         return gen
 
     def _epoch(self, table: EpochTable, k0: int, E: float) -> tuple[int, Row, bool]:

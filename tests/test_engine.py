@@ -434,6 +434,20 @@ def test_gen_cache_reuse_is_transparent(three_mode_model):
     assert np.array_equal(a.samples.s, b.samples.s)
 
 
+def test_gen_cache_shared_across_models_keeps_them_apart():
+    """detuned_two_level has two_level's statuses but another generator."""
+    cfg = IntegratorConfig(dt=0.01, t_max=6.0)
+    cache = {}
+    run_trajectory(BUILDERS["detuned_two_level"](), R3, cfg, ONEWAY, 0,
+                   record_samples=False, gen_cache=cache)
+    model = two_level()
+    shared = run_trajectory(model, R3, cfg, ONEWAY, 0, record_samples=False, gen_cache=cache)
+    alone = run_trajectory(model, R3, cfg, ONEWAY, 0, record_samples=False)
+    assert alone.events
+    events = [[(e.t_sc, e.chosen) for e in rec.events] for rec in (shared, alone)]
+    assert events[0] == events[1]
+
+
 def test_trajectory_rng_streams_are_stable():
     """Seed scheme: master seed plus spawn index, order-independent."""
     a = trajectory_rng(123, 7).random(4)
