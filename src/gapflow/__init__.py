@@ -6,16 +6,15 @@ from .errors import (CollapseOnEmptyError, DegenerateStateError, GapflowError,
                      ProvenanceError, ScenarioParseError, ScenarioValidationError,
                      UnknownComponentError)
 from .rules import NRULES3, NRULES4, RULE_IDS, RuleSet, ruleset_for_rule
-from .model import (ACTIVE, LAUNCH, REALIZED, ZEROED, Component, Gap,
+from .model import (ACTIVE, LAUNCH, REALIZED, ZEROED, Component, Gap, GapSemantics,
                     HamiltonianPartition, OperatorBlock, RunDefaults,
                     ScenarioModel, ValidationReport, Violation,
                     component_square_moduli, load_scenario, load_scenario_file,
                     parse_scenario, project, serialize_scenario, square_modulus,
                     validate_model)
-from .dynamics import (CurrentVector, EffectiveGenerator, GapMode, GapSemantics,
-                       IntegratorConfig, TrajectorySegment, assemble_generator,
-                       component_currents, evolve, fd_current_check, gap_backflow,
-                       step)
+from .dynamics import (CurrentVector, EffectiveGenerator, IntegratorConfig,
+                       TrajectorySegment, assemble_generator, component_currents, evolve,
+                       fd_current_check, gap_backflow, step)
 from .engine import (PRESERVE_TOTAL, RAW, CollapseEvent, EngineState,
                      TrajectoryRecord, TrajectorySamples, apply_collapse,
                      choose_component, hit_rate, run_trajectory, sample_hit,

@@ -22,14 +22,13 @@ from .dynamics import GapSemantics, IntegratorConfig, assemble_generator, evolve
 from .engine import NORM_POLICIES, PRESERVE_TOTAL, run_trajectory
 from .ensemble import compare, deterministic_oracle, run_ensemble
 from .errors import GapflowError, ScenarioParseError, ScenarioValidationError
-from .model import load_scenario_file, parse_scenario, validate_model
+from .model import GAP_MODES, load_scenario_file, parse_scenario, validate_model
 from .output import (build_manifest, ensemble_report, load_manifest, scenario_hash,
                      write_events_jsonl, write_histogram_csv, write_manifest,
                      write_report_json, write_segment_csv, write_survival_csv,
                      write_trajectory_csv)
 from .rules import RULE_IDS, RuleSet, ruleset_for_rule
 
-GAP_MODE_TOKENS = ("oneway", "compensated", "hermitian")
 SUSPENDABLE = ("n3_1", "n4_4")
 
 
@@ -37,7 +36,7 @@ def _add_common(sp, with_seed=True):
     sp.add_argument("--scenario", required=True, help="scenario JSON path")
     sp.add_argument("--rules", choices=sorted(RULE_IDS), default=None,
                     help="rule-set variant (default: scenario defaults)")
-    sp.add_argument("--gap-mode", choices=GAP_MODE_TOKENS, default=None,
+    sp.add_argument("--gap-mode", choices=GAP_MODES, default=None,
                     help="gap semantics (default: scenario defaults)")
     sp.add_argument("--suspend", choices=SUSPENDABLE, default=None,
                     help="suspend a freeze rule (requires --gap-mode hermitian)")
@@ -97,7 +96,7 @@ def _resolve(args, model, parser):
     rules = args.rules
     suspended = frozenset()
     if args.suspend:
-        if args.gap_mode != "hermitian":
+        if args.gap_mode != GapSemantics.HERMITIAN_TRUNCATED.token:
             parser.error("--suspend requires --gap-mode hermitian; a suspension "
                          "under sink semantics would block vacuously")
         variant = ruleset_for_rule(args.suspend)

@@ -23,9 +23,8 @@ worker layouts.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -33,7 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GapflowError, NonFiniteStateError, NormDriftError
-from .model import ACTIVE, LAUNCH, REALIZED, STATUSES, ZEROED, ScenarioModel, square_modulus
+from .model import (ACTIVE, LAUNCH, REALIZED, STATUSES, ZEROED, GapSemantics, OperatorBlock,
+                    ScenarioModel, square_modulus)
 from .rules import RuleSet
 
 # Below this total square modulus the compensated loss coefficient J/s_low is
@@ -43,38 +43,6 @@ S_LOW_FLOOR = 1e-300
 # Dense matvec beats csr by a wide margin for the model sizes this package
 # targets; fall back to sparse only for genuinely large bases.
 DENSE_DIM_LIMIT = 256
-
-
-class GapSemantics(enum.Enum):
-    """Operator form of one-way flow across a gap."""
-
-    ONE_WAY_FEED = "one_way_feed"
-    NORM_COMPENSATED = "norm_compensated"
-    HERMITIAN_TRUNCATED = "hermitian_truncated"
-
-    @classmethod
-    def from_token(cls, token: str) -> "GapSemantics":
-        aliases = {
-            "oneway": cls.ONE_WAY_FEED,
-            "compensated": cls.NORM_COMPENSATED,
-            "hermitian": cls.HERMITIAN_TRUNCATED,
-        }
-        if token in aliases:
-            return aliases[token]
-        try:
-            return cls(token)
-        except ValueError:
-            raise GapflowError(f"unknown gap mode {token!r}") from None
-
-    @property
-    def token(self) -> str:
-        return {GapSemantics.ONE_WAY_FEED: "oneway",
-                GapSemantics.NORM_COMPENSATED: "compensated",
-                GapSemantics.HERMITIAN_TRUNCATED: "hermitian"}[self]
-
-
-# CLI-facing alias; the short name reads better at call sites.
-GapMode = GapSemantics
 
 
 @dataclass(frozen=True)
@@ -181,14 +149,6 @@ class EffectiveGenerator:
         return out
 
 
-def _entries_to_csr(dim, entries) -> sp.csr_matrix:
-    if not entries:
-        return sp.csr_matrix((dim, dim), dtype=np.complex128)
-    rows, cols, vals = zip(*entries)
-    coo = sp.coo_matrix((np.array(vals, dtype=np.complex128), (rows, cols)), shape=(dim, dim))
-    return coo.tocsr()
-
-
 def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantics,
                        suspended: frozenset[str] | None = None,
                        statuses: Mapping[int, str] | None = None,
@@ -240,19 +200,18 @@ def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantic
         feed = gap.interaction
         entries.extend(feed.entries)
         if mode is GapSemantics.HERMITIAN_TRUNCATED:
-            back = _entries_to_csr(model.dim, feed.adjoint_entries())
-            entries.extend(feed.adjoint_entries())
-            backflows[(gap.low, gap.high)] = back
+            back = OperatorBlock(model.dim, feed.adjoint_entries())
+            entries.extend(back.entries)
+            backflows[(gap.low, gap.high)] = back.to_coo().tocsr()
         else:
             backflows[(gap.low, gap.high)] = None
             if mode is GapSemantics.NORM_COMPENSATED:
-                compensations.append((model.indices_of(gap.low),
-                                      _entries_to_csr(model.dim, feed.entries)))
+                compensations.append((model.indices_of(gap.low), feed.to_coo().tocsr()))
 
     launch_ids = tuple(sorted(cid for cid, st in statuses.items() if st == LAUNCH))
     return EffectiveGenerator(
         dim=model.dim,
-        matrix=_entries_to_csr(model.dim, entries),
+        matrix=OperatorBlock(model.dim, tuple(entries)).to_coo().tocsr(),
         mode=mode,
         launch_ids=launch_ids,
         launch_indices={cid: model.indices_of(cid) for cid in launch_ids},
@@ -314,13 +273,12 @@ class TrajectorySegment:
         return out
 
 
-def component_currents(state: np.ndarray, gen: EffectiveGenerator,
-                       model: ScenarioModel | None = None) -> CurrentVector:
+def component_currents(state: np.ndarray, gen: EffectiveGenerator) -> CurrentVector:
     """J_m = d|P_m psi|^2/dt for each launch component, computed analytically.
 
     Equal to 2 Im(<P_m psi|G psi>); evaluated through gen.apply so the
     compensated-mode loss (which never touches launch rows) needs no special
-    case. ``model`` is accepted for callers that carry one around.
+    case.
     """
     psi = np.asarray(state, dtype=np.complex128)
     idx, starts = gen.launch_runs
@@ -360,48 +318,72 @@ def gap_backflow(state: np.ndarray, gen: EffectiveGenerator) -> dict[tuple[int, 
     return out
 
 
+def step_plan(cfg: IntegratorConfig) -> list[tuple[float, float, bool]]:
+    """(end time, step size, sample flag) per integration step of a run.
+
+    The last step is pinned exactly onto t_max so accumulated k*dt roundoff
+    cannot leave the final sample at 5.999999999999999-style times; a
+    non-integer span gets a shorter final step.
+    """
+    dt = cfg.dt
+    n_full = int(math.floor(cfg.t_max / dt + 1e-9))
+    rem = cfg.t_max - n_full * dt
+    if rem < 1e-9 * dt:
+        rem = 0.0
+    plan = [(k * dt, dt, k % cfg.sample_every == 0) for k in range(1, n_full + 1)]
+    if rem > 0.0:
+        plan.append((cfg.t_max, rem, True))
+    elif plan:
+        plan[-1] = (cfg.t_max, dt, True)
+    return plan
+
+
+def step_grid(cfg: IntegratorConfig) -> np.ndarray:
+    """Step-end times of a run; hit times are always members of this grid."""
+    return np.array([t for t, _, _ in step_plan(cfg)])
+
+
+def _check_epoch_drift(gen, cfg, s_now, s_epoch_start, elapsed):
+    if gen.conserves_norm and elapsed > 0:
+        drift = abs(s_now - s_epoch_start)
+        allowed = cfg.norm_drift_budget * max(elapsed, cfg.dt)
+        if drift > allowed:
+            raise NormDriftError(
+                f"norm drift {drift:.3e} exceeds budget {allowed:.3e} "
+                f"within epoch (elapsed {elapsed})")
+
+
 def evolve(state: np.ndarray, gen: EffectiveGenerator, t0: float, t1: float,
            cfg: IntegratorConfig) -> TrajectorySegment:
-    """Integrate from t0 to t1, sampling every cfg.sample_every steps.
+    """Integrate from t0 to t1 along step_plan of the span, sampling every
+    cfg.sample_every steps.
 
     The span need not be an integer number of steps; a shorter final step
     lands exactly on t1. t1 == t0 yields a single untouched sample.
     """
     if t1 < t0:
         raise GapflowError(f"evolve called with t1={t1} < t0={t0}")
-    psi = np.array(state, dtype=np.complex128)
     span = t1 - t0
-    dt = cfg.dt
-
-    times = [t0]
-    states = [psi.copy()]
-    if span > 0:
-        n_full = int(math.floor(span / dt + 1e-9))
-        rem = span - n_full * dt
-        if rem < 1e-9 * dt:
-            rem = 0.0
-        for k in range(1, n_full + 1):
-            psi = step(psi, gen, dt)
-            last = (k == n_full) and rem == 0.0
-            if k % cfg.sample_every == 0 and not last:
-                times.append(t0 + k * dt)
-                states.append(psi.copy())
-        if rem > 0.0:
-            psi = step(psi, gen, rem)
+    plan = step_plan(replace(cfg, t_max=span))
+    psi = np.array(state, dtype=np.complex128)
+    times, states = [t0], [psi]
+    for t, h, sampled in plan:
+        psi = step(psi, gen, h)
+        if sampled:
+            times.append(t0 + t)
+            states.append(psi)
+    if plan:
+        times[-1] = t1
+    elif span > 0:
+        # A span below step_plan's 1e-9 dt guard takes no step but still
+        # ends on t1.
         times.append(t1)
-        states.append(psi.copy())
+        states.append(psi)
 
     state_arr = np.array(states)
     currents = np.empty((len(times), len(gen.launch_ids)))
     for i in range(len(times)):
         currents[i] = component_currents(state_arr[i], gen).J
-
-    if gen.conserves_norm and span > 0:
-        drift = abs(square_modulus(psi) - square_modulus(np.asarray(state, dtype=np.complex128)))
-        allowed = cfg.norm_drift_budget * max(span, dt)
-        if drift > allowed:
-            raise NormDriftError(
-                f"norm drift {drift:.3e} exceeds budget {allowed:.3e} over span {span}")
-
+    _check_epoch_drift(gen, cfg, square_modulus(psi), square_modulus(state_arr[0]), span)
     return TrajectorySegment(times=np.array(times), states=state_arr,
                              currents=currents, launch_ids=gen.launch_ids)

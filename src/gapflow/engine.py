@@ -34,9 +34,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (CurrentVector, EffectiveGenerator, GapSemantics, IntegratorConfig,
-                       assemble_generator, component_currents, step)
-from .errors import (CollapseOnEmptyError, DegenerateStateError, GapflowError,
-                     NoChoiceError, NormDriftError)
+                       _check_epoch_drift, assemble_generator, component_currents, step,
+                       step_plan)
+from .dynamics import step_grid  # noqa: F401  (kept importable as engine.step_grid)
+from .errors import CollapseOnEmptyError, DegenerateStateError, GapflowError, NoChoiceError
 from .model import LAUNCH, REALIZED, ZEROED, ScenarioModel, project, square_modulus
 from .rules import RuleSet
 
@@ -187,41 +188,6 @@ def apply_collapse(engine: EngineState, chosen: int, model: ScenarioModel,
                        statuses=post_collapse_statuses(model, chosen),
                        state=collapse_state(engine.state, chosen, model, policy),
                        rng_stream=engine.rng_stream)
-
-
-def step_plan(cfg: IntegratorConfig) -> list[tuple[float, float, bool]]:
-    """(end time, step size, sample flag) per integration step of a run.
-
-    The last step is pinned exactly onto t_max so accumulated k*dt roundoff
-    cannot leave the final sample at 5.999999999999999-style times; a
-    non-integer span gets a shorter final step.
-    """
-    dt = cfg.dt
-    n_full = int(math.floor(cfg.t_max / dt + 1e-9))
-    rem = cfg.t_max - n_full * dt
-    if rem < 1e-9 * dt:
-        rem = 0.0
-    plan = [(k * dt, dt, k % cfg.sample_every == 0) for k in range(1, n_full + 1)]
-    if rem > 0.0:
-        plan.append((cfg.t_max, rem, True))
-    elif plan:
-        plan[-1] = (cfg.t_max, dt, True)
-    return plan
-
-
-def step_grid(cfg: IntegratorConfig) -> np.ndarray:
-    """Step-end times of a run; hit times are always members of this grid."""
-    return np.array([t for t, _, _ in step_plan(cfg)])
-
-
-def _check_epoch_drift(gen, cfg, s_now, s_epoch_start, elapsed):
-    if gen.conserves_norm and elapsed > 0:
-        drift = abs(s_now - s_epoch_start)
-        allowed = cfg.norm_drift_budget * max(elapsed, cfg.dt)
-        if drift > allowed:
-            raise NormDriftError(
-                f"norm drift {drift:.3e} exceeds budget {allowed:.3e} "
-                f"within epoch (elapsed {elapsed})")
 
 
 def _abs2(c: complex) -> float:

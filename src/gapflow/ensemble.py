@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GapSemantics, IntegratorConfig, assemble_generator, evolve
-from .engine import PRESERVE_TOTAL, EpochRunner, step_grid
+from .dynamics import GapSemantics, IntegratorConfig, assemble_generator, evolve, step_grid
+from .engine import PRESERVE_TOTAL, EpochRunner
 from .errors import GapflowError, ProvenanceError
 from .model import ScenarioModel
 from .rules import RuleSet

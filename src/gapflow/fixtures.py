@@ -15,7 +15,7 @@ from .errors import ScenarioValidationError
 from .model import (ACTIVE, LAUNCH, Component, Gap, HamiltonianPartition,
                     OperatorBlock, RunDefaults, ScenarioModel, validate_model)
 
-_DEFAULTS = RunDefaults(dt=0.01, t_max=6.0, rules="nrules3", gap_mode="oneway", seed=1)
+_DEFAULTS = RunDefaults()
 
 
 def _build(dim, components, gaps, own, psi0, defaults) -> ScenarioModel:

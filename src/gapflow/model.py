@@ -27,16 +27,19 @@ bit-exactly.
 
 from __future__ import annotations
 
+import cmath
+import enum
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ScenarioParseError, ScenarioValidationError, UnknownComponentError
+from .errors import (GapflowError, ScenarioParseError, ScenarioValidationError,
+                     UnknownComponentError)
 from .rules import RULE_IDS
 
 SCENARIO_SCHEMA = "scenario/1"
@@ -49,7 +52,32 @@ REALIZED = "realized"
 ZEROED = "zeroed"
 STATUSES = (ACTIVE, LAUNCH, REALIZED, ZEROED)
 
-GAP_MODES = ("oneway", "compensated", "hermitian")
+
+class GapSemantics(enum.Enum):
+    """Operator form of one-way flow across a gap."""
+
+    ONE_WAY_FEED = "one_way_feed"
+    NORM_COMPENSATED = "norm_compensated"
+    HERMITIAN_TRUNCATED = "hermitian_truncated"
+
+    @classmethod
+    def from_token(cls, token: str) -> "GapSemantics":
+        """The mode named by its short token or by its enum value."""
+        for mode, short in _GAP_TOKENS.items():
+            if token in (short, mode.value):
+                return mode
+        raise GapflowError(f"unknown gap mode {token!r}")
+
+    @property
+    def token(self) -> str:
+        """Short name used by scenario documents, the CLI and manifests."""
+        return _GAP_TOKENS[self]
+
+
+_GAP_TOKENS = {GapSemantics.ONE_WAY_FEED: "oneway",
+               GapSemantics.NORM_COMPENSATED: "compensated",
+               GapSemantics.HERMITIAN_TRUNCATED: "hermitian"}
+GAP_MODES = tuple(_GAP_TOKENS.values())
 
 HERMITICITY_TOL = 1e-12
 
@@ -111,7 +139,7 @@ class RunDefaults:
     dt: float = 0.01
     t_max: float = 6.0
     rules: str = "nrules3"
-    gap_mode: str = "oneway"
+    gap_mode: str = GapSemantics.ONE_WAY_FEED.token
     seed: int = 1
     sample_every: int = 1
 
@@ -188,6 +216,12 @@ class ScenarioModel:
         return total.tocsr()
 
     def fingerprint(self) -> str:
+        """SHA-256 of the canonical serialization: equal for equal model content.
+
+        RunProvenance carries it, so ensemble statistics and the oracle are
+        compared only for the same model; output.scenario_hash is the file-byte
+        hash that ``rerun`` checks.
+        """
         return hashlib.sha256(serialize_scenario(self).encode()).hexdigest()
 
 
@@ -243,9 +277,11 @@ class ValidationReport:
 
 def _check_block_entries(report, block, dim, where):
     seen = set()
-    for r, c, _ in block.entries:
+    for r, c, v in block.entries:
         if not (0 <= r < dim and 0 <= c < dim):
             report.error("index-range", f"entry ({r},{c}) outside dim={dim}", where)
+        if not cmath.isfinite(v):
+            report.error("non-finite", f"entry ({r},{c}) is {v}", where)
         if (r, c) in seen:
             report.error("duplicate-entry", f"duplicate entry at ({r},{c})", where)
         seen.add((r, c))
@@ -365,6 +401,11 @@ def validate_model(model: ScenarioModel) -> ValidationReport:
     psi0 = model.psi0
     if psi0.shape != (dim,):
         report.error("psi0-shape", f"psi0 has shape {psi0.shape}, expected ({dim},)")
+    elif not np.isfinite(psi0).all():
+        bad = np.flatnonzero(~np.isfinite(psi0))
+        report.error("non-finite", f"psi0 has NaN or infinite amplitude at indices {bad.tolist()}")
+    elif not psi0.any():
+        report.error("psi0-zero", "psi0 is all zero")
     else:
         active_mask = np.zeros(dim, dtype=bool)
         for c in model.components:
@@ -396,6 +437,9 @@ def validate_model(model: ScenarioModel) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 _TOP_KEYS = {"schema", "dim", "components", "gaps", "own", "psi0", "defaults"}
+# Type of each field of the defaults block, as _need reads it.
+_DEFAULT_KINDS = {"dt": float, "t_max": float, "rules": str, "gap_mode": str,
+                  "seed": int, "sample_every": int}
 
 
 def _need(obj, key, kind, where):
@@ -535,18 +579,11 @@ def parse_scenario(text: str) -> ScenarioModel:
         raw = doc["defaults"]
         if not isinstance(raw, dict):
             raise ScenarioParseError("defaults must be an object", "defaults")
-        known = {"dt", "t_max", "rules", "gap_mode", "seed", "sample_every"}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(_DEFAULT_KINDS)
         if unknown:
             raise ScenarioParseError(f"unknown defaults fields {sorted(unknown)}", "defaults")
-        merged = {}
-        for key in known & set(raw):
-            merged[key] = raw[key]
-        if "dt" in merged:
-            merged["dt"] = float(merged["dt"])
-        if "t_max" in merged:
-            merged["t_max"] = float(merged["t_max"])
-        defaults = replace(defaults, **merged)
+        defaults = RunDefaults(**{key: _need(raw, key, kind, "defaults")
+                                  for key, kind in _DEFAULT_KINDS.items() if key in raw})
 
     return ScenarioModel(dim=dim, components=tuple(components),
                          hamiltonian=HamiltonianPartition(own=own, interactions=tuple(gaps)),

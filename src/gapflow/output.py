@@ -35,6 +35,12 @@ def _write_text(path, text: str):
 
 
 def scenario_hash(path) -> str:
+    """SHA-256 of the scenario file's bytes, recorded in every manifest.
+
+    ``rerun`` refuses a file whose bytes changed, even where the model did
+    not; ScenarioModel.fingerprint() is the content hash that statistics
+    compare.
+    """
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 

@@ -1,7 +1,7 @@
 """Acceptance gate: six release criteria, one printed pass/fail line each.
 
-Run with ``pytest tests/test_acceptance.py -s`` (or via
-``scripts/run_acceptance.py``) to see the lines as they print.
+Run with ``pytest tests/test_acceptance.py -s -v`` to see the lines as they
+print.
 """
 
 import time

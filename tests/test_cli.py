@@ -53,6 +53,18 @@ def test_validate_parse_error_exits_1(tmp_path, capsys):
     assert main(["validate", "--scenario", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("key,value", [("rules", ["nrules3"]), ("seed", "x")])
+def test_mistyped_defaults_exit_1(tmp_path, capsys, key, value):
+    """validate and run report the field and exit 1 instead of raising."""
+    doc = json.loads(pathlib.Path(TWO_LEVEL).read_text())
+    doc["defaults"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    assert f"PARSE ERROR defaults: field {key!r}" in capsys.readouterr().out
+    assert main(["run", "--scenario", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+
+
 def test_unknown_gap_mode_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scenario", TWO_LEVEL, "--gap-mode", "open",

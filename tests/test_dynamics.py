@@ -9,12 +9,15 @@ Closed forms used as oracles:
   |psi_1(t)|^2 = sin(t)^2 and J_1(t) = sin(2t).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapflow.dynamics import (
+    DENSE_DIM_LIMIT,
     GapSemantics,
     IntegratorConfig,
     assemble_generator,
@@ -26,7 +29,8 @@ from gapflow.dynamics import (
 )
 from gapflow.errors import GapflowError, NonFiniteStateError, NormDriftError
 from gapflow.fixtures import BUILDERS, three_mode, two_level
-from gapflow.model import ACTIVE, LAUNCH, REALIZED, ZEROED
+from gapflow.model import (ACTIVE, LAUNCH, REALIZED, ZEROED, Component, Gap,
+                           HamiltonianPartition, OperatorBlock, ScenarioModel, validate_model)
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 
 R3 = RuleSet(NRULES3)
@@ -357,6 +361,44 @@ def test_gap_backflow_nonzero_in_hermitian_mode(two_level_model):
     psi = np.array([1.0, 1.0j]) / np.sqrt(2.0)
     flows = gap_backflow(psi, gen)
     assert flows[(0, 1)] == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Sparse generators above DENSE_DIM_LIMIT
+# ---------------------------------------------------------------------------
+
+
+def star_model(n_modes):
+    """One detuned active mode feeding ``n_modes`` one-dimensional launch modes."""
+    dim = n_modes + 1
+    g = np.linspace(0.5, 1.5, n_modes) / np.sqrt(n_modes)
+    components = (Component(0, (0,), 0, ACTIVE),) + tuple(
+        Component(k, (k,), 1, LAUNCH) for k in range(1, dim))
+    gaps = tuple(Gap(0, k, True, OperatorBlock(dim, ((k, 0, complex(g[k - 1])),)))
+                 for k in range(1, dim))
+    own = {0: OperatorBlock(dim, ((0, 0, 0.3 + 0j),))}
+    psi0 = np.zeros(dim, dtype=complex)
+    psi0[0] = 1.0
+    return ScenarioModel(dim, components, HamiltonianPartition(own, gaps), psi0)
+
+
+@pytest.mark.parametrize("mode", [ONEWAY, COMPENSATED, HERMITIAN])
+def test_csr_generator_matches_dense(mode):
+    model = star_model(300)
+    assert validate_model(model).ok
+    gen = assemble_generator(model, R3, mode)
+    assert gen.dim > DENSE_DIM_LIMIT and gen.dense is None
+    dense = dataclasses.replace(gen, dense=gen.matrix.toarray())
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
+    psi /= np.linalg.norm(psi)
+    np.testing.assert_allclose(step(psi, gen, 0.01), step(psi, dense, 0.01), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(component_currents(psi, gen).J,
+                               component_currents(psi, dense).J, rtol=0, atol=1e-12)
+    if mode is ONEWAY:
+        launch_only = psi.copy()
+        launch_only[0] = 0.0
+        assert np.all(gen.apply(launch_only) == 0.0)
 
 
 # ---------------------------------------------------------------------------

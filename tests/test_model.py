@@ -133,6 +133,31 @@ def test_parse_rejects_malformed_entry_quad():
         doc_model(mutate)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("rules", ["nrules3"]),
+    ("gap_mode", 1),
+    ("seed", "x"),
+    ("seed", 1.0),
+    ("sample_every", 2.5),
+    ("dt", "0.01"),
+    ("t_max", True),
+])
+def test_parse_rejects_mistyped_defaults(key, value):
+    def mutate(d):
+        d["defaults"][key] = value
+
+    with pytest.raises(ScenarioParseError, match=repr(key)):
+        doc_model(mutate)
+
+
+def test_parse_reads_integer_times_as_floats():
+    def mutate(d):
+        d["defaults"]["t_max"] = 6
+
+    t_max = doc_model(mutate).defaults.t_max
+    assert t_max == 6.0 and isinstance(t_max, float)
+
+
 def test_parse_canonicalizes_ready_status():
     model = doc_model(lambda d: d["components"][1].__setitem__("status", "ready"))
     assert model.component(1).status == LAUNCH
@@ -254,6 +279,28 @@ def test_psi0_support_must_be_active():
     doc = base_doc()
     doc["psi0"] = [[0.0, 0.0], [1.0, 0.0]]
     assert any("psi0" in m for m in violation_messages(doc))
+
+
+def violation_codes(doc):
+    return [v.code for v in validate_model(parse_scenario(json.dumps(doc))).errors]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.__setitem__("psi0", [[1.0, 0.0], [float("nan"), 0.0]]),
+    lambda d: d.__setitem__("psi0", [[float("inf"), 0.0], [0.0, 0.0]]),
+    lambda d: d["gaps"][0].__setitem__("entries", [[1, 0, float("inf"), 0.0]]),
+    lambda d: d.__setitem__("own", [{"component": 0, "entries": [[0, 0, 0.0, -float("inf")]]}]),
+], ids=["psi0-nan-on-launch", "psi0-inf", "gap-inf", "own-minus-inf"])
+def test_non_finite_input_rejected(mutate):
+    doc = base_doc()
+    mutate(doc)
+    assert "non-finite" in violation_codes(doc)
+
+
+def test_zero_psi0_rejected():
+    doc = base_doc()
+    doc["psi0"] = [[0.0, 0.0], [0.0, 0.0]]
+    assert violation_codes(doc) == ["psi0-zero"]
 
 
 def test_duplicate_component_id_rejected():
