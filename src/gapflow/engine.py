@@ -139,7 +139,11 @@ def choose_component(rng: np.random.Generator, J: CurrentVector) -> int:
     cum = np.cumsum(weights)
     u = rng.random() * total
     k = int(np.searchsorted(cum, u, side="right"))
-    return J.ids[min(k, len(J.ids) - 1)]
+    if k >= len(cum):
+        # u rounded up to the total: take the last component that carries
+        # current, never a trailing zero-weight one.
+        k = int(np.flatnonzero(weights)[-1])
+    return J.ids[k]
 
 
 def post_collapse_statuses(model: ScenarioModel, chosen: int) -> dict[int, str]:

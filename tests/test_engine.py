@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapflow.dynamics import (
@@ -129,6 +129,7 @@ def test_choose_component_shares_follow_currents():
 
 @given(weights=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=5),
        seed=st.integers(0, 2**32 - 1))
+@example(weights=[5e-324, 0.0], seed=0)
 @settings(max_examples=60, deadline=None)
 def test_choose_component_always_returns_positive_weight_id(weights, seed):
     if not any(w > 0 for w in weights):
