@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Run a fixed matrix of CLI invocations and record a sha256 per artifact.
+
+Every shipped scenario is run in every gap mode through nine invocations
+(`currents` three ways, `ensemble` two ways, `run` two ways, `arrow` with and
+without `--suspend n3_1`), 135 in all, each in-process through
+`gapflow.cli.main` with its own output directory. The listing written to
+`<out-dir>/sha256.txt` holds one line per output file, plus the exit code,
+stdout and stderr of each invocation (the output directory masked), sorted
+by path. Two listings taken on two source trees with the same `--scenarios`
+directory are compared with `diff`, or with `--compare OTHER`, which prints
+the paths whose bytes differ.
+
+Example (a change against a checkout of its parent):
+
+    python3 scripts/artifact_matrix.py --src ../parent/src --out-dir /tmp/am_old
+    python3 scripts/artifact_matrix.py --out-dir /tmp/am_new --compare /tmp/am_old/sha256.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GAP_MODES = ("oneway", "compensated", "hermitian")
+
+# (case name, extra arguments) per scenario and gap mode.
+INVOCATIONS = (
+    ("currents", ["currents"]),
+    ("currents_offgrid", ["currents", "--t-max", "0.505", "--sample-every", "3"]),
+    ("currents_every3", ["currents", "--sample-every", "3"]),
+    ("ensemble", ["ensemble", "--n", "200"]),
+    ("ensemble_offgrid", ["ensemble", "--n", "200", "--t-max", "2.005"]),
+    ("run", ["run", "--sample-every", "7"]),
+    ("run_raw", ["run", "--policy", "raw", "--seed", "5"]),
+    ("arrow", ["arrow"]),
+    ("arrow_suspend", ["arrow", "--suspend", "n3_1"]),
+)
+
+
+def sha256_of(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(main, argv: list[str], out_dir: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:           # argparse usage errors
+            code = exc.code if isinstance(exc.code, int) else 1
+    return code, out.getvalue().replace(out_dir, "<out>"), err.getvalue().replace(out_dir, "<out>")
+
+
+def build_listing(scenarios: pathlib.Path, out_root: pathlib.Path) -> list[str]:
+    from gapflow.cli import main
+
+    lines = []
+    for scenario in sorted(scenarios.glob("*.json")):
+        for mode in GAP_MODES:
+            for case, extra in INVOCATIONS:
+                name = f"{scenario.stem}/{mode}/{case}"
+                out_dir = str(out_root / name)
+                os.makedirs(out_dir, exist_ok=True)
+                argv = [extra[0], "--scenario", str(scenario), "--gap-mode", mode,
+                        *extra[1:], "--out-dir", out_dir]
+                if extra[0] == "ensemble":
+                    argv += ["--workers", "1"]
+                code, stdout, stderr = run_case(main, argv, out_dir)
+                lines.append(f"{sha256_of(str(code).encode())}  {name}/<exit>")
+                lines.append(f"{sha256_of(stdout.encode())}  {name}/<stdout>")
+                lines.append(f"{sha256_of(stderr.encode())}  {name}/<stderr>")
+                for path in sorted(pathlib.Path(out_dir).iterdir()):
+                    lines.append(f"{sha256_of(path.read_bytes())}  {name}/{path.name}")
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def read_listing(path: str) -> dict[str, str]:
+    with open(path, encoding="utf-8") as fh:
+        return {name: digest for digest, name in
+                (line.rstrip("\n").split("  ", 1) for line in fh if line.strip())}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out-dir", required=True, help="directory for artifacts and sha256.txt")
+    ap.add_argument("--src", default=str(ROOT / "src"), help="source tree to import gapflow from")
+    ap.add_argument("--scenarios", default=str(ROOT / "scenarios"),
+                    help="directory of scenario JSON files")
+    ap.add_argument("--compare", default=None,
+                    help="an earlier sha256.txt; print the paths whose bytes differ")
+    args = ap.parse_args()
+
+    sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
+    out_root = pathlib.Path(args.out_dir).resolve()
+    lines = build_listing(pathlib.Path(args.scenarios), out_root)
+    listing = out_root / "sha256.txt"
+    listing.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    print(f"wrote {listing} ({len(lines)} entries)")
+    if args.compare is None:
+        return 0
+    old, new = read_listing(args.compare), read_listing(str(listing))
+    changed = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+    for name in changed:
+        print(f"changed: {name}")
+    print(f"{len(changed)} of {len(new)} entries changed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,20 @@ suspended rules:
 Integration is fixed-step RK4 on dpsi/dt = -i G psi (hbar = 1), with a
 state-dependent anti-Hermitian loss on the source sector in norm_compensated
 mode. No adaptive stepping: trajectories must be reproducible across runs and
-worker layouts.
+worker layouts. A step takes one of two paths:
+
+* propagator: where G is held dense and carries no compensation term (oneway
+  and hermitian modes up to DENSE_DIM_LIMIT), the dynamics is linear and
+  constant within an epoch, so an RK4 step of length h is the fixed matrix
+  M_h = sum_{k<=4} (-iGh)^k/k!, built once per h and applied as one matvec.
+  G's launch columns are zero in the sink modes, so M_h's launch columns are
+  exact identity columns and the zero-backflow guarantee stays bit-exact.
+* staged: the four-stage RK4 through gen.apply. Compensated mode needs it
+  (its loss term is nonlinear, so no M_h exists), and so do CSR generators
+  (M_h of a sparse G such as a hermitian star fills in).
+
+evolve computes the currents of every sample in one product under the same
+condition, and per sample otherwise.
 """
 
 from __future__ import annotations
@@ -44,6 +57,10 @@ S_LOW_FLOOR = 1e-300
 # targets; fall back to sparse only for genuinely large bases.
 DENSE_DIM_LIMIT = 256
 
+# RK4 step matrices kept per generator: a run needs dt, perhaps a shorter last
+# step, and the two probes of fd_current_check.
+PROPAGATOR_CACHE_SIZE = 4
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -56,10 +73,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method != "rk4_fixed":
             raise GapflowError(f"unknown integrator method {self.method!r}")
-        if not self.dt > 0:
-            raise GapflowError(f"dt must be > 0, got {self.dt}")
-        if not self.t_max >= 0:
-            raise GapflowError(f"t_max must be >= 0, got {self.t_max}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise GapflowError(f"dt must be finite and > 0, got {self.dt}")
+        if not (self.t_max >= 0 and math.isfinite(self.t_max)):
+            raise GapflowError(f"t_max must be finite and >= 0, got {self.t_max}")
         if self.sample_every < 1:
             raise GapflowError(f"sample_every must be >= 1, got {self.sample_every}")
         if not self.norm_drift_budget > 0:
@@ -98,7 +115,8 @@ class CurrentVector:
 
 @dataclass(frozen=True)
 class EffectiveGenerator:
-    """Immutable per-epoch generator; shareable across concurrent trajectories."""
+    """Immutable per-epoch generator, apart from its bounded M_h cache;
+    shareable across concurrent trajectories."""
 
     dim: int
     matrix: sp.csr_matrix
@@ -113,10 +131,36 @@ class EffectiveGenerator:
     backflows: Mapping[tuple[int, int], sp.csr_matrix | None]
     provenance: GeneratorProvenance
     dense: np.ndarray | None = field(default=None, compare=False)
+    # step size -> M_h, filled on first use (see propagator)
+    _propagators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dense is None and self.dim <= DENSE_DIM_LIMIT:
             object.__setattr__(self, "dense", self.matrix.toarray())
+
+    @property
+    def linear_dense(self) -> bool:
+        """G is held dense and has no compensation term: the propagator path."""
+        return self.dense is not None and not self.compensations
+
+    def propagator(self, h: float) -> np.ndarray | None:
+        """The RK4 step matrix M_h = sum_{k<=4} (-iGh)^k/k!, or None off the
+        propagator path (compensated mode, CSR generators).
+
+        Built in Horner form on first use; the PROPAGATOR_CACHE_SIZE most
+        recently built step sizes are kept.
+        """
+        if not self.linear_dense:
+            return None
+        m = self._propagators.get(h)
+        if m is None:
+            if len(self._propagators) >= PROPAGATOR_CACHE_SIZE:
+                del self._propagators[next(iter(self._propagators))]
+            a = (-1j * h) * self.dense
+            eye = np.eye(self.dim, dtype=np.complex128)
+            m = eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
+            self._propagators[h] = m
+        return m
 
     @cached_property
     def launch_runs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -224,16 +268,21 @@ def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantic
 
 
 def step(state: np.ndarray, gen: EffectiveGenerator, dt: float) -> np.ndarray:
-    """One RK4 update of dpsi/dt = gen.apply(psi).
+    """One RK4 update of dpsi/dt = gen.apply(psi): M_dt @ psi where
+    gen.propagator has one, the four stages otherwise.
 
     dt may be negative (used by the central-difference current oracle).
     """
     psi = np.asarray(state, dtype=np.complex128)
-    k1 = gen.apply(psi)
-    k2 = gen.apply(psi + (0.5 * dt) * k1)
-    k3 = gen.apply(psi + (0.5 * dt) * k2)
-    k4 = gen.apply(psi + dt * k3)
-    out = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    m = gen.propagator(dt)
+    if m is not None:
+        out = m @ psi
+    else:
+        k1 = gen.apply(psi)
+        k2 = gen.apply(psi + (0.5 * dt) * k1)
+        k3 = gen.apply(psi + (0.5 * dt) * k2)
+        k4 = gen.apply(psi + dt * k3)
+        out = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(out).all():
         raise NonFiniteStateError(
             f"non-finite amplitudes after step dt={dt} "
@@ -381,9 +430,16 @@ def evolve(state: np.ndarray, gen: EffectiveGenerator, t0: float, t1: float,
         states.append(psi)
 
     state_arr = np.array(states)
-    currents = np.empty((len(times), len(gen.launch_ids)))
-    for i in range(len(times)):
-        currents[i] = component_currents(state_arr[i], gen).J
+    if gen.linear_dense:
+        # component_currents of every row in one product
+        idx, starts = gen.launch_runs
+        dpsi = -1j * (state_arr @ gen.dense.T)
+        w = (state_arr[:, idx].conj() * dpsi[:, idx]).real
+        currents = 2.0 * np.add.reduceat(w, starts, axis=1)
+    else:
+        currents = np.empty((len(times), len(gen.launch_ids)))
+        for i in range(len(times)):
+            currents[i] = component_currents(state_arr[i], gen).J
     _check_epoch_drift(gen, cfg, square_modulus(psi), square_modulus(state_arr[0]), span)
     return TrajectorySegment(times=np.array(times), states=state_arr,
                              currents=currents, launch_ids=gen.launch_ids)

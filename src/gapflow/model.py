@@ -31,6 +31,7 @@ import cmath
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -419,7 +420,10 @@ def validate_model(model: ScenarioModel) -> ValidationReport:
                          f"psi0 has amplitude outside active components at indices {stray.tolist()}")
 
     d = model.defaults
-    if not d.dt > 0:
+    for name, value in (("dt", d.dt), ("t_max", d.t_max)):
+        if not math.isfinite(value):
+            report.error("non-finite", f"{name} is {value}", "defaults")
+    if d.dt <= 0:
         report.error("defaults", f"dt must be > 0, got {d.dt}", "defaults")
     if d.t_max < 0:
         report.error("defaults", f"t_max must be >= 0, got {d.t_max}", "defaults")

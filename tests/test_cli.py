@@ -65,6 +65,22 @@ def test_mistyped_defaults_exit_1(tmp_path, capsys, key, value):
     assert main(["run", "--scenario", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
 
 
+def test_non_finite_times_exit_1(tmp_path, capsys):
+    """A non-finite t_max or dt fails before any step, from the scenario or a flag."""
+    doc = json.loads(pathlib.Path(TWO_LEVEL).read_text())
+    doc["defaults"]["t_max"] = float("inf")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    assert "non-finite" in capsys.readouterr().out
+    assert main(["run", "--scenario", str(bad), "--out-dir", str(tmp_path / "bad")]) == 1
+    for flag in ("--t-max", "--dt"):
+        out = tmp_path / flag.strip("-")
+        assert main(["run", "--scenario", TWO_LEVEL, flag, "inf", "--out-dir", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 def test_unknown_gap_mode_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scenario", TWO_LEVEL, "--gap-mode", "open",

@@ -10,14 +10,17 @@ Closed forms used as oracles:
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapflow.arrow import reverse_initial_state
 from gapflow.dynamics import (
     DENSE_DIM_LIMIT,
+    PROPAGATOR_CACHE_SIZE,
     GapSemantics,
     IntegratorConfig,
     assemble_generator,
@@ -26,7 +29,9 @@ from gapflow.dynamics import (
     fd_current_check,
     gap_backflow,
     step,
+    step_plan,
 )
+from gapflow.engine import post_collapse_statuses
 from gapflow.errors import GapflowError, NonFiniteStateError, NormDriftError
 from gapflow.fixtures import BUILDERS, three_mode, two_level
 from gapflow.model import (ACTIVE, LAUNCH, REALIZED, ZEROED, Component, Gap,
@@ -77,6 +82,10 @@ def test_gap_semantics_rejects_unknown_token():
     {"sample_every": 0},
     {"method": "euler"},
     {"norm_drift_budget": 0.0},
+    {"dt": float("nan")},
+    {"dt": float("inf")},
+    {"t_max": float("nan")},
+    {"t_max": float("inf")},
 ])
 def test_integrator_config_rejects_bad_values(kwargs):
     with pytest.raises(GapflowError):
@@ -259,6 +268,85 @@ def test_step_rejects_non_finite_state(two_level_model):
 
 
 # ---------------------------------------------------------------------------
+# The two step paths: M_h matvec and staged RK4
+# ---------------------------------------------------------------------------
+
+# The step sizes a run takes: dt, a shorter last step (t_max 0.505 at dt 0.01)
+# and the negative probe of fd_current_check.
+STEP_SIZES = (0.01, step_plan(IntegratorConfig(dt=0.01, t_max=0.505))[-1][1],
+              -inspect.signature(fd_current_check).parameters["dt_probe"].default)
+
+
+def rk4_stages(psi, gen, h):
+    """Four-stage RK4 through gen.apply: the staged path's arithmetic."""
+    k1 = gen.apply(psi)
+    k2 = gen.apply(psi + (0.5 * h) * k1)
+    k3 = gen.apply(psi + (0.5 * h) * k2)
+    k4 = gen.apply(psi + h * k3)
+    return psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reachable_generators(model, mode):
+    """The initial generator and the one after each possible first collapse."""
+    gen = assemble_generator(model, R3, mode)
+    return [gen] + [assemble_generator(model, R3, mode, epoch=1,
+                                       statuses=post_collapse_statuses(model, m))
+                    for m in gen.launch_ids]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_oneway_propagator_launch_columns_are_identity(name):
+    """The bit-exact block: M_h maps a launch-sector state to itself."""
+    model = BUILDERS[name]()
+    eye = np.eye(model.dim, dtype=complex)
+    for gen in reachable_generators(model, ONEWAY):
+        idx, _ = gen.launch_runs
+        for h in STEP_SIZES:
+            cols = gen.propagator(h)[:, idx]
+            assert np.ascontiguousarray(cols).tobytes() == np.ascontiguousarray(eye[:, idx]).tobytes()
+    psi = reverse_initial_state(model)
+    gen = assemble_generator(model, R3, ONEWAY)
+    for h in STEP_SIZES:
+        assert step(psi, gen, h).tobytes() == psi.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("mode", [ONEWAY, HERMITIAN])
+def test_propagator_step_matches_staged_rk4(name, mode):
+    model = BUILDERS[name]()
+    rng = np.random.default_rng(5)
+    for gen in reachable_generators(model, mode):
+        for _ in range(10):
+            psi = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
+            psi /= np.linalg.norm(psi)
+            for h in STEP_SIZES:
+                assert gen.propagator(h) is not None
+                np.testing.assert_allclose(step(psi, gen, h), rk4_stages(psi, gen, h),
+                                           rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("mode", [ONEWAY, HERMITIAN])
+def test_evolve_currents_equal_per_row_currents(name, mode):
+    model = BUILDERS[name]()
+    gen = assemble_generator(model, R3, mode)
+    seg = evolve(model.psi0, gen, 0.0, 1.005, IntegratorConfig(dt=0.01, sample_every=3))
+    per_row = np.array([component_currents(psi, gen).J for psi in seg.states])
+    np.testing.assert_array_equal(seg.currents, per_row)
+
+
+def test_propagator_is_lazy_bounded_and_linear_only(three_mode_model):
+    assert assemble_generator(three_mode_model, R3, COMPENSATED).propagator(0.01) is None
+    gen = assemble_generator(three_mode_model, R3, HERMITIAN)
+    assert not gen._propagators
+    m = gen.propagator(0.01)
+    assert gen.propagator(0.01) is m
+    for k in range(2 * PROPAGATOR_CACHE_SIZE):
+        gen.propagator(0.001 * (k + 1))
+    assert len(gen._propagators) == PROPAGATOR_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
 # Norm bookkeeping
 # ---------------------------------------------------------------------------
 
@@ -392,7 +480,11 @@ def test_csr_generator_matches_dense(mode):
     rng = np.random.default_rng(11)
     psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
     psi /= np.linalg.norm(psi)
-    np.testing.assert_allclose(step(psi, gen, 0.01), step(psi, dense, 0.01), rtol=0, atol=1e-12)
+    # CSR takes the staged path; its dense twin takes M_h unless compensated.
+    assert gen.propagator(0.01) is None
+    assert (dense.propagator(0.01) is None) == (mode is COMPENSATED)
+    for h in STEP_SIZES:
+        np.testing.assert_allclose(step(psi, gen, h), step(psi, dense, h), rtol=0, atol=1e-12)
     np.testing.assert_allclose(component_currents(psi, gen).J,
                                component_currents(psi, dense).J, rtol=0, atol=1e-12)
     if mode is ONEWAY:

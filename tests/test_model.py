@@ -290,7 +290,12 @@ def violation_codes(doc):
     lambda d: d.__setitem__("psi0", [[float("inf"), 0.0], [0.0, 0.0]]),
     lambda d: d["gaps"][0].__setitem__("entries", [[1, 0, float("inf"), 0.0]]),
     lambda d: d.__setitem__("own", [{"component": 0, "entries": [[0, 0, 0.0, -float("inf")]]}]),
-], ids=["psi0-nan-on-launch", "psi0-inf", "gap-inf", "own-minus-inf"])
+    lambda d: d["defaults"].__setitem__("dt", float("nan")),
+    lambda d: d["defaults"].__setitem__("dt", float("inf")),
+    lambda d: d["defaults"].__setitem__("t_max", float("nan")),
+    lambda d: d["defaults"].__setitem__("t_max", float("inf")),
+], ids=["psi0-nan-on-launch", "psi0-inf", "gap-inf", "own-minus-inf",
+        "dt-nan", "dt-inf", "t_max-nan", "t_max-inf"])
 def test_non_finite_input_rejected(mutate):
     doc = base_doc()
     mutate(doc)
