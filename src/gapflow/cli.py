@@ -20,7 +20,7 @@ from .arrow import (BLOCKED, FLOWED, forward_experiment, reverse_experiment,
                     suspension_counterfactual)
 from .dynamics import GapSemantics, IntegratorConfig, assemble_generator, evolve
 from .engine import NORM_POLICIES, PRESERVE_TOTAL, run_trajectory
-from .ensemble import compare, deterministic_oracle, run_ensemble
+from .ensemble import compare, deterministic_oracle, oracle_grid, run_ensemble
 from .errors import GapflowError, ScenarioParseError, ScenarioValidationError
 from .model import GAP_MODES, load_scenario_file, parse_scenario, validate_model
 from .output import (build_manifest, ensemble_report, load_manifest, scenario_hash,
@@ -161,6 +161,9 @@ def cmd_run(args, parser) -> int:
 def cmd_ensemble(args, parser) -> int:
     model = load_scenario_file(args.scenario)
     ruleset, mode, cfg, seed = _resolve(args, model, parser)
+    # The oracle's grid is finer than the run's, so it may exceed MAX_STEPS
+    # where the run does not: check it before any trajectory.
+    oracle_grid(cfg)
     stats = run_ensemble(model, ruleset, cfg, mode, args.n, seed,
                          n_workers=args.workers, policy=args.policy)
     oracle = deterministic_oracle(model, cfg, mode)

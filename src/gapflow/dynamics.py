@@ -45,8 +45,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GapflowError, NonFiniteStateError, NormDriftError
-from .model import (ACTIVE, LAUNCH, REALIZED, STATUSES, ZEROED, GapSemantics, OperatorBlock,
-                    ScenarioModel, square_modulus)
+from .model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, STATUSES, ZEROED, GapSemantics,
+                    OperatorBlock, ScenarioModel, square_modulus)
 from .rules import RuleSet
 
 # Below this total square modulus the compensated loss coefficient J/s_low is
@@ -77,6 +77,9 @@ class IntegratorConfig:
             raise GapflowError(f"dt must be finite and > 0, got {self.dt}")
         if not (self.t_max >= 0 and math.isfinite(self.t_max)):
             raise GapflowError(f"t_max must be finite and >= 0, got {self.t_max}")
+        if self.t_max / self.dt > MAX_STEPS:
+            raise GapflowError(f"t_max / dt = {self.t_max / self.dt:.3g} steps exceeds "
+                               f"MAX_STEPS = {MAX_STEPS}")
         if self.sample_every < 1:
             raise GapflowError(f"sample_every must be >= 1, got {self.sample_every}")
         if not self.norm_drift_budget > 0:

@@ -198,62 +198,77 @@ def _abs2(c: complex) -> float:
     return c.real * c.real + c.imag * c.imag
 
 
-class Row(NamedTuple):
-    """One point of an epoch, unscaled (see EpochTable)."""
-
-    state: np.ndarray
-    J: np.ndarray
-    s: float
-    neg: int            # steps with a negative current, epoch start to here
-
-
 class EpochTable:
     """Deterministic evolution of one epoch from its canonical start state.
 
-    Row 0 is the start and row k the point after k steps of dt; every row's
-    rate and gated cumulative trapezoid hazard H through it are kept. Rows are
+    Row 0 is the start and row k the point after k steps of dt. Each row's
+    state, launch currents J, square modulus s, count of negative-current
+    steps since the epoch start (neg), rate and gated cumulative trapezoid
+    hazard H are held in one column per field, (steps + 1) rows long. Rows are
     computed on demand, each from the one before, and never change, so
     trajectories sharing a table see the same floats however far it grew.
-    With ``keep`` given, only row 0, the last row and the rows in ``keep`` are
-    held; without it, every row.
+    With ``rem`` > 0 the run ends on a shorter step of rem; the point that
+    step reaches from row k is kept as well, in row steps + 1 + k.
+
+    With ``keep`` given, states and J are dicts that hold row 0, the last
+    row, the rows in ``keep`` and the shorter-last-step points only, so a
+    table that serves one trajectory of a wide model stays small; without
+    it, they are (rows, dim) and (rows, launch components) arrays.
     """
 
     def __init__(self, gen: EffectiveGenerator, start: np.ndarray, dt: float,
-                 steps: int, trigger_off: bool, keep: set[int] | None = None):
-        self.gen, self.dt, self.trigger_off, self.keep = gen, dt, trigger_off, keep
-        self.rate, self.H = np.empty(steps + 1), np.zeros(steps + 1)
-        J, s, self.rate[0] = self._point(start)
-        self.rows = {0: Row(start, J, s, 0)}
+                 steps: int, trigger_off: bool, rem: float = 0.0,
+                 keep: set[int] | None = None):
+        self.gen, self.dt, self.trigger_off, self.rem, self.keep = gen, dt, trigger_off, rem, keep
+        rows = (steps + 1) * (2 if rem else 1)
+        if keep is None:
+            self.states = np.empty((rows, len(start)), dtype=np.complex128)
+            self.J = np.empty((rows, len(gen.launch_ids)))
+        else:
+            self.states, self.J = {}, {}
+        self.s, self.rate, self.H = np.empty(rows), np.empty(rows), np.zeros(rows)
+        self.neg = np.zeros(rows, dtype=np.int64)
+        self.states[0] = start
+        self.J[0], self.s[0], self.rate[0] = self._point(start)
         self.n = 0          # steps tabulated
+        self._tails: set[int] = set()
 
     def _point(self, psi: np.ndarray) -> tuple:
         Jv = component_currents(psi, self.gen)
         s = square_modulus(psi)
         return Jv.J, s, (0.0 if self.trigger_off else hit_rate(Jv, s))
 
-    def advance(self, k: int, h: float) -> tuple[Row, float, float]:
-        """(row, rate, H) one step of h after row k."""
-        prev = self.rows[k]
-        psi = step(prev.state, self.gen, h)
+    def _advance(self, k: int, h: float, i: int):
+        """Store the point one step of h after row k in row i."""
+        psi = step(self.states[k], self.gen, h)
         J, s, rate = self._point(psi)
         H = float(self.H[k])
         if rate > 0.0:
             H += 0.5 * (float(self.rate[k]) + rate) * h
-        return Row(psi, J, s, prev.neg + bool((J < 0.0).any())), rate, H
+        self.states[i], self.J[i], self.s[i], self.rate[i], self.H[i] = psi, J, s, rate, H
+        self.neg[i] = self.neg[k] + bool((J < 0.0).any())
 
     def hit_step(self, E: float, steps: int) -> int | None:
         """First of the first ``steps`` steps whose hazard exceeds E, or None;
         the table grows until it holds ``steps`` steps or its hazard passes E."""
         k = self.n
         while k < steps and self.H[k] <= E:
-            self.rows[k + 1], self.rate[k + 1], self.H[k + 1] = self.advance(k, self.dt)
+            self._advance(k, self.dt, k + 1)
             if k and self.keep is not None and k not in self.keep:
-                del self.rows[k]
+                del self.states[k], self.J[k]
             k += 1
         self.n = k
         m = min(self.n, steps)
-        r = int(np.searchsorted(self.H[:m + 1], E, side="right"))
+        r = int(self.H[:m + 1].searchsorted(E, side="right"))
         return r if r <= m else None
+
+    def tail(self, k: int) -> int:
+        """Row of the point the shorter last step reaches from row k."""
+        i = len(self.s) // 2 + k
+        if k not in self._tails:
+            self._advance(k, self.rem, i)
+            self._tails.add(k)
+        return i
 
 
 class Leg(NamedTuple):
@@ -264,12 +279,28 @@ class Leg(NamedTuple):
     k0: int                 # steps of the run before the epoch
     n: int                  # steps integrated in the epoch
     t: float                # time after them: the hit time when chosen is set
-    last: Row               # the epoch's point at t
+    last: int               # the table row of the epoch's point at t
     chosen: int | None
+
+    @property
+    def s(self) -> float:
+        return _abs2(self.scale) * float(self.table.s[self.last])
+
+    @property
+    def J(self) -> np.ndarray:
+        return _abs2(self.scale) * self.table.J[self.last]
+
+    @property
+    def neg(self) -> int:
+        return int(self.table.neg[self.last])
 
 
 class EpochRunner:
-    """The epoch loop of run_trajectory and run_ensemble, with its step plan."""
+    """The epoch loop of run_trajectory and run_ensemble, with its step plan.
+
+    A caller's ``gen_cache`` holds, per (model, rule set, gap mode), the
+    generators and, per IntegratorConfig, the tables that walks share.
+    """
 
     def __init__(self, model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
                  gap_mode: GapSemantics, seed: int, policy: str = PRESERVE_TOTAL,
@@ -282,9 +313,12 @@ class EpochRunner:
         self.sampled = [True] + [flag for _, _, flag in plan]
         self.rem = plan[-1][1] if plan and plan[-1][1] != cfg.dt else 0.0
         self.n_full = len(plan) - (self.rem > 0.0)
-        # (last chosen, epoch) -> generator; a caller's cache has one per (model, rules, mode)
-        self._gens = ({} if gen_cache is None
-                      else gen_cache.setdefault((model, ruleset, gap_mode), {}))
+        if gen_cache is None:
+            self._gens, self.tables = {}, None
+        else:
+            entry = gen_cache.setdefault((model, ruleset, gap_mode), ({}, {}))
+            # (last chosen, epoch) -> generator; (epoch, last chosen) -> table
+            self._gens, self.tables = entry[0], entry[1].setdefault(cfg, {})
 
     def generator(self, chosen: int | None, epoch: int) -> EffectiveGenerator:
         """Generator after collapsing onto ``chosen`` (None: the initial one)."""
@@ -296,32 +330,29 @@ class EpochRunner:
                 self.model, self.ruleset, self.gap_mode, statuses=statuses, epoch=epoch)
         return gen
 
-    def _epoch(self, table: EpochTable, k0: int, E: float) -> tuple[int, Row, bool]:
-        """(steps, point after them, hit) of an epoch that starts after k0 steps."""
+    def _epoch(self, table: EpochTable, k0: int, E: float) -> tuple[int, int, bool]:
+        """(steps, table row after them, hit) of an epoch that starts after k0 steps."""
         steps = max(self.n_full - k0, 0)
         r = table.hit_step(E, steps)
         if r is not None:
-            return r, table.rows[r], True
+            return r, r, True
         if self.rem and k0 <= self.n_full:
-            # The shorter last step starts from a different row for each
-            # trajectory, so the table does not keep it.
-            row, _, H = table.advance(steps, self.rem)
-            return steps + 1, row, H > E
-        return steps, table.rows[steps], False
+            i = table.tail(steps)
+            return steps + 1, i, bool(table.H[i] > E)
+        return steps, steps, False
 
-    def walk(self, index: int, tables: dict | None = None,
-             record: bool = False) -> tuple[list[Leg], str]:
+    def walk(self, index: int, record: bool = False) -> tuple[list[Leg], str]:
         """Run trajectory ``index``: one Leg per epoch, and its terminal.
 
-        ``tables`` shares the tables of epoch 0 and of each epoch after a
-        collapse onto a one-dimensional component between walks, keyed by
+        With a cache, the tables of epoch 0 and of each epoch after a collapse
+        onto a one-dimensional component are shared between walks, keyed by
         epoch and last chosen component; a shared table holds every row, as
         any row may be some trajectory's hit. Any other table serves this walk
         alone and holds the states of its start and last row only, and with
         ``record`` those of the sampled rows that samples() reads.
         """
         rng = trajectory_rng(self.seed, index)
-        model, cfg = self.model, self.cfg
+        model, cfg, tables = self.model, self.cfg, self.tables
         legs: list[Leg] = []
         chosen, k0, start, scale = None, 0, model.psi0, 1.0
         while True:
@@ -337,21 +368,24 @@ class EpochRunner:
                     {r for r in range(self.n_full + 1 - k0) if self.sampled[k0 + r]}
                     if record else set())
                 table = EpochTable(gen, start, cfg.dt, 0 if quiescent else self.n_full,
-                                   self.ruleset.trigger_suspended, keep)
+                                   self.ruleset.trigger_suspended,
+                                   0.0 if quiescent else self.rem, keep)
                 if shared:
                     tables[(epoch, chosen)] = table
             if quiescent:
-                legs.append(Leg(table, scale, k0, 0, self.times[k0], table.rows[0], None))
+                legs.append(Leg(table, scale, k0, 0, self.times[k0], 0, None))
                 return legs, TERMINAL_QUIESCENT
-            n, row, hit = self._epoch(table, k0, rng.standard_exponential())
+            n, i, hit = self._epoch(table, k0, rng.standard_exponential())
             s2 = _abs2(scale)
-            _check_epoch_drift(gen, cfg, s2 * row.s, s2 * table.rows[0].s,
-                               self.times[k0 + n] - self.times[k0])
-            chosen = choose_component(rng, CurrentVector(gen.launch_ids, s2 * row.J)) if hit else None
-            legs.append(Leg(table, scale, k0, n, self.times[k0 + n], row, chosen))
+            if gen.conserves_norm:
+                _check_epoch_drift(gen, cfg, s2 * table.s[i], s2 * table.s[0],
+                                   self.times[k0 + n] - self.times[k0])
+            chosen = (choose_component(rng, CurrentVector(gen.launch_ids, s2 * table.J[i]))
+                      if hit else None)
+            legs.append(Leg(table, scale, k0, n, self.times[k0 + n], i, chosen))
             if not hit:
                 return legs, TERMINAL_T_MAX
-            psi = collapse_state(scale * row.state, chosen, model, self.policy)
+            psi = collapse_state(scale * table.states[i], chosen, model, self.policy)
             idx = model.index_arrays[chosen]
             if len(idx) == 1:
                 start, scale = np.zeros_like(psi), complex(psi[idx[0]])
@@ -364,18 +398,17 @@ class EpochRunner:
         """A walk's recorded rows: each epoch's start, its sampled steps and
         its last step (the pre-collapse row of a hit), scaled to the trajectory."""
         model, cand = self.model, self.model.launch_candidate_ids
-        rows = []       # (t, scale, unscaled Row, generator)
+        rows = []       # (t, scale, table, row)
         for leg in legs:
-            tab, c = leg.table, leg.scale
-            rows += [(self.times[leg.k0 + r], c, tab.rows[r], tab.gen)
+            rows += [(self.times[leg.k0 + r], leg.scale, leg.table, r)
                      for r in range(max(leg.n, 1)) if r == 0 or self.sampled[leg.k0 + r]]
             if leg.n:
-                rows.append((leg.t, c, leg.last, tab.gen))
+                rows.append((leg.t, leg.scale, leg.table, leg.last))
         column = {m: i for i, m in enumerate(cand)}
         currents = np.zeros((len(rows), len(cand)))
-        for i, (_, c, row, gen) in enumerate(rows):
-            currents[i, [column[m] for m in gen.launch_ids]] = _abs2(c) * row.J
-        states = np.array([c * row.state for _, c, row, _ in rows])
+        for i, (_, c, tab, r) in enumerate(rows):
+            currents[i, [column[m] for m in tab.gen.launch_ids]] = _abs2(c) * tab.J[r]
+        states = np.array([c * tab.states[r] for _, c, tab, r in rows])
         sq = (states.conj() * states).real
         ids = tuple(c.id for c in model.components)
         return TrajectorySamples(
@@ -395,12 +428,20 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
     The record is deterministic given all arguments; nrules3 and nrules4
     rule sets drive the very same code and so produce identical event
     sequences for identical seeds.
+
+    ``gen_cache``, a dict the caller keeps, holds per (model, rule set, gap
+    mode) the generators and, per ``cfg``, the shared epoch tables: epoch 0
+    and every epoch after a collapse onto a one-dimensional component. Runs
+    that pass the same cache draw against those tables instead of
+    integrating again, with the same floats as a cache-free run. A table
+    keeps every row it reached, 16 dim + 8 (launch components) + 32 bytes
+    per step (twice that when t_max is off the dt grid), for as long as the
+    caller keeps the cache.
     """
     runner = EpochRunner(model, ruleset, cfg, gap_mode, seed, policy, gen_cache)
     legs, terminal = runner.walk(traj_index, record=record_samples)
-    events = [CollapseEvent(t_sc=leg.t, chosen=leg.chosen, pre_hit_s=_abs2(leg.scale) * leg.last.s,
-                            pre_hit_J=CurrentVector(leg.table.gen.launch_ids,
-                                                    _abs2(leg.scale) * leg.last.J),
+    events = [CollapseEvent(t_sc=leg.t, chosen=leg.chosen, pre_hit_s=leg.s,
+                            pre_hit_J=CurrentVector(leg.table.gen.launch_ids, leg.J),
                             epoch=epoch, norm_policy=policy)
               for epoch, leg in enumerate(legs) if leg.chosen is not None]
     end = legs[-1]
@@ -412,10 +453,10 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
         "gap_mode": gap_mode.token,
         "norm_policy": policy,
         "n_steps": sum(leg.n for leg in legs),
-        "negative_current_steps": sum(leg.last.neg for leg in legs),
+        "negative_current_steps": sum(leg.neg for leg in legs),
         "epochs": len(events),
         "final_t": end.t,
-        "final_s": _abs2(end.scale) * end.last.s,
+        "final_s": end.s,
     }
     return TrajectoryRecord(samples=runner.samples(legs) if record_samples else None,
                             events=events, terminal=terminal, meta=meta)

@@ -111,15 +111,21 @@ class OracleResult:
         return (1.0 - self.survival_at(t)) / total
 
 
+def oracle_grid(cfg: IntegratorConfig, refine: int = 10) -> IntegratorConfig:
+    """The ``refine``-times finer grid deterministic_oracle integrates; like
+    every IntegratorConfig it raises above MAX_STEPS steps."""
+    if refine < 1:
+        raise GapflowError(f"refine must be >= 1, got {refine}")
+    return IntegratorConfig(dt=cfg.dt / refine, t_max=cfg.t_max, sample_every=1,
+                            norm_drift_budget=cfg.norm_drift_budget)
+
+
 def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
                          gap_mode: GapSemantics, refine: int = 10) -> OracleResult:
     """Integrate the no-collapse dynamics on a ``refine``-times finer grid."""
-    if refine < 1:
-        raise GapflowError(f"refine must be >= 1, got {refine}")
+    fine = oracle_grid(cfg, refine)
     ruleset = RuleSet()
     gen = assemble_generator(model, ruleset, gap_mode)
-    fine = IntegratorConfig(dt=cfg.dt / refine, t_max=cfg.t_max, sample_every=1,
-                            norm_drift_budget=cfg.norm_drift_budget)
     seg = evolve(model.psi0, gen, 0.0, cfg.t_max, fine)
 
     times = seg.times
@@ -158,16 +164,15 @@ def _run_range(model, ruleset, cfg, gap_mode, master_seed, policy, start, stop):
     epoch 0 and each epoch after a collapse onto a one-dimensional component
     is integrated once and each trajectory only draws against it.
     """
-    runner = EpochRunner(model, ruleset, cfg, gap_mode, master_seed, policy)
-    tables: dict = {}
+    runner = EpochRunner(model, ruleset, cfg, gap_mode, master_seed, policy, gen_cache={})
     out = []
     for index in range(start, stop):
-        legs, terminal = runner.walk(index, tables)
+        legs, terminal = runner.walk(index)
         first = legs[0]
         hit = first.chosen is not None
         out.append((index, first.t if hit else math.nan, first.chosen if hit else -1,
                     sum(leg.chosen is not None for leg in legs),
-                    sum(leg.last.neg for leg in legs), terminal))
+                    sum(leg.neg for leg in legs), terminal))
     return out
 
 

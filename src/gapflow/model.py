@@ -53,6 +53,13 @@ REALIZED = "realized"
 ZEROED = "zeroed"
 STATUSES = (ACTIVE, LAUNCH, REALIZED, ZEROED)
 
+# Most steps of dt in one integration grid. The step plan, the runner's time
+# grid, every epoch table and evolve's samples grow by one entry per step,
+# together about 0.4 kB per step for a dim-2 scenario (38 MB at 10^5 steps),
+# so this bound keeps one grid under half a gigabyte while leaving room for
+# runs 1000 times longer than the fixtures' 600 steps.
+MAX_STEPS = 10**6
+
 
 class GapSemantics(enum.Enum):
     """Operator form of one-way flow across a gap."""
@@ -427,6 +434,9 @@ def validate_model(model: ScenarioModel) -> ValidationReport:
         report.error("defaults", f"dt must be > 0, got {d.dt}", "defaults")
     if d.t_max < 0:
         report.error("defaults", f"t_max must be >= 0, got {d.t_max}", "defaults")
+    elif d.dt > 0 and math.isfinite(d.t_max) and d.t_max / d.dt > MAX_STEPS:
+        report.error("step-count", f"t_max / dt = {d.t_max / d.dt:.3g} steps exceeds "
+                     f"MAX_STEPS = {MAX_STEPS}", "defaults")
     if d.rules not in RULE_IDS:
         report.error("defaults", f"unknown rules variant {d.rules!r}", "defaults")
     if d.gap_mode not in GAP_MODES:
@@ -446,14 +456,24 @@ _DEFAULT_KINDS = {"dt": float, "t_max": float, "rules": str, "gap_mode": str,
                   "seed": int, "sample_every": int}
 
 
+def _number(val, what, where) -> float:
+    """A JSON number as a float; null, strings and booleans are parse errors."""
+    if type(val) is float:
+        return val
+    if type(val) is not int:
+        raise ScenarioParseError(f"{what} must be a number", where)
+    try:
+        return float(val)
+    except OverflowError:
+        raise ScenarioParseError(f"{what} is out of the float range", where) from None
+
+
 def _need(obj, key, kind, where):
     if key not in obj:
         raise ScenarioParseError(f"missing field {key!r}", where)
     val = obj[key]
     if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ScenarioParseError(f"field {key!r} must be a number", where)
-        return float(val)
+        return _number(val, f"field {key!r}", where)
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise ScenarioParseError(f"field {key!r} must be an integer", where)
@@ -472,7 +492,10 @@ def _parse_entries(raw, where) -> tuple[tuple[int, int, complex], ...]:
         r, c, re, im = quad
         if isinstance(r, bool) or isinstance(c, bool) or not isinstance(r, int) or not isinstance(c, int):
             raise ScenarioParseError("row/col must be integers", f"{where}.entries[{j}]")
-        out.append((r, c, complex(float(re), float(im))))
+        if not (type(re) is float and type(im) is float):
+            re, im = (_number(re, "re", f"{where}.entries[{j}]"),
+                      _number(im, "im", f"{where}.entries[{j}]"))
+        out.append((r, c, complex(re, im)))
     return tuple(out)
 
 
@@ -553,12 +576,13 @@ def parse_scenario(text: str) -> ScenarioModel:
             raise ScenarioParseError("gap must be an object", where)
         low = _need(raw, "low", int, where)
         high = _need(raw, "high", int, where)
+        irreversible = raw.get("irreversible", True)
+        if not isinstance(irreversible, bool):
+            raise ScenarioParseError("field 'irreversible' must be true or false", where)
         entries = _parse_entries(_need(raw, "entries", list, where), where)
         feed = _canonical_feed(entries, index_sets.get(low, set()),
                                index_sets.get(high, set()), dim, where)
-        gaps.append(Gap(low=low, high=high,
-                        irreversible=bool(raw.get("irreversible", True)),
-                        interaction=feed))
+        gaps.append(Gap(low=low, high=high, irreversible=irreversible, interaction=feed))
 
     own = {}
     for i, raw in enumerate(doc.get("own", [])):
@@ -575,7 +599,10 @@ def parse_scenario(text: str) -> ScenarioModel:
     for i, pair in enumerate(psi_raw):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ScenarioParseError("psi0 entries must be [re, im] pairs", f"psi0[{i}]")
-        amps.append(complex(float(pair[0]), float(pair[1])))
+        re, im = pair
+        if not (type(re) is float and type(im) is float):
+            re, im = _number(re, "re", f"psi0[{i}]"), _number(im, "im", f"psi0[{i}]")
+        amps.append(complex(re, im))
     psi0 = np.array(amps, dtype=np.complex128)
 
     defaults = RunDefaults()

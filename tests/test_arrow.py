@@ -124,3 +124,24 @@ def test_reverse_report_nrules4_identical(two_level_model):
     assert a.max_backflow == b.max_backflow == 0.0
     assert a.total_hits == b.total_hits == 0
     assert a.verdict == b.verdict == BLOCKED
+
+
+@pytest.mark.parametrize("name", ARROW_FIXTURES)
+def test_repeated_reverse_experiment_integrates_nothing(name, monkeypatch):
+    """A seed loop integrates the reverse path once: a second experiment on
+    an equal model and config, another seed, makes no step at all."""
+    import gapflow.dynamics
+    import gapflow.engine
+
+    calls = []
+    for module in (gapflow.dynamics, gapflow.engine):
+        real = module.step
+        monkeypatch.setattr(module, "step",
+                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    cfg = IntegratorConfig(dt=0.01, t_max=3.21)     # a config no other test runs
+    first = reverse_experiment(BUILDERS[name](), cfg, seed=1)
+    assert calls
+    calls.clear()
+    second = reverse_experiment(BUILDERS[name](), cfg, seed=2)
+    assert calls == []
+    assert second.to_dict() == {**first.to_dict(), "seed": 2}

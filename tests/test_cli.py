@@ -81,6 +81,36 @@ def test_non_finite_times_exit_1(tmp_path, capsys):
         assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("value", [None, "x"])
+def test_mistyped_amplitude_exit_1(tmp_path, capsys, value):
+    """A non-number re/im is a located parse error (exit 1), not a traceback."""
+    doc = json.loads(pathlib.Path(TWO_LEVEL).read_text())
+    doc["psi0"][0][1] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    assert "PARSE ERROR psi0[0]: im must be a number" in capsys.readouterr().out
+    assert main(["run", "--scenario", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "psi0[0]: im must be a number" in capsys.readouterr().err
+
+
+def test_too_many_steps_exit_1(tmp_path, capsys):
+    """A run above MAX_STEPS fails before any step, from the scenario or a
+    flag; so does an ensemble whose oracle grid, ten times finer, is above it."""
+    doc = json.loads(pathlib.Path(TWO_LEVEL).read_text())
+    doc["defaults"]["t_max"] = 1e15
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    assert "step-count" in capsys.readouterr().out
+    for argv in (["run", "--scenario", TWO_LEVEL, "--t-max", "1e15"],
+                 ["ensemble", "--scenario", TWO_LEVEL, "--n", "1", "--t-max", "2000"]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        assert "exceeds MAX_STEPS" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_unknown_gap_mode_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scenario", TWO_LEVEL, "--gap-mode", "open",

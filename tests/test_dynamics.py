@@ -34,7 +34,7 @@ from gapflow.dynamics import (
 from gapflow.engine import post_collapse_statuses
 from gapflow.errors import GapflowError, NonFiniteStateError, NormDriftError
 from gapflow.fixtures import BUILDERS, three_mode, two_level
-from gapflow.model import (ACTIVE, LAUNCH, REALIZED, ZEROED, Component, Gap,
+from gapflow.model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, ZEROED, Component, Gap,
                            HamiltonianPartition, OperatorBlock, ScenarioModel, validate_model)
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 
@@ -86,6 +86,10 @@ def test_gap_semantics_rejects_unknown_token():
     {"dt": float("inf")},
     {"t_max": float("nan")},
     {"t_max": float("inf")},
+    {"t_max": 1e15},
+    {"dt": 1e-9},
+    {"dt": 5e-324, "t_max": 1.0},
+    {"dt": 1.0, "t_max": MAX_STEPS + 1.0},
 ])
 def test_integrator_config_rejects_bad_values(kwargs):
     with pytest.raises(GapflowError):

@@ -10,6 +10,8 @@ from gapflow.dynamics import (
     GapSemantics,
     IntegratorConfig,
     assemble_generator,
+    component_currents,
+    step,
 )
 from gapflow.engine import (
     PRESERVE_TOTAL,
@@ -36,7 +38,8 @@ from gapflow.errors import (
     NoChoiceError,
 )
 from gapflow.fixtures import BUILDERS, chain_three_level, three_mode, two_level
-from gapflow.model import ACTIVE, LAUNCH, REALIZED, ZEROED, load_scenario, serialize_scenario
+from gapflow.model import (ACTIVE, LAUNCH, REALIZED, ZEROED, load_scenario, serialize_scenario,
+                           square_modulus)
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 
 R3 = RuleSet(NRULES3)
@@ -268,13 +271,42 @@ def test_epoch_table_keep_holds_only_the_rows_it_names():
     lean = EpochTable(gen, model.psi0, cfg.dt, n, False, keep={7, 50})
     full.hit_step(np.inf, n)
     lean.hit_step(np.inf, n)
-    assert sorted(full.rows) == list(range(n + 1))
-    assert sorted(lean.rows) == [0, 7, 50, n]
-    for k in lean.rows:
-        assert np.array_equal(lean.rows[k].state, full.rows[k].state)
-        assert np.array_equal(lean.rows[k].J, full.rows[k].J)
-        assert (lean.rows[k].s, lean.rows[k].neg) == (full.rows[k].s, full.rows[k].neg)
-    assert np.array_equal(lean.H, full.H) and np.array_equal(lean.rate, full.rate)
+    assert full.states.shape[0] == full.J.shape[0] == n + 1
+    assert sorted(lean.states) == sorted(lean.J) == [0, 7, 50, n]
+    for k in lean.states:
+        assert np.array_equal(lean.states[k], full.states[k])
+        assert np.array_equal(lean.J[k], full.J[k])
+    for column in ("s", "neg", "rate", "H"):
+        assert np.array_equal(getattr(lean, column), getattr(full, column))
+
+
+def test_epoch_table_rows_equal_a_step_loop():
+    """Every column of a table, grid rows and shorter-last-step rows alike,
+    holds the floats a plain loop of step and component_currents gives."""
+    cfg = IntegratorConfig(dt=0.01, t_max=2.005)
+    model = chain_three_level()
+    runner = EpochRunner(model, R3, cfg, ONEWAY, 0)
+    gen = runner.generator(None, 0)
+    n, rem = runner.n_full, runner.rem
+    assert rem > 0.0
+    table = EpochTable(gen, model.psi0, cfg.dt, n, False, rem)
+    assert table.hit_step(np.inf, n) is None and table.n == n
+    psi, neg = np.array(model.psi0), 0
+    for k in range(n + 1):
+        if k:
+            psi = step(psi, gen, cfg.dt)
+        J = component_currents(psi, gen).J
+        neg += bool(k and (J < 0.0).any())
+        assert np.array_equal(table.states[k], psi)
+        assert np.array_equal(table.J[k], J)
+        assert (table.s[k], table.neg[k]) == (square_modulus(psi), neg)
+        if k in (0, 7, n):
+            i = table.tail(k)
+            assert i > n and table.tail(k) == i
+            end = step(psi, gen, rem)
+            assert np.array_equal(table.states[i], end)
+            assert np.array_equal(table.J[i], component_currents(end, gen).J)
+            assert table.neg[i] == neg + bool((table.J[i] < 0.0).any())
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +457,31 @@ def test_hit_time_never_at_zero_current(three_mode_model):
             assert ev.pre_hit_J[ev.chosen] > 0.0
 
 
-def test_gen_cache_reuse_is_transparent(three_mode_model):
+def record_of(rec):
+    """Everything a TrajectoryRecord reports, as comparable values."""
+    samples = None if rec.samples is None else tuple(
+        (a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+        for a in vars(rec.samples).values())
+    return [e.to_record(0) for e in rec.events], rec.meta, rec.terminal, samples
+
+
+@pytest.mark.parametrize("record_samples", [True, False])
+@pytest.mark.parametrize("t_max", [6.0, 2.005])
+@pytest.mark.parametrize("gap_mode", list(GapSemantics), ids=lambda m: m.token)
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_gen_cache_reuse_is_transparent(name, gap_mode, t_max, record_samples):
+    """Runs that share a cache's generators and epoch tables report exactly
+    what cache-free runs do, whichever run grew a table first."""
+    model = BUILDERS[name]()
+    cfg = IntegratorConfig(dt=0.01, t_max=t_max)
     cache = {}
-    cfg = IntegratorConfig(dt=0.01, t_max=6.0)
-    a = run_trajectory(three_mode_model, R3, cfg, ONEWAY, 3, gen_cache=cache)
+    for seed in (3, 4, 3, 5):
+        shared = run_trajectory(model, R3, cfg, gap_mode, seed, traj_index=seed % 2,
+                                record_samples=record_samples, gen_cache=cache)
+        alone = run_trajectory(model, R3, cfg, gap_mode, seed, traj_index=seed % 2,
+                               record_samples=record_samples)
+        assert record_of(shared) == record_of(alone)
     assert cache
-    b = run_trajectory(three_mode_model, R3, cfg, ONEWAY, 3, gen_cache=cache)
-    assert [e.t_sc for e in a.events] == [e.t_sc for e in b.events]
-    assert np.array_equal(a.samples.s, b.samples.s)
 
 
 def test_gen_cache_shared_across_models_keeps_them_apart():

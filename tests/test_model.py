@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gapflow.fixtures import BUILDERS
 from gapflow.model import (
     ACTIVE,
     LAUNCH,
+    MAX_STEPS,
     SCENARIO_SCHEMA,
     ZEROED,
     Component,
@@ -148,6 +150,37 @@ def test_parse_rejects_mistyped_defaults(key, value):
 
     with pytest.raises(ScenarioParseError, match=repr(key)):
         doc_model(mutate)
+
+
+@pytest.mark.parametrize("value", [None, "x", "0.5", True, 10**400])
+@pytest.mark.parametrize("path, where", [
+    (("gaps", 0, "entries", 0, 2), "gaps[0].entries[0]"),
+    (("gaps", 0, "entries", 0, 3), "gaps[0].entries[0]"),
+    (("own", 0, "entries", 0, 2), "own[0].entries[0]"),
+    (("psi0", 0, 0), "psi0[0]"),
+    (("psi0", 1, 1), "psi0[1]"),
+])
+def test_parse_rejects_mistyped_amplitudes(path, where, value):
+    """re/im of an operator entry or a psi0 pair must be a JSON number."""
+    def mutate(d):
+        d["own"] = [{"component": 0, "entries": [[0, 0, 0.5, 0.0]]}]
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    with pytest.raises(ScenarioParseError, match=re.escape(where)):
+        doc_model(mutate)
+
+
+@pytest.mark.parametrize("value", ["no", 0, None, [True]])
+def test_parse_rejects_non_boolean_irreversible(value):
+    with pytest.raises(ScenarioParseError, match="irreversible"):
+        doc_model(lambda d: d["gaps"][0].__setitem__("irreversible", value))
+
+
+def test_parse_defaults_irreversible_to_true():
+    assert doc_model(lambda d: d["gaps"][0].pop("irreversible")).gaps[0].irreversible is True
 
 
 def test_parse_reads_integer_times_as_floats():
@@ -300,6 +333,18 @@ def test_non_finite_input_rejected(mutate):
     doc = base_doc()
     mutate(doc)
     assert "non-finite" in violation_codes(doc)
+
+
+def test_step_count_bounded():
+    """A run of more than MAX_STEPS steps of dt is rejected before it starts;
+    one of exactly MAX_STEPS is not."""
+    doc = base_doc()
+    doc["defaults"].update(dt=1.0, t_max=float(MAX_STEPS))
+    assert violation_codes(doc) == []
+    doc["defaults"]["t_max"] = 1e15
+    assert violation_codes(doc) == ["step-count"]
+    doc["defaults"].update(dt=5e-324, t_max=1.0)
+    assert violation_codes(doc) == ["step-count"]
 
 
 def test_zero_psi0_rejected():
