@@ -113,6 +113,8 @@ def _resolve(args, model, parser):
         sample_every=args.sample_every if args.sample_every is not None else d.sample_every)
     seed = getattr(args, "seed", None)
     seed = seed if seed is not None else d.seed
+    if seed < 0:
+        raise GapflowError(f"seed must be a non-negative integer, got {seed}")
     return ruleset, mode, cfg, seed
 
 

@@ -17,12 +17,20 @@ Every generator mode is homogeneous of degree 1 (the compensated loss J/s_low
 is scale-free), so an epoch is tabulated from a canonical start, psi0 or the
 unit basis state of a one-dimensional chosen component, and a trajectory
 carries a complex scale c: states c times the table's, s and J |c|^2 times,
-rates and hazard unchanged. run_trajectory and run_ensemble share the epoch
-loop EpochRunner.walk; an ensemble shares the tables between trajectories.
+rates and hazard unchanged. Once its E is drawn, an epoch of a trajectory is
+a lookup into its table, so EpochRunner.walk advances a block of
+trajectories at once, grouped by (epoch, last chosen component): one
+searchsorted finds every hit row of a group and one cumulative-weights
+comparison every choice. A collapse onto a wider component starts a table
+of its own, walked as a group of one. run_ensemble walks its trajectories in
+blocks (ensemble.BLOCK) and run_trajectory walks a block of one, so both
+run the same epoch loop.
 
 nrules3 and nrules4 share every code path; the variant only relabels the
 frozen status. Randomness comes from a counter-based Philox substream keyed
-by (seed, trajectory index), so results cannot depend on scheduling.
+by (seed, trajectory index), so results cannot depend on scheduling or on
+how trajectories are split into blocks; the walk draws each block's
+numbers through gapflow.substreams.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ from .dynamics import step_grid  # noqa: F401  (kept importable as engine.step_g
 from .errors import CollapseOnEmptyError, DegenerateStateError, GapflowError, NoChoiceError
 from .model import LAUNCH, REALIZED, ZEROED, ScenarioModel, project, square_modulus
 from .rules import RuleSet
+from .substreams import substream_draws, substream_keys
+from .substreams import trajectory_rng  # noqa: F401  (kept importable as engine.trajectory_rng)
 
 PRESERVE_TOTAL = "preserve_total"
 RAW = "raw"
@@ -47,17 +57,6 @@ NORM_POLICIES = (PRESERVE_TOTAL, RAW)
 
 TERMINAL_T_MAX = "t_max"
 TERMINAL_QUIESCENT = "quiescent"
-
-
-def trajectory_rng(master_seed: int, index: int = 0) -> np.random.Generator:
-    """Counter-based substream for one trajectory.
-
-    Philox keyed by (master_seed, spawn_key=index) gives independent streams
-    whose draws do not depend on how trajectories are distributed over
-    workers.
-    """
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=(index,))))
 
 
 @dataclass
@@ -132,18 +131,23 @@ def sample_hit(rng: np.random.Generator, rate: float, dt: float) -> bool:
 
 def choose_component(rng: np.random.Generator, J: CurrentVector) -> int:
     """Pick a launch component with probability proportional to max(J_m, 0)."""
-    weights = np.clip(J.J, 0.0, None)
-    total = float(weights.sum())
-    if total <= 0.0:
+    weights = np.clip(J.J, 0.0, None)[None, :]
+    return J.ids[int(_choose(weights, np.array([rng.random()]))[0])]
+
+
+def _choose(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of non-negative ``weights``, the column that the uniform draw
+    u lands in: the first whose cumulative weight exceeds u times the row's
+    total."""
+    total = weights.sum(axis=1)
+    if not (total > 0.0).all():
         raise NoChoiceError("no component carries positive current")
-    cum = np.cumsum(weights)
-    u = rng.random() * total
-    k = int(np.searchsorted(cum, u, side="right"))
-    if k >= len(cum):
+    k = (weights.cumsum(axis=1) <= (u * total)[:, None]).sum(axis=1)
+    for j in (k == weights.shape[1]).nonzero()[0].tolist():
         # u rounded up to the total: take the last component that carries
         # current, never a trailing zero-weight one.
-        k = int(np.flatnonzero(weights)[-1])
-    return J.ids[k]
+        k[j] = weights[j].nonzero()[0][-1]
+    return k
 
 
 def post_collapse_statuses(model: ScenarioModel, chosen: int) -> dict[int, str]:
@@ -198,6 +202,13 @@ def _abs2(c: complex) -> float:
     return c.real * c.real + c.imag * c.imag
 
 
+def _unit(model: ScenarioModel, chosen: int) -> np.ndarray:
+    """The unit basis state of a one-dimensional component."""
+    start = np.zeros(model.dim, dtype=np.complex128)
+    start[model.index_arrays[chosen][0]] = 1.0
+    return start
+
+
 class EpochTable:
     """Deterministic evolution of one epoch from its canonical start state.
 
@@ -248,9 +259,9 @@ class EpochTable:
         self.states[i], self.J[i], self.s[i], self.rate[i], self.H[i] = psi, J, s, rate, H
         self.neg[i] = self.neg[k] + bool((J < 0.0).any())
 
-    def hit_step(self, E: float, steps: int) -> int | None:
-        """First of the first ``steps`` steps whose hazard exceeds E, or None;
-        the table grows until it holds ``steps`` steps or its hazard passes E."""
+    def grow(self, E: float, steps: int):
+        """Grow until the table holds ``steps`` steps or its hazard passes E.
+        Rows never change, so growing past what a trajectory reads is safe."""
         k = self.n
         while k < steps and self.H[k] <= E:
             self._advance(k, self.dt, k + 1)
@@ -258,9 +269,25 @@ class EpochTable:
                 del self.states[k], self.J[k]
             k += 1
         self.n = k
-        m = min(self.n, steps)
-        r = int(self.H[:m + 1].searchsorted(E, side="right"))
-        return r if r <= m else None
+
+    def ends(self, E: np.ndarray, steps: np.ndarray,
+             tail: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(steps taken, table row reached, hit) per epoch with hazard draw E
+        and at most ``steps`` steps: the first row whose hazard exceeds E;
+        without one, the last step, and where ``tail`` is set the shorter
+        last step after it, on which the hit may still land."""
+        self.grow(E.max(), steps.max())
+        r = self.H[:self.n + 1].searchsorted(E, side="right")
+        hit = r <= np.minimum(self.n, steps)
+        n = np.where(hit, r, steps)
+        last = n.copy()
+        if tail is not None and (tail := tail & ~hit).any():
+            for k in np.unique(steps[tail]).tolist():
+                self.tail(k)
+            last[tail] = len(self.s) // 2 + steps[tail]
+            n[tail] += 1
+            hit[tail] = self.H[last[tail]] > E[tail]
+        return n, last, hit
 
     def tail(self, k: int) -> int:
         """Row of the point the shorter last step reaches from row k."""
@@ -295,11 +322,44 @@ class Leg(NamedTuple):
         return int(self.table.neg[self.last])
 
 
+class LegGroup(NamedTuple):
+    """One epoch of the trajectories of a block that share a table; the
+    arrays hold one entry per trajectory."""
+
+    epoch: int
+    table: EpochTable
+    pos: np.ndarray         # the trajectories' positions in the block
+    scale: np.ndarray       # complex: a trajectory's state is scale * table state
+    k0: np.ndarray          # steps of the run before the epoch
+    n: np.ndarray           # steps integrated in the epoch
+    last: np.ndarray        # table row after them: the pre-hit row of a hit
+    chosen: np.ndarray      # component realized at the end, -1 for none
+    quiescent: bool         # no bridged gap: the epoch closed at once
+
+
+class StepPlan(NamedTuple):
+    """A config's step plan as the walk reads it."""
+
+    times: np.ndarray       # time after k steps of the run, from k = 0
+    sampled: np.ndarray     # whether a sample is recorded after k steps
+    rem: float              # the shorter last step, 0.0 when t_max is on the grid
+    n_full: int             # steps of length dt
+
+    @classmethod
+    def of(cls, cfg: IntegratorConfig) -> "StepPlan":
+        plan = step_plan(cfg)
+        rem = plan[-1][1] if plan and plan[-1][1] != cfg.dt else 0.0
+        return cls(np.array([0.0] + [t for t, _, _ in plan]),
+                   np.array([True] + [flag for _, _, flag in plan]),
+                   rem, len(plan) - (rem > 0.0))
+
+
 class EpochRunner:
     """The epoch loop of run_trajectory and run_ensemble, with its step plan.
 
     A caller's ``gen_cache`` holds, per (model, rule set, gap mode), the
-    generators and, per IntegratorConfig, the tables that walks share.
+    generators and, per IntegratorConfig, the step plan and the tables that
+    walks share.
     """
 
     def __init__(self, model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
@@ -307,18 +367,20 @@ class EpochRunner:
                  gen_cache: dict | None = None):
         self.model, self.ruleset, self.cfg, self.gap_mode = model, ruleset, cfg, gap_mode
         self.seed, self.policy = seed, policy
-        plan = step_plan(cfg)
-        # Time and sample flag after k steps of the run, from k = 0.
-        self.times = [0.0] + [t for t, _, _ in plan]
-        self.sampled = [True] + [flag for _, _, flag in plan]
-        self.rem = plan[-1][1] if plan and plan[-1][1] != cfg.dt else 0.0
-        self.n_full = len(plan) - (self.rem > 0.0)
         if gen_cache is None:
-            self._gens, self.tables = {}, None
+            self._gens, self.tables, plan = {}, None, StepPlan.of(cfg)
         else:
-            entry = gen_cache.setdefault((model, ruleset, gap_mode), ({}, {}))
-            # (last chosen, epoch) -> generator; (epoch, last chosen) -> table
-            self._gens, self.tables = entry[0], entry[1].setdefault(cfg, {})
+            # (last chosen, epoch) -> generator; cfg -> (plan, tables), where
+            # tables maps (epoch, last chosen) -> table
+            self._gens, plans = gen_cache.setdefault((model, ruleset, gap_mode), ({}, {}))
+            if cfg not in plans:
+                plans[cfg] = (StepPlan.of(cfg), {})
+            plan, self.tables = plans[cfg]
+        self.times, self.sampled, self.rem, self.n_full = plan
+        # Epoch-0 collapses onto one-dimensional components: (row, chosen) ->
+        # the next epoch's scale. Every epoch-0 scale is 1, so a walk of many
+        # blocks collapses once per distinct row and choice.
+        self._collapsed: dict[tuple[int, int], complex] = {}
 
     def generator(self, chosen: int | None, epoch: int) -> EffectiveGenerator:
         """Generator after collapsing onto ``chosen`` (None: the initial one)."""
@@ -330,69 +392,138 @@ class EpochRunner:
                 self.model, self.ruleset, self.gap_mode, statuses=statuses, epoch=epoch)
         return gen
 
-    def _epoch(self, table: EpochTable, k0: int, E: float) -> tuple[int, int, bool]:
-        """(steps, table row after them, hit) of an epoch that starts after k0 steps."""
-        steps = max(self.n_full - k0, 0)
-        r = table.hit_step(E, steps)
-        if r is not None:
-            return r, r, True
-        if self.rem and k0 <= self.n_full:
-            i = table.tail(steps)
-            return steps + 1, i, bool(table.H[i] > E)
-        return steps, steps, False
+    def walk(self, indices, record: bool = False) -> list[LegGroup]:
+        """Walk trajectories ``indices`` together: one LegGroup per epoch and
+        table, epoch by epoch.
 
-    def walk(self, index: int, record: bool = False) -> tuple[list[Leg], str]:
-        """Run trajectory ``index``: one Leg per epoch, and its terminal.
-
-        With a cache, the tables of epoch 0 and of each epoch after a collapse
-        onto a one-dimensional component are shared between walks, keyed by
-        epoch and last chosen component; a shared table holds every row, as
-        any row may be some trajectory's hit. Any other table serves this walk
-        alone and holds the states of its start and last row only, and with
+        With a cache, the table of epoch 0 and of each epoch after a collapse
+        onto a one-dimensional component is shared, keyed by epoch and last
+        chosen component, and holds every row, as any row may be some
+        trajectory's hit. Any other table serves one trajectory, as a group
+        of one, and holds the states of its start and last row only, and with
         ``record`` those of the sampled rows that samples() reads.
         """
-        rng = trajectory_rng(self.seed, index)
-        model, cfg, tables = self.model, self.cfg, self.tables
-        legs: list[Leg] = []
-        chosen, k0, start, scale = None, 0, model.psi0, 1.0
-        while True:
-            epoch = len(legs)
-            gen = self.generator(chosen, epoch)
-            # With no bridged gap left after a collapse the realized component
-            # evolves unitarily and no further hit can fire.
-            quiescent = epoch > 0 and not gen.backflows
-            shared = tables is not None and (chosen is None or len(model.index_arrays[chosen]) == 1)
-            table = tables.get((epoch, chosen)) if shared else None
-            if table is None:
-                keep = None if shared else (
-                    {r for r in range(self.n_full + 1 - k0) if self.sampled[k0 + r]}
-                    if record else set())
-                table = EpochTable(gen, start, cfg.dt, 0 if quiescent else self.n_full,
-                                   self.ruleset.trigger_suspended,
-                                   0.0 if quiescent else self.rem, keep)
-                if shared:
-                    tables[(epoch, chosen)] = table
-            if quiescent:
-                legs.append(Leg(table, scale, k0, 0, self.times[k0], 0, None))
-                return legs, TERMINAL_QUIESCENT
-            n, i, hit = self._epoch(table, k0, rng.standard_exponential())
-            s2 = _abs2(scale)
-            if gen.conserves_norm:
-                _check_epoch_drift(gen, cfg, s2 * table.s[i], s2 * table.s[0],
-                                   self.times[k0 + n] - self.times[k0])
-            chosen = (choose_component(rng, CurrentVector(gen.launch_ids, s2 * table.J[i]))
-                      if hit else None)
-            legs.append(Leg(table, scale, k0, n, self.times[k0 + n], i, chosen))
-            if not hit:
-                return legs, TERMINAL_T_MAX
-            psi = collapse_state(scale * table.states[i], chosen, model, self.policy)
-            idx = model.index_arrays[chosen]
-            if len(idx) == 1:
-                start, scale = np.zeros_like(psi), complex(psi[idx[0]])
-                start[idx[0]] = 1.0
-            else:
-                start, scale = psi, 1.0
-            k0 += n
+        keys = substream_keys(self.seed, indices)
+        size = len(keys)
+        shared = self.tables is not None
+        # (last chosen, position of a trajectory with a table of its own or
+        # -1) -> (start state or None for the canonical one, [positions],
+        # [scales], [steps before the epoch])
+        if shared:
+            frontier = {(None, -1): (None, [np.arange(size)], [np.ones(size, complex)],
+                                     [np.zeros(size, np.int64)])}
+        else:
+            frontier = {(None, p): (None, [np.array([p])], [np.ones(1, complex)],
+                                    [np.zeros(1, np.int64)]) for p in range(size)}
+        groups: list[LegGroup] = []
+        epoch = 0
+        while frontier:
+            nxt: dict = {}
+            for (chosen, own), (start, pos, scale, k0) in frontier.items():
+                group = self._epoch(epoch, chosen, own < 0, start, keys, *(
+                    parts[0] if len(parts) == 1 else np.concatenate(parts)
+                    for parts in (pos, scale, k0)), record)
+                groups.append(group)
+                if not group.quiescent:
+                    self._regroup(group, shared, nxt)
+            frontier, epoch = nxt, epoch + 1
+        return groups
+
+    def _epoch(self, epoch, chosen, shared, start, keys, pos, scale, k0, record) -> LegGroup:
+        """Advance one group through its epoch."""
+        cfg, gen = self.cfg, self.generator(chosen, epoch)
+        # With no bridged gap left after a collapse the realized component
+        # evolves unitarily and no further hit can fire.
+        quiescent = epoch > 0 and not gen.backflows
+        table = self.tables.get((epoch, chosen)) if shared else None
+        if table is None:
+            if start is None:
+                start = self.model.psi0 if chosen is None else _unit(self.model, chosen)
+            keep = None if shared else (
+                set(np.flatnonzero(self.sampled[int(k0[0]):self.n_full + 1]).tolist())
+                if record else set())
+            table = EpochTable(gen, start, cfg.dt, 0 if quiescent else self.n_full,
+                               self.ruleset.trigger_suspended,
+                               0.0 if quiescent else self.rem, keep)
+            if shared:
+                self.tables[(epoch, chosen)] = table
+        zeros = np.zeros(len(pos), np.int64)
+        if quiescent:
+            return LegGroup(epoch, table, pos, scale, k0, zeros, zeros, zeros - 1, True)
+        # The pair a sequential walk of the substream draws at this epoch.
+        E, u = substream_draws(keys[pos], epoch + 1)[:, -2:].T
+        steps = np.maximum(self.n_full - k0, 0)
+        n, last, hit = table.ends(E, steps, (k0 <= self.n_full) if self.rem else None)
+        s2 = scale.real * scale.real + scale.imag * scale.imag
+        if gen.conserves_norm:
+            s_now, s_start = s2 * table.s[last], s2 * table.s[0]
+            elapsed = self.times[k0 + n] - self.times[k0]
+            allowed = cfg.norm_drift_budget * np.maximum(elapsed, cfg.dt)
+            bad = ((elapsed > 0) & (np.abs(s_now - s_start) > allowed)).nonzero()[0]
+            if bad.size:        # raise as the first drifting trajectory alone would
+                j = bad[0]
+                _check_epoch_drift(gen, cfg, float(s_now[j]), float(s_start[j]),
+                                   float(elapsed[j]))
+        chosen_now = zeros - 1
+        h = hit.nonzero()[0]
+        if h.size:
+            rows = last[h]
+            J = table.J[rows] if isinstance(table.J, np.ndarray) else \
+                np.array([table.J[r] for r in rows.tolist()])
+            weights = np.clip(s2[h, None] * J, 0.0, None)
+            chosen_now[h] = np.asarray(gen.launch_ids)[_choose(weights, u[h])]
+        return LegGroup(epoch, table, pos, scale, k0, n, last, chosen_now, False)
+
+    def _regroup(self, group: LegGroup, shared: bool, nxt: dict):
+        """Collapse a group's hits and file them under their next epoch's key."""
+        h = (group.chosen >= 0).nonzero()[0]
+        if not h.size:
+            return
+        table, rows, chosen, scale = group.table, group.last[h], group.chosen[h], group.scale[h]
+        if group.epoch == 0 and shared:
+            memo, after = self._collapsed, []
+            for row, c in zip(rows.tolist(), chosen.tolist()):
+                got = memo.get((row, c))
+                if got is None:
+                    got = self._collapse(table, row, c, 1.0)
+                    if isinstance(got, complex):
+                        memo[(row, c)] = got
+                after.append(got)
+        else:
+            after = [self._collapse(table, row, c, sc) for row, c, sc
+                     in zip(rows.tolist(), chosen.tolist(), scale.tolist())]
+        k0 = group.k0[h] + group.n[h]
+        pos = group.pos[h]
+        for c in sorted(set(chosen.tolist())):
+            sel = (chosen == c).nonzero()[0]
+            one_dim = len(self.model.index_arrays[c]) == 1
+            if one_dim and shared:
+                entry = nxt.setdefault((c, -1), (None, [], [], []))
+                for bucket, values in zip(entry[1:], (
+                        pos[sel], np.array([after[j] for j in sel.tolist()], complex), k0[sel])):
+                    bucket.append(values)
+                continue
+            for j in sel.tolist():          # a table of its own
+                start, new_scale = (None, after[j]) if one_dim else (after[j], 1.0)
+                nxt[(c, int(pos[j]))] = (start, [pos[j:j + 1]], [np.array([new_scale], complex)],
+                                         [k0[j:j + 1]])
+
+    def _collapse(self, table: EpochTable, row: int, chosen: int, scale):
+        """The next epoch's scale after collapsing ``scale`` times the table's
+        ``row`` onto a one-dimensional ``chosen``; the collapsed state itself
+        for a wider one."""
+        psi = collapse_state(scale * table.states[row], chosen, self.model, self.policy)
+        idx = self.model.index_arrays[chosen]
+        return complex(psi[idx[0]]) if len(idx) == 1 else psi
+
+    def legs(self, index: int, record: bool = False) -> tuple[list[Leg], str]:
+        """Walk trajectory ``index`` as a block of one: one Leg per epoch, and
+        its terminal."""
+        groups = self.walk([index], record)
+        legs = [Leg(g.table, complex(g.scale[0]), int(g.k0[0]), int(g.n[0]),
+                    float(self.times[g.k0[0] + g.n[0]]), int(g.last[0]),
+                    int(g.chosen[0]) if g.chosen[0] >= 0 else None) for g in groups]
+        return legs, TERMINAL_QUIESCENT if groups[-1].quiescent else TERMINAL_T_MAX
 
     def samples(self, legs: list[Leg]) -> TrajectorySamples:
         """A walk's recorded rows: each epoch's start, its sampled steps and
@@ -439,7 +570,7 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
     caller keeps the cache.
     """
     runner = EpochRunner(model, ruleset, cfg, gap_mode, seed, policy, gen_cache)
-    legs, terminal = runner.walk(traj_index, record=record_samples)
+    legs, terminal = runner.legs(traj_index, record=record_samples)
     events = [CollapseEvent(t_sc=leg.t, chosen=leg.chosen, pre_hit_s=leg.s,
                             pre_hit_J=CurrentVector(leg.table.gen.launch_ids, leg.J),
                             epoch=epoch, norm_policy=policy)

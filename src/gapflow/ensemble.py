@@ -23,10 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import GapSemantics, IntegratorConfig, assemble_generator, evolve, step_grid
-from .engine import PRESERVE_TOTAL, EpochRunner
+from .engine import PRESERVE_TOTAL, TERMINAL_QUIESCENT, TERMINAL_T_MAX, EpochRunner
 from .errors import GapflowError, ProvenanceError
 from .model import ScenarioModel
 from .rules import RuleSet
+
+# Trajectories one walk advances together; the walk's arrays hold
+# O(BLOCK x launch components) floats.
+BLOCK = 2048
 
 Z_THRESHOLD_DEFAULT = 3.0
 # Large-sample 1% critical value of the one-sample KS statistic is
@@ -157,23 +161,42 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
 # --- ensemble execution -----------------------------------------------------
 
 def _run_range(model, ruleset, cfg, gap_mode, master_seed, policy, start, stop):
-    """Summaries (index, first hit time or nan, first choice or -1, collapses,
-    negative-current steps, terminal) of trajectories [start, stop).
+    """Per trajectory of [start, stop): first hit time or nan, first choice
+    or -1, negative-current steps and whether it ended quiescent, as arrays.
 
-    Each runs run_trajectory's epoch loop with the range's shared tables, so
-    epoch 0 and each epoch after a collapse onto a one-dimensional component
-    is integrated once and each trajectory only draws against it.
+    The range is walked in blocks of BLOCK through run_trajectory's epoch
+    loop with the range's shared tables, so epoch 0 and each epoch after a
+    collapse onto a one-dimensional component is integrated once and each
+    trajectory only draws against it.
     """
     runner = EpochRunner(model, ruleset, cfg, gap_mode, master_seed, policy, gen_cache={})
-    out = []
-    for index in range(start, stop):
-        legs, terminal = runner.walk(index)
-        first = legs[0]
-        hit = first.chosen is not None
-        out.append((index, first.t if hit else math.nan, first.chosen if hit else -1,
-                    sum(leg.chosen is not None for leg in legs),
-                    sum(leg.neg for leg in legs), terminal))
-    return out
+    blocks = [_block_summary(runner, np.arange(lo, min(lo + BLOCK, stop)))
+              for lo in range(start, stop, BLOCK)]
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def _block_summary(runner, indices):
+    """_run_range's columns for one block of indices."""
+    try:
+        groups = runner.walk(indices)
+    except GapflowError:
+        # Raise what the lowest failing index raises when walked alone, as
+        # it does however the trajectories are split into blocks.
+        for index in indices.tolist():
+            runner.walk([index])
+        raise
+    size = len(indices)
+    t_first, first = np.full(size, math.nan), np.full(size, -1)
+    negative, quiescent = np.zeros(size, np.int64), np.zeros(size, bool)
+    for g in groups:
+        negative[g.pos] += g.table.neg[g.last]
+        if g.quiescent:
+            quiescent[g.pos] = True
+        elif g.epoch == 0:
+            hit = g.chosen >= 0
+            t_first[g.pos[hit]] = runner.times[(g.k0 + g.n)[hit]]
+            first[g.pos[hit]] = g.chosen[hit]
+    return t_first, first, negative, quiescent
 
 
 def run_ensemble(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
@@ -191,38 +214,34 @@ def run_ensemble(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
         raise GapflowError(f"n_workers must be >= 1, got {n_workers}")
 
     if n_workers == 1:
-        summaries = _run_range(model, ruleset, cfg, gap_mode, master_seed, policy, 0, n)
+        parts = [_run_range(model, ruleset, cfg, gap_mode, master_seed, policy, 0, n)]
     else:
         chunk = max(1, math.ceil(n / (n_workers * 4)))
         bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-        summaries = []
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [pool.submit(_run_range, model, ruleset, cfg, gap_mode,
                                    master_seed, policy, lo, hi)
                        for lo, hi in bounds]
-            for fut in futures:          # submission order == index order
-                summaries.extend(fut.result())
+            parts = [fut.result() for fut in futures]    # submission order == index order
+    t_first, first, negative, quiescent = (np.concatenate(c) for c in zip(*parts))
 
+    hit = first >= 0
+    hit_components = first[hit]
     counts = {m: 0 for m in model.launch_candidate_ids}
-    hit_times, hit_components = [], []
-    no_collapse = 0
-    negative_steps = 0
-    terminals: dict[str, int] = {}
-    for _, t_sc, chosen, _n_events, neg, terminal in summaries:
-        if chosen < 0:
-            no_collapse += 1
-        else:
-            counts[chosen] = counts.get(chosen, 0) + 1
-            hit_times.append(t_sc)
-            hit_components.append(chosen)
-        negative_steps += neg
-        terminals[terminal] = terminals.get(terminal, 0) + 1
+    for m, k in zip(*np.unique(hit_components, return_counts=True)):
+        counts[int(m)] = int(k)
+    # Terminal counts in the order each terminal first occurs: trajectory 0's first.
+    n_quiescent = int(quiescent.sum())
+    counted = [(TERMINAL_T_MAX, n - n_quiescent), (TERMINAL_QUIESCENT, n_quiescent)]
+    if quiescent[0]:
+        counted.reverse()
+    terminals = {name: count for name, count in counted if count}
 
     return EnsembleStats(
-        n=n, seed=master_seed, counts=counts, no_collapse=no_collapse,
-        hit_times=np.array(hit_times), hit_components=np.array(hit_components, dtype=int),
+        n=n, seed=master_seed, counts=counts, no_collapse=int(n - hit.sum()),
+        hit_times=t_first[hit], hit_components=hit_components,
         provenance=_provenance(model, cfg, gap_mode),
-        totals={"negative_current_steps": negative_steps, "terminals": terminals},
+        totals={"negative_current_steps": int(negative.sum()), "terminals": terminals},
     )
 
 

@@ -443,6 +443,8 @@ def validate_model(model: ScenarioModel) -> ValidationReport:
         report.error("defaults", f"unknown gap_mode {d.gap_mode!r}", "defaults")
     if d.sample_every < 1:
         report.error("defaults", f"sample_every must be >= 1, got {d.sample_every}", "defaults")
+    if d.seed < 0:
+        report.error("negative-seed", f"seed must be >= 0, got {d.seed}", "defaults")
     return report
 
 

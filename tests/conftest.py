@@ -14,6 +14,27 @@ from gapflow.fixtures import (
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
+# A two-dimensional launch component C1 that sources a further gap: after a
+# collapse onto C1 the trajectory's state is not a multiple of a unit vector,
+# so epoch 1 runs on a private table; C1 -> C2 then lands on a shared one.
+WIDE_LAUNCH = {
+    "schema": "scenario/1",
+    "dim": 4,
+    "components": [
+        {"id": 0, "indices": [0], "entropy_rank": 0, "status": "active"},
+        {"id": 1, "indices": [1, 2], "entropy_rank": 1, "status": "launch"},
+        {"id": 2, "indices": [3], "entropy_rank": 2, "status": "active"},
+    ],
+    "gaps": [
+        {"low": 0, "high": 1, "entries": [[1, 0, 1.0, 0.0], [2, 0, 0.5, 0.0]]},
+        {"low": 1, "high": 2, "entries": [[3, 1, 0.7, 0.0], [3, 2, 0.3, 0.0]]},
+    ],
+    "own": [{"component": 1, "entries": [[1, 2, 0.5, 0.0], [2, 1, 0.5, 0.0]]}],
+    "psi0": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    "defaults": {"dt": 0.01, "t_max": 3.0, "rules": "nrules3",
+                 "gap_mode": "oneway", "seed": 1, "sample_every": 1},
+}
+
 
 @pytest.fixture
 def two_level_model():

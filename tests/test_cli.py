@@ -81,6 +81,26 @@ def test_non_finite_times_exit_1(tmp_path, capsys):
         assert not (out / "manifest.json").exists()
 
 
+def test_negative_seed_exit_1(tmp_path, capsys):
+    """A negative seed fails before any output, from the scenario or a flag."""
+    doc = json.loads(pathlib.Path(TWO_LEVEL).read_text())
+    doc["defaults"]["seed"] = -3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    assert "negative-seed" in capsys.readouterr().out
+    for command in ("run", "ensemble", "arrow"):
+        out = tmp_path / f"{command}-defaults"
+        assert main([command, "--scenario", str(bad), "--out-dir", str(out)]) == 1
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+        out = tmp_path / f"{command}-flag"
+        assert main([command, "--scenario", TWO_LEVEL, "--seed", "-1", "--out-dir",
+                     str(out)]) == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [None, "x"])
 def test_mistyped_amplitude_exit_1(tmp_path, capsys, value):
     """A non-number re/im is a located parse error (exit 1), not a traceback."""

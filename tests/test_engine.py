@@ -38,6 +38,7 @@ from gapflow.errors import (
     NoChoiceError,
 )
 from gapflow.fixtures import BUILDERS, chain_three_level, three_mode, two_level
+from gapflow.substreams import substream_draws, substream_keys
 from gapflow.model import (ACTIVE, LAUNCH, REALIZED, ZEROED, load_scenario, serialize_scenario,
                            square_modulus)
 from gapflow.rules import NRULES3, NRULES4, RuleSet
@@ -236,6 +237,12 @@ def test_step_grid_lists_step_endpoints():
     assert list(grid) == [0.5, 1.0, 1.5, 2.0]
 
 
+def grow_to_end(table, steps):
+    """Grow ``table`` through all ``steps`` with E = inf; True if that hit."""
+    _, _, hit = table.ends(np.array([np.inf]), np.array([steps]), np.array([False]))
+    return bool(hit[0])
+
+
 @pytest.mark.parametrize("build, chosen", [(three_mode, None), (chain_three_level, None),
                                            (chain_three_level, 1)])
 def test_epoch_hazard_matches_per_step_survival(build, chosen):
@@ -252,7 +259,7 @@ def test_epoch_hazard_matches_per_step_survival(build, chosen):
         start[model.indices_of(chosen)[0]] = 1.0
     n = len(step_plan(cfg))
     table = EpochTable(runner.generator(chosen, epoch), start, cfg.dt, n, False)
-    assert table.hit_step(np.inf, n) is None and table.n == n
+    assert not grow_to_end(table, n) and table.n == n
     rate = table.rate
     r_bar = np.where(rate[1:] > 0.0, 0.5 * (rate[:-1] + rate[1:]), 0.0)
     survival = np.cumprod(1.0 + np.expm1(-r_bar * cfg.dt))
@@ -269,8 +276,8 @@ def test_epoch_table_keep_holds_only_the_rows_it_names():
     n = len(step_plan(cfg))
     full = EpochTable(gen, model.psi0, cfg.dt, n, False)
     lean = EpochTable(gen, model.psi0, cfg.dt, n, False, keep={7, 50})
-    full.hit_step(np.inf, n)
-    lean.hit_step(np.inf, n)
+    grow_to_end(full, n)
+    grow_to_end(lean, n)
     assert full.states.shape[0] == full.J.shape[0] == n + 1
     assert sorted(lean.states) == sorted(lean.J) == [0, 7, 50, n]
     for k in lean.states:
@@ -290,7 +297,7 @@ def test_epoch_table_rows_equal_a_step_loop():
     n, rem = runner.n_full, runner.rem
     assert rem > 0.0
     table = EpochTable(gen, model.psi0, cfg.dt, n, False, rem)
-    assert table.hit_step(np.inf, n) is None and table.n == n
+    assert not grow_to_end(table, n) and table.n == n
     psi, neg = np.array(model.psi0), 0
     for k in range(n + 1):
         if k:
@@ -505,3 +512,44 @@ def test_trajectory_rng_streams_are_stable():
     assert np.array_equal(a, b)
     c = trajectory_rng(123, 8).random(4)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [0, 2026, 2**32 - 1, 2**32 + 5, 2**70 + 3])
+def test_substream_keys_equal_seed_sequence(seed):
+    """Block keys are SeedSequence(seed, spawn_key=(i,)).generate_state(2,
+    np.uint64) for indices 0 .. 10**5 - 1 and for indices of two or three
+    32-bit words; a block of one takes the scalar path."""
+    for lo in range(0, 10**5, 10**4):
+        indices = np.arange(lo, lo + 10**4)
+        expected = np.array([np.random.SeedSequence(seed, spawn_key=(i,))
+                             .generate_state(2, np.uint64) for i in indices.tolist()])
+        assert np.array_equal(substream_keys(seed, indices), expected)
+    wide = [2**32 - 1, 2**32, 2**32 + 7, 2**63 - 1, 2**64 + 3]
+    expected = np.array([np.random.SeedSequence(seed, spawn_key=(i,))
+                         .generate_state(2, np.uint64) for i in wide])
+    assert np.array_equal(substream_keys(seed, np.array(wide[:4] * 3, dtype=np.int64)),
+                          np.tile(expected[:4], (3, 1)))
+    for i, key in zip(wide, expected):
+        assert np.array_equal(substream_keys(seed, [i])[0], key)
+
+
+def test_substream_draws_equal_trajectory_rng():
+    """(E_0, u_0, E_1, u_1) per index, as trajectory_rng draws them."""
+    indices = np.arange(0, 3000, 7)
+    for seed in (1, 2026, 2**70 + 3):
+        draws = substream_draws(substream_keys(seed, indices), 2)
+        for row, i in zip(draws, indices.tolist()):
+            rng = trajectory_rng(seed, i)
+            assert row.tolist() == [rng.standard_exponential(), rng.random(),
+                                    rng.standard_exponential(), rng.random()]
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (-3, 5), (2**40, -1)])
+def test_negative_seed_or_index_rejected_before_hashing(seed, index):
+    with pytest.raises(GapflowError, match="non-negative"):
+        substream_keys(seed, [index])
+    with pytest.raises(GapflowError, match="non-negative"):
+        substream_keys(seed, np.full(20, index))
+    with pytest.raises(GapflowError, match="non-negative"):
+        run_trajectory(two_level(), R3, IntegratorConfig(dt=0.01, t_max=1.0), ONEWAY, seed,
+                       traj_index=index)

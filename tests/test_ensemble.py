@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gapflow.dynamics import GapSemantics, IntegratorConfig
-from gapflow.engine import PRESERVE_TOTAL, run_trajectory, step_grid
+from gapflow.engine import PRESERVE_TOTAL, EpochRunner, run_trajectory, step_grid
 from gapflow.ensemble import (
     ComparisonReport,
     EnsembleStats,
@@ -15,6 +15,8 @@ from gapflow.ensemble import (
     compare,
     deterministic_oracle,
     ks_statistic,
+    _block_summary,
+    _run_range,
     ks_statistic_grid,
     run_ensemble,
 )
@@ -22,6 +24,8 @@ from gapflow.errors import GapflowError, ProvenanceError
 from gapflow.fixtures import chain_three_level, three_mode, two_level
 from gapflow.model import load_scenario
 from gapflow.rules import NRULES3, RuleSet
+
+from conftest import WIDE_LAUNCH
 
 R3 = RuleSet(NRULES3)
 ONEWAY = GapSemantics.ONE_WAY_FEED
@@ -176,13 +180,36 @@ def test_shorter_last_step_matches_per_index_trajectories():
     assert tail_hits > 0
 
 
-def test_worker_counts_agree_bitwise(three_mode_model):
-    a = small_ensemble(three_mode_model, n=97, seed=3, n_workers=1)
-    b = small_ensemble(three_mode_model, n=97, seed=3, n_workers=4)
-    assert np.array_equal(a.hit_times, b.hit_times)
-    assert np.array_equal(a.hit_components, b.hit_components)
-    assert a.counts == b.counts
-    assert a.no_collapse == b.no_collapse
+def test_worker_counts_agree_bitwise(three_mode_model, chain_model):
+    """Workers walk their ranges in blocks of their own; on the chain,
+    epoch-1 groups form per worker and still give the same summaries."""
+    for model, cfg in ((three_mode_model, CFG), (chain_model, IntegratorConfig(dt=0.01,
+                                                                               t_max=12.0))):
+        a = run_ensemble(model, R3, cfg, ONEWAY, 97, 3, n_workers=1)
+        b = run_ensemble(model, R3, cfg, ONEWAY, 97, 3, n_workers=4)
+        assert np.array_equal(a.hit_times, b.hit_times)
+        assert np.array_equal(a.hit_components, b.hit_components)
+        assert a.counts == b.counts
+        assert a.no_collapse == b.no_collapse
+        assert a.totals == b.totals
+    assert a.totals["terminals"]["quiescent"] > 50      # the chain cascaded
+
+
+def test_blocks_agree_with_blocks_of_one():
+    """One block that mixes shared tables with private ones (collapses onto
+    a two-dimensional launch component) summarizes each trajectory as a
+    block of one does, in every gap mode."""
+    model = load_scenario(json.dumps(WIDE_LAUNCH))
+    cfg = IntegratorConfig(dt=0.01, t_max=3.0)
+    for mode in GapSemantics:
+        block = _run_range(model, R3, cfg, mode, 11, PRESERVE_TOTAL, 0, 60)
+        runner = EpochRunner(model, R3, cfg, mode, 11, gen_cache={})
+        alone = [_block_summary(runner, np.array([i])) for i in range(60)]
+        for column, expected in zip(block, zip(*alone)):
+            np.testing.assert_array_equal(column, np.concatenate(expected))
+        first, quiescent = block[1], block[3]
+        # Quiescent here means C1 -> C2 fired on C1's private table.
+        assert (first == 1).sum() > 20 and quiescent.sum() > 10
 
 
 def test_shares_sum_to_one(three_mode_model):
@@ -307,3 +334,26 @@ def test_ks_grid_detects_shift():
     samples = np.repeat(grid[5:], 20)
     cdf = np.arange(1, 11) / 10.0
     assert ks_statistic_grid(samples, grid, cdf) > 0.3
+
+
+def test_drift_error_is_the_first_failing_trajectorys():
+    """The walk checks norm drift for every trajectory of a group, and an
+    ensemble raises what run_trajectory raises for its lowest failing index,
+    for any worker count."""
+    from gapflow.errors import NormDriftError
+
+    cfg = IntegratorConfig(dt=0.2, t_max=6.0, norm_drift_budget=1e-9)
+    mode = GapSemantics.HERMITIAN_TRUNCATED
+    model = three_mode()
+    first = None
+    for k in range(40):
+        try:
+            run_trajectory(model, R3, cfg, mode, 8, traj_index=k, record_samples=False)
+        except NormDriftError as exc:
+            first = str(exc)
+            break
+    assert first is not None
+    for workers in (1, 3):
+        with pytest.raises(NormDriftError) as err:
+            run_ensemble(model, R3, cfg, mode, 40, 8, n_workers=workers)
+        assert str(err.value) == first

@@ -347,6 +347,16 @@ def test_step_count_bounded():
     assert violation_codes(doc) == ["step-count"]
 
 
+def test_negative_seed_rejected():
+    """A negative seed has no substream; validation names it."""
+    doc = base_doc()
+    doc["defaults"]["seed"] = -3
+    assert violation_codes(doc) == ["negative-seed"]
+    assert any("-3" in m for m in violation_messages(doc))
+    doc["defaults"]["seed"] = 0
+    assert violation_codes(doc) == []
+
+
 def test_zero_psi0_rejected():
     doc = base_doc()
     doc["psi0"] = [[0.0, 0.0], [0.0, 0.0]]
