@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run a fixed matrix of CLI invocations and record a sha256 per artifact.
 
-Every shipped scenario is run in every gap mode through nine invocations
-(`currents` three ways, `ensemble` two ways, `run` two ways, `arrow` with and
-without `--suspend n3_1`), 135 in all, each in-process through
+Every shipped scenario is run in every gap mode through ten invocations
+(`currents` three ways, `ensemble` two ways, `run` two ways, `arrow` three
+ways: plain, with `--suspend n3_1`, and off the dt grid with sparse
+samples), 150 in all, each in-process through
 `gapflow.cli.main` with its own output directory. The listing written to
 `<out-dir>/sha256.txt` holds one line per output file, plus the exit code,
 stdout and stderr of each invocation (the output directory masked), sorted
@@ -39,6 +40,7 @@ INVOCATIONS = (
     ("run_raw", ["run", "--policy", "raw", "--seed", "5"]),
     ("arrow", ["arrow"]),
     ("arrow_suspend", ["arrow", "--suspend", "n3_1"]),
+    ("arrow_offgrid", ["arrow", "--t-max", "2.005", "--sample-every", "3"]),
 )
 
 

@@ -14,7 +14,9 @@ The sampled trajectory is a lookup: its hits are draws against the epoch
 tables of the deterministic no-hit evolution, which do not depend on the seed.
 Each process therefore keeps, per (model with its start state, rule set, gap
 mode, config), one run_trajectory cache holding the generators and the full
-epoch tables, so a seed loop integrates each path once. The cache keeps the
+epoch tables, so a seed loop integrates each path once. The profile reads the
+sampled rows of the same epoch-0 table, grown to its end, so a cold
+experiment steps once per table row as well. The cache keeps the
 RUN_CACHE_SIZE most recent of them; a table holds 16 dim + 8 (launch
 components) + 32 bytes per step, twice that when t_max is off the dt grid.
 """
@@ -26,9 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import (GapSemantics, IntegratorConfig, assemble_generator, evolve,
-                       gap_backflow)
-from .engine import run_trajectory
+from .dynamics import GapSemantics, IntegratorConfig, gap_backflow
+from .engine import EpochRunner, run_trajectory
 from .errors import GapflowError
 from .model import LAUNCH, ScenarioModel
 from .rules import FREEZE_RULES, RuleSet, ruleset_for_rule
@@ -94,40 +95,45 @@ def _resolve(model, ruleset, gap_mode, seed):
     return ruleset, gap_mode, seed
 
 
-def _profile_extrema(model, psi0, ruleset, gap_mode, cfg):
-    """Deterministic sweep: peak backflow, forward-current range, state drift.
-
-    The sweep is seed-independent, so seed loops over the same experiment
-    (the irreversibility checks run hundreds of them) hit a small cache.
-    """
-    psi0 = np.ascontiguousarray(psi0, dtype=np.complex128)
-    return _profile_extrema_cached(model, psi0.tobytes(), ruleset, gap_mode, cfg)
-
-
-@lru_cache(maxsize=64)
-def _profile_extrema_cached(model, psi0_bytes, ruleset, gap_mode, cfg):
-    psi0 = np.frombuffer(psi0_bytes, dtype=np.complex128)
-    gen = assemble_generator(model, ruleset, gap_mode)
-    seg = evolve(psi0, gen, 0.0, cfg.t_max, cfg)
-    max_back = 0.0
-    for state in seg.states:
-        flows = gap_backflow(state, gen)
-        if flows:
-            max_back = max(max_back, max(flows.values()))
-    if seg.currents.size:
-        max_fwd = float(seg.currents.max())
-        min_fwd = float(seg.currents.min())
-    else:
-        max_fwd = min_fwd = 0.0
-    delta = float(np.abs(seg.states - seg.states[0]).max())
-    return max_back, max_fwd, min_fwd, delta
-
-
 @lru_cache(maxsize=RUN_CACHE_SIZE)
 def _run_cache(model, ruleset, gap_mode, cfg) -> dict:
     """run_trajectory's gen_cache for every seed of one experiment; the
     model's equality covers its start state psi0."""
     return {}
+
+
+@lru_cache(maxsize=64)
+def _profile_extrema_cached(model, ruleset, gap_mode, cfg):
+    """Peak backflow, forward-current range and state drift over the sampled
+    rows of the experiment's epoch-0 table, the one its trajectories draw
+    against, grown to its end. Seed-independent, so seed loops hit the cache.
+    """
+    runner = EpochRunner(model, ruleset, cfg, gap_mode, 0,
+                         gen_cache=_run_cache(model, ruleset, gap_mode, cfg))
+    table = runner.table(0, None)
+    rows = table.sampled_rows(runner.plan)
+    states, currents = table.states[rows], table.J[rows]
+    flows = [f for state in states for f in gap_backflow(state, table.gen).values()]
+    max_back = max([0.0, *flows])
+    fwd = (float(currents.max()), float(currents.min())) if currents.size else (0.0, 0.0)
+    return max_back, *fwd, float(np.abs(states - states[0]).max())
+
+
+def _experiment(direction, model, cfg, ruleset, gap_mode, seed) -> ArrowReport:
+    """Profile of ``model``'s no-hit evolution plus one trajectory's hits."""
+    max_back, max_fwd, min_fwd, delta = _profile_extrema_cached(model, ruleset, gap_mode, cfg)
+    rec = run_trajectory(model, ruleset, cfg, gap_mode, seed, record_samples=False,
+                         gen_cache=_run_cache(model, ruleset, gap_mode, cfg))
+    hits = len(rec.events)
+    if direction == FORWARD:
+        verdict, delta = (FLOWED if max_fwd > 0.0 else BLOCKED), 0.0
+    else:
+        verdict = BLOCKED if (max_back == 0.0 and hits == 0) else FLOWED
+    return ArrowReport(direction=direction, verdict=verdict, max_backflow=max_back,
+                       total_hits=hits, max_forward_current=max_fwd,
+                       min_forward_current=min_fwd, max_state_delta=delta,
+                       rules=ruleset.variant, suspended=tuple(sorted(ruleset.suspended)),
+                       gap_mode=gap_mode.token, seed=seed)
 
 
 def forward_experiment(model: ScenarioModel, cfg: IntegratorConfig, *,
@@ -136,17 +142,7 @@ def forward_experiment(model: ScenarioModel, cfg: IntegratorConfig, *,
                        seed: int | None = None) -> ArrowReport:
     """Current flows with the entropy gradient; verdict is flowed iff any
     forward current is positive somewhere in the deterministic profile."""
-    ruleset, gap_mode, seed = _resolve(model, ruleset, gap_mode, seed)
-    max_back, max_fwd, min_fwd, _ = _profile_extrema(
-        model, model.psi0, ruleset, gap_mode, cfg)
-    rec = run_trajectory(model, ruleset, cfg, gap_mode, seed, record_samples=False,
-                         gen_cache=_run_cache(model, ruleset, gap_mode, cfg))
-    verdict = FLOWED if max_fwd > 0.0 else BLOCKED
-    return ArrowReport(direction=FORWARD, verdict=verdict, max_backflow=max_back,
-                       total_hits=len(rec.events), max_forward_current=max_fwd,
-                       min_forward_current=min_fwd, max_state_delta=0.0,
-                       rules=ruleset.variant, suspended=tuple(sorted(ruleset.suspended)),
-                       gap_mode=gap_mode.token, seed=seed)
+    return _experiment(FORWARD, model, cfg, *_resolve(model, ruleset, gap_mode, seed))
 
 
 def reverse_experiment(model: ScenarioModel, cfg: IntegratorConfig, *,
@@ -154,22 +150,10 @@ def reverse_experiment(model: ScenarioModel, cfg: IntegratorConfig, *,
                        gap_mode: GapSemantics | None = None,
                        seed: int | None = None) -> ArrowReport:
     """Start entirely inside the launch sector and try to flow back."""
-    ruleset, gap_mode, seed = _resolve(model, ruleset, gap_mode, seed)
-    psi_rev = reverse_initial_state(model)
-    max_back, max_fwd, min_fwd, delta = _profile_extrema(
-        model, psi_rev, ruleset, gap_mode, cfg)
     reversed_model = ScenarioModel(dim=model.dim, components=model.components,
-                                   hamiltonian=model.hamiltonian, psi0=psi_rev,
-                                   defaults=model.defaults)
-    rec = run_trajectory(reversed_model, ruleset, cfg, gap_mode, seed, record_samples=False,
-                         gen_cache=_run_cache(reversed_model, ruleset, gap_mode, cfg))
-    hits = len(rec.events)
-    verdict = BLOCKED if (max_back == 0.0 and hits == 0) else FLOWED
-    return ArrowReport(direction=REVERSE, verdict=verdict, max_backflow=max_back,
-                       total_hits=hits, max_forward_current=max_fwd,
-                       min_forward_current=min_fwd, max_state_delta=delta,
-                       rules=ruleset.variant, suspended=tuple(sorted(ruleset.suspended)),
-                       gap_mode=gap_mode.token, seed=seed)
+                                   hamiltonian=model.hamiltonian,
+                                   psi0=reverse_initial_state(model), defaults=model.defaults)
+    return _experiment(REVERSE, reversed_model, cfg, *_resolve(model, ruleset, gap_mode, seed))
 
 
 def suspension_counterfactual(model: ScenarioModel, cfg: IntegratorConfig,

@@ -30,8 +30,12 @@ worker layouts. A step takes one of two paths:
   (its loss term is nonlinear, so no M_h exists), and so do CSR generators
   (M_h of a sparse G such as a hermitian star fills in).
 
-evolve computes the currents of every sample in one product under the same
-condition, and per sample otherwise.
+EpochTable is the one stepping loop. It tabulates an epoch's deterministic
+evolution row by row: a block of FILL_BLOCK steps, then the block's currents
+(one stacked product on the propagator path, per row otherwise), square
+moduli, rates and gated hazard at once. Trajectories draw against tables
+(engine), and evolve, behind the oracle and `gapflow currents`, is a
+trigger-off table walked to its end, as is the arrow profile.
 """
 
 from __future__ import annotations
@@ -39,14 +43,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GapflowError, NonFiniteStateError, NormDriftError
+from .errors import DegenerateStateError, GapflowError, NonFiniteStateError, NormDriftError
 from .model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, STATUSES, ZEROED, GapSemantics,
-                    OperatorBlock, ScenarioModel, square_modulus)
+                    OperatorBlock, ScenarioModel)
 from .rules import RuleSet
 
 # Below this total square modulus the compensated loss coefficient J/s_low is
@@ -60,6 +64,9 @@ DENSE_DIM_LIMIT = 256
 # RK4 step matrices kept per generator: a run needs dt, perhaps a shorter last
 # step, and the two probes of fd_current_check.
 PROPAGATOR_CACHE_SIZE = 4
+
+# Rows an EpochTable steps before it fills their other columns at once.
+FILL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -405,10 +412,148 @@ def _check_epoch_drift(gen, cfg, s_now, s_epoch_start, elapsed):
                 f"within epoch (elapsed {elapsed})")
 
 
+class StepPlan(NamedTuple):
+    """A config's step plan as tables and walks read it."""
+
+    times: np.ndarray       # time after k steps of the run, from k = 0
+    sampled: np.ndarray     # whether a sample is recorded after k steps
+    rem: float              # the shorter last step, 0.0 when t_max is on the grid
+    n_full: int             # steps of length dt
+
+    @classmethod
+    def of(cls, cfg: IntegratorConfig) -> "StepPlan":
+        plan = step_plan(cfg)
+        rem = plan[-1][1] if plan and plan[-1][1] != cfg.dt else 0.0
+        return cls(np.array([0.0] + [t for t, _, _ in plan]),
+                   np.array([True] + [flag for _, _, flag in plan]),
+                   rem, len(plan) - (rem > 0.0))
+
+
+class EpochTable:
+    """Deterministic evolution of one epoch from its start state.
+
+    Row 0 is the start and row k the point after k steps of dt. Each row's
+    state, launch currents J, square modulus s, count of negative-current
+    steps since the epoch start (neg), rate and gated cumulative trapezoid
+    hazard H (both 0 with ``trigger_off``) are held in one column per field,
+    (steps + 1) rows long, filled on demand FILL_BLOCK rows at a time. Rows
+    never change, so trajectories sharing a table see the same floats however
+    far it grew. With ``rem`` > 0 the run ends on a shorter step of rem; the
+    point that step reaches from row k is kept as well, in row steps + 1 + k.
+
+    With ``keep`` given, states and J are dicts that hold row 0, the last
+    row, the rows in ``keep``, the first row whose hazard passed a grow's E
+    and the shorter-last-step points only, so a table that serves one
+    trajectory of a wide model stays small; without it, they are arrays.
+    """
+
+    def __init__(self, gen: EffectiveGenerator, start: np.ndarray, dt: float,
+                 steps: int, trigger_off: bool, rem: float = 0.0,
+                 keep: set[int] | None = None):
+        self.gen, self.dt, self.trigger_off, self.rem, self.keep = gen, dt, trigger_off, rem, keep
+        rows = (steps + 1) * (2 if rem else 1)
+        if keep is None:
+            self.states = np.empty((rows, len(start)), dtype=np.complex128)
+            self.J = np.empty((rows, len(gen.launch_ids)))
+        else:
+            self.states, self.J = {}, {}
+        self.s, self.rate, self.H = np.empty(rows), np.empty(rows), np.zeros(rows)
+        self.neg = np.zeros(rows, dtype=np.int64)
+        self._store(0, None, np.asarray(start, dtype=np.complex128)[None, :], 0.0)
+        self.n = 0          # steps tabulated
+        self._tails: set[int] = set()
+
+    def _store(self, i: int, prev: int | None, block: np.ndarray, h: float,
+               E: float = math.inf):
+        """Fill rows i, i + 1, ... with the states of ``block``, each one step
+        of h after the row before it (row ``prev``; None for the start row).
+        Stacked matvecs and dot products round as component_currents'
+        dense @ psi and square_modulus's np.vdot do; block @ dense.T need not."""
+        gen, b = self.gen, len(block)
+        if gen.linear_dense:
+            idx, starts = gen.launch_runs
+            dpsi = -1j * (gen.dense @ block[:, :, None])[:, :, 0]
+            J = 2.0 * np.add.reduceat((block[:, idx].conj() * dpsi[:, idx]).real, starts, axis=1)
+        else:
+            J = np.array([component_currents(psi, gen).J for psi in block])
+        s = (block.conj()[:, None, :] @ block[:, :, None])[:, 0, 0].real
+        if self.trigger_off:
+            rate = np.zeros(b)
+        elif (bad := (s <= 0.0).nonzero()[0]).size:
+            raise DegenerateStateError(f"total square modulus {s[bad[0]]} is not positive")
+        else:
+            rate = np.maximum(J, 0.0).sum(axis=1) / s
+        rows = slice(i, i + b)
+        self.s[rows], self.rate[rows] = s, rate
+        if prev is not None:
+            before = np.concatenate(([self.rate[prev]], rate[:-1]))
+            inc = np.where(rate > 0.0, 0.5 * (before + rate) * h, 0.0)
+            self.H[rows] = np.add.accumulate(np.concatenate(([self.H[prev]], inc)))[1:]
+            self.neg[rows] = self.neg[prev] + np.cumsum((J < 0.0).any(axis=1))
+        if self.keep is None:
+            self.states[rows], self.J[rows] = block, J
+            return
+        hit = i + int(self.H[rows].searchsorted(E, side="right"))
+        for j in range(b):
+            if i + j in self.keep or j == b - 1 or i + j == hit:
+                self.states[i + j], self.J[i + j] = block[j], J[j]
+
+    def grow(self, E: float, steps: int):
+        """Grow until the table holds ``steps`` steps or its hazard passes E.
+        Rows never change, so growing past what a trajectory reads is safe."""
+        k = self.n
+        while k < steps and self.H[k] <= E:
+            b = min(FILL_BLOCK, steps - k)
+            block = (self.states[k + 1:k + b + 1] if self.keep is None
+                     else np.empty((b, self.gen.dim), dtype=np.complex128))
+            psi = self.states[k]
+            for j in range(b):      # the one stepping loop
+                psi = block[j] = step(psi, self.gen, self.dt)
+            self._store(k + 1, k, block, self.dt, E)
+            if k and self.keep is not None and k not in self.keep:
+                del self.states[k], self.J[k]
+            k += b
+        self.n = k
+
+    def ends(self, E: np.ndarray, steps: np.ndarray,
+             tail: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(steps taken, table row reached, hit) per epoch with hazard draw E
+        and at most ``steps`` steps: the first row whose hazard exceeds E;
+        without one, the last step, and where ``tail`` is set the shorter
+        last step after it, on which the hit may still land."""
+        self.grow(E.max(), steps.max())
+        r = self.H[:self.n + 1].searchsorted(E, side="right")
+        hit = r <= np.minimum(self.n, steps)
+        n = np.where(hit, r, steps)
+        last = n.copy()
+        if tail is not None and (tail := tail & ~hit).any():
+            for k in np.unique(steps[tail]).tolist():
+                self.tail(k)
+            last[tail] = len(self.s) // 2 + steps[tail]
+            n[tail] += 1
+            hit[tail] = self.H[last[tail]] > E[tail]
+        return n, last, hit
+
+    def tail(self, k: int) -> int:
+        """Row of the point the shorter last step reaches from row k."""
+        i = len(self.s) // 2 + k
+        if k not in self._tails:
+            self._store(i, k, step(self.states[k], self.gen, self.rem)[None, :], self.rem)
+            self._tails.add(k)
+        return i
+
+    def sampled_rows(self, plan: StepPlan) -> np.ndarray:
+        """Grow through all of ``plan`` without a hit; the rows of its
+        samples in time order, the shorter last step's point last."""
+        self.grow(math.inf, plan.n_full)
+        rows = np.flatnonzero(plan.sampled[:plan.n_full + 1])
+        return np.append(rows, self.tail(plan.n_full)) if plan.rem else rows
+
+
 def evolve(state: np.ndarray, gen: EffectiveGenerator, t0: float, t1: float,
            cfg: IntegratorConfig) -> TrajectorySegment:
     """Integrate from t0 to t1 along step_plan of the span, sampling every
-    cfg.sample_every steps.
+    cfg.sample_every steps: the sampled rows of a trigger-off EpochTable.
 
     The span need not be an integer number of steps; a shorter final step
     lands exactly on t1. t1 == t0 yields a single untouched sample.
@@ -416,33 +561,16 @@ def evolve(state: np.ndarray, gen: EffectiveGenerator, t0: float, t1: float,
     if t1 < t0:
         raise GapflowError(f"evolve called with t1={t1} < t0={t0}")
     span = t1 - t0
-    plan = step_plan(replace(cfg, t_max=span))
-    psi = np.array(state, dtype=np.complex128)
-    times, states = [t0], [psi]
-    for t, h, sampled in plan:
-        psi = step(psi, gen, h)
-        if sampled:
-            times.append(t0 + t)
-            states.append(psi)
-    if plan:
+    plan = StepPlan.of(replace(cfg, t_max=span))
+    table = EpochTable(gen, state, cfg.dt, plan.n_full, True, plan.rem)
+    rows = table.sampled_rows(plan)
+    times = t0 + plan.times[plan.sampled]
+    if len(times) > 1:
         times[-1] = t1
     elif span > 0:
         # A span below step_plan's 1e-9 dt guard takes no step but still
         # ends on t1.
-        times.append(t1)
-        states.append(psi)
-
-    state_arr = np.array(states)
-    if gen.linear_dense:
-        # component_currents of every row in one product
-        idx, starts = gen.launch_runs
-        dpsi = -1j * (state_arr @ gen.dense.T)
-        w = (state_arr[:, idx].conj() * dpsi[:, idx]).real
-        currents = 2.0 * np.add.reduceat(w, starts, axis=1)
-    else:
-        currents = np.empty((len(times), len(gen.launch_ids)))
-        for i in range(len(times)):
-            currents[i] = component_currents(state_arr[i], gen).J
-    _check_epoch_drift(gen, cfg, square_modulus(psi), square_modulus(state_arr[0]), span)
-    return TrajectorySegment(times=np.array(times), states=state_arr,
-                             currents=currents, launch_ids=gen.launch_ids)
+        rows, times = np.zeros(2, np.intp), np.array([t0, t1])
+    _check_epoch_drift(gen, cfg, float(table.s[rows[-1]]), float(table.s[0]), span)
+    return TrajectorySegment(times=times, states=table.states[rows],
+                             currents=table.J[rows], launch_ids=gen.launch_ids)

@@ -14,7 +14,8 @@ sources and starts the next epoch; with no bridged gap left the trajectory is
 quiescent.
 
 Every generator mode is homogeneous of degree 1 (the compensated loss J/s_low
-is scale-free), so an epoch is tabulated from a canonical start, psi0 or the
+is scale-free), so an epoch is tabulated (dynamics.EpochTable, the one
+stepping loop) from a canonical start, psi0 or the
 unit basis state of a one-dimensional chosen component, and a trajectory
 carries a complex scale c: states c times the table's, s and J |c|^2 times,
 rates and hazard unchanged. Once its E is drawn, an epoch of a trajectory is
@@ -41,9 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (CurrentVector, EffectiveGenerator, GapSemantics, IntegratorConfig,
-                       _check_epoch_drift, assemble_generator, component_currents, step,
-                       step_plan)
+from .dynamics import (CurrentVector, EffectiveGenerator, EpochTable, GapSemantics,
+                       IntegratorConfig, StepPlan, _check_epoch_drift, assemble_generator)
 from .dynamics import step_grid  # noqa: F401  (kept importable as engine.step_grid)
 from .errors import CollapseOnEmptyError, DegenerateStateError, GapflowError, NoChoiceError
 from .model import LAUNCH, REALIZED, ZEROED, ScenarioModel, project, square_modulus
@@ -209,95 +209,6 @@ def _unit(model: ScenarioModel, chosen: int) -> np.ndarray:
     return start
 
 
-class EpochTable:
-    """Deterministic evolution of one epoch from its canonical start state.
-
-    Row 0 is the start and row k the point after k steps of dt. Each row's
-    state, launch currents J, square modulus s, count of negative-current
-    steps since the epoch start (neg), rate and gated cumulative trapezoid
-    hazard H are held in one column per field, (steps + 1) rows long. Rows are
-    computed on demand, each from the one before, and never change, so
-    trajectories sharing a table see the same floats however far it grew.
-    With ``rem`` > 0 the run ends on a shorter step of rem; the point that
-    step reaches from row k is kept as well, in row steps + 1 + k.
-
-    With ``keep`` given, states and J are dicts that hold row 0, the last
-    row, the rows in ``keep`` and the shorter-last-step points only, so a
-    table that serves one trajectory of a wide model stays small; without
-    it, they are (rows, dim) and (rows, launch components) arrays.
-    """
-
-    def __init__(self, gen: EffectiveGenerator, start: np.ndarray, dt: float,
-                 steps: int, trigger_off: bool, rem: float = 0.0,
-                 keep: set[int] | None = None):
-        self.gen, self.dt, self.trigger_off, self.rem, self.keep = gen, dt, trigger_off, rem, keep
-        rows = (steps + 1) * (2 if rem else 1)
-        if keep is None:
-            self.states = np.empty((rows, len(start)), dtype=np.complex128)
-            self.J = np.empty((rows, len(gen.launch_ids)))
-        else:
-            self.states, self.J = {}, {}
-        self.s, self.rate, self.H = np.empty(rows), np.empty(rows), np.zeros(rows)
-        self.neg = np.zeros(rows, dtype=np.int64)
-        self.states[0] = start
-        self.J[0], self.s[0], self.rate[0] = self._point(start)
-        self.n = 0          # steps tabulated
-        self._tails: set[int] = set()
-
-    def _point(self, psi: np.ndarray) -> tuple:
-        Jv = component_currents(psi, self.gen)
-        s = square_modulus(psi)
-        return Jv.J, s, (0.0 if self.trigger_off else hit_rate(Jv, s))
-
-    def _advance(self, k: int, h: float, i: int):
-        """Store the point one step of h after row k in row i."""
-        psi = step(self.states[k], self.gen, h)
-        J, s, rate = self._point(psi)
-        H = float(self.H[k])
-        if rate > 0.0:
-            H += 0.5 * (float(self.rate[k]) + rate) * h
-        self.states[i], self.J[i], self.s[i], self.rate[i], self.H[i] = psi, J, s, rate, H
-        self.neg[i] = self.neg[k] + bool((J < 0.0).any())
-
-    def grow(self, E: float, steps: int):
-        """Grow until the table holds ``steps`` steps or its hazard passes E.
-        Rows never change, so growing past what a trajectory reads is safe."""
-        k = self.n
-        while k < steps and self.H[k] <= E:
-            self._advance(k, self.dt, k + 1)
-            if k and self.keep is not None and k not in self.keep:
-                del self.states[k], self.J[k]
-            k += 1
-        self.n = k
-
-    def ends(self, E: np.ndarray, steps: np.ndarray,
-             tail: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(steps taken, table row reached, hit) per epoch with hazard draw E
-        and at most ``steps`` steps: the first row whose hazard exceeds E;
-        without one, the last step, and where ``tail`` is set the shorter
-        last step after it, on which the hit may still land."""
-        self.grow(E.max(), steps.max())
-        r = self.H[:self.n + 1].searchsorted(E, side="right")
-        hit = r <= np.minimum(self.n, steps)
-        n = np.where(hit, r, steps)
-        last = n.copy()
-        if tail is not None and (tail := tail & ~hit).any():
-            for k in np.unique(steps[tail]).tolist():
-                self.tail(k)
-            last[tail] = len(self.s) // 2 + steps[tail]
-            n[tail] += 1
-            hit[tail] = self.H[last[tail]] > E[tail]
-        return n, last, hit
-
-    def tail(self, k: int) -> int:
-        """Row of the point the shorter last step reaches from row k."""
-        i = len(self.s) // 2 + k
-        if k not in self._tails:
-            self._advance(k, self.rem, i)
-            self._tails.add(k)
-        return i
-
-
 class Leg(NamedTuple):
     """One epoch of one trajectory."""
 
@@ -337,23 +248,6 @@ class LegGroup(NamedTuple):
     quiescent: bool         # no bridged gap: the epoch closed at once
 
 
-class StepPlan(NamedTuple):
-    """A config's step plan as the walk reads it."""
-
-    times: np.ndarray       # time after k steps of the run, from k = 0
-    sampled: np.ndarray     # whether a sample is recorded after k steps
-    rem: float              # the shorter last step, 0.0 when t_max is on the grid
-    n_full: int             # steps of length dt
-
-    @classmethod
-    def of(cls, cfg: IntegratorConfig) -> "StepPlan":
-        plan = step_plan(cfg)
-        rem = plan[-1][1] if plan and plan[-1][1] != cfg.dt else 0.0
-        return cls(np.array([0.0] + [t for t, _, _ in plan]),
-                   np.array([True] + [flag for _, _, flag in plan]),
-                   rem, len(plan) - (rem > 0.0))
-
-
 class EpochRunner:
     """The epoch loop of run_trajectory and run_ensemble, with its step plan.
 
@@ -376,6 +270,7 @@ class EpochRunner:
             if cfg not in plans:
                 plans[cfg] = (StepPlan.of(cfg), {})
             plan, self.tables = plans[cfg]
+        self.plan = plan
         self.times, self.sampled, self.rem, self.n_full = plan
         # Epoch-0 collapses onto one-dimensional components: (row, chosen) ->
         # the next epoch's scale. Every epoch-0 scale is 1, so a walk of many
@@ -391,6 +286,24 @@ class EpochRunner:
             gen = self._gens[(chosen, epoch)] = assemble_generator(
                 self.model, self.ruleset, self.gap_mode, statuses=statuses, epoch=epoch)
         return gen
+
+    def table(self, epoch: int, chosen: int | None, start: np.ndarray | None = None,
+              keep: set[int] | None = None) -> EpochTable:
+        """The table of ``epoch`` after ``chosen`` (None: epoch 0) from
+        ``start``, else the canonical start: without ``keep`` the cache's
+        shared one, built on first use; with it, a new one (see EpochTable)."""
+        if keep is None and (epoch, chosen) in self.tables:
+            return self.tables[(epoch, chosen)]
+        gen = self.generator(chosen, epoch)
+        quiescent = epoch > 0 and not gen.backflows
+        if start is None:
+            start = self.model.psi0 if chosen is None else _unit(self.model, chosen)
+        table = EpochTable(gen, start, self.cfg.dt, 0 if quiescent else self.n_full,
+                           self.ruleset.trigger_suspended, 0.0 if quiescent else self.rem,
+                           keep)
+        if keep is None:
+            self.tables[(epoch, chosen)] = table
+        return table
 
     def walk(self, indices, record: bool = False) -> list[LegGroup]:
         """Walk trajectories ``indices`` together: one LegGroup per epoch and
@@ -432,23 +345,14 @@ class EpochRunner:
     def _epoch(self, epoch, chosen, shared, start, keys, pos, scale, k0, record) -> LegGroup:
         """Advance one group through its epoch."""
         cfg, gen = self.cfg, self.generator(chosen, epoch)
+        keep = None if shared else (
+            set(np.flatnonzero(self.sampled[int(k0[0]):self.n_full + 1]).tolist())
+            if record else set())
+        table = self.table(epoch, chosen, start, keep)
+        zeros = np.zeros(len(pos), np.int64)
         # With no bridged gap left after a collapse the realized component
         # evolves unitarily and no further hit can fire.
-        quiescent = epoch > 0 and not gen.backflows
-        table = self.tables.get((epoch, chosen)) if shared else None
-        if table is None:
-            if start is None:
-                start = self.model.psi0 if chosen is None else _unit(self.model, chosen)
-            keep = None if shared else (
-                set(np.flatnonzero(self.sampled[int(k0[0]):self.n_full + 1]).tolist())
-                if record else set())
-            table = EpochTable(gen, start, cfg.dt, 0 if quiescent else self.n_full,
-                               self.ruleset.trigger_suspended,
-                               0.0 if quiescent else self.rem, keep)
-            if shared:
-                self.tables[(epoch, chosen)] = table
-        zeros = np.zeros(len(pos), np.int64)
-        if quiescent:
+        if epoch > 0 and not gen.backflows:
             return LegGroup(epoch, table, pos, scale, k0, zeros, zeros, zeros - 1, True)
         # The pair a sequential walk of the substream draws at this epoch.
         E, u = substream_draws(keys[pos], epoch + 1)[:, -2:].T

@@ -134,24 +134,14 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
 
     times = seg.times
     j_pos = np.clip(seg.currents, 0.0, None)
-    integrals = {}
-    for k, comp_id in enumerate(seg.launch_ids):
-        integrals[comp_id] = float(np.trapezoid(j_pos[:, k], times)) if len(times) > 1 else 0.0
-
+    # a single sample (t_max = 0) integrates to 0
+    integrals = {m: float(np.trapezoid(j_pos[:, k], times)) for k, m in enumerate(seg.launch_ids)}
     total = sum(integrals.values())
-    if total > 0.0:
-        predicted = {m: v / total for m, v in integrals.items()}
-    else:
-        predicted = {m: 0.0 for m in integrals}
+    predicted = {m: v / total if total > 0.0 else 0.0 for m, v in integrals.items()}
 
-    s = seg.s
-    rate = j_pos.sum(axis=1) / s
-    if len(times) > 1:
-        increments = 0.5 * (rate[1:] + rate[:-1]) * np.diff(times)
-        cumulative = np.concatenate([[0.0], np.cumsum(increments)])
-    else:
-        cumulative = np.zeros(1)
-    survival = np.exp(-cumulative)
+    rate = j_pos.sum(axis=1) / seg.s
+    increments = 0.5 * (rate[1:] + rate[:-1]) * np.diff(times)
+    survival = np.exp(-np.concatenate([[0.0], np.cumsum(increments)]))
 
     return OracleResult(integrals=integrals, predicted_shares=predicted,
                         times=times, survival=survival,

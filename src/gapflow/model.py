@@ -54,10 +54,10 @@ ZEROED = "zeroed"
 STATUSES = (ACTIVE, LAUNCH, REALIZED, ZEROED)
 
 # Most steps of dt in one integration grid. The step plan, the runner's time
-# grid, every epoch table and evolve's samples grow by one entry per step,
-# together about 0.4 kB per step for a dim-2 scenario (38 MB at 10^5 steps),
-# so this bound keeps one grid under half a gigabyte while leaving room for
-# runs 1000 times longer than the fixtures' 600 steps.
+# grid and every epoch table (evolve samples one too) grow by one entry per
+# step, together about 0.4 kB per step for a dim-2 scenario (38 MB at 10^5
+# steps), so this bound keeps one grid under half a gigabyte while leaving
+# room for runs 1000 times longer than the fixtures' 600 steps.
 MAX_STEPS = 10**6
 
 

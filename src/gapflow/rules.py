@@ -60,11 +60,6 @@ class RuleSet:
     def trigger_suspended(self) -> bool:
         return bool(self.suspended & TRIGGER_RULES)
 
-    @property
-    def high_side_label(self) -> str:
-        """What this variant calls a frozen high-entropy component."""
-        return "launch" if self.variant == NRULES3 else "ready"
-
     def with_suspended(self, rules) -> "RuleSet":
         """Copy with additional suspended rules (validated against the variant)."""
         return RuleSet(self.variant, self.suspended | frozenset(rules))

@@ -2,6 +2,7 @@
 
 import pathlib
 
+import numpy as np
 import pytest
 
 from gapflow.fixtures import (
@@ -11,6 +12,8 @@ from gapflow.fixtures import (
     two_level,
     two_mode_symmetric,
 )
+from gapflow.model import (ACTIVE, LAUNCH, Component, Gap, HamiltonianPartition, OperatorBlock,
+                           ScenarioModel)
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -68,3 +71,17 @@ def scenario_dir():
 
 def scenario_path(name):
     return SCENARIO_DIR / f"{name}.json"
+
+
+def star_model(n_modes):
+    """One detuned active mode feeding ``n_modes`` one-dimensional launch modes."""
+    dim = n_modes + 1
+    g = np.linspace(0.5, 1.5, n_modes) / np.sqrt(n_modes)
+    components = (Component(0, (0,), 0, ACTIVE),) + tuple(
+        Component(k, (k,), 1, LAUNCH) for k in range(1, dim))
+    gaps = tuple(Gap(0, k, True, OperatorBlock(dim, ((k, 0, complex(g[k - 1])),)))
+                 for k in range(1, dim))
+    own = {0: OperatorBlock(dim, ((0, 0, 0.3 + 0j),))}
+    psi0 = np.zeros(dim, dtype=complex)
+    psi0[0] = 1.0
+    return ScenarioModel(dim, components, HamiltonianPartition(own, gaps), psi0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gapflow import arrow
 from gapflow.arrow import (
     BLOCKED,
     FLOWED,
@@ -13,7 +14,7 @@ from gapflow.arrow import (
     reverse_initial_state,
     suspension_counterfactual,
 )
-from gapflow.dynamics import GapSemantics, IntegratorConfig
+from gapflow.dynamics import GapSemantics, IntegratorConfig, StepPlan
 from gapflow.errors import GapflowError
 from gapflow.fixtures import BUILDERS, two_level
 from gapflow.rules import NRULES3, NRULES4, RuleSet
@@ -126,18 +127,22 @@ def test_reverse_report_nrules4_identical(two_level_model):
     assert a.verdict == b.verdict == BLOCKED
 
 
+def count_steps(monkeypatch) -> list:
+    """Record one entry per dynamics.step call, the one stepping loop's step."""
+    import gapflow.dynamics
+
+    calls = []
+    real = gapflow.dynamics.step
+    monkeypatch.setattr(gapflow.dynamics, "step",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
 @pytest.mark.parametrize("name", ARROW_FIXTURES)
 def test_repeated_reverse_experiment_integrates_nothing(name, monkeypatch):
     """A seed loop integrates the reverse path once: a second experiment on
     an equal model and config, another seed, makes no step at all."""
-    import gapflow.dynamics
-    import gapflow.engine
-
-    calls = []
-    for module in (gapflow.dynamics, gapflow.engine):
-        real = module.step
-        monkeypatch.setattr(module, "step",
-                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    calls = count_steps(monkeypatch)
     cfg = IntegratorConfig(dt=0.01, t_max=3.21)     # a config no other test runs
     first = reverse_experiment(BUILDERS[name](), cfg, seed=1)
     assert calls
@@ -145,3 +150,28 @@ def test_repeated_reverse_experiment_integrates_nothing(name, monkeypatch):
     second = reverse_experiment(BUILDERS[name](), cfg, seed=2)
     assert calls == []
     assert second.to_dict() == {**first.to_dict(), "seed": 2}
+
+
+@pytest.mark.parametrize("t_max", [6.0, 2.005])
+def test_cold_experiments_step_once_per_table_row(t_max, monkeypatch):
+    """A cold reverse experiment makes one step call per row of its epoch-0
+    table, which the profile and the trajectory share, plus one for the
+    point at t_max off the dt grid; a warm one makes none, and a cold
+    forward experiment makes no more than a cold reverse one."""
+    model, cfg = BUILDERS["three_mode"](), IntegratorConfig(dt=0.01, t_max=t_max)
+    plan = StepPlan.of(cfg)
+    calls = count_steps(monkeypatch)
+    for experiment in (reverse_experiment, forward_experiment):
+        arrow._run_cache.cache_clear()
+        arrow._profile_extrema_cached.cache_clear()
+        calls.clear()
+        experiment(model, cfg, seed=3)
+        cold = len(calls)
+        calls.clear()
+        experiment(model, cfg, seed=4)
+        assert calls == []
+        if experiment is reverse_experiment:
+            reverse_cold = cold
+            assert cold == plan.n_full + (plan.rem > 0.0)
+        else:
+            assert 0 < cold <= reverse_cold

@@ -34,9 +34,10 @@ from gapflow.dynamics import (
 from gapflow.engine import post_collapse_statuses
 from gapflow.errors import GapflowError, NonFiniteStateError, NormDriftError
 from gapflow.fixtures import BUILDERS, three_mode, two_level
-from gapflow.model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, ZEROED, Component, Gap,
-                           HamiltonianPartition, OperatorBlock, ScenarioModel, validate_model)
+from gapflow.model import ACTIVE, LAUNCH, MAX_STEPS, REALIZED, ZEROED, validate_model
 from gapflow.rules import NRULES3, NRULES4, RuleSet
+
+from conftest import star_model
 
 R3 = RuleSet(NRULES3)
 R4 = RuleSet(NRULES4)
@@ -458,20 +459,6 @@ def test_gap_backflow_nonzero_in_hermitian_mode(two_level_model):
 # ---------------------------------------------------------------------------
 # Sparse generators above DENSE_DIM_LIMIT
 # ---------------------------------------------------------------------------
-
-
-def star_model(n_modes):
-    """One detuned active mode feeding ``n_modes`` one-dimensional launch modes."""
-    dim = n_modes + 1
-    g = np.linspace(0.5, 1.5, n_modes) / np.sqrt(n_modes)
-    components = (Component(0, (0,), 0, ACTIVE),) + tuple(
-        Component(k, (k,), 1, LAUNCH) for k in range(1, dim))
-    gaps = tuple(Gap(0, k, True, OperatorBlock(dim, ((k, 0, complex(g[k - 1])),)))
-                 for k in range(1, dim))
-    own = {0: OperatorBlock(dim, ((0, 0, 0.3 + 0j),))}
-    psi0 = np.zeros(dim, dtype=complex)
-    psi0[0] = 1.0
-    return ScenarioModel(dim, components, HamiltonianPartition(own, gaps), psi0)
 
 
 @pytest.mark.parametrize("mode", [ONEWAY, COMPENSATED, HERMITIAN])

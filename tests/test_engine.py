@@ -1,5 +1,7 @@
 """Hit sampling, collapse bookkeeping, and full trajectory tests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 
 from gapflow.dynamics import (
     CurrentVector,
+    EpochTable,
     GapSemantics,
     IntegratorConfig,
     assemble_generator,
     component_currents,
     step,
+    step_plan,
 )
 from gapflow.engine import (
     PRESERVE_TOTAL,
@@ -20,7 +24,6 @@ from gapflow.engine import (
     TERMINAL_T_MAX,
     EngineState,
     EpochRunner,
-    EpochTable,
     apply_collapse,
     choose_component,
     hit_rate,
@@ -28,7 +31,6 @@ from gapflow.engine import (
     run_trajectory,
     sample_hit,
     step_grid,
-    step_plan,
     trajectory_rng,
 )
 from gapflow.errors import (
@@ -42,6 +44,8 @@ from gapflow.substreams import substream_draws, substream_keys
 from gapflow.model import (ACTIVE, LAUNCH, REALIZED, ZEROED, load_scenario, serialize_scenario,
                            square_modulus)
 from gapflow.rules import NRULES3, NRULES4, RuleSet
+
+from conftest import WIDE_LAUNCH, star_model
 
 R3 = RuleSet(NRULES3)
 R4 = RuleSet(NRULES4)
@@ -287,33 +291,65 @@ def test_epoch_table_keep_holds_only_the_rows_it_names():
         assert np.array_equal(getattr(lean, column), getattr(full, column))
 
 
-def test_epoch_table_rows_equal_a_step_loop():
-    """Every column of a table, grid rows and shorter-last-step rows alike,
-    holds the floats a plain loop of step and component_currents gives."""
+def table_case(name, mode):
+    """(generator, start state, keep) of the tables the row test checks:
+    each fixture's epoch 0, WIDE_LAUNCH's private epoch-1 table after a
+    collapse onto its two-dimensional launch component, and a dim-301
+    star held as CSR."""
     cfg = IntegratorConfig(dt=0.01, t_max=2.005)
-    model = chain_three_level()
-    runner = EpochRunner(model, R3, cfg, ONEWAY, 0)
-    gen = runner.generator(None, 0)
-    n, rem = runner.n_full, runner.rem
-    assert rem > 0.0
-    table = EpochTable(gen, model.psi0, cfg.dt, n, False, rem)
-    assert not grow_to_end(table, n) and table.n == n
-    psi, neg = np.array(model.psi0), 0
+    if name == "wide_launch":
+        model = load_scenario(json.dumps(WIDE_LAUNCH))
+        start = np.zeros(model.dim, dtype=complex)
+        start[model.indices_of(1)] = (0.6, 0.8j)
+        return EpochRunner(model, R3, cfg, mode, 0).generator(1, 1), start, {7, 50}
+    model = star_model(300) if name == "star301" else BUILDERS[name]()
+    return EpochRunner(model, R3, cfg, mode, 0).generator(None, 0), model.psi0, None
+
+
+@pytest.mark.parametrize("trigger_off", [False, True])
+@pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
+@pytest.mark.parametrize("name", sorted(BUILDERS) + ["wide_launch", "star301"])
+def test_epoch_table_rows_equal_a_step_loop(name, mode, trigger_off):
+    """Every column of a table, grid rows and shorter-last-step rows alike,
+    holds the floats a plain loop of step and component_currents gives,
+    whether the table grew in one stage or first to E = 0.5 and then on."""
+    # The star's compensated steps loop over its 300 gaps, so it runs fewer.
+    dt, n, rem = 0.01, 30 if name == "star301" else 200, 0.005
+    gen, start, keep = table_case(name, mode)
+    tables = [EpochTable(gen, start, dt, n, trigger_off, rem, keep) for _ in range(2)]
+    assert not grow_to_end(tables[0], n) and tables[0].n == n
+    tables[1].grow(0.5, n)
+    assert tables[1].n <= n
+    assert not grow_to_end(tables[1], n) and tables[1].n == n
+    if name == "star301":
+        assert gen.dense is None
+    psi, neg, H, rate = np.array(start), 0, 0.0, 0.0
     for k in range(n + 1):
         if k:
-            psi = step(psi, gen, cfg.dt)
+            psi = step(psi, gen, dt)
         J = component_currents(psi, gen).J
-        neg += bool(k and (J < 0.0).any())
-        assert np.array_equal(table.states[k], psi)
-        assert np.array_equal(table.J[k], J)
-        assert (table.s[k], table.neg[k]) == (square_modulus(psi), neg)
-        if k in (0, 7, n):
-            i = table.tail(k)
-            assert i > n and table.tail(k) == i
-            end = step(psi, gen, rem)
-            assert np.array_equal(table.states[i], end)
-            assert np.array_equal(table.J[i], component_currents(end, gen).J)
-            assert table.neg[i] == neg + bool((table.J[i] < 0.0).any())
+        s = square_modulus(psi)
+        prev, rate = rate, 0.0 if trigger_off else hit_rate(cv(gen.launch_ids, J), s)
+        if k:
+            neg += bool((J < 0.0).any())
+            H += 0.5 * (prev + rate) * dt if rate > 0.0 else 0.0
+        for table in tables:
+            if keep is None or k in table.states:
+                assert np.array_equal(table.states[k], psi)
+                assert np.array_equal(table.J[k], J)
+            assert (table.s[k], table.neg[k], table.rate[k], table.H[k]) == (s, neg, rate, H)
+            if k in (0, 7, n):
+                i = table.tail(k)
+                assert i > n and table.tail(k) == i
+                end = step(psi, gen, rem)
+                J_end = component_currents(end, gen).J
+                assert np.array_equal(table.states[i], end)
+                assert np.array_equal(table.J[i], J_end)
+                assert table.neg[i] == neg + bool((J_end < 0.0).any())
+                r = 0.0 if trigger_off else hit_rate(cv(gen.launch_ids, J_end), square_modulus(end))
+                assert table.H[i] == H + (0.5 * (rate + r) * rem if r > 0.0 else 0.0)
+    if keep is not None:
+        assert {k for k in tables[0].states if k <= n} == {0, 7, 50, n}
 
 
 # ---------------------------------------------------------------------------
