@@ -177,8 +177,13 @@ class ScenarioModel:
                 and np.array_equal(self.psi0, other.psi0))
 
     def __hash__(self):
-        # hamiltonian.own is a dict; the interaction tuple plus the component
-        # list is plenty to discriminate (collisions fall back to __eq__)
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Computed once: cache lookups hash the model on every run. The
+        # interaction tuple plus the component list is plenty to discriminate
+        # (hamiltonian.own is a dict; collisions fall back to __eq__).
         return hash((self.dim, self.components, self.hamiltonian.interactions,
                      self.defaults))
 
