@@ -101,10 +101,6 @@ class GeneratorProvenance:
     suspended: tuple[str, ...]
     epoch: int
 
-    def to_dict(self) -> dict:
-        return {"rules": self.rules, "gap_mode": self.gap_mode,
-                "suspended": list(self.suspended), "epoch": self.epoch}
-
 
 @dataclass(frozen=True)
 class CurrentVector:
@@ -504,8 +500,7 @@ class EpochTable:
         k = self.n
         while k < steps and self.H[k] <= E:
             b = min(FILL_BLOCK, steps - k)
-            block = (self.states[k + 1:k + b + 1] if self.keep is None
-                     else np.empty((b, self.gen.dim), dtype=np.complex128))
+            block = np.empty((b, self.gen.dim), dtype=np.complex128)
             psi = self.states[k]
             for j in range(b):      # the one stepping loop
                 psi = block[j] = step(psi, self.gen, self.dt)

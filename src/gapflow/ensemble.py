@@ -128,8 +128,7 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
                          gap_mode: GapSemantics, refine: int = 10) -> OracleResult:
     """Integrate the no-collapse dynamics on a ``refine``-times finer grid."""
     fine = oracle_grid(cfg, refine)
-    ruleset = RuleSet()
-    gen = assemble_generator(model, ruleset, gap_mode)
+    gen = assemble_generator(model, RuleSet(), gap_mode)
     seg = evolve(model.psi0, gen, 0.0, cfg.t_max, fine)
 
     times = seg.times
