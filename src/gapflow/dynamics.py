@@ -50,7 +50,7 @@ import scipy.sparse as sp
 
 from .errors import DegenerateStateError, GapflowError, NonFiniteStateError, NormDriftError
 from .model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, STATUSES, ZEROED, GapSemantics,
-                    OperatorBlock, ScenarioModel)
+                    OperatorBlock, ScenarioModel, component_moduli)
 from .rules import RuleSet
 
 # Below this total square modulus the compensated loss coefficient J/s_low is
@@ -321,11 +321,8 @@ class TrajectorySegment:
         return self.currents[:, self.launch_ids.index(comp_id)]
 
     def component_moduli(self, model: ScenarioModel) -> dict[int, np.ndarray]:
-        out = {}
-        for c in model.components:
-            block = self.states[:, model.index_arrays[c.id]]
-            out[c.id] = np.einsum("ij,ij->i", block.conj(), block).real
-        return out
+        ids = (c.id for c in model.components)
+        return dict(zip(ids, component_moduli(self.states, model).T))
 
 
 def component_currents(state: np.ndarray, gen: EffectiveGenerator) -> CurrentVector:

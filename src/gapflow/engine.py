@@ -46,7 +46,8 @@ from .dynamics import (CurrentVector, EffectiveGenerator, EpochTable, GapSemanti
                        IntegratorConfig, StepPlan, _check_epoch_drift, assemble_generator)
 from .dynamics import step_grid  # noqa: F401  (kept importable as engine.step_grid)
 from .errors import CollapseOnEmptyError, DegenerateStateError, GapflowError, NoChoiceError
-from .model import LAUNCH, REALIZED, ZEROED, ScenarioModel, project, square_modulus
+from .model import (LAUNCH, REALIZED, ZEROED, ScenarioModel, component_moduli, project,
+                    square_modulus)
 from .rules import RuleSet
 from .substreams import substream_draws, substream_keys
 from .substreams import trajectory_rng  # noqa: F401  (kept importable as engine.trajectory_rng)
@@ -444,12 +445,11 @@ class EpochRunner:
         for i, (_, c, tab, r) in enumerate(rows):
             currents[i, [column[m] for m in tab.gen.launch_ids]] = _abs2(c) * tab.J[r]
         states = np.array([c * tab.states[r] for _, c, tab, r in rows])
-        sq = (states.conj() * states).real
-        ids = tuple(c.id for c in model.components)
         return TrajectorySamples(
-            times=np.array([row[0] for row in rows]), s=sq.sum(axis=1),
-            moduli=np.stack([sq[:, model.index_arrays[i]].sum(axis=1) for i in ids], axis=1),
-            currents=currents, component_ids=ids, current_ids=cand)
+            times=np.array([row[0] for row in rows]),
+            s=(states.conj() * states).real.sum(axis=1), moduli=component_moduli(states, model),
+            currents=currents, component_ids=tuple(c.id for c in model.components),
+            current_ids=cand)
 
 
 def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,

@@ -246,12 +246,16 @@ def project(state: np.ndarray, comp_id: int, model: ScenarioModel) -> np.ndarray
     return out
 
 
+def component_moduli(states: np.ndarray, model: ScenarioModel) -> np.ndarray:
+    """Square modulus of each component, in model order, per row of ``states``."""
+    sq = (states.conj() * states).real
+    return np.stack([sq[:, model.index_arrays[c.id]].sum(axis=1) for c in model.components],
+                    axis=1)
+
+
 def component_square_moduli(state: np.ndarray, model: ScenarioModel) -> dict[int, float]:
-    psi = np.asarray(state)
-    return {
-        c.id: float(np.vdot(psi[model.index_arrays[c.id]], psi[model.index_arrays[c.id]]).real)
-        for c in model.components
-    }
+    moduli = component_moduli(np.asarray(state)[None, :], model)[0]
+    return {c.id: float(m) for c, m in zip(model.components, moduli)}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import TrajectorySegment
 from .engine import CollapseEvent, TrajectorySamples
 from .ensemble import EnsembleStats, OracleResult
-from .model import ScenarioModel
+from .model import ScenarioModel, component_moduli
 from .version import __version__
 
 MANIFEST_SCHEMA = "manifest/1"
@@ -67,11 +67,8 @@ def write_trajectory_csv(path, samples: TrajectorySamples):
 
 
 def write_segment_csv(path, seg: TrajectorySegment, model: ScenarioModel):
-    moduli = seg.component_moduli(model)
-    comp_ids = tuple(c.id for c in model.components)
-    stacked = np.column_stack([moduli[cid] for cid in comp_ids]) if comp_ids \
-        else np.empty((len(seg.times), 0))
-    _write_text(path, _csv_rows(seg.times, seg.s, stacked, comp_ids,
+    _write_text(path, _csv_rows(seg.times, seg.s, component_moduli(seg.states, model),
+                                tuple(c.id for c in model.components),
                                 seg.currents, seg.launch_ids))
 
 
