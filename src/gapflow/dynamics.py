@@ -30,12 +30,15 @@ worker layouts. A step takes one of two paths:
   (its loss term is nonlinear, so no M_h exists), and so do CSR generators
   (M_h of a sparse G such as a hermitian star fills in).
 
-EpochTable is the one stepping loop. It tabulates an epoch's deterministic
-evolution row by row: a block of FILL_BLOCK steps, then the block's currents
-(one stacked product on the propagator path, per row otherwise), square
-moduli, rates and gated hazard at once. Trajectories draw against tables
-(engine), and evolve, behind the oracle and `gapflow currents`, is a
-trigger-off table walked to its end, as is the arrow profile.
+step_block is the one stepping routine: it fills a block of rows, each one
+step after the row before it. On the propagator path that is the bare
+recurrence psi = M_h @ psi with one finiteness check per block; the staged
+path checks every row. step is a block of one. EpochTable tabulates an
+epoch's deterministic evolution a block of FILL_BLOCK steps at a time, then
+fills the block's currents (one stacked product on the propagator path, per
+row otherwise), square moduli, rates and gated hazard at once. Trajectories
+draw against tables (engine), and evolve, behind the oracle and `gapflow
+currents`, is a trigger-off table walked to its end, as is the arrow profile.
 """
 
 from __future__ import annotations
@@ -273,27 +276,50 @@ def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantic
     )
 
 
+def step_block(psi: np.ndarray, gen: EffectiveGenerator, h: float,
+               out: np.ndarray) -> np.ndarray:
+    """Fill the rows of ``out`` with RK4 updates of dpsi/dt = gen.apply(psi),
+    each one step of h after the row before it and the first one step after
+    ``psi``; returns ``out``. The one stepping routine: EpochTable grows
+    through it and step is a block of one.
+
+    Where gen.propagator has an M_h, a row is M_h @ psi and the block is
+    checked for non-finite amplitudes once, at its end. The staged path
+    checks each row before it stages the next, so a non-finite state never
+    runs on into further gen.apply calls.
+
+    h may be negative (used by the central-difference current oracle).
+    """
+    m = gen.propagator(h)
+    if m is not None:
+        for j in range(len(out)):
+            psi = out[j] = m @ psi
+        if not np.isfinite(out).all():
+            raise _non_finite(gen, h)
+        return out
+    for j in range(len(out)):
+        k1 = gen.apply(psi)
+        k2 = gen.apply(psi + (0.5 * h) * k1)
+        k3 = gen.apply(psi + (0.5 * h) * k2)
+        k4 = gen.apply(psi + h * k3)
+        psi = out[j] = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(psi).all():
+            raise _non_finite(gen, h)
+    return out
+
+
+def _non_finite(gen: EffectiveGenerator, h: float) -> NonFiniteStateError:
+    return NonFiniteStateError(f"non-finite amplitudes after step dt={h} "
+                               f"(epoch {gen.provenance.epoch}, mode {gen.mode.token})")
+
+
 def step(state: np.ndarray, gen: EffectiveGenerator, dt: float) -> np.ndarray:
-    """One RK4 update of dpsi/dt = gen.apply(psi): M_dt @ psi where
-    gen.propagator has one, the four stages otherwise.
+    """One RK4 update of dpsi/dt = gen.apply(psi): step_block of one row.
 
     dt may be negative (used by the central-difference current oracle).
     """
     psi = np.asarray(state, dtype=np.complex128)
-    m = gen.propagator(dt)
-    if m is not None:
-        out = m @ psi
-    else:
-        k1 = gen.apply(psi)
-        k2 = gen.apply(psi + (0.5 * dt) * k1)
-        k3 = gen.apply(psi + (0.5 * dt) * k2)
-        k4 = gen.apply(psi + dt * k3)
-        out = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
-        raise NonFiniteStateError(
-            f"non-finite amplitudes after step dt={dt} "
-            f"(epoch {gen.provenance.epoch}, mode {gen.mode.token})")
-    return out
+    return step_block(psi, gen, dt, np.empty((1, len(psi)), dtype=np.complex128))[0]
 
 
 @dataclass
@@ -438,16 +464,20 @@ class EpochTable:
     row, the rows in ``keep``, the first row whose hazard passed a grow's E
     and the shorter-last-step points only, so a table that serves one
     trajectory of a wide model stays small; without it, they are arrays.
+
+    With ``gen`` None the table is a quiescent epoch's: no launch component,
+    so no currents, and its start row only (``steps`` 0, ``rem`` 0.0).
     """
 
-    def __init__(self, gen: EffectiveGenerator, start: np.ndarray, dt: float,
+    def __init__(self, gen: EffectiveGenerator | None, start: np.ndarray, dt: float,
                  steps: int, trigger_off: bool, rem: float = 0.0,
                  keep: set[int] | None = None):
         self.gen, self.dt, self.trigger_off, self.rem, self.keep = gen, dt, trigger_off, rem, keep
+        self.launch_ids = gen.launch_ids if gen else ()
         rows = (steps + 1) * (2 if rem else 1)
         if keep is None:
             self.states = np.empty((rows, len(start)), dtype=np.complex128)
-            self.J = np.empty((rows, len(gen.launch_ids)))
+            self.J = np.empty((rows, len(self.launch_ids)))
         else:
             self.states, self.J = {}, {}
         self.s, self.rate, self.H = np.empty(rows), np.empty(rows), np.zeros(rows)
@@ -463,7 +493,9 @@ class EpochTable:
         Stacked matvecs and dot products round as component_currents'
         dense @ psi and square_modulus's np.vdot do; block @ dense.T need not."""
         gen, b = self.gen, len(block)
-        if gen.linear_dense:
+        if gen is None:
+            J = np.empty((b, 0))
+        elif gen.linear_dense:
             idx, starts = gen.launch_runs
             dpsi = -1j * (gen.dense @ block[:, :, None])[:, :, 0]
             J = 2.0 * np.add.reduceat((block[:, idx].conj() * dpsi[:, idx]).real, starts, axis=1)
@@ -498,9 +530,7 @@ class EpochTable:
         while k < steps and self.H[k] <= E:
             b = min(FILL_BLOCK, steps - k)
             block = np.empty((b, self.gen.dim), dtype=np.complex128)
-            psi = self.states[k]
-            for j in range(b):      # the one stepping loop
-                psi = block[j] = step(psi, self.gen, self.dt)
+            step_block(self.states[k], self.gen, self.dt, block)
             self._store(k + 1, k, block, self.dt, E)
             if k and self.keep is not None and k not in self.keep:
                 del self.states[k], self.J[k]

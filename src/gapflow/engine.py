@@ -11,21 +11,21 @@ exp(-r_bar h), as for a per-step draw with p = 1 - exp(-r_bar h) (the
 waiting-time method of Monte-Carlo wavefunction solvers). A hit zeroes the
 other components exactly, marks the chosen one realized, bridges the gaps it
 sources and starts the next epoch; with no bridged gap left the trajectory is
-quiescent.
+quiescent, and its last epoch's table holds the collapsed state alone, with
+no generator assembled.
 
 Every generator mode is homogeneous of degree 1 (the compensated loss J/s_low
-is scale-free), so an epoch is tabulated (dynamics.EpochTable, the one
-stepping loop) from a canonical start, psi0 or the
-unit basis state of a one-dimensional chosen component, and a trajectory
-carries a complex scale c: states c times the table's, s and J |c|^2 times,
-rates and hazard unchanged. Once its E is drawn, an epoch of a trajectory is
-a lookup into its table, so EpochRunner.walk advances a block of
-trajectories at once, grouped by (epoch, last chosen component): one
-searchsorted finds every hit row of a group and one cumulative-weights
-comparison every choice. A collapse onto a wider component starts a table
-of its own, walked as a group of one. run_ensemble walks its trajectories in
-blocks (ensemble.BLOCK) and run_trajectory walks a block of one, so both
-run the same epoch loop.
+is scale-free), so an epoch is tabulated (dynamics.EpochTable) from a
+canonical start, psi0 or the unit basis state of a one-dimensional chosen
+component, and a trajectory carries a complex scale c: states c times the
+table's, s and J |c|^2 times, rates and hazard unchanged. Once its E is
+drawn, an epoch of a trajectory is a lookup into its table, so
+EpochRunner.walk advances a block of trajectories at once, grouped by
+(epoch, last chosen component): one searchsorted finds every hit row of a
+group and one cumulative-weights comparison every choice. A collapse onto a
+wider component starts a table of its own, walked as a group of one.
+run_ensemble walks its trajectories in blocks (ensemble.BLOCK) and
+run_trajectory walks a block of one, so both run the same epoch loop.
 
 nrules3 and nrules4 share every code path; the variant only relabels the
 frozen status. Randomness comes from a counter-based Philox substream keyed
@@ -273,6 +273,7 @@ class EpochRunner:
             plan, self.tables = plans[cfg]
         self.plan = plan
         self.times, self.sampled, self.rem, self.n_full = plan
+        self._sources = frozenset(g.low for g in model.gaps if g.irreversible)
         # Epoch-0 collapses onto one-dimensional components: (row, chosen) ->
         # the next epoch's scale. Every epoch-0 scale is 1, so a walk of many
         # blocks collapses once per distinct row and choice.
@@ -288,20 +289,35 @@ class EpochRunner:
                 self.model, self.ruleset, self.gap_mode, statuses=statuses, epoch=epoch)
         return gen
 
+    def quiescent(self, chosen: int | None) -> bool:
+        """Whether the epoch after collapsing onto ``chosen`` (None: epoch 0)
+        is quiescent: it takes no step and reads its start row only.
+
+        That is so when ``chosen`` sources no irreversible gap, which is
+        ``not gen.backflows`` for its generator in every gap mode and rule
+        set: post_collapse_statuses then launches no component and zeroes
+        every one but ``chosen``, so every gap has a zeroed end (validation
+        rejects a gap from a component to itself) and assemble_generator
+        includes none.
+        """
+        return chosen is not None and chosen not in self._sources
+
     def table(self, epoch: int, chosen: int | None, start: np.ndarray | None = None,
               keep: set[int] | None = None) -> EpochTable:
         """The table of ``epoch`` after ``chosen`` (None: epoch 0) from
         ``start``, else the canonical start: without ``keep`` the cache's
-        shared one, built on first use; with it, a new one (see EpochTable)."""
+        shared one, built on first use; with it, a new one (see EpochTable).
+        A quiescent epoch's table has no generator."""
         if keep is None and (epoch, chosen) in self.tables:
             return self.tables[(epoch, chosen)]
-        gen = self.generator(chosen, epoch)
-        quiescent = epoch > 0 and not gen.backflows
         if start is None:
             start = self.model.psi0 if chosen is None else _unit(self.model, chosen)
-        table = EpochTable(gen, start, self.cfg.dt, 0 if quiescent else self.n_full,
-                           self.ruleset.trigger_suspended, 0.0 if quiescent else self.rem,
-                           keep)
+        trigger_off = self.ruleset.trigger_suspended
+        if self.quiescent(chosen):
+            table = EpochTable(None, start, self.cfg.dt, 0, trigger_off, 0.0, keep)
+        else:
+            table = EpochTable(self.generator(chosen, epoch), start, self.cfg.dt, self.n_full,
+                               trigger_off, self.rem, keep)
         if keep is None:
             self.tables[(epoch, chosen)] = table
         return table
@@ -345,7 +361,6 @@ class EpochRunner:
 
     def _epoch(self, epoch, chosen, shared, start, keys, pos, scale, k0, record) -> LegGroup:
         """Advance one group through its epoch."""
-        cfg, gen = self.cfg, self.generator(chosen, epoch)
         keep = None if shared else (
             set(np.flatnonzero(self.sampled[int(k0[0]):self.n_full + 1]).tolist())
             if record else set())
@@ -353,8 +368,9 @@ class EpochRunner:
         zeros = np.zeros(len(pos), np.int64)
         # With no bridged gap left after a collapse the realized component
         # evolves unitarily and no further hit can fire.
-        if epoch > 0 and not gen.backflows:
+        if self.quiescent(chosen):
             return LegGroup(epoch, table, pos, scale, k0, zeros, zeros, zeros - 1, True)
+        cfg, gen = self.cfg, table.gen
         # The pair a sequential walk of the substream draws at this epoch.
         E, u = substream_draws(keys[pos], epoch + 1)[:, -2:].T
         steps = np.maximum(self.n_full - k0, 0)
@@ -443,7 +459,7 @@ class EpochRunner:
         column = {m: i for i, m in enumerate(cand)}
         currents = np.zeros((len(rows), len(cand)))
         for i, (_, c, tab, r) in enumerate(rows):
-            currents[i, [column[m] for m in tab.gen.launch_ids]] = _abs2(c) * tab.J[r]
+            currents[i, [column[m] for m in tab.launch_ids]] = _abs2(c) * tab.J[r]
         states = np.array([c * tab.states[r] for _, c, tab, r in rows])
         return TrajectorySamples(
             times=np.array([row[0] for row in rows]),
@@ -476,7 +492,7 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
     runner = EpochRunner(model, ruleset, cfg, gap_mode, seed, policy, gen_cache)
     legs, terminal = runner.legs(traj_index, record=record_samples)
     events = [CollapseEvent(t_sc=leg.t, chosen=leg.chosen, pre_hit_s=leg.s,
-                            pre_hit_J=CurrentVector(leg.table.gen.launch_ids, leg.J),
+                            pre_hit_J=CurrentVector(leg.table.launch_ids, leg.J),
                             epoch=epoch, norm_policy=policy)
               for epoch, leg in enumerate(legs) if leg.chosen is not None]
     end = legs[-1]

@@ -235,6 +235,12 @@ class ScenarioModel:
         compared only for the same model; output.scenario_hash is the file-byte
         hash that ``rerun`` checks.
         """
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        # Computed once: serializing a wide model costs milliseconds, and
+        # every ensemble command asks twice.
         return hashlib.sha256(serialize_scenario(self).encode()).hexdigest()
 
 

@@ -128,13 +128,18 @@ def test_reverse_report_nrules4_identical(two_level_model):
 
 
 def count_steps(monkeypatch) -> list:
-    """Record one entry per dynamics.step call, the one stepping loop's step."""
+    """Record one entry per row that dynamics.step_block, the one stepping
+    routine, fills."""
     import gapflow.dynamics
 
     calls = []
-    real = gapflow.dynamics.step
-    monkeypatch.setattr(gapflow.dynamics, "step",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = gapflow.dynamics.step_block
+
+    def counted(psi, gen, h, out):
+        calls.extend([1] * len(out))
+        return real(psi, gen, h, out)
+
+    monkeypatch.setattr(gapflow.dynamics, "step_block", counted)
     return calls
 
 

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from gapflow.arrow import reverse_initial_state
 from gapflow.dynamics import (
     DENSE_DIM_LIMIT,
+    FILL_BLOCK,
     PROPAGATOR_CACHE_SIZE,
+    EpochTable,
     GapSemantics,
     IntegratorConfig,
     assemble_generator,
@@ -29,6 +31,7 @@ from gapflow.dynamics import (
     fd_current_check,
     gap_backflow,
     step,
+    step_block,
     step_plan,
 )
 from gapflow.engine import post_collapse_statuses
@@ -338,6 +341,68 @@ def test_evolve_currents_equal_per_row_currents(name, mode):
     seg = evolve(model.psi0, gen, 0.0, 1.005, IntegratorConfig(dt=0.01, sample_every=3))
     per_row = np.array([component_currents(psi, gen).J for psi in seg.states])
     np.testing.assert_array_equal(seg.currents, per_row)
+
+
+def reference_step(psi, gen, h):
+    """One step as the row-by-row loop took it: M_h @ psi where gen has an
+    M_h, the four stages otherwise."""
+    m = gen.propagator(h)
+    return m @ psi if m is not None else rk4_stages(psi, gen, h)
+
+
+@pytest.mark.parametrize("length", [1, 77, FILL_BLOCK])
+@pytest.mark.parametrize("name,mode", [
+    *((name, mode) for name in sorted(BUILDERS) for mode in GapSemantics),
+    # Held dense at DENSE_DIM_LIMIT, so on the M_h path; its compensated
+    # steps would loop over 255 gaps per stage and stay off the M_h path.
+    ("star256", ONEWAY), ("star256", HERMITIAN)], ids=lambda v: getattr(v, "token", v))
+def test_step_block_rows_equal_a_row_by_row_loop(name, mode, length):
+    """Every row of step_block holds the floats of a loop that steps the row
+    before it, by the reference arithmetic and by step."""
+    model = star_model(DENSE_DIM_LIMIT - 1) if name == "star256" else BUILDERS[name]()
+    gen = assemble_generator(model, R3, mode)
+    assert gen.dense is not None
+    rng = np.random.default_rng(11)
+    start = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
+    start /= np.linalg.norm(start)
+    for h in (0.01, 0.005):
+        out = step_block(start, gen, h, np.empty((length, model.dim), dtype=complex))
+        ref, by_step = start, start
+        for row in out:
+            ref, by_step = reference_step(ref, gen, h), step(by_step, gen, h)
+            assert row.tobytes() == ref.tobytes() == by_step.tobytes()
+
+
+@pytest.mark.parametrize("mode,amplitude", [(HERMITIAN, 1e300), (COMPENSATED, 1e150)])
+def test_step_block_raises_where_a_block_overflows(mode, amplitude):
+    """A start that overflows partway through a block (RK4 is unstable at
+    this h) raises the error step raises on the first non-finite row, from
+    step_block and from a table's grow; the staged path applies G to no row
+    after that one."""
+    model = two_level()
+    gen = assemble_generator(model, R3, mode)
+    start, h = np.array([amplitude + 0j, 0.0]), 3.0
+    rows = [start]
+    with np.errstate(all="ignore"):
+        while np.isfinite(rows[-1]).all():
+            rows.append(reference_step(rows[-1], gen, h))
+    bad = len(rows) - 1                 # the first non-finite row, 1-based
+    assert 1 < bad < FILL_BLOCK
+    with pytest.raises(NonFiniteStateError) as expected, np.errstate(all="ignore"):
+        step(rows[bad - 1], gen, h)
+    applied = []
+    real_apply = gen.apply
+    object.__setattr__(gen, "apply", lambda psi: applied.append(1) or real_apply(psi))
+    with pytest.raises(NonFiniteStateError) as raised, np.errstate(all="ignore"):
+        step_block(start, gen, h, np.empty((FILL_BLOCK, model.dim), dtype=complex))
+    assert str(raised.value) == str(expected.value)
+    if gen.propagator(h) is None:
+        assert len(applied) == 4 * bad
+    with pytest.raises(NonFiniteStateError) as raised, np.errstate(all="ignore"):
+        table = EpochTable(gen, start, h, FILL_BLOCK, True)
+        table.grow(np.inf, FILL_BLOCK)
+    assert str(raised.value) == str(expected.value)
+    assert table.n == 0
 
 
 def test_propagator_is_lazy_bounded_and_linear_only(three_mode_model):

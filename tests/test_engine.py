@@ -364,6 +364,66 @@ def run_once(model, seed=1, *, rules=R3, t_max=6.0, dt=0.01, policy=PRESERVE_TOT
                           traj_index=traj_index, policy=policy)
 
 
+def test_epoch_hazard_bias_is_second_order_in_dt():
+    """three_mode's oneway hazard is ln(1 + 4 t^2) in closed form (sum g^2
+    = 4). The tabulated one is within 1.5e-4 (dt/0.01)^2 of it over the run,
+    and its error falls by 3 to 5 times for each halving of dt."""
+    model, errors = three_mode(), []
+    for dt in (0.02, 0.01, 0.005):
+        cfg = IntegratorConfig(dt=dt, t_max=6.0)
+        runner = EpochRunner(model, R3, cfg, ONEWAY, 0, gen_cache={})
+        table = runner.table(0, None)
+        assert not grow_to_end(table, runner.n_full)
+        t = runner.times[:runner.n_full + 1]
+        errors.append(float(np.abs(table.H[:runner.n_full + 1] - np.log1p(4.0 * t * t)).max()))
+        assert errors[-1] <= 1.5e-4 * (dt / 0.01) ** 2
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.0 <= coarse / fine <= 5.0
+
+
+QUIESCENCE_MODELS = {**BUILDERS,
+                     "wide_launch": lambda: load_scenario(json.dumps(WIDE_LAUNCH)),
+                     "star": lambda: star_model(5)}
+
+
+@pytest.mark.parametrize("rules", [R3, R3.with_suspended(["n3_1"]), R4,
+                                   R4.with_suspended(["n4_4"])],
+                         ids=lambda r: "-".join([r.variant, *sorted(r.suspended)]))
+@pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
+@pytest.mark.parametrize("name", sorted(QUIESCENCE_MODELS))
+def test_quiescent_epoch_is_one_whose_generator_has_no_gap(name, mode, rules):
+    """EpochRunner.quiescent, read from the model, agrees with the generator
+    test it replaces, not gen.backflows, after every possible collapse."""
+    model = QUIESCENCE_MODELS[name]()
+    runner = EpochRunner(model, rules, IntegratorConfig(), mode, 0)
+    assert not runner.quiescent(None)
+    for chosen in model.launch_candidate_ids:
+        gen = assemble_generator(model, rules, mode, epoch=1,
+                                 statuses=post_collapse_statuses(model, chosen))
+        assert runner.quiescent(chosen) == (not gen.backflows)
+
+
+def test_fan_out_ensemble_assembles_no_generator_after_epoch_0(monkeypatch):
+    """Every collapse of a star lands on a component that sources no gap, so
+    a fan-out ensemble assembles its epoch-0 generator and nothing else."""
+    import gapflow.engine
+    from gapflow.ensemble import run_ensemble
+
+    epochs = []
+    real = gapflow.engine.assemble_generator
+
+    def counted(*args, **kwargs):
+        epochs.append(kwargs.get("epoch", 0))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gapflow.engine, "assemble_generator", counted)
+    model = star_model(511)
+    stats = run_ensemble(model, R3, IntegratorConfig(dt=0.02, t_max=1.0), ONEWAY, 400, 7)
+    assert stats.n_hits > 100 and len(set(stats.hit_components.tolist())) > 50
+    assert epochs == [0]
+    assert stats.totals["terminals"]["quiescent"] == stats.n_hits
+
+
 def test_two_level_trajectory_hits_the_launch_side(two_level_model):
     rec = run_once(two_level_model, seed=5)
     assert len(rec.events) == 1
