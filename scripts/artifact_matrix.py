@@ -10,7 +10,8 @@ samples), 150 in all, each in-process through
 stdout and stderr of each invocation (the output directory masked), sorted
 by path. Two listings taken on two source trees with the same `--scenarios`
 directory are compared with `diff`, or with `--compare OTHER`, which prints
-the paths whose bytes differ.
+the paths whose bytes differ and exits 1 if there is any (0 if none), so a
+claim that no artifact byte moved can be checked by exit code.
 
 Example (a change against a checkout of its parent):
 
@@ -95,7 +96,8 @@ def main() -> int:
     ap.add_argument("--scenarios", default=str(ROOT / "scenarios"),
                     help="directory of scenario JSON files")
     ap.add_argument("--compare", default=None,
-                    help="an earlier sha256.txt; print the paths whose bytes differ")
+                    help="an earlier sha256.txt; print the paths whose bytes differ "
+                         "and exit 1 if any do")
     args = ap.parse_args()
 
     sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
@@ -111,7 +113,7 @@ def main() -> int:
     for name in changed:
         print(f"changed: {name}")
     print(f"{len(changed)} of {len(new)} entries changed")
-    return 0
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -15,12 +15,10 @@ from .model import (ACTIVE, LAUNCH, REALIZED, ZEROED, Component, Gap, GapSemanti
 from .dynamics import (CurrentVector, EffectiveGenerator, IntegratorConfig,
                        TrajectorySegment, assemble_generator, component_currents, evolve,
                        fd_current_check, gap_backflow, step)
-from .engine import (PRESERVE_TOTAL, RAW, CollapseEvent, EngineState,
-                     TrajectoryRecord, TrajectorySamples, apply_collapse,
-                     choose_component, hit_rate, run_trajectory, sample_hit,
-                     trajectory_rng)
+from .engine import (PRESERVE_TOTAL, RAW, CollapseEvent, TrajectoryRecord,
+                     TrajectorySamples, run_trajectory, trajectory_rng)
 from .ensemble import (ComparisonReport, EnsembleStats, OracleResult, compare,
-                       deterministic_oracle, ks_statistic, run_ensemble)
+                       deterministic_oracle, run_ensemble)
 from .arrow import (ArrowReport, forward_experiment, reverse_experiment,
                     reverse_initial_state, suspension_counterfactual)
 

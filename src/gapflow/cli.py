@@ -13,6 +13,7 @@ original files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -275,8 +276,16 @@ def cmd_rerun(args, parser) -> int:
     return main(argv)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on first use: every parse_args call
+    returns a new namespace, so in-process commands (and rerun, which
+    re-enters main) share it safely."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

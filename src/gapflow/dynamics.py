@@ -396,31 +396,6 @@ def gap_backflow(state: np.ndarray, gen: EffectiveGenerator) -> dict[tuple[int, 
     return out
 
 
-def step_plan(cfg: IntegratorConfig) -> list[tuple[float, float, bool]]:
-    """(end time, step size, sample flag) per integration step of a run.
-
-    The last step is pinned exactly onto t_max so accumulated k*dt roundoff
-    cannot leave the final sample at 5.999999999999999-style times; a
-    non-integer span gets a shorter final step.
-    """
-    dt = cfg.dt
-    n_full = int(math.floor(cfg.t_max / dt + 1e-9))
-    rem = cfg.t_max - n_full * dt
-    if rem < 1e-9 * dt:
-        rem = 0.0
-    plan = [(k * dt, dt, k % cfg.sample_every == 0) for k in range(1, n_full + 1)]
-    if rem > 0.0:
-        plan.append((cfg.t_max, rem, True))
-    elif plan:
-        plan[-1] = (cfg.t_max, dt, True)
-    return plan
-
-
-def step_grid(cfg: IntegratorConfig) -> np.ndarray:
-    """Step-end times of a run; hit times are always members of this grid."""
-    return np.array([t for t, _, _ in step_plan(cfg)])
-
-
 def _check_epoch_drift(gen, cfg, s_now, s_epoch_start, elapsed):
     if gen.conserves_norm and elapsed > 0:
         drift = abs(s_now - s_epoch_start)
@@ -432,7 +407,13 @@ def _check_epoch_drift(gen, cfg, s_now, s_epoch_start, elapsed):
 
 
 class StepPlan(NamedTuple):
-    """A config's step plan as tables and walks read it."""
+    """A run's time grid, as tables, walks and evolve read it.
+
+    The run takes n_full steps of dt. The last grid point is pinned exactly
+    onto t_max, so accumulated k*dt roundoff cannot leave the final sample at
+    5.999999999999999-style times; a span that is not a whole number of steps
+    (beyond a 1e-9 dt guard) ends on a shorter step of rem instead.
+    """
 
     times: np.ndarray       # time after k steps of the run, from k = 0
     sampled: np.ndarray     # whether a sample is recorded after k steps
@@ -441,11 +422,25 @@ class StepPlan(NamedTuple):
 
     @classmethod
     def of(cls, cfg: IntegratorConfig) -> "StepPlan":
-        plan = step_plan(cfg)
-        rem = plan[-1][1] if plan and plan[-1][1] != cfg.dt else 0.0
-        return cls(np.array([0.0] + [t for t, _, _ in plan]),
-                   np.array([True] + [flag for _, _, flag in plan]),
-                   rem, len(plan) - (rem > 0.0))
+        dt = cfg.dt
+        n_full = int(math.floor(cfg.t_max / dt + 1e-9))
+        rem = cfg.t_max - n_full * dt
+        if rem < 1e-9 * dt:
+            rem = 0.0
+        k = np.arange(n_full + 1)
+        # A sample_every past the last step flags k = 0 alone, as n_full + 1
+        # does; capping it keeps a huge one within int64.
+        times, sampled = k * dt, k % min(cfg.sample_every, n_full + 1) == 0
+        if rem:
+            times, sampled = np.append(times, cfg.t_max), np.append(sampled, True)
+        elif n_full:
+            times[-1], sampled[-1] = cfg.t_max, True
+        return cls(times, sampled, rem, n_full)
+
+
+def step_grid(cfg: IntegratorConfig) -> np.ndarray:
+    """Step-end times of a run; hit times are always members of this grid."""
+    return StepPlan.of(cfg).times[1:]
 
 
 class EpochTable:
@@ -574,7 +569,7 @@ class EpochTable:
 
 def evolve(state: np.ndarray, gen: EffectiveGenerator, t0: float, t1: float,
            cfg: IntegratorConfig) -> TrajectorySegment:
-    """Integrate from t0 to t1 along step_plan of the span, sampling every
+    """Integrate from t0 to t1 along the StepPlan of the span, sampling every
     cfg.sample_every steps: the sampled rows of a trigger-off EpochTable.
 
     The span need not be an integer number of steps; a shorter final step
@@ -590,7 +585,7 @@ def evolve(state: np.ndarray, gen: EffectiveGenerator, t0: float, t1: float,
     if len(times) > 1:
         times[-1] = t1
     elif span > 0:
-        # A span below step_plan's 1e-9 dt guard takes no step but still
+        # A span below StepPlan's 1e-9 dt guard takes no step but still
         # ends on t1.
         rows, times = np.zeros(2, np.intp), np.array([t0, t1])
     _check_epoch_drift(gen, cfg, float(table.s[rows[-1]]), float(table.s[0]), span)

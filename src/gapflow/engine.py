@@ -45,7 +45,7 @@ import numpy as np
 from .dynamics import (CurrentVector, EffectiveGenerator, EpochTable, GapSemantics,
                        IntegratorConfig, StepPlan, _check_epoch_drift, assemble_generator)
 from .dynamics import step_grid  # noqa: F401  (kept importable as engine.step_grid)
-from .errors import CollapseOnEmptyError, DegenerateStateError, GapflowError, NoChoiceError
+from .errors import CollapseOnEmptyError, GapflowError, NoChoiceError
 from .model import (LAUNCH, REALIZED, ZEROED, ScenarioModel, component_moduli, project,
                     square_modulus)
 from .rules import RuleSet
@@ -58,15 +58,6 @@ NORM_POLICIES = (PRESERVE_TOTAL, RAW)
 
 TERMINAL_T_MAX = "t_max"
 TERMINAL_QUIESCENT = "quiescent"
-
-
-@dataclass
-class EngineState:
-    epoch: int
-    t: float
-    statuses: dict[int, str]
-    state: np.ndarray
-    rng_stream: np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -112,28 +103,6 @@ class TrajectoryRecord:
     @property
     def first_event(self) -> CollapseEvent | None:
         return self.events[0] if self.events else None
-
-
-def hit_rate(J: CurrentVector, s: float) -> float:
-    """(sum of positive currents) / s, the probability per unit time of a hit."""
-    if s <= 0.0:
-        raise DegenerateStateError(f"total square modulus {s} is not positive")
-    return J.total_positive() / s
-
-
-def sample_hit(rng: np.random.Generator, rate: float, dt: float) -> bool:
-    """Bernoulli thinning: hit with probability 1 - exp(-rate*dt)."""
-    if rate < 0.0:
-        raise GapflowError(f"negative hit rate {rate}")
-    if rate == 0.0:
-        return False
-    return rng.random() < -math.expm1(-rate * dt)
-
-
-def choose_component(rng: np.random.Generator, J: CurrentVector) -> int:
-    """Pick a launch component with probability proportional to max(J_m, 0)."""
-    weights = np.clip(J.J, 0.0, None)[None, :]
-    return J.ids[int(_choose(weights, np.array([rng.random()]))[0])]
 
 
 def _choose(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -184,19 +153,6 @@ def collapse_state(psi: np.ndarray, chosen: int, model: ScenarioModel,
     if policy == PRESERVE_TOTAL:
         collapsed *= math.sqrt(s_pre / s_chosen)
     return collapsed
-
-
-def apply_collapse(engine: EngineState, chosen: int, model: ScenarioModel,
-                   policy: str = PRESERVE_TOTAL) -> EngineState:
-    """Collapse ``engine`` onto ``chosen`` and open the next epoch."""
-    if engine.statuses.get(chosen) != LAUNCH:
-        raise GapflowError(
-            f"component {chosen} has status {engine.statuses.get(chosen)!r}, "
-            "only a launch component can realize")
-    return EngineState(epoch=engine.epoch + 1, t=engine.t,
-                       statuses=post_collapse_statuses(model, chosen),
-                       state=collapse_state(engine.state, chosen, model, policy),
-                       rng_stream=engine.rng_stream)
 
 
 def _abs2(c: complex) -> float:
@@ -306,9 +262,11 @@ class EpochRunner:
               keep: set[int] | None = None) -> EpochTable:
         """The table of ``epoch`` after ``chosen`` (None: epoch 0) from
         ``start``, else the canonical start: without ``keep`` the cache's
-        shared one, built on first use; with it, a new one (see EpochTable).
-        A quiescent epoch's table has no generator."""
-        if keep is None and (epoch, chosen) in self.tables:
+        shared one, built on first use (on a runner without a cache, a new
+        full table that is stored nowhere); with it, a new one (see
+        EpochTable). A quiescent epoch's table has no generator."""
+        shared = keep is None and self.tables is not None
+        if shared and (epoch, chosen) in self.tables:
             return self.tables[(epoch, chosen)]
         if start is None:
             start = self.model.psi0 if chosen is None else _unit(self.model, chosen)
@@ -318,7 +276,7 @@ class EpochRunner:
         else:
             table = EpochTable(self.generator(chosen, epoch), start, self.cfg.dt, self.n_full,
                                trigger_off, self.rem, keep)
-        if keep is None:
+        if shared:
             self.tables[(epoch, chosen)] = table
         return table
 

@@ -6,7 +6,8 @@ grid, accumulates each launch component's positive current integral, and
 exponentiates the integrated rate into a predicted survival curve. Empirical
 collapse shares (conditioned on a collapse happening) are compared against the
 normalized integrals with binomial z-scores, and first-hit times against the
-predicted survival via a Kolmogorov-Smirnov statistic.
+predicted survival via a Kolmogorov-Smirnov statistic taken on the run's step
+grid (ks_statistic_grid), where every hit time lies.
 
 Trajectories are embarrassingly parallel; every trajectory draws from its own
 (master_seed, index) Philox substream, and aggregation follows trajectory
@@ -235,17 +236,6 @@ def run_ensemble(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
 
 
 # --- comparison -------------------------------------------------------------
-
-def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
-    """One-sample KS distance; cdf_values are F(x_i) for *sorted* samples."""
-    n = len(samples)
-    if n == 0:
-        return 0.0
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - cdf_values)
-    d_minus = np.max(cdf_values - (i - 1) / n)
-    return float(max(d_plus, d_minus))
-
 
 def ks_statistic_grid(samples: np.ndarray, grid: np.ndarray,
                       cdf_grid: np.ndarray) -> float:

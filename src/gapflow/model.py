@@ -53,11 +53,11 @@ REALIZED = "realized"
 ZEROED = "zeroed"
 STATUSES = (ACTIVE, LAUNCH, REALIZED, ZEROED)
 
-# Most steps of dt in one integration grid. The step plan, the runner's time
-# grid and every epoch table (evolve samples one too) grow by one entry per
-# step, together about 0.4 kB per step for a dim-2 scenario (38 MB at 10^5
-# steps), so this bound keeps one grid under half a gigabyte while leaving
-# room for runs 1000 times longer than the fixtures' 600 steps.
+# Most steps of dt in one integration grid. The step plan (a run's time grid,
+# 9 bytes per step) and every epoch table (evolve samples one too) grow by one
+# entry per step, together under 0.4 kB per step for a dim-2 scenario, so
+# this bound keeps one grid under half a gigabyte while leaving room for runs
+# 1000 times longer than the fixtures' 600 steps.
 MAX_STEPS = 10**6
 
 
@@ -88,6 +88,9 @@ _GAP_TOKENS = {GapSemantics.ONE_WAY_FEED: "oneway",
 GAP_MODES = tuple(_GAP_TOKENS.values())
 
 HERMITICITY_TOL = 1e-12
+
+# Most uncovered basis indices a coverage violation lists by value.
+MAX_LISTED = 20
 
 
 def square_modulus(psi: np.ndarray) -> float:
@@ -319,6 +322,17 @@ def _check_hermitian(report, block, where, label):
             return
 
 
+def _coverage_message(covered: set[int], dim: int) -> str:
+    """Which of range(dim) no component covers: every such index, or their
+    count and the first MAX_LISTED, found in O(len(covered)) time."""
+    first = [i for i in range(min(dim, len(covered) + MAX_LISTED)) if i not in covered]
+    missing = dim - len(covered)
+    if missing <= MAX_LISTED:
+        return f"basis indices {first} belong to no component"
+    return (f"{missing} basis indices belong to no component, "
+            f"the first {MAX_LISTED}: {first[:MAX_LISTED]}")
+
+
 def validate_model(model: ScenarioModel) -> ValidationReport:
     """Collect every invariant violation; violations are data, not exceptions."""
     report = ValidationReport()
@@ -332,7 +346,7 @@ def validate_model(model: ScenarioModel) -> ValidationReport:
         report.error("duplicate-id", "component ids are not unique")
     by_id = {c.id: c for c in model.components}
 
-    covered = np.zeros(dim, dtype=bool)
+    covered: set[int] = set()
     for c in model.components:
         where = f"component {c.id}"
         if not c.basis_indices:
@@ -343,13 +357,13 @@ def validate_model(model: ScenarioModel) -> ValidationReport:
         for i in c.basis_indices:
             if not 0 <= i < dim:
                 report.error("index-range", f"basis index {i} outside dim={dim}", where)
-            elif covered[i]:
+            elif i in covered:
                 report.error("components-overlap", f"components overlap at basis index {i}", where)
             else:
-                covered[i] = True
-    if not covered.all() and not report.errors:
-        missing = np.flatnonzero(~covered)
-        report.error("coverage", f"basis indices {missing.tolist()} belong to no component")
+                covered.add(i)
+    if len(covered) < dim and not report.errors:
+        # Counted, not allocated: dim may be far larger than the document.
+        report.error("coverage", _coverage_message(covered, dim))
 
     low_sets = {c.id: set(c.basis_indices) for c in model.components}
     pair_seen = set()
@@ -500,6 +514,11 @@ def _need(obj, key, kind, where):
     return val
 
 
+def _optional_list(doc, key) -> list:
+    """A top-level list field that may be absent: [] when it is."""
+    return _need(doc, key, list, "document") if key in doc else []
+
+
 def _parse_entries(raw, where) -> tuple[tuple[int, int, complex], ...]:
     out = []
     for j, quad in enumerate(raw):
@@ -587,7 +606,7 @@ def parse_scenario(text: str) -> ScenarioModel:
     index_sets = {c.id: set(c.basis_indices) for c in components}
 
     gaps = []
-    for i, raw in enumerate(doc.get("gaps", [])):
+    for i, raw in enumerate(_optional_list(doc, "gaps")):
         where = f"gaps[{i}]"
         if not isinstance(raw, dict):
             raise ScenarioParseError("gap must be an object", where)
@@ -602,7 +621,7 @@ def parse_scenario(text: str) -> ScenarioModel:
         gaps.append(Gap(low=low, high=high, irreversible=irreversible, interaction=feed))
 
     own = {}
-    for i, raw in enumerate(doc.get("own", [])):
+    for i, raw in enumerate(_optional_list(doc, "own")):
         where = f"own[{i}]"
         if not isinstance(raw, dict):
             raise ScenarioParseError("own block must be an object", where)

@@ -1,10 +1,17 @@
 """End-to-end CLI behavior: exit codes, artifacts, reproducibility."""
 
+import contextlib
+import copy
+import io
 import json
+import math
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gapflow.cli import arrow_check_main, main
 from gapflow.output import load_manifest
@@ -129,6 +136,63 @@ def test_too_many_steps_exit_1(tmp_path, capsys):
         assert main([*argv, "--out-dir", str(out)]) == 1
         assert "exceeds MAX_STEPS" in capsys.readouterr().err
         assert not out.exists()
+
+
+DELETE = object()
+# What one mutation puts in place of a value (DELETE: remove the key or item).
+MUTANTS = (DELETE, None, True, -1, 0, 10**13, 1e308, math.nan, "x", [], {})
+FIXTURE_DOCS = {path.stem: json.loads(path.read_text())
+                for path in sorted(scenario_path("two_level").parent.glob("*.json"))}
+
+
+def value_paths(node, path=()):
+    """The path of every value below ``node`` in a JSON document."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from value_paths(child, path + (key,))
+
+
+MUTATION_SITES = [(name, path) for name, doc in FIXTURE_DOCS.items()
+                  for path in value_paths(doc)]
+
+
+def call(argv) -> tuple[int, str]:
+    """(exit code, stderr) of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:           # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(MUTANTS))
+@example(site=("two_level", ("dim",)), value=10**13)
+@settings(max_examples=100, deadline=None)
+def test_mutated_fixture_exits_cleanly(site, value):
+    """A fixture with one value deleted or replaced is validated and run to
+    an exit code of 0, 1 or 2, never an escaping exception or a traceback."""
+    name, path = site
+    doc = copy.deepcopy(FIXTURE_DOCS[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = pathlib.Path(tmp) / "mutant.json"
+        scenario.write_text(json.dumps(doc))
+        for argv in (["validate", "--scenario", str(scenario)],
+                     ["run", "--scenario", str(scenario), "--t-max", "0.1", "--dt", "0.01",
+                      "--out-dir", str(pathlib.Path(tmp) / "out")]):
+            code, stderr = call(argv)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in stderr
 
 
 def test_unknown_gap_mode_exits_2():

@@ -25,6 +25,7 @@ from gapflow.dynamics import (
     EpochTable,
     GapSemantics,
     IntegratorConfig,
+    StepPlan,
     assemble_generator,
     component_currents,
     evolve,
@@ -32,7 +33,6 @@ from gapflow.dynamics import (
     gap_backflow,
     step,
     step_block,
-    step_plan,
 )
 from gapflow.engine import post_collapse_statuses
 from gapflow.errors import GapflowError, NonFiniteStateError, NormDriftError
@@ -281,7 +281,7 @@ def test_step_rejects_non_finite_state(two_level_model):
 
 # The step sizes a run takes: dt, a shorter last step (t_max 0.505 at dt 0.01)
 # and the negative probe of fd_current_check.
-STEP_SIZES = (0.01, step_plan(IntegratorConfig(dt=0.01, t_max=0.505))[-1][1],
+STEP_SIZES = (0.01, StepPlan.of(IntegratorConfig(dt=0.01, t_max=0.505)).rem,
               -inspect.signature(fd_current_check).parameters["dt_probe"].default)
 
 

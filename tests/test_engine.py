@@ -1,6 +1,7 @@
-"""Hit sampling, collapse bookkeeping, and full trajectory tests."""
+"""Hit rates, choices, collapse bookkeeping, step plans and full trajectory tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,28 +9,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapflow.dynamics import (
-    CurrentVector,
     EpochTable,
     GapSemantics,
     IntegratorConfig,
+    StepPlan,
     assemble_generator,
     component_currents,
     step,
-    step_plan,
 )
 from gapflow.engine import (
     PRESERVE_TOTAL,
     RAW,
     TERMINAL_QUIESCENT,
     TERMINAL_T_MAX,
-    EngineState,
     EpochRunner,
-    apply_collapse,
-    choose_component,
-    hit_rate,
+    _choose,
+    collapse_state,
     post_collapse_statuses,
     run_trajectory,
-    sample_hit,
     step_grid,
     trajectory_rng,
 )
@@ -52,113 +49,108 @@ R4 = RuleSet(NRULES4)
 ONEWAY = GapSemantics.ONE_WAY_FEED
 
 
-def cv(ids, values):
-    return CurrentVector(ids=tuple(ids), J=np.array(values, dtype=float))
+# Every fixture, a two-dimensional launch component and a small star.
+QUIESCENCE_MODELS = {**BUILDERS,
+                     "wide_launch": lambda: load_scenario(json.dumps(WIDE_LAUNCH)),
+                     "star": lambda: star_model(5)}
 
 
 # ---------------------------------------------------------------------------
-# hit_rate / sample_hit / choose_component
+# Rates, choices and collapses
 # ---------------------------------------------------------------------------
 
 
-def test_hit_rate_clips_negative_currents():
-    assert hit_rate(cv([1, 2], [0.3, -0.1]), 1.0) == pytest.approx(0.3)
+def grown_table(model, mode=ONEWAY, start=None, steps=300):
+    """The trigger-on epoch-0 table of ``model`` from ``start`` (psi0 by
+    default), grown through ``steps`` steps of 0.01."""
+    gen = assemble_generator(model, R3, mode)
+    table = EpochTable(gen, model.psi0 if start is None else start, 0.01, steps, False)
+    grow_to_end(table, steps)
+    return table
 
 
-def test_hit_rate_divides_by_norm():
-    assert hit_rate(cv([1], [0.5]), 2.0) == pytest.approx(0.25)
+def test_table_rate_clips_negative_currents():
+    """A row whose currents have both signs rates the positive ones only.
+    Amplitude i/2 on three_mode's C1 starts its current at -1 while C2 and
+    C3 fill from zero."""
+    model = three_mode()
+    start = np.array(model.psi0)
+    start[model.indices_of(1)[0]] = 0.5j
+    table = grown_table(model, start=start)
+    J = table.J
+    mixed = ((J > 0.0).any(axis=1) & (J < 0.0).any(axis=1)).nonzero()[0]
+    assert mixed.size
+    for k in mixed.tolist():
+        assert table.rate[k] == J[k][J[k] > 0.0].sum() / table.s[k]
 
 
-def test_hit_rate_zero_when_all_negative():
-    assert hit_rate(cv([1, 2], [-0.5, -0.1]), 1.0) == 0.0
+def test_table_rate_zero_when_all_currents_negative():
+    """two_level's hermitian current swings negative; those rows rate 0 and
+    add no hazard."""
+    table = grown_table(two_level(), GapSemantics.HERMITIAN_TRUNCATED, steps=600)
+    negative = (table.J[:, 0] < 0.0).nonzero()[0]
+    assert negative.size
+    assert (table.rate[negative] == 0.0).all()
+    assert (table.H[negative] == table.H[negative - 1]).all()
 
 
-def test_hit_rate_rejects_degenerate_norm():
-    with pytest.raises(DegenerateStateError):
-        hit_rate(cv([1], [0.5]), 0.0)
+def test_table_rate_divides_by_norm():
+    """two_level oneway: s = c^2 (1 + t^2) and J = 2 c^2 t from c psi0, so the
+    rate is 2t / (1 + t^2) whatever the scale c."""
+    t = np.arange(301) * 0.01
+    for c in (1.0, 2.0):
+        table = grown_table(two_level(), start=c * two_level().psi0)
+        np.testing.assert_allclose(table.s, c * c * (1.0 + t * t), rtol=1e-9)
+        np.testing.assert_allclose(table.rate, 2.0 * t / (1.0 + t * t), rtol=1e-9, atol=1e-12)
 
 
-def test_sample_hit_zero_rate_never_hits_and_draws_nothing():
-    rng = trajectory_rng(1, 0)
-    before = repr(rng.bit_generator.state)
-    assert sample_hit(rng, 0.0, 0.01) is False
-    assert repr(rng.bit_generator.state) == before
+def test_table_rejects_degenerate_norm():
+    gen = assemble_generator(two_level(), R3, ONEWAY)
+    with pytest.raises(DegenerateStateError, match="total square modulus 0.0"):
+        EpochTable(gen, np.zeros(2, dtype=complex), 0.01, 10, False)
+    off = EpochTable(gen, np.zeros(2, dtype=complex), 0.01, 10, True)
+    assert off.rate[0] == 0.0
 
 
-def test_sample_hit_exponential_oracle():
-    """Constant rate r: mean first-hit time over the step grid -> 1/r."""
-    rate, dt = 1.0, 0.001
-    rng = trajectory_rng(99, 0)
-    hits = []
-    for _ in range(4000):
-        t = 0.0
-        while True:
-            t += dt
-            if sample_hit(rng, rate, dt):
-                hits.append(t)
-                break
-            if t > 50.0:
-                pytest.fail("no hit within 50 time units at rate 1")
-    mean = float(np.mean(hits))
-    # standard error ~ 1/sqrt(4000) ~ 0.016; allow 4 sigma plus grid bias dt/2
-    assert abs(mean - 1.0) < 4.0 / np.sqrt(4000) + dt
+def choose(weights, u):
+    """The walk's choice from raw currents: _choose on their clipped weights."""
+    return _choose(np.clip(np.atleast_2d(weights), 0.0, None), np.atleast_1d(u))
 
 
-def test_sample_hit_probability_matches_expm1():
-    rate, dt = 2.0, 0.05
-    p_exact = 1.0 - np.exp(-rate * dt)
-    rng = trajectory_rng(7, 0)
-    n = 200_000
-    hits = sum(sample_hit(rng, rate, dt) for _ in range(n))
-    assert hits / n == pytest.approx(p_exact, abs=4.0 * np.sqrt(p_exact / n))
+def test_choose_ignores_negative_weights():
+    u = trajectory_rng(3, 0).random(200)
+    assert (choose(np.tile([0.7, -0.5], (200, 1)), u) == 0).all()
 
 
-def test_choose_component_ignores_negative_weights():
-    rng = trajectory_rng(3, 0)
-    for _ in range(200):
-        assert choose_component(rng, cv([1, 2], [0.7, -0.5])) == 1
-
-
-def test_choose_component_requires_positive_weight():
-    rng = trajectory_rng(3, 0)
+def test_choose_requires_positive_weight():
     with pytest.raises(NoChoiceError):
-        choose_component(rng, cv([1, 2], [-0.1, 0.0]))
+        choose([-0.1, 0.0], 0.5)
 
 
-def test_choose_component_shares_follow_currents():
+def test_choose_shares_follow_currents():
     """Weights (3, 1) must produce picks near 75/25 within 3 sigma."""
-    rng = trajectory_rng(11, 0)
     n = 10_000
-    picks = [choose_component(rng, cv([5, 9], [3.0, 1.0])) for _ in range(n)]
-    share = picks.count(5) / n
+    picks = choose(np.tile([3.0, 1.0], (n, 1)), trajectory_rng(11, 0).random(n))
+    share = float((picks == 0).mean())
     sigma = np.sqrt(0.75 * 0.25 / n)
     assert abs(share - 0.75) < 3.0 * sigma
 
 
-@given(weights=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=5),
-       seed=st.integers(0, 2**32 - 1))
-@example(weights=[5e-324, 0.0], seed=0)
+@given(weights=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=5),
+       u=st.floats(0.0, 1.0, exclude_max=True))
+@example(weights=[5e-324, 0.0], u=0.75)     # u * total rounds up to the total
 @settings(max_examples=60, deadline=None)
-def test_choose_component_always_returns_positive_weight_id(weights, seed):
+def test_choose_always_returns_a_positive_weight_column(weights, u):
     if not any(w > 0 for w in weights):
         return
-    ids = tuple(range(len(weights)))
-    rng = trajectory_rng(seed, 0)
-    chosen = choose_component(rng, cv(ids, weights))
-    assert weights[chosen] > 0
+    assert weights[int(choose(weights, u)[0])] > 0
 
 
-# ---------------------------------------------------------------------------
-# Collapse bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def rigged_engine(model, chosen_amp=0.6):
+def rigged_state(model, chosen_amp=0.6):
     psi = np.zeros(model.dim, dtype=complex)
     psi[model.indices_of(0)] = np.sqrt(max(0.0, 1.0 - chosen_amp**2))
     psi[model.indices_of(1)] = chosen_amp
-    return EngineState(epoch=0, t=1.0, statuses=model.initial_statuses(),
-                       state=psi, rng_stream=trajectory_rng(1, 0))
+    return psi
 
 
 def test_post_collapse_statuses_three_mode(three_mode_model):
@@ -177,43 +169,49 @@ def test_post_collapse_statuses_chain_relaunches_next_gap(chain_model):
     assert statuses[0] == ZEROED
 
 
-def test_apply_collapse_zeroes_everything_else(three_mode_model):
-    engine = rigged_engine(three_mode_model)
-    after = apply_collapse(engine, 1, three_mode_model, policy=RAW)
-    psi = after.state
+def test_collapse_state_zeroes_everything_else(three_mode_model):
+    psi = collapse_state(rigged_state(three_mode_model), 1, three_mode_model, policy=RAW)
     assert np.all(psi[three_mode_model.indices_of(0)] == 0.0)
     assert np.all(psi[three_mode_model.indices_of(2)] == 0.0)
     assert np.all(psi[three_mode_model.indices_of(3)] == 0.0)
     assert psi[three_mode_model.indices_of(1)][0] == pytest.approx(0.6)
-    assert after.epoch == engine.epoch + 1
-    assert after.statuses[1] == REALIZED
 
 
-def test_apply_collapse_preserve_total_rescales(three_mode_model):
-    engine = rigged_engine(three_mode_model, chosen_amp=0.6)
-    before = float(np.vdot(engine.state, engine.state).real)
-    after = apply_collapse(engine, 1, three_mode_model, policy=PRESERVE_TOTAL)
-    total = float(np.vdot(after.state, after.state).real)
-    assert total == pytest.approx(before, rel=1e-12)
+def test_collapse_state_preserve_total_rescales(three_mode_model):
+    psi = rigged_state(three_mode_model, chosen_amp=0.6)
+    after = collapse_state(psi, 1, three_mode_model, policy=PRESERVE_TOTAL)
+    assert square_modulus(after) == pytest.approx(square_modulus(psi), rel=1e-12)
 
 
-def test_apply_collapse_raw_keeps_chosen_amplitude(three_mode_model):
-    engine = rigged_engine(three_mode_model, chosen_amp=0.6)
-    after = apply_collapse(engine, 1, three_mode_model, policy=RAW)
-    total = float(np.vdot(after.state, after.state).real)
-    assert total == pytest.approx(0.36, rel=1e-12)
+def test_collapse_state_raw_keeps_chosen_amplitude(three_mode_model):
+    psi = collapse_state(rigged_state(three_mode_model, 0.6), 1, three_mode_model, policy=RAW)
+    assert square_modulus(psi) == pytest.approx(0.36, rel=1e-12)
 
 
-def test_apply_collapse_rejects_empty_component(three_mode_model):
-    engine = rigged_engine(three_mode_model, chosen_amp=0.0)
+def test_collapse_state_rejects_empty_component(three_mode_model):
     with pytest.raises(CollapseOnEmptyError):
-        apply_collapse(engine, 1, three_mode_model)
+        collapse_state(rigged_state(three_mode_model, chosen_amp=0.0), 1, three_mode_model)
 
 
-def test_apply_collapse_requires_launch_status(three_mode_model):
-    engine = rigged_engine(three_mode_model)
-    with pytest.raises(GapflowError):
-        apply_collapse(engine, 0, three_mode_model)
+def test_collapse_state_rejects_unknown_policy(three_mode_model):
+    with pytest.raises(GapflowError, match="unknown norm policy"):
+        collapse_state(rigged_state(three_mode_model), 1, three_mode_model, policy="x")
+
+
+@pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
+@pytest.mark.parametrize("name", sorted(QUIESCENCE_MODELS))
+def test_walked_choices_are_launch_components(name, mode):
+    """Only a launch component can realize: every choice of a walk is one of
+    its epoch generator's launch_ids."""
+    model = QUIESCENCE_MODELS[name]()
+    runner = EpochRunner(model, R3, IntegratorConfig(dt=0.01, t_max=6.0), mode, 4,
+                         gen_cache={})
+    choices = 0
+    for group in runner.walk(np.arange(300)):
+        chosen = group.chosen[group.chosen >= 0].tolist()
+        assert set(chosen) <= set(group.table.launch_ids)
+        choices += len(chosen)
+    assert choices > 50
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +220,54 @@ def test_apply_collapse_requires_launch_status(three_mode_model):
 
 
 def test_step_plan_lands_exactly_on_t_max():
-    cfg = IntegratorConfig(dt=0.01, t_max=6.0)
-    plan = step_plan(cfg)
-    assert plan[-1][0] == 6.0
-    assert len(plan) == 600
+    plan = StepPlan.of(IntegratorConfig(dt=0.01, t_max=6.0))
+    assert plan.times[-1] == 6.0 and plan.sampled[-1]
+    assert (plan.n_full, plan.rem, len(plan.times)) == (600, 0.0, 601)
 
 
 def test_step_plan_partial_tail():
-    cfg = IntegratorConfig(dt=0.01, t_max=0.123)
-    plan = step_plan(cfg)
-    assert plan[-1][0] == pytest.approx(0.123, abs=1e-15)
-    assert plan[-1][1] == pytest.approx(0.003, abs=1e-12)
+    plan = StepPlan.of(IntegratorConfig(dt=0.01, t_max=0.123))
+    assert plan.times[-1] == 0.123 and plan.sampled[-1]
+    assert plan.rem == pytest.approx(0.003, abs=1e-12)
+    assert (plan.n_full, len(plan.times)) == (12, 14)
 
 
 def test_step_grid_lists_step_endpoints():
     cfg = IntegratorConfig(dt=0.5, t_max=2.0)
     grid = step_grid(cfg)
     assert list(grid) == [0.5, 1.0, 1.5, 2.0]
+
+
+def reference_step_plan(cfg):
+    """(end time, step size, sample flag) per step, built one step at a time:
+    the loop StepPlan.of replaced, kept as its reference."""
+    dt = cfg.dt
+    n_full = int(math.floor(cfg.t_max / dt + 1e-9))
+    rem = cfg.t_max - n_full * dt
+    if rem < 1e-9 * dt:
+        rem = 0.0
+    plan = [(k * dt, dt, k % cfg.sample_every == 0) for k in range(1, n_full + 1)]
+    if rem > 0.0:
+        plan.append((cfg.t_max, rem, True))
+    elif plan:
+        plan[-1] = (cfg.t_max, dt, True)
+    return plan
+
+
+@pytest.mark.parametrize("dt", [0.5, 0.1, 0.05, 0.02, 0.01, 0.007, 0.001])
+def test_step_plan_equals_the_per_step_loop(dt):
+    """StepPlan.of and step_grid give the reference loop's times, flags,
+    shorter last step and step count bit for bit."""
+    for t_max in (0.0, 0.005, 0.123, 0.505, 1.0, 2.0, 2.005, 3.3, 6.0, 12.0):
+        for every in (1, 2, 3, 7, 1000, 2**70):
+            cfg = IntegratorConfig(dt=dt, t_max=t_max, sample_every=every)
+            ref = reference_step_plan(cfg)
+            rem = ref[-1][1] if ref and ref[-1][1] != dt else 0.0
+            plan = StepPlan.of(cfg)
+            assert plan.times.tobytes() == np.array([0.0] + [t for t, _, _ in ref]).tobytes()
+            assert plan.sampled.tolist() == [True] + [flag for _, _, flag in ref]
+            assert (type(plan.rem), plan.rem, plan.n_full) == (float, rem, len(ref) - (rem > 0))
+            assert step_grid(cfg).tobytes() == plan.times[1:].tobytes()
 
 
 def grow_to_end(table, steps):
@@ -261,7 +290,7 @@ def test_epoch_hazard_matches_per_step_survival(build, chosen):
     else:
         start = np.zeros(model.dim, dtype=complex)
         start[model.indices_of(chosen)[0]] = 1.0
-    n = len(step_plan(cfg))
+    n = StepPlan.of(cfg).n_full
     table = EpochTable(runner.generator(chosen, epoch), start, cfg.dt, n, False)
     assert not grow_to_end(table, n) and table.n == n
     rate = table.rate
@@ -277,7 +306,7 @@ def test_epoch_table_keep_holds_only_the_rows_it_names():
     cfg = IntegratorConfig(dt=0.01, t_max=2.0)
     model = chain_three_level()
     gen = EpochRunner(model, R3, cfg, ONEWAY, 0).generator(None, 0)
-    n = len(step_plan(cfg))
+    n = StepPlan.of(cfg).n_full
     full = EpochTable(gen, model.psi0, cfg.dt, n, False)
     lean = EpochTable(gen, model.psi0, cfg.dt, n, False, keep={7, 50})
     grow_to_end(full, n)
@@ -289,6 +318,25 @@ def test_epoch_table_keep_holds_only_the_rows_it_names():
         assert np.array_equal(lean.J[k], full.J[k])
     for column in ("s", "neg", "rate", "H"):
         assert np.array_equal(getattr(lean, column), getattr(full, column))
+
+
+@pytest.mark.parametrize("t_max", [6.0, 2.005])
+def test_table_without_a_cache_is_a_new_full_table(t_max):
+    """A runner without a cache tabulates epoch 0 afresh on every call and
+    keeps it nowhere; grown to its end (and its shorter last step), it
+    equals the cached runner's table row for row."""
+    model, cfg = three_mode(), IntegratorConfig(dt=0.01, t_max=t_max)
+    alone = EpochRunner(model, R3, cfg, ONEWAY, 0)
+    cached = EpochRunner(model, R3, cfg, ONEWAY, 0, gen_cache={})
+    tables = [alone.table(0, None), cached.table(0, None)]
+    assert alone.table(0, None) is not tables[0] and cached.table(0, None) is tables[1]
+    for table in tables:
+        assert not grow_to_end(table, alone.n_full) and table.n == alone.n_full
+    rows = list(range(alone.n_full + 1))
+    if alone.rem:
+        rows += {table.tail(alone.n_full) for table in tables}
+    for column in ("states", "J", "s", "neg", "rate", "H"):
+        assert np.array_equal(getattr(tables[0], column)[rows], getattr(tables[1], column)[rows])
 
 
 def table_case(name, mode):
@@ -329,7 +377,7 @@ def test_epoch_table_rows_equal_a_step_loop(name, mode, trigger_off):
             psi = step(psi, gen, dt)
         J = component_currents(psi, gen).J
         s = square_modulus(psi)
-        prev, rate = rate, 0.0 if trigger_off else hit_rate(cv(gen.launch_ids, J), s)
+        prev, rate = rate, 0.0 if trigger_off else float(np.maximum(J, 0.0).sum()) / s
         if k:
             neg += bool((J < 0.0).any())
             H += 0.5 * (prev + rate) * dt if rate > 0.0 else 0.0
@@ -346,7 +394,7 @@ def test_epoch_table_rows_equal_a_step_loop(name, mode, trigger_off):
                 assert np.array_equal(table.states[i], end)
                 assert np.array_equal(table.J[i], J_end)
                 assert table.neg[i] == neg + bool((J_end < 0.0).any())
-                r = 0.0 if trigger_off else hit_rate(cv(gen.launch_ids, J_end), square_modulus(end))
+                r = 0.0 if trigger_off else float(np.maximum(J_end, 0.0).sum()) / square_modulus(end)
                 assert table.H[i] == H + (0.5 * (rate + r) * rem if r > 0.0 else 0.0)
     if keep is not None:
         assert {k for k in tables[0].states if k <= n} == {0, 7, 50, n}
@@ -379,11 +427,6 @@ def test_epoch_hazard_bias_is_second_order_in_dt():
         assert errors[-1] <= 1.5e-4 * (dt / 0.01) ** 2
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.0 <= coarse / fine <= 5.0
-
-
-QUIESCENCE_MODELS = {**BUILDERS,
-                     "wide_launch": lambda: load_scenario(json.dumps(WIDE_LAUNCH)),
-                     "star": lambda: star_model(5)}
 
 
 @pytest.mark.parametrize("rules", [R3, R3.with_suspended(["n3_1"]), R4,

@@ -14,7 +14,6 @@ from gapflow.ensemble import (
     RunProvenance,
     compare,
     deterministic_oracle,
-    ks_statistic,
     _block_summary,
     _run_range,
     ks_statistic_grid,
@@ -316,10 +315,12 @@ def test_comparison_report_serializes(three_mode_model):
 # ---------------------------------------------------------------------------
 
 
-def test_ks_statistic_exact_on_uniform():
-    samples = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-    d = ks_statistic(samples, samples)  # F(x) = x on [0, 1]
-    assert d == pytest.approx(0.1)
+def test_ks_grid_known_distance():
+    """Empirical CDF (0.5, 0.5, 0.75, 0.75, 1) against F(x) = x on the grid
+    0.2 .. 1.0: the largest gap is 0.3, at x = 0.2."""
+    grid = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
+    samples = np.array([0.2, 1.0, 0.2, 0.6])
+    assert ks_statistic_grid(samples, grid, grid) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_ks_grid_zero_when_empirical_equals_model():

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 import pytest
 
-from gapflow.dynamics import GapSemantics, IntegratorConfig, step_plan
+from gapflow.dynamics import GapSemantics, IntegratorConfig, StepPlan
 from gapflow.engine import run_trajectory
 from gapflow.ensemble import run_ensemble
 from gapflow.fixtures import BUILDERS
@@ -59,7 +59,7 @@ def cases():
 
 def step_index(cfg) -> dict[float, int]:
     """Grid time -> steps from t = 0."""
-    return {t: k for k, t in enumerate([0.0] + [t for t, _, _ in step_plan(cfg)])}
+    return {t: k for k, t in enumerate(StepPlan.of(cfg).times.tolist())}
 
 
 def record(model, mode, cfg, index, gen_cache=None) -> list:
@@ -98,7 +98,7 @@ def test_trajectories_reproduce_golden_table(golden, key, model, mode, cfg):
 @pytest.mark.parametrize("key, model, mode, cfg", list(cases()), ids=CASE_IDS)
 def test_ensemble_reproduces_golden_table(golden, key, model, mode, cfg):
     stats = run_ensemble(model, RuleSet(model.defaults.rules), cfg, mode, N, SEED)
-    grid = [0.0] + [t for t, _, _ in step_plan(cfg)]
+    grid = StepPlan.of(cfg).times.tolist()
     entries = golden[key]
     firsts = [events[0] for events, _, _ in entries if events]
     assert stats.hit_times.tolist() == [grid[step] for step, _ in firsts]

@@ -479,3 +479,23 @@ def test_component_moduli_partition_norm(psi):
     vec = np.array(psi, dtype=complex)
     moduli = component_square_moduli(vec, model)
     assert sum(moduli.values()) == pytest.approx(square_modulus(vec), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim, indices, message", [
+    (4, ([0], [3]), "basis indices [1, 2] belong to no component"),
+    (22, ([0], [1]), "basis indices [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, "
+                     "18, 19, 20, 21] belong to no component"),
+    (24, ([0], [5]), "22 basis indices belong to no component, the first 20: "
+                     "[1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21]"),
+    (10**13, ([0], [1]), f"{10**13 - 2} basis indices belong to no component, the first 20: "
+                         f"{list(range(2, 22))}"),
+])
+def test_coverage_lists_at_most_twenty_missing_indices(dim, indices, message):
+    """Coverage is counted from the components' indices, so a dim far beyond
+    the document (10**13 here) allocates nothing sized by it; up to 20
+    uncovered indices are listed, more are counted."""
+    doc = base_doc()
+    doc["dim"] = dim
+    for component, idx in zip(doc["components"], indices):
+        component["indices"] = idx
+    assert message in violation_messages(doc)
