@@ -31,14 +31,16 @@ worker layouts. A step takes one of two paths:
   (M_h of a sparse G such as a hermitian star fills in).
 
 step_block is the one stepping routine: it fills a block of rows, each one
-step after the row before it. On the propagator path that is the bare
-recurrence psi = M_h @ psi with one finiteness check per block; the staged
-path checks every row. step is a block of one. EpochTable tabulates an
-epoch's deterministic evolution a block of FILL_BLOCK steps at a time, then
-fills the block's currents (one stacked product on the propagator path, per
-row otherwise), square moduli, rates and gated hazard at once. Trajectories
-draw against tables (engine), and evolve, behind the oracle and `gapflow
-currents`, is a trigger-off table walked to its end, as is the arrow profile.
+step after the row before it. On the propagator path it writes each row in
+place as M_h times the row before it, with one finiteness check per block;
+the staged path checks every row. step is a block of one. EpochTable steps
+an epoch's deterministic evolution straight into its own rows, FILL_BLOCK
+steps at a time, or in blocks that double with the table where no hazard
+draw can stop the growth, then fills the block's currents (one stacked
+product on the propagator path, per row otherwise), square moduli, rates
+and gated hazard at once. Trajectories draw against tables (engine), and
+evolve, behind the oracle and `gapflow currents`, is a trigger-off table
+walked to its end, as is the arrow profile.
 """
 
 from __future__ import annotations
@@ -283,17 +285,20 @@ def step_block(psi: np.ndarray, gen: EffectiveGenerator, h: float,
     ``psi``; returns ``out``. The one stepping routine: EpochTable grows
     through it and step is a block of one.
 
-    Where gen.propagator has an M_h, a row is M_h @ psi and the block is
-    checked for non-finite amplitudes once, at its end. The staged path
-    checks each row before it stages the next, so a non-finite state never
-    runs on into further gen.apply calls.
+    Where gen.propagator has an M_h, each row is written in place as M_h
+    times the row before it, and the block is checked for non-finite
+    amplitudes once, at its end. The staged path checks each row before it
+    stages the next, so a non-finite state never runs on into further
+    gen.apply calls.
 
     h may be negative (used by the central-difference current oracle).
     """
     m = gen.propagator(h)
     if m is not None:
-        for j in range(len(out)):
-            psi = out[j] = m @ psi
+        dot = m.dot
+        for row in out:
+            dot(psi, out=row)
+            psi = row
         if not np.isfinite(out).all():
             raise _non_finite(gen, h)
         return out
@@ -306,6 +311,12 @@ def step_block(psi: np.ndarray, gen: EffectiveGenerator, h: float,
         if not np.isfinite(psi).all():
             raise _non_finite(gen, h)
     return out
+
+
+def square_moduli(block: np.ndarray) -> np.ndarray:
+    """<psi|psi> per row of ``block``, one stacked product that rounds as
+    square_modulus's np.vdot does."""
+    return (block.conj()[:, None, :] @ block[:, :, None])[:, 0, 0].real
 
 
 def _non_finite(gen: EffectiveGenerator, h: float) -> NonFiniteStateError:
@@ -450,7 +461,7 @@ class EpochTable:
     state, launch currents J, square modulus s, count of negative-current
     steps since the epoch start (neg), rate and gated cumulative trapezoid
     hazard H (both 0 with ``trigger_off``) are held in one column per field,
-    (steps + 1) rows long, filled on demand FILL_BLOCK rows at a time. Rows
+    (steps + 1) rows long, filled on demand a block at a time (see grow). Rows
     never change, so trajectories sharing a table see the same floats however
     far it grew. With ``rem`` > 0 the run ends on a shorter step of rem; the
     point that step reaches from row k is kept as well, in row steps + 1 + k.
@@ -477,16 +488,26 @@ class EpochTable:
             self.states, self.J = {}, {}
         self.s, self.rate, self.H = np.empty(rows), np.empty(rows), np.zeros(rows)
         self.neg = np.zeros(rows, dtype=np.int64)
-        self._store(0, None, np.asarray(start, dtype=np.complex128)[None, :], 0.0)
+        block = self._rows(0, 1, len(start))
+        block[0] = start
+        self._store(0, None, block, 0.0)
         self.n = 0          # steps tabulated
         self._tails: set[int] = set()
 
+    def _rows(self, i: int, b: int, dim: int) -> np.ndarray:
+        """Where rows i .. i + b - 1 are stepped into: the table's own states
+        without ``keep``, else a new block that _store copies from."""
+        if self.keep is None:
+            return self.states[i:i + b]
+        return np.empty((b, dim), dtype=np.complex128)
+
     def _store(self, i: int, prev: int | None, block: np.ndarray, h: float,
                E: float = math.inf):
-        """Fill rows i, i + 1, ... with the states of ``block``, each one step
-        of h after the row before it (row ``prev``; None for the start row).
-        Stacked matvecs and dot products round as component_currents'
-        dense @ psi and square_modulus's np.vdot do; block @ dense.T need not."""
+        """Fill rows i, i + 1, ... from the states of ``block`` (from
+        ``_rows``), each one step of h after the row before it (row ``prev``;
+        None for the start row). Stacked matvecs and dot products round as
+        component_currents' dense @ psi and square_modulus's np.vdot do;
+        block @ dense.T need not."""
         gen, b = self.gen, len(block)
         if gen is None:
             J = np.empty((b, 0))
@@ -496,7 +517,7 @@ class EpochTable:
             J = 2.0 * np.add.reduceat((block[:, idx].conj() * dpsi[:, idx]).real, starts, axis=1)
         else:
             J = np.array([component_currents(psi, gen).J for psi in block])
-        s = (block.conj()[:, None, :] @ block[:, :, None])[:, 0, 0].real
+        s = square_moduli(block)
         if self.trigger_off:
             rate = np.zeros(b)
         elif (bad := (s <= 0.0).nonzero()[0]).size:
@@ -511,7 +532,7 @@ class EpochTable:
             self.H[rows] = np.add.accumulate(np.concatenate(([self.H[prev]], inc)))[1:]
             self.neg[rows] = self.neg[prev] + np.cumsum((J < 0.0).any(axis=1))
         if self.keep is None:
-            self.states[rows], self.J[rows] = block, J
+            self.J[rows] = J
             return
         hit = i + int(self.H[rows].searchsorted(E, side="right"))
         for j in range(b):
@@ -520,11 +541,17 @@ class EpochTable:
 
     def grow(self, E: float, steps: int):
         """Grow until the table holds ``steps`` steps or its hazard passes E.
-        Rows never change, so growing past what a trajectory reads is safe."""
+        Rows never change, so growing past what a trajectory reads is safe.
+
+        With E infinite no row can stop the growth, so blocks double with
+        the table (FILL_BLOCK, FILL_BLOCK, 2 FILL_BLOCK, ...) and _store runs
+        a few times rather than once per FILL_BLOCK rows. Only H and neg
+        carry from one row to the next, each accumulated a row at a time, so
+        the rows are the same floats for any split into blocks."""
         k = self.n
         while k < steps and self.H[k] <= E:
-            b = min(FILL_BLOCK, steps - k)
-            block = np.empty((b, self.gen.dim), dtype=np.complex128)
+            b = min(FILL_BLOCK if E < math.inf else max(FILL_BLOCK, k), steps - k)
+            block = self._rows(k + 1, b, self.gen.dim)
             step_block(self.states[k], self.gen, self.dt, block)
             self._store(k + 1, k, block, self.dt, E)
             if k and self.keep is not None and k not in self.keep:
@@ -555,7 +582,9 @@ class EpochTable:
         """Row of the point the shorter last step reaches from row k."""
         i = len(self.s) // 2 + k
         if k not in self._tails:
-            self._store(i, k, step(self.states[k], self.gen, self.rem)[None, :], self.rem)
+            block = step_block(self.states[k], self.gen, self.rem,
+                               self._rows(i, 1, self.gen.dim))
+            self._store(i, k, block, self.rem)
             self._tails.add(k)
         return i
 

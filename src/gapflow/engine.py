@@ -22,8 +22,10 @@ table's, s and J |c|^2 times, rates and hazard unchanged. Once its E is
 drawn, an epoch of a trajectory is a lookup into its table, so
 EpochRunner.walk advances a block of trajectories at once, grouped by
 (epoch, last chosen component): one searchsorted finds every hit row of a
-group and one cumulative-weights comparison every choice. A collapse onto a
-wider component starts a table of its own, walked as a group of one.
+group and one cumulative-weights comparison every choice, and at epoch 0,
+where every scale is 1, one array pass collapses every choice of a
+one-dimensional component. A collapse onto a wider component starts a table
+of its own, walked as a group of one.
 run_ensemble walks its trajectories in blocks (ensemble.BLOCK) and
 run_trajectory walks a block of one, so both run the same epoch loop.
 
@@ -43,7 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (CurrentVector, EffectiveGenerator, EpochTable, GapSemantics,
-                       IntegratorConfig, StepPlan, _check_epoch_drift, assemble_generator)
+                       IntegratorConfig, StepPlan, _check_epoch_drift, assemble_generator,
+                       square_moduli)
 from .dynamics import step_grid  # noqa: F401  (kept importable as engine.step_grid)
 from .errors import CollapseOnEmptyError, GapflowError, NoChoiceError
 from .model import (LAUNCH, REALIZED, ZEROED, ScenarioModel, component_moduli, project,
@@ -135,6 +138,11 @@ def post_collapse_statuses(model: ScenarioModel, chosen: int) -> dict[int, str]:
     return statuses
 
 
+def _check_policy(policy: str):
+    if policy not in NORM_POLICIES:
+        raise GapflowError(f"unknown norm policy {policy!r}")
+
+
 def collapse_state(psi: np.ndarray, chosen: int, model: ScenarioModel,
                    policy: str = PRESERVE_TOTAL) -> np.ndarray:
     """``psi`` with everything outside ``chosen`` zeroed.
@@ -142,8 +150,7 @@ def collapse_state(psi: np.ndarray, chosen: int, model: ScenarioModel,
     Under preserve_total (default) the surviving amplitudes are rescaled so
     the total square modulus is unchanged; under raw they are kept verbatim.
     """
-    if policy not in NORM_POLICIES:
-        raise GapflowError(f"unknown norm policy {policy!r}")
+    _check_policy(policy)
     s_pre = square_modulus(psi)
     collapsed = project(psi, chosen, model)
     s_chosen = square_modulus(collapsed)
@@ -230,10 +237,9 @@ class EpochRunner:
         self.plan = plan
         self.times, self.sampled, self.rem, self.n_full = plan
         self._sources = frozenset(g.low for g in model.gaps if g.irreversible)
-        # Epoch-0 collapses onto one-dimensional components: (row, chosen) ->
-        # the next epoch's scale. Every epoch-0 scale is 1, so a walk of many
-        # blocks collapses once per distinct row and choice.
-        self._collapsed: dict[tuple[int, int], complex] = {}
+        # one-dimensional component -> its basis index
+        self._unit_index = {cid: int(idx[0]) for cid, idx in model.index_arrays.items()
+                            if len(idx) == 1}
 
     def generator(self, chosen: int | None, epoch: int) -> EffectiveGenerator:
         """Generator after collapsing onto ``chosen`` (None: the initial one)."""
@@ -359,18 +365,18 @@ class EpochRunner:
         if not h.size:
             return
         table, rows, chosen, scale = group.table, group.last[h], group.chosen[h], group.scale[h]
+        after: list = [None] * h.size
         if group.epoch == 0 and shared:
-            memo, after = self._collapsed, []
-            for row, c in zip(rows.tolist(), chosen.tolist()):
-                got = memo.get((row, c))
-                if got is None:
-                    got = self._collapse(table, row, c, 1.0)
-                    if isinstance(got, complex):
-                        memo[(row, c)] = got
-                after.append(got)
-        else:
-            after = [self._collapse(table, row, c, sc) for row, c, sc
-                     in zip(rows.tolist(), chosen.tolist(), scale.tolist())]
+            # Every epoch-0 scale is 1: collapse the one-dimensional choices
+            # of the group at once.
+            col = np.array([self._unit_index.get(c, -1) for c in chosen.tolist()])
+            one = (col >= 0).nonzero()[0]
+            if one.size:
+                scales = self._unit_scales(table, rows[one], chosen[one], col[one])
+                for j, a in zip(one.tolist(), scales.tolist()):
+                    after[j] = a
+        after = [self._collapse(table, row, c, sc) if a is None else a for a, row, c, sc
+                 in zip(after, rows.tolist(), chosen.tolist(), scale.tolist())]
         k0 = group.k0[h] + group.n[h]
         pos = group.pos[h]
         for c in sorted(set(chosen.tolist())):
@@ -386,6 +392,23 @@ class EpochRunner:
                 start, new_scale = (None, after[j]) if one_dim else (after[j], 1.0)
                 nxt[(c, int(pos[j]))] = (start, [pos[j:j + 1]], [np.array([new_scale], complex)],
                                          [k0[j:j + 1]])
+
+    def _unit_scales(self, table: EpochTable, rows: np.ndarray, chosen: np.ndarray,
+                     col: np.ndarray) -> np.ndarray:
+        """The next epoch's scale after collapsing each of the table's
+        ``rows`` onto the one-dimensional ``chosen`` at basis index ``col``:
+        collapse_state's floats, as one array pass. s_pre is the table's s,
+        and s_chosen the same stacked product on the projected rows, so
+        both round as collapse_state's np.vdot does."""
+        _check_policy(self.policy)
+        a = table.states[rows, col]
+        projected = np.zeros((len(rows), table.states.shape[1]), dtype=np.complex128)
+        projected[np.arange(len(rows)), col] = a
+        s_chosen = square_moduli(projected)
+        if (bad := (s_chosen <= 0.0).nonzero()[0]).size:
+            raise CollapseOnEmptyError(
+                f"component {int(chosen[bad[0]])} has zero amplitude at collapse time")
+        return a if self.policy == RAW else a * np.sqrt(table.s[rows] / s_chosen)
 
     def _collapse(self, table: EpochTable, row: int, chosen: int, scale):
         """The next epoch's scale after collapsing ``scale`` times the table's

@@ -443,6 +443,8 @@ def validate_model(model: ScenarioModel) -> ValidationReport:
         report.error("non-finite", f"psi0 has NaN or infinite amplitude at indices {bad.tolist()}")
     elif not psi0.any():
         report.error("psi0-zero", "psi0 is all zero")
+    elif not math.isfinite(s0 := square_modulus(psi0)):
+        report.error("psi0-overflow", f"psi0's square modulus overflows to {s0}")
     else:
         active_mask = np.zeros(dim, dtype=bool)
         for c in model.components:

@@ -51,13 +51,13 @@ def _csv_rows(times, s, moduli, comp_ids, currents, current_ids) -> str:
     header = (["t", "s"]
               + [f"p_{cid}" for cid in comp_ids]
               + [f"J_{cid}" for cid in current_ids])
-    lines = [",".join(header)]
-    for i in range(len(times)):
-        row = [fmt_float(times[i]), fmt_float(s[i])]
-        row.extend(fmt_float(v) for v in moduli[i])
-        row.extend(fmt_float(v) for v in currents[i])
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    # One %-format per line; %.17g renders every value as fmt_float does.
+    # Rows become Python floats one at a time, never the whole table at once.
+    fmt = ",".join(["%.17g"] * len(header))
+    lines = [fmt % (t, s_t, *m.tolist(), *j.tolist())
+             for t, s_t, m, j in zip(np.asarray(times).tolist(), np.asarray(s).tolist(),
+                                     moduli, currents)]
+    return "\n".join([",".join(header)] + lines) + "\n"
 
 
 def write_trajectory_csv(path, samples: TrajectorySamples):

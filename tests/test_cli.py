@@ -138,6 +138,21 @@ def test_too_many_steps_exit_1(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_overflowing_psi0_exit_1(tmp_path, capsys):
+    """A psi0 whose square modulus overflows fails validation, and a run of
+    it writes nothing instead of inf and NaN."""
+    doc = json.loads(pathlib.Path(TWO_LEVEL).read_text())
+    doc["psi0"][0] = [1e308, 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    assert "psi0-overflow" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(bad), "--t-max", "0.1", "--out-dir", str(out)]) == 1
+    assert "psi0-overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 DELETE = object()
 # What one mutation puts in place of a value (DELETE: remove the key or item).
 MUTANTS = (DELETE, None, True, -1, 0, 10**13, 1e308, math.nan, "x", [], {})
@@ -171,6 +186,7 @@ def call(argv) -> tuple[int, str]:
 
 @given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(MUTANTS))
 @example(site=("two_level", ("dim",)), value=10**13)
+@example(site=("two_level", ("psi0", 0, 0)), value=1e308)
 @settings(max_examples=100, deadline=None)
 def test_mutated_fixture_exits_cleanly(site, value):
     """A fixture with one value deleted or replaced is validated and run to

@@ -373,6 +373,26 @@ def test_step_block_rows_equal_a_row_by_row_loop(name, mode, length):
             assert row.tobytes() == ref.tobytes() == by_step.tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
+def test_table_grown_to_infinity_equals_one_grown_in_fill_blocks(name, mode):
+    """A table grown with E infinite (doubling blocks) holds the bytes of one
+    grown FILL_BLOCK rows at a time: states, J, s, rate, H and neg, the
+    shorter last step of the off-grid t_max included."""
+    model = BUILDERS[name]()
+    plan = StepPlan.of(IntegratorConfig(dt=0.002, t_max=2.005))
+    assert plan.rem and plan.n_full > 4 * FILL_BLOCK
+    gen = assemble_generator(model, R3, mode)
+    doubling, fill = (EpochTable(gen, model.psi0, 0.002, plan.n_full, False, plan.rem)
+                      for _ in range(2))
+    doubling.sampled_rows(plan)
+    fill.grow(np.finfo(float).max, plan.n_full)
+    rows = [*range(plan.n_full + 1), fill.tail(plan.n_full)]
+    assert doubling.n == fill.n == plan.n_full
+    for column in ("states", "J", "s", "rate", "H", "neg"):
+        assert getattr(doubling, column)[rows].tobytes() == getattr(fill, column)[rows].tobytes()
+
+
 @pytest.mark.parametrize("mode,amplitude", [(HERMITIAN, 1e300), (COMPENSATED, 1e150)])
 def test_step_block_raises_where_a_block_overflows(mode, amplitude):
     """A start that overflows partway through a block (RK4 is unstable at

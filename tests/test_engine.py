@@ -23,6 +23,7 @@ from gapflow.engine import (
     TERMINAL_QUIESCENT,
     TERMINAL_T_MAX,
     EpochRunner,
+    LegGroup,
     _choose,
     collapse_state,
     post_collapse_statuses,
@@ -196,6 +197,59 @@ def test_collapse_state_rejects_empty_component(three_mode_model):
 def test_collapse_state_rejects_unknown_policy(three_mode_model):
     with pytest.raises(GapflowError, match="unknown norm policy"):
         collapse_state(rigged_state(three_mode_model), 1, three_mode_model, policy="x")
+
+
+def epoch0_group(runner, rows, chosen) -> LegGroup:
+    """An epoch-0 group of the shared table whose trajectory j hit at
+    ``rows[j]`` and chose ``chosen[j]``."""
+    table = runner.table(0, None)
+    table.grow(math.inf, runner.n_full)
+    size = len(rows)
+    zeros = np.zeros(size, np.int64)
+    return LegGroup(0, table, np.arange(size), np.ones(size, complex), zeros, zeros,
+                    np.asarray(rows), np.asarray(chosen), False)
+
+
+@pytest.mark.parametrize("policy", [PRESERVE_TOTAL, RAW])
+@pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_epoch0_collapse_scales_equal_collapse_state(name, mode, policy):
+    """The epoch-0 collapses a walk files in one array pass carry, per row and
+    choice, the bytes of collapse_state's chosen amplitude."""
+    model = BUILDERS[name]()
+    runner = EpochRunner(model, R3, IntegratorConfig(dt=0.01, t_max=2.0), mode, 0, policy,
+                         gen_cache={})
+    table = runner.table(0, None)
+    table.grow(math.inf, runner.n_full)
+    rows, chosen = [], []
+    for c in table.launch_ids:
+        col = model.index_arrays[c][0]
+        r = np.flatnonzero(table.states[:runner.n_full + 1, col] != 0.0)
+        rows += r.tolist()
+        chosen += [c] * len(r)
+    assert rows
+    nxt = {}
+    runner._regroup(epoch0_group(runner, rows, chosen), True, nxt)
+    for c in table.launch_ids:
+        _, pos, scales, _ = nxt[(c, -1)]
+        col = model.index_arrays[c][0]
+        expected = [collapse_state(table.states[rows[p]], c, model, policy)[col]
+                    for p in np.concatenate(pos).tolist()]
+        assert np.concatenate(scales).tobytes() == np.array(expected, complex).tobytes()
+
+
+def test_epoch0_collapse_on_empty_component_raises_as_collapse_state(three_mode_model):
+    """Choosing a component with zero amplitude (every launch component at
+    row 0) raises collapse_state's error for the first such choice."""
+    runner = EpochRunner(three_mode_model, R3, IntegratorConfig(dt=0.01, t_max=1.0), ONEWAY,
+                         0, gen_cache={})
+    group = epoch0_group(runner, [5, 0, 0], [1, 2, 3])
+    with pytest.raises(CollapseOnEmptyError) as expected:
+        collapse_state(group.table.states[0], 2, three_mode_model)
+    with pytest.raises(CollapseOnEmptyError) as got:
+        runner._regroup(group, True, {})
+    assert str(got.value) == str(expected.value)
+    assert str(got.value) == "component 2 has zero amplitude at collapse time"
 
 
 @pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)

@@ -1,6 +1,7 @@
 """Ensemble statistics against the deterministic current-integral oracle."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,26 @@ def test_oracle_grid_refinement_converges(three_mode_model):
         assert coarse.predicted_shares[comp] == pytest.approx(
             fine.predicted_shares[comp], rel=1e-6)
     assert coarse.survival_at(6.0) == pytest.approx(fine.survival_at(6.0), rel=1e-5)
+
+
+@pytest.mark.parametrize("mode", [GapSemantics.HERMITIAN_TRUNCATED,
+                                  GapSemantics.NORM_COMPENSATED], ids=lambda m: m.token)
+@pytest.mark.parametrize("builder", [three_mode, chain_three_level], ids=lambda b: b.__name__)
+def test_gated_hazard_converges_to_oracle_survival(builder, mode):
+    """The engine's hazard drops the trapezoid of a step that ends at rate 0,
+    the oracle's keeps it; where backflow turns the currents negative the gap
+    closes as h^2, so the end survivals agree ever better as dt halves."""
+    model = builder()
+    errors = []
+    for dt in (0.02, 0.01, 0.005):
+        cfg = IntegratorConfig(dt=dt, t_max=6.0)
+        runner = EpochRunner(model, R3, cfg, mode, 0)
+        table = runner.table(0, None)
+        table.grow(math.inf, runner.n_full)
+        oracle = deterministic_oracle(model, cfg, mode)
+        errors.append(abs(math.exp(-table.H[runner.n_full]) - oracle.survival[-1]))
+    assert errors[0] >= 3 * errors[1] >= 9 * errors[2]
+    assert errors[1] < 3e-5
 
 
 def test_oracle_rejects_bad_refine(three_mode_model):

@@ -363,6 +363,15 @@ def test_zero_psi0_rejected():
     assert violation_codes(doc) == ["psi0-zero"]
 
 
+def test_overflowing_psi0_rejected():
+    """A finite psi0 whose square modulus overflows would run on as s = inf."""
+    doc = base_doc()
+    doc["psi0"] = [[1e308, 0.0], [0.0, 0.0]]
+    assert violation_codes(doc) == ["psi0-overflow"]
+    doc["psi0"] = [[1e154, 0.0], [0.0, 0.0]]
+    assert violation_codes(doc) == []
+
+
 def test_duplicate_component_id_rejected():
     doc = base_doc()
     doc["components"][1]["id"] = 0
