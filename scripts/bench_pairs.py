@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Run the benchmark on two source trees in alternating pairs and compare them.
 
-Each pair runs `perfbench/run.py` of the parent tree first, then that of this
-tree, with the same workload, seed (the pair's number) and duration, each
-in its own process. The last line of each run's standard output is its
-result object. After all pairs the script prints, per end-to-end metric,
-the median over the runs of each side and the ratio this / parent, and the
-failed and attempted operations of each side. Alternating the sides spreads
-a drift in host speed over both.
+Each pair runs `perfbench/run.py` of both trees with the same workload, seed
+(the pair's number) and duration, each in its own process: the parent tree
+first in odd pairs, this tree first in even ones, so a drift in host speed
+falls on both sides alike. The last line of each run's standard output is
+its result object; the script prints every run's end-to-end metrics as it
+goes. After all pairs it prints, per end-to-end metric of BENCHMARK.json,
+the median over the runs of each side, the ratio this / parent, in how many
+pairs this tree did better, and the interquartile range of the parent's
+runs, also as a share of their median, marked "unresolved" where that share
+exceeds the metric's bound; then the failed and attempted operations of
+each side.
 
 Example (a change against a checkout of its parent):
 
-    python3 scripts/bench_pairs.py --parent ../parent --workload chained --pairs 4 --seconds 8
+    python3 scripts/bench_pairs.py --parent ../parent --workload chained --seconds 8
 """
 
 import argparse
@@ -40,26 +44,38 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="root of the parent source tree")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=4)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=8.0)
     args = ap.parse_args(argv)
 
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": pathlib.Path(args.parent).resolve(), "this": ROOT}
     results: dict[str, list[dict]] = {name: [] for name in sides}
     for pair in range(1, args.pairs + 1):
-        for name, tree in sides.items():
-            results[name].append(run_once(tree, args.workload, pair, args.seconds))
-        print(f"pair {pair}: " + ", ".join(
-            f"{name} p50 {res[-1]['metrics']['experiment_p50_ms']['value']:.2f} ms"
-            for name, res in results.items()), flush=True)
+        for name in list(sides) if pair % 2 else reversed(sides):
+            res = run_once(sides[name], args.workload, pair, args.seconds)
+            results[name].append(res)
+            print(f"pair {pair} {name}: " + " ".join(
+                f"{m['name']}={res['metrics'][m['name']]['value']:.4g}" for m in declared)
+                + f" failed={res['failed']}/{res['attempted']}", flush=True)
 
-    print(f"{'metric':<20}{'parent':>14}{'this':>14}{'this/parent':>13}")
-    for metric, info in results["parent"][0]["metrics"].items():
-        med = {name: statistics.median(r["metrics"][metric]["value"] for r in res)
-               for name, res in results.items()}
+    print(f"{'metric':<24}{'parent':>12}{'this':>12}{'this/parent':>13}{'won':>7}"
+          f"{'parent IQR':>12}{'IQR/median':>12}")
+    for info in declared:
+        metric = info["name"]
+        values = {name: [r["metrics"][metric]["value"] for r in res]
+                  for name, res in results.items()}
+        med = {name: statistics.median(v) for name, v in values.items()}
         ratio = med["this"] / med["parent"] if med["parent"] else float("nan")
-        print(f"{metric + ' (' + info['unit'] + ')':<20}"
-              f"{med['parent']:>14.4g}{med['this']:>14.4g}{ratio:>13.3f}")
+        sign = 1.0 if info["better"] == "higher" else -1.0
+        won = sum(sign * (t - p) > 0.0 for p, t in zip(values["parent"], values["this"]))
+        q1, _, q3 = (statistics.quantiles(values["parent"], n=4) if args.pairs > 1
+                     else (med["parent"],) * 3)
+        spread = (q3 - q1) / med["parent"] if med["parent"] else float("nan")
+        print(f"{metric + ' (' + info['unit'] + ')':<24}{med['parent']:>12.4g}"
+              f"{med['this']:>12.4g}{ratio:>13.3f}{f'{won}/{args.pairs}':>7}"
+              f"{q3 - q1:>12.4g}{spread:>12.3f}"
+              + ("  unresolved" if spread > info["bound"] else ""))
     for name, res in results.items():
         print(f"{name}: failed {sum(r['failed'] for r in res)} "
               f"of {sum(r['attempted'] for r in res)} operations")

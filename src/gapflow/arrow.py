@@ -167,7 +167,8 @@ def suspension_counterfactual(model: ScenarioModel, cfg: IntegratorConfig,
     """
     if rule not in FREEZE_RULES:
         raise GapflowError(
-            f"unknown or non-freeze rule {rule!r}; counterfactuals take n3_1 or n4_4")
+            f"unknown or non-freeze rule {rule!r}; counterfactuals take "
+            + " or ".join(sorted(FREEZE_RULES)))
     variant = ruleset_for_rule(rule)
     suspended_report = reverse_experiment(
         model, cfg, ruleset=RuleSet(variant, frozenset({rule})),

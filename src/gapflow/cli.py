@@ -28,9 +28,7 @@ from .output import (build_manifest, ensemble_report, load_manifest, scenario_ha
                      write_events_jsonl, write_histogram_csv, write_manifest,
                      write_report_json, write_segment_csv, write_survival_csv,
                      write_trajectory_csv)
-from .rules import RULE_IDS, RuleSet, ruleset_for_rule
-
-SUSPENDABLE = ("n3_1", "n4_4")
+from .rules import FREEZE_RULES, RULE_IDS, RuleSet, ruleset_for_rule
 
 
 def _add_common(sp, with_seed=True):
@@ -39,7 +37,7 @@ def _add_common(sp, with_seed=True):
                     help="rule-set variant (default: scenario defaults)")
     sp.add_argument("--gap-mode", choices=GAP_MODES, default=None,
                     help="gap semantics (default: scenario defaults)")
-    sp.add_argument("--suspend", choices=SUSPENDABLE, default=None,
+    sp.add_argument("--suspend", choices=sorted(FREEZE_RULES), default=None,
                     help="suspend a freeze rule (requires --gap-mode hermitian)")
     sp.add_argument("--dt", type=float, default=None)
     sp.add_argument("--t-max", type=float, default=None)

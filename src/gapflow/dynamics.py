@@ -466,10 +466,12 @@ class EpochTable:
     far it grew. With ``rem`` > 0 the run ends on a shorter step of rem; the
     point that step reaches from row k is kept as well, in row steps + 1 + k.
 
-    With ``keep`` given, states and J are dicts that hold row 0, the last
-    row, the rows in ``keep``, the first row whose hazard passed a grow's E
-    and the shorter-last-step points only, so a table that serves one
-    trajectory of a wide model stays small; without it, they are arrays.
+    With ``keep`` given, states is a dict that holds the states of row 0,
+    the last row, the rows in ``keep``, the first row whose hazard passed a
+    grow's E and the shorter-last-step points only, so a table that serves
+    one trajectory of a wide model stays small; without it, an array. Every
+    other column, J included, is an array in every table; state_rows reads
+    states either way.
 
     With ``gen`` None the table is a quiescent epoch's: no launch component,
     so no currents, and its start row only (``steps`` 0, ``rem`` 0.0).
@@ -481,11 +483,8 @@ class EpochTable:
         self.gen, self.dt, self.trigger_off, self.rem, self.keep = gen, dt, trigger_off, rem, keep
         self.launch_ids = gen.launch_ids if gen else ()
         rows = (steps + 1) * (2 if rem else 1)
-        if keep is None:
-            self.states = np.empty((rows, len(start)), dtype=np.complex128)
-            self.J = np.empty((rows, len(self.launch_ids)))
-        else:
-            self.states, self.J = {}, {}
+        self.states = np.empty((rows, len(start)), dtype=np.complex128) if keep is None else {}
+        self.J = np.empty((rows, len(self.launch_ids)))
         self.s, self.rate, self.H = np.empty(rows), np.empty(rows), np.zeros(rows)
         self.neg = np.zeros(rows, dtype=np.int64)
         block = self._rows(0, 1, len(start))
@@ -525,19 +524,18 @@ class EpochTable:
         else:
             rate = np.maximum(J, 0.0).sum(axis=1) / s
         rows = slice(i, i + b)
-        self.s[rows], self.rate[rows] = s, rate
+        self.s[rows], self.rate[rows], self.J[rows] = s, rate, J
         if prev is not None:
             before = np.concatenate(([self.rate[prev]], rate[:-1]))
             inc = np.where(rate > 0.0, 0.5 * (before + rate) * h, 0.0)
             self.H[rows] = np.add.accumulate(np.concatenate(([self.H[prev]], inc)))[1:]
             self.neg[rows] = self.neg[prev] + np.cumsum((J < 0.0).any(axis=1))
         if self.keep is None:
-            self.J[rows] = J
             return
         hit = i + int(self.H[rows].searchsorted(E, side="right"))
         for j in range(b):
             if i + j in self.keep or j == b - 1 or i + j == hit:
-                self.states[i + j], self.J[i + j] = block[j], J[j]
+                self.states[i + j] = block[j]
 
     def grow(self, E: float, steps: int):
         """Grow until the table holds ``steps`` steps or its hazard passes E.
@@ -555,7 +553,7 @@ class EpochTable:
             step_block(self.states[k], self.gen, self.dt, block)
             self._store(k + 1, k, block, self.dt, E)
             if k and self.keep is not None and k not in self.keep:
-                del self.states[k], self.J[k]
+                del self.states[k]
             k += b
         self.n = k
 
@@ -587,6 +585,13 @@ class EpochTable:
             self._store(i, k, block, self.rem)
             self._tails.add(k)
         return i
+
+    def state_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The states of table rows ``rows``, stacked; with ``keep``, each
+        must be a row the table holds."""
+        if self.keep is None:
+            return self.states[rows]
+        return np.array([self.states[r] for r in rows.tolist()])
 
     def sampled_rows(self, plan: StepPlan) -> np.ndarray:
         """Grow through all of ``plan`` without a hit; the rows of its

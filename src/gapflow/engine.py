@@ -22,10 +22,12 @@ table's, s and J |c|^2 times, rates and hazard unchanged. Once its E is
 drawn, an epoch of a trajectory is a lookup into its table, so
 EpochRunner.walk advances a block of trajectories at once, grouped by
 (epoch, last chosen component): one searchsorted finds every hit row of a
-group and one cumulative-weights comparison every choice, and at epoch 0,
-where every scale is 1, one array pass collapses every choice of a
-one-dimensional component. A collapse onto a wider component starts a table
-of its own, walked as a group of one.
+group, one cumulative-weights comparison every choice, and one array pass
+collapses every choice of a one-dimensional component, at any epoch and from
+any table, onto the next epoch's shared table. A collapse onto a wider
+component starts a table of its own, walked as a group of one. Every
+EpochRunner keeps its shared tables for its own life; a caller's gen_cache
+only shares them across runners.
 run_ensemble walks its trajectories in blocks (ensemble.BLOCK) and
 run_trajectory walks a block of one, so both run the same epoch loop.
 
@@ -215,9 +217,10 @@ class LegGroup(NamedTuple):
 class EpochRunner:
     """The epoch loop of run_trajectory and run_ensemble, with its step plan.
 
-    A caller's ``gen_cache`` holds, per (model, rule set, gap mode), the
-    generators and, per IntegratorConfig, the step plan and the tables that
-    walks share.
+    Every runner keeps, per (model, rule set, gap mode), the generators and,
+    per IntegratorConfig, the step plan and the tables its walks share, for
+    its own life. They live in ``gen_cache``, a dict the caller keeps to
+    share them across runners too, or a private one when it passes none.
     """
 
     def __init__(self, model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
@@ -225,15 +228,13 @@ class EpochRunner:
                  gen_cache: dict | None = None):
         self.model, self.ruleset, self.cfg, self.gap_mode = model, ruleset, cfg, gap_mode
         self.seed, self.policy = seed, policy
-        if gen_cache is None:
-            self._gens, self.tables, plan = {}, None, StepPlan.of(cfg)
-        else:
-            # (last chosen, epoch) -> generator; cfg -> (plan, tables), where
-            # tables maps (epoch, last chosen) -> table
-            self._gens, plans = gen_cache.setdefault((model, ruleset, gap_mode), ({}, {}))
-            if cfg not in plans:
-                plans[cfg] = (StepPlan.of(cfg), {})
-            plan, self.tables = plans[cfg]
+        # (last chosen, epoch) -> generator; cfg -> (plan, tables), where
+        # tables maps (epoch, last chosen) -> table
+        self._gens, plans = ({} if gen_cache is None else gen_cache).setdefault(
+            (model, ruleset, gap_mode), ({}, {}))
+        if cfg not in plans:
+            plans[cfg] = (StepPlan.of(cfg), {})
+        plan, self.tables = plans[cfg]
         self.plan = plan
         self.times, self.sampled, self.rem, self.n_full = plan
         self._sources = frozenset(g.low for g in model.gaps if g.irreversible)
@@ -266,15 +267,15 @@ class EpochRunner:
 
     def table(self, epoch: int, chosen: int | None, start: np.ndarray | None = None,
               keep: set[int] | None = None) -> EpochTable:
-        """The table of ``epoch`` after ``chosen`` (None: epoch 0) from
-        ``start``, else the canonical start: without ``keep`` the cache's
-        shared one, built on first use (on a runner without a cache, a new
-        full table that is stored nowhere); with it, a new one (see
-        EpochTable). A quiescent epoch's table has no generator."""
-        shared = keep is None and self.tables is not None
+        """The table of ``epoch`` after ``chosen`` (None: epoch 0): without
+        ``start`` the runner's shared one from the canonical start, built on
+        first use and kept in ``tables``; with it, a new one from ``start``
+        that, with ``keep``, holds the states of the rows ``keep`` names only
+        (see EpochTable). A quiescent epoch's table has no generator."""
+        shared = start is None
         if shared and (epoch, chosen) in self.tables:
             return self.tables[(epoch, chosen)]
-        if start is None:
+        if shared:
             start = self.model.psi0 if chosen is None else _unit(self.model, chosen)
         trigger_off = self.ruleset.trigger_suspended
         if self.quiescent(chosen):
@@ -290,42 +291,39 @@ class EpochRunner:
         """Walk trajectories ``indices`` together: one LegGroup per epoch and
         table, epoch by epoch.
 
-        With a cache, the table of epoch 0 and of each epoch after a collapse
-        onto a one-dimensional component is shared, keyed by epoch and last
-        chosen component, and holds every row, as any row may be some
-        trajectory's hit. Any other table serves one trajectory, as a group
-        of one, and holds the states of its start and last row only, and with
-        ``record`` those of the sampled rows that samples() reads.
+        The table of epoch 0 and of each epoch after a collapse onto a
+        one-dimensional component is shared, keyed by epoch and last chosen
+        component, and holds every row, as any row may be some trajectory's
+        hit. A collapse onto a wider component starts a table that serves
+        one trajectory, as a group of one, and holds the states of its start
+        and last row only, and with ``record`` those of the sampled rows
+        that samples() reads.
         """
         keys = substream_keys(self.seed, indices)
         size = len(keys)
-        shared = self.tables is not None
         # (last chosen, position of a trajectory with a table of its own or
         # -1) -> (start state or None for the canonical one, [positions],
         # [scales], [steps before the epoch])
-        if shared:
-            frontier = {(None, -1): (None, [np.arange(size)], [np.ones(size, complex)],
-                                     [np.zeros(size, np.int64)])}
-        else:
-            frontier = {(None, p): (None, [np.array([p])], [np.ones(1, complex)],
-                                    [np.zeros(1, np.int64)]) for p in range(size)}
+        frontier = {(None, -1): (None, [np.arange(size)], [np.ones(size, complex)],
+                                 [np.zeros(size, np.int64)])}
         groups: list[LegGroup] = []
         epoch = 0
         while frontier:
             nxt: dict = {}
-            for (chosen, own), (start, pos, scale, k0) in frontier.items():
-                group = self._epoch(epoch, chosen, own < 0, start, keys, *(
+            for (chosen, _), (start, pos, scale, k0) in frontier.items():
+                group = self._epoch(epoch, chosen, start, keys, *(
                     parts[0] if len(parts) == 1 else np.concatenate(parts)
                     for parts in (pos, scale, k0)), record)
                 groups.append(group)
                 if not group.quiescent:
-                    self._regroup(group, shared, nxt)
+                    self._regroup(group, nxt)
             frontier, epoch = nxt, epoch + 1
         return groups
 
-    def _epoch(self, epoch, chosen, shared, start, keys, pos, scale, k0, record) -> LegGroup:
-        """Advance one group through its epoch."""
-        keep = None if shared else (
+    def _epoch(self, epoch, chosen, start, keys, pos, scale, k0, record) -> LegGroup:
+        """Advance one group through its epoch: on the shared table with
+        ``start`` None, else on a table of its own from ``start``."""
+        keep = None if start is None else (
             set(np.flatnonzero(self.sampled[int(k0[0]):self.n_full + 1]).tolist())
             if record else set())
         table = self.table(epoch, chosen, start, keep)
@@ -352,71 +350,51 @@ class EpochRunner:
         chosen_now = zeros - 1
         h = hit.nonzero()[0]
         if h.size:
-            rows = last[h]
-            J = table.J[rows] if isinstance(table.J, np.ndarray) else \
-                np.array([table.J[r] for r in rows.tolist()])
-            weights = np.clip(s2[h, None] * J, 0.0, None)
+            weights = np.clip(s2[h, None] * table.J[last[h]], 0.0, None)
             chosen_now[h] = np.asarray(gen.launch_ids)[_choose(weights, u[h])]
         return LegGroup(epoch, table, pos, scale, k0, n, last, chosen_now, False)
 
-    def _regroup(self, group: LegGroup, shared: bool, nxt: dict):
-        """Collapse a group's hits and file them under their next epoch's key."""
+    def _regroup(self, group: LegGroup, nxt: dict):
+        """Collapse a group's hits and file them under their next epoch's key:
+        the choices of one-dimensional components at once, onto the shared
+        tables, and each choice of a wider one onto a table of its own."""
         h = (group.chosen >= 0).nonzero()[0]
         if not h.size:
             return
         table, rows, chosen, scale = group.table, group.last[h], group.chosen[h], group.scale[h]
-        after: list = [None] * h.size
-        if group.epoch == 0 and shared:
-            # Every epoch-0 scale is 1: collapse the one-dimensional choices
-            # of the group at once.
-            col = np.array([self._unit_index.get(c, -1) for c in chosen.tolist()])
-            one = (col >= 0).nonzero()[0]
-            if one.size:
-                scales = self._unit_scales(table, rows[one], chosen[one], col[one])
-                for j, a in zip(one.tolist(), scales.tolist()):
-                    after[j] = a
-        after = [self._collapse(table, row, c, sc) if a is None else a for a, row, c, sc
-                 in zip(after, rows.tolist(), chosen.tolist(), scale.tolist())]
         k0 = group.k0[h] + group.n[h]
         pos = group.pos[h]
-        for c in sorted(set(chosen.tolist())):
-            sel = (chosen == c).nonzero()[0]
-            one_dim = len(self.model.index_arrays[c]) == 1
-            if one_dim and shared:
+        col = np.array([self._unit_index.get(c, -1) for c in chosen.tolist()])
+        one = col >= 0
+        if one.any():
+            after = self._unit_scales(table, rows[one], chosen[one], col[one], scale[one])
+            for c in sorted(set(chosen[one].tolist())):
+                sel = chosen[one] == c
                 entry = nxt.setdefault((c, -1), (None, [], [], []))
-                for bucket, values in zip(entry[1:], (
-                        pos[sel], np.array([after[j] for j in sel.tolist()], complex), k0[sel])):
+                for bucket, values in zip(entry[1:], (pos[one][sel], after[sel], k0[one][sel])):
                     bucket.append(values)
-                continue
-            for j in sel.tolist():          # a table of its own
-                start, new_scale = (None, after[j]) if one_dim else (after[j], 1.0)
-                nxt[(c, int(pos[j]))] = (start, [pos[j:j + 1]], [np.array([new_scale], complex)],
-                                         [k0[j:j + 1]])
+        for j in (~one).nonzero()[0].tolist():          # a table of its own
+            start = collapse_state(scale[j] * table.states[int(rows[j])], int(chosen[j]),
+                                   self.model, self.policy)
+            nxt[(int(chosen[j]), int(pos[j]))] = (start, [pos[j:j + 1]], [np.ones(1, complex)],
+                                                  [k0[j:j + 1]])
 
     def _unit_scales(self, table: EpochTable, rows: np.ndarray, chosen: np.ndarray,
-                     col: np.ndarray) -> np.ndarray:
-        """The next epoch's scale after collapsing each of the table's
-        ``rows`` onto the one-dimensional ``chosen`` at basis index ``col``:
-        collapse_state's floats, as one array pass. s_pre is the table's s,
-        and s_chosen the same stacked product on the projected rows, so
-        both round as collapse_state's np.vdot does."""
+                     col: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """The next epoch's scale after collapsing ``scale`` times each of
+        the table's ``rows`` onto the one-dimensional ``chosen`` at basis
+        index ``col``: collapse_state's floats, as one array pass. s_pre and
+        s_chosen are stacked products on the scaled rows and on their chosen
+        amplitudes, so both round as collapse_state's np.vdot does (the other
+        terms of its s_chosen are exact zeros)."""
         _check_policy(self.policy)
-        a = table.states[rows, col]
-        projected = np.zeros((len(rows), table.states.shape[1]), dtype=np.complex128)
-        projected[np.arange(len(rows)), col] = a
-        s_chosen = square_moduli(projected)
+        psi = scale[:, None] * table.state_rows(rows)
+        a = psi[np.arange(len(rows)), col]
+        s_chosen = square_moduli(a[:, None])
         if (bad := (s_chosen <= 0.0).nonzero()[0]).size:
             raise CollapseOnEmptyError(
                 f"component {int(chosen[bad[0]])} has zero amplitude at collapse time")
-        return a if self.policy == RAW else a * np.sqrt(table.s[rows] / s_chosen)
-
-    def _collapse(self, table: EpochTable, row: int, chosen: int, scale):
-        """The next epoch's scale after collapsing ``scale`` times the table's
-        ``row`` onto a one-dimensional ``chosen``; the collapsed state itself
-        for a wider one."""
-        psi = collapse_state(scale * table.states[row], chosen, self.model, self.policy)
-        idx = self.model.index_arrays[chosen]
-        return complex(psi[idx[0]]) if len(idx) == 1 else psi
+        return a if self.policy == RAW else a * np.sqrt(square_moduli(psi) / s_chosen)
 
     def legs(self, index: int, record: bool = False) -> tuple[list[Leg], str]:
         """Walk trajectory ``index`` as a block of one: one Leg per epoch, and
@@ -461,14 +439,16 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
     rule sets drive the very same code and so produce identical event
     sequences for identical seeds.
 
-    ``gen_cache``, a dict the caller keeps, holds per (model, rule set, gap
-    mode) the generators and, per ``cfg``, the shared epoch tables: epoch 0
-    and every epoch after a collapse onto a one-dimensional component. Runs
-    that pass the same cache draw against those tables instead of
-    integrating again, with the same floats as a cache-free run. A table
-    keeps every row it reached, 16 dim + 8 (launch components) + 32 bytes
-    per step (twice that when t_max is off the dt grid), for as long as the
-    caller keeps the cache.
+    The run draws against shared epoch tables, epoch 0 and every epoch
+    after a collapse onto a one-dimensional component, as an ensemble's
+    trajectories do. A shared table keeps every row it reached, 16 dim + 8
+    (launch components) + 32 bytes per step (twice that when t_max is off
+    the dt grid), so a run holds the rows of each such epoch up to its hit
+    or its end. ``gen_cache``, a dict the caller keeps, holds per (model,
+    rule set, gap mode) the generators and, per ``cfg``, those tables
+    across runs: runs that pass the same cache draw against them instead of
+    integrating again, with the same floats as a run without one, and the
+    rows stay for as long as the caller keeps the cache.
     """
     runner = EpochRunner(model, ruleset, cfg, gap_mode, seed, policy, gen_cache)
     legs, terminal = runner.legs(traj_index, record=record_samples)

@@ -166,11 +166,11 @@ def _run_range(model, ruleset, cfg, gap_mode, master_seed, policy, start, stop):
     or -1, negative-current steps and whether it ended quiescent, as arrays.
 
     The range is walked in blocks of BLOCK through run_trajectory's epoch
-    loop with the range's shared tables, so epoch 0 and each epoch after a
-    collapse onto a one-dimensional component is integrated once and each
-    trajectory only draws against it.
+    loop with one runner, whose tables every block shares, so epoch 0 and
+    each epoch after a collapse onto a one-dimensional component is
+    integrated once and each trajectory only draws against it.
     """
-    runner = EpochRunner(model, ruleset, cfg, gap_mode, master_seed, policy, gen_cache={})
+    runner = EpochRunner(model, ruleset, cfg, gap_mode, master_seed, policy)
     blocks = [_block_summary(runner, np.arange(lo, min(lo + BLOCK, stop)))
               for lo in range(start, stop, BLOCK)]
     return tuple(np.concatenate(column) for column in zip(*blocks))

@@ -199,41 +199,66 @@ def test_collapse_state_rejects_unknown_policy(three_mode_model):
         collapse_state(rigged_state(three_mode_model), 1, three_mode_model, policy="x")
 
 
-def epoch0_group(runner, rows, chosen) -> LegGroup:
-    """An epoch-0 group of the shared table whose trajectory j hit at
-    ``rows[j]`` and chose ``chosen[j]``."""
-    table = runner.table(0, None)
-    table.grow(math.inf, runner.n_full)
+def hit_group(table, epoch, rows, chosen, scale=None) -> LegGroup:
+    """A group on ``table`` whose trajectory j, at ``scale[j]`` (default 1),
+    hit at ``rows[j]`` and chose ``chosen[j]``."""
     size = len(rows)
     zeros = np.zeros(size, np.int64)
-    return LegGroup(0, table, np.arange(size), np.ones(size, complex), zeros, zeros,
-                    np.asarray(rows), np.asarray(chosen), False)
+    scale = np.ones(size, complex) if scale is None else np.asarray(scale, complex)
+    return LegGroup(epoch, table, np.arange(size), scale, zeros, zeros, np.asarray(rows),
+                    np.asarray(chosen), False)
+
+
+def collapse_case(name, mode, policy):
+    """(runner, epoch, grown table) of the collapse tests: each fixture's
+    shared epoch-0 table, chain_three_level's shared epoch-1 table after its
+    middle component ("chain_epoch1"), and WIDE_LAUNCH's private epoch-1
+    table after its two-dimensional launch component, which holds the
+    states of every third row only."""
+    cfg = IntegratorConfig(dt=0.01, t_max=2.0)
+    if name == "wide_launch":
+        model = load_scenario(json.dumps(WIDE_LAUNCH))
+        runner = EpochRunner(model, R3, cfg, mode, 0, policy)
+        start = np.zeros(model.dim, dtype=complex)
+        start[model.indices_of(1)] = (0.6, 0.8j)
+        epoch, table = 1, runner.table(1, 1, start, keep=set(range(0, runner.n_full, 3)))
+    elif name == "chain_epoch1":
+        runner = EpochRunner(chain_three_level(), R3, cfg, mode, 0, policy)
+        epoch, table = 1, runner.table(1, 1)
+    else:
+        runner = EpochRunner(BUILDERS[name](), R3, cfg, mode, 0, policy)
+        epoch, table = 0, runner.table(0, None)
+    table.grow(math.inf, runner.n_full)
+    return runner, epoch, table
 
 
 @pytest.mark.parametrize("policy", [PRESERVE_TOTAL, RAW])
 @pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
-@pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_epoch0_collapse_scales_equal_collapse_state(name, mode, policy):
-    """The epoch-0 collapses a walk files in one array pass carry, per row and
-    choice, the bytes of collapse_state's chosen amplitude."""
-    model = BUILDERS[name]()
-    runner = EpochRunner(model, R3, IntegratorConfig(dt=0.01, t_max=2.0), mode, 0, policy,
-                         gen_cache={})
-    table = runner.table(0, None)
-    table.grow(math.inf, runner.n_full)
+@pytest.mark.parametrize("name", sorted(BUILDERS) + ["chain_epoch1", "wide_launch"])
+def test_collapse_scales_equal_collapse_state(name, mode, policy):
+    """The collapses onto one-dimensional components that a walk files in
+    one array pass carry, per row, non-unit scale and choice, the bytes of
+    collapse_state's chosen amplitude, at any epoch, on a shared table and
+    on a private one alike."""
+    runner, epoch, table = collapse_case(name, mode, policy)
+    model = runner.model
+    held = (np.arange(runner.n_full + 1) if table.keep is None else
+            np.array(sorted(k for k in table.states if k <= runner.n_full)))
+    states = table.state_rows(held)
     rows, chosen = [], []
     for c in table.launch_ids:
         col = model.index_arrays[c][0]
-        r = np.flatnonzero(table.states[:runner.n_full + 1, col] != 0.0)
+        r = held[np.flatnonzero(states[:, col] != 0.0)]
         rows += r.tolist()
         chosen += [c] * len(r)
-    assert rows
+    assert len(rows) > 20
+    scale = np.linspace(0.2, 3.0, len(rows)) * np.exp(0.7j * np.arange(len(rows)))
     nxt = {}
-    runner._regroup(epoch0_group(runner, rows, chosen), True, nxt)
+    runner._regroup(hit_group(table, epoch, rows, chosen, scale), nxt)
     for c in table.launch_ids:
         _, pos, scales, _ = nxt[(c, -1)]
         col = model.index_arrays[c][0]
-        expected = [collapse_state(table.states[rows[p]], c, model, policy)[col]
+        expected = [collapse_state(scale[p] * table.states[rows[p]], c, model, policy)[col]
                     for p in np.concatenate(pos).tolist()]
         assert np.concatenate(scales).tobytes() == np.array(expected, complex).tobytes()
 
@@ -241,15 +266,32 @@ def test_epoch0_collapse_scales_equal_collapse_state(name, mode, policy):
 def test_epoch0_collapse_on_empty_component_raises_as_collapse_state(three_mode_model):
     """Choosing a component with zero amplitude (every launch component at
     row 0) raises collapse_state's error for the first such choice."""
-    runner = EpochRunner(three_mode_model, R3, IntegratorConfig(dt=0.01, t_max=1.0), ONEWAY,
-                         0, gen_cache={})
-    group = epoch0_group(runner, [5, 0, 0], [1, 2, 3])
+    runner = EpochRunner(three_mode_model, R3, IntegratorConfig(dt=0.01, t_max=1.0), ONEWAY, 0)
+    table = runner.table(0, None)
+    table.grow(math.inf, runner.n_full)
+    group = hit_group(table, 0, [5, 0, 0], [1, 2, 3])
     with pytest.raises(CollapseOnEmptyError) as expected:
         collapse_state(group.table.states[0], 2, three_mode_model)
     with pytest.raises(CollapseOnEmptyError) as got:
-        runner._regroup(group, True, {})
+        runner._regroup(group, {})
     assert str(got.value) == str(expected.value)
     assert str(got.value) == "component 2 has zero amplitude at collapse time"
+
+
+@pytest.mark.parametrize("name", ["chain_epoch1", "wide_launch"])
+def test_later_collapse_on_empty_component_raises_as_collapse_state(name):
+    """At epoch 1, on a shared and on a private table, a scaled choice of the
+    launch component at row 0, where it is empty, raises collapse_state's
+    error."""
+    runner, epoch, table = collapse_case(name, ONEWAY, PRESERVE_TOTAL)
+    (c,) = table.launch_ids
+    group = hit_group(table, epoch, [42, 0], [c, c], [0.5j, 2.0 - 1.0j])
+    with pytest.raises(CollapseOnEmptyError) as expected:
+        collapse_state((2.0 - 1.0j) * table.states[0], c, runner.model)
+    with pytest.raises(CollapseOnEmptyError) as got:
+        runner._regroup(group, {})
+    assert str(got.value) == str(expected.value) == \
+        f"component {c} has zero amplitude at collapse time"
 
 
 @pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
@@ -355,8 +397,9 @@ def test_epoch_hazard_matches_per_step_survival(build, chosen):
 
 
 def test_epoch_table_keep_holds_only_the_rows_it_names():
-    """A table with ``keep`` holds row 0, its last row and the rows in keep,
-    with the same floats as a table that holds every row."""
+    """A table with ``keep`` holds the states of row 0, its last row and the
+    rows in keep, and every other column on every row, with the same floats
+    as a table that holds every row."""
     cfg = IntegratorConfig(dt=0.01, t_max=2.0)
     model = chain_three_level()
     gen = EpochRunner(model, R3, cfg, ONEWAY, 0).generator(None, 0)
@@ -365,25 +408,24 @@ def test_epoch_table_keep_holds_only_the_rows_it_names():
     lean = EpochTable(gen, model.psi0, cfg.dt, n, False, keep={7, 50})
     grow_to_end(full, n)
     grow_to_end(lean, n)
-    assert full.states.shape[0] == full.J.shape[0] == n + 1
-    assert sorted(lean.states) == sorted(lean.J) == [0, 7, 50, n]
-    for k in lean.states:
-        assert np.array_equal(lean.states[k], full.states[k])
-        assert np.array_equal(lean.J[k], full.J[k])
-    for column in ("s", "neg", "rate", "H"):
+    assert full.states.shape[0] == full.J.shape[0] == lean.J.shape[0] == n + 1
+    assert sorted(lean.states) == [0, 7, 50, n]
+    assert np.array_equal(lean.state_rows(np.array([0, 7, 50, n])), full.states[[0, 7, 50, n]])
+    for column in ("J", "s", "neg", "rate", "H"):
         assert np.array_equal(getattr(lean, column), getattr(full, column))
 
 
 @pytest.mark.parametrize("t_max", [6.0, 2.005])
-def test_table_without_a_cache_is_a_new_full_table(t_max):
-    """A runner without a cache tabulates epoch 0 afresh on every call and
-    keeps it nowhere; grown to its end (and its shorter last step), it
-    equals the cached runner's table row for row."""
+def test_runner_without_a_cache_keeps_its_own_tables(t_max):
+    """A runner built without a cache keeps its tables for its own life, a
+    second such runner builds its own, and grown to their end (and their
+    shorter last step), both hold the same rows."""
     model, cfg = three_mode(), IntegratorConfig(dt=0.01, t_max=t_max)
     alone = EpochRunner(model, R3, cfg, ONEWAY, 0)
-    cached = EpochRunner(model, R3, cfg, ONEWAY, 0, gen_cache={})
-    tables = [alone.table(0, None), cached.table(0, None)]
-    assert alone.table(0, None) is not tables[0] and cached.table(0, None) is tables[1]
+    other = EpochRunner(model, R3, cfg, ONEWAY, 0)
+    tables = [alone.table(0, None), other.table(0, None)]
+    assert alone.table(0, None) is tables[0] and other.table(0, None) is tables[1]
+    assert tables[0] is not tables[1] and alone.tables == {(0, None): tables[0]}
     for table in tables:
         assert not grow_to_end(table, alone.n_full) and table.n == alone.n_full
     rows = list(range(alone.n_full + 1))
@@ -391,6 +433,18 @@ def test_table_without_a_cache_is_a_new_full_table(t_max):
         rows += {table.tail(alone.n_full) for table in tables}
     for column in ("states", "J", "s", "neg", "rate", "H"):
         assert np.array_equal(getattr(tables[0], column)[rows], getattr(tables[1], column)[rows])
+
+
+def test_table_from_a_start_is_never_shared():
+    """A table built from a given start, with or without ``keep``, is new and
+    stored nowhere: the shared table of its epoch still starts at psi0."""
+    model, cfg = three_mode(), IntegratorConfig(dt=0.01, t_max=1.0)
+    runner = EpochRunner(model, R3, cfg, ONEWAY, 0, gen_cache={})
+    start = np.zeros(model.dim, dtype=complex)
+    start[1] = 1.0
+    for keep in (None, set()):
+        assert runner.table(0, None, start, keep) is not runner.table(0, None, start, keep)
+    assert np.array_equal(runner.table(0, None).states[0], model.psi0)
 
 
 def table_case(name, mode):
@@ -671,7 +725,7 @@ def record_of(rec):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_gen_cache_reuse_is_transparent(name, gap_mode, t_max, record_samples):
     """Runs that share a cache's generators and epoch tables report exactly
-    what cache-free runs do, whichever run grew a table first."""
+    what runs without one do, whichever run grew a table first."""
     model = BUILDERS[name]()
     cfg = IntegratorConfig(dt=0.01, t_max=t_max)
     cache = {}
