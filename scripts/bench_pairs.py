@@ -2,20 +2,25 @@
 """Run the benchmark on two source trees in alternating pairs and compare them.
 
 Each pair runs `perfbench/run.py` of both trees with the same workload, seed
-(the pair's number) and duration, each in its own process: the parent tree
-first in odd pairs, this tree first in even ones, so a drift in host speed
-falls on both sides alike. The last line of each run's standard output is
-its result object; the script prints every run's end-to-end metrics as it
-goes. After all pairs it prints, per end-to-end metric of BENCHMARK.json,
-the median over the runs of each side, the ratio this / parent, in how many
+and duration (BENCHMARK.json's run_seconds unless --seconds is given), each
+in its own process: the parent tree first in odd pairs, this tree first in
+even ones, so a drift in host speed falls on both sides alike. Pair k runs
+seed --first-seed + k - 1, so a gain found on one seed range can be
+confirmed on another. The last line of each run's standard output is its
+result object; the script prints every run's end-to-end metrics as it goes.
+After all pairs it prints, per end-to-end metric of BENCHMARK.json, the
+median over the runs of each side, the ratio this / parent, in how many
 pairs this tree did better, and the interquartile range of the parent's
 runs, also as a share of their median, marked "unresolved" where that share
-exceeds the metric's bound; then the failed and attempted operations of
-each side.
+exceeds the metric's bound. Two verdicts follow: "gain" where this tree won
+at least 9 in 10 of the pairs and its median is better than the parent's by
+more than the parent's IQR, and "worse" where its median is worse than the
+parent's by more than the metric's bound. Last come the failed and attempted
+operations of each side.
 
 Example (a change against a checkout of its parent):
 
-    python3 scripts/bench_pairs.py --parent ../parent --workload chained --seconds 8
+    python3 scripts/bench_pairs.py --parent ../parent --workload chained --first-seed 41
 """
 
 import argparse
@@ -45,22 +50,26 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="root of the parent source tree")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=8.0)
+    ap.add_argument("--seconds", type=float, default=None,
+                    help="duration of each run (default: BENCHMARK.json's run_seconds)")
+    ap.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
     args = ap.parse_args(argv)
 
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = benchmark["end_to_end"]
+    seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
     sides = {"parent": pathlib.Path(args.parent).resolve(), "this": ROOT}
     results: dict[str, list[dict]] = {name: [] for name in sides}
     for pair in range(1, args.pairs + 1):
         for name in list(sides) if pair % 2 else reversed(sides):
-            res = run_once(sides[name], args.workload, pair, args.seconds)
+            res = run_once(sides[name], args.workload, args.first_seed + pair - 1, seconds)
             results[name].append(res)
             print(f"pair {pair} {name}: " + " ".join(
                 f"{m['name']}={res['metrics'][m['name']]['value']:.4g}" for m in declared)
                 + f" failed={res['failed']}/{res['attempted']}", flush=True)
 
     print(f"{'metric':<24}{'parent':>12}{'this':>12}{'this/parent':>13}{'won':>7}"
-          f"{'parent IQR':>12}{'IQR/median':>12}")
+          f"{'parent IQR':>12}{'IQR/median':>12}  verdict")
     for info in declared:
         metric = info["name"]
         values = {name: [r["metrics"][metric]["value"] for r in res]
@@ -72,10 +81,14 @@ def main(argv=None) -> int:
         q1, _, q3 = (statistics.quantiles(values["parent"], n=4) if args.pairs > 1
                      else (med["parent"],) * 3)
         spread = (q3 - q1) / med["parent"] if med["parent"] else float("nan")
+        better = sign * (med["this"] - med["parent"])
+        verdict = [word for word, holds in (
+            ("unresolved", spread > info["bound"]),
+            ("gain", 10 * won >= 9 * args.pairs and better > q3 - q1),
+            ("worse", -better > info["bound"] * abs(med["parent"]))) if holds]
         print(f"{metric + ' (' + info['unit'] + ')':<24}{med['parent']:>12.4g}"
               f"{med['this']:>12.4g}{ratio:>13.3f}{f'{won}/{args.pairs}':>7}"
-              f"{q3 - q1:>12.4g}{spread:>12.3f}"
-              + ("  unresolved" if spread > info["bound"] else ""))
+              f"{q3 - q1:>12.4g}{spread:>12.3f}  {' '.join(verdict) or '-'}")
     for name, res in results.items():
         print(f"{name}: failed {sum(r['failed'] for r in res)} "
               f"of {sum(r['attempted'] for r in res)} operations")

@@ -20,25 +20,28 @@ state-dependent anti-Hermitian loss on the source sector in norm_compensated
 mode. No adaptive stepping: trajectories must be reproducible across runs and
 worker layouts. A step takes one of two paths:
 
-* propagator: where G is held dense and carries no compensation term (oneway
-  and hermitian modes up to DENSE_DIM_LIMIT), the dynamics is linear and
-  constant within an epoch, so an RK4 step of length h is the fixed matrix
-  M_h = sum_{k<=4} (-iGh)^k/k!, built once per h and applied as one matvec.
-  G's launch columns are zero in the sink modes, so M_h's launch columns are
-  exact identity columns and the zero-backflow guarantee stays bit-exact.
+* propagator: where G carries no compensation term (oneway and hermitian
+  modes), the dynamics is linear and constant within an epoch, so an RK4
+  step of length h is the fixed matrix M_h = sum_{k<=4} (-iGh)^k/k!, built
+  once per h and applied as one matvec. It is dense where G is held dense
+  (up to DENSE_DIM_LIMIT) and CSR above, where it is kept only while it
+  stays sparse (SPARSE_FILL_LIMIT): a oneway star's M_h is I - iGh, a
+  hermitian star's fills in. G's launch columns are zero in the sink modes,
+  so M_h's launch columns are exact identity columns and the zero-backflow
+  guarantee stays bit-exact.
 * staged: the four-stage RK4 through gen.apply. Compensated mode needs it
-  (its loss term is nonlinear, so no M_h exists), and so do CSR generators
-  (M_h of a sparse G such as a hermitian star fills in).
+  (its loss term is nonlinear, so no M_h exists), and so does a CSR
+  generator whose M_h would fill in.
 
 step_block is the one stepping routine: it fills a block of rows, each one
-step after the row before it. On the propagator path it writes each row in
-place as M_h times the row before it, with one finiteness check per block;
-the staged path checks every row. step is a block of one. EpochTable steps
-an epoch's deterministic evolution straight into its own rows, FILL_BLOCK
+step after the row before it. On the propagator path it writes each row as
+M_h times the row before it, with one finiteness check per block; the
+staged path checks every row. step is a block of one. EpochTable steps an
+epoch's deterministic evolution straight into its own rows, FILL_BLOCK
 steps at a time, or in blocks that double with the table where no hazard
 draw can stop the growth, then fills the block's currents (one stacked
-product on the propagator path, per row otherwise), square moduli, rates
-and gated hazard at once. Trajectories draw against tables (engine), and
+product where G is linear, per row otherwise), square moduli, rates and
+gated hazard at once. Trajectories draw against tables (engine), and
 evolve, behind the oracle and `gapflow currents`, is a trigger-off table
 walked to its end, as is the arrow profile.
 """
@@ -65,6 +68,13 @@ S_LOW_FLOOR = 1e-300
 # Dense matvec beats csr by a wide margin for the model sizes this package
 # targets; fall back to sparse only for genuinely large bases.
 DENSE_DIM_LIMIT = 256
+
+# A CSR M_h is kept while its nnz is at most this many times nnz(G) + dim,
+# the work of one staged apply. Measured on random sparse G (one BLAS
+# thread, 2 vCPUs): at nnz(M_h) / (nnz(G) + dim) of 3.5-3.9 a CSR M_h matvec
+# took 19 us against 47 us for a staged step at dim 512, and 43 against
+# 115 us at dim 2048; the two broke even near 9 at dim 2048.
+SPARSE_FILL_LIMIT = 4
 
 # RK4 step matrices kept per generator: a run needs dt, perhaps a shorter last
 # step, and the two probes of fd_current_check.
@@ -150,28 +160,40 @@ class EffectiveGenerator:
             object.__setattr__(self, "dense", self.matrix.toarray())
 
     @property
-    def linear_dense(self) -> bool:
-        """G is held dense and has no compensation term: the propagator path."""
-        return self.dense is not None and not self.compensations
+    def linear(self) -> bool:
+        """G has no compensation term: dpsi/dt = -i G psi, the propagator
+        path wherever M_h exists."""
+        return not self.compensations
 
-    def propagator(self, h: float) -> np.ndarray | None:
+    def propagator(self, h: float) -> np.ndarray | sp.csr_matrix | None:
         """The RK4 step matrix M_h = sum_{k<=4} (-iGh)^k/k!, or None off the
-        propagator path (compensated mode, CSR generators).
+        propagator path (compensated mode, a CSR G whose M_h fills in).
 
-        Built in Horner form on first use; the PROPAGATOR_CACHE_SIZE most
-        recently built step sizes are kept.
+        Built in Horner form on first use, dense where G is and CSR
+        otherwise; the PROPAGATOR_CACHE_SIZE most recently asked step sizes
+        are kept, None included.
         """
-        if not self.linear_dense:
+        if not self.linear:
             return None
-        m = self._propagators.get(h)
-        if m is None:
+        if h not in self._propagators:
             if len(self._propagators) >= PROPAGATOR_CACHE_SIZE:
                 del self._propagators[next(iter(self._propagators))]
-            a = (-1j * h) * self.dense
-            eye = np.eye(self.dim, dtype=np.complex128)
-            m = eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
-            self._propagators[h] = m
-        return m
+            self._propagators[h] = self._horner(h)
+        return self._propagators[h]
+
+    def _horner(self, h: float) -> np.ndarray | sp.csr_matrix | None:
+        g, sparse = self.matrix, self.dense is None
+        limit = SPARSE_FILL_LIMIT * (g.nnz + self.dim)
+        # nnz(G^2) <= sum_k nnz(column k) nnz(row k) rejects a G that fills
+        # in (a hermitian star) before any sparse product.
+        if sparse and np.bincount(g.indices, minlength=self.dim) @ np.diff(g.indptr) > limit:
+            return None
+        if sparse:
+            a, eye = (-1j * h) * g, sp.identity(self.dim, dtype=np.complex128, format="csr")
+        else:
+            a, eye = (-1j * h) * self.dense, np.eye(self.dim, dtype=np.complex128)
+        m = eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
+        return None if sparse and m.nnz > limit else m
 
     @cached_property
     def launch_runs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -285,20 +307,24 @@ def step_block(psi: np.ndarray, gen: EffectiveGenerator, h: float,
     ``psi``; returns ``out``. The one stepping routine: EpochTable grows
     through it and step is a block of one.
 
-    Where gen.propagator has an M_h, each row is written in place as M_h
-    times the row before it, and the block is checked for non-finite
-    amplitudes once, at its end. The staged path checks each row before it
-    stages the next, so a non-finite state never runs on into further
-    gen.apply calls.
+    Where gen.propagator has an M_h, each row is written as M_h times the
+    row before it (in place where M_h is dense), and the block is checked
+    for non-finite amplitudes once, at its end. The staged path checks each
+    row before it stages the next, so a non-finite state never runs on into
+    further gen.apply calls.
 
     h may be negative (used by the central-difference current oracle).
     """
     m = gen.propagator(h)
     if m is not None:
-        dot = m.dot
-        for row in out:
-            dot(psi, out=row)
-            psi = row
+        if isinstance(m, np.ndarray):
+            dot = m.dot
+            for row in out:
+                dot(psi, out=row)
+                psi = row
+        else:
+            for j in range(len(out)):
+                psi = out[j] = m @ psi
         if not np.isfinite(out).all():
             raise _non_finite(gen, h)
         return out
@@ -319,8 +345,9 @@ def square_moduli(block: np.ndarray) -> np.ndarray:
     return (block.conj()[:, None, :] @ block[:, :, None])[:, 0, 0].real
 
 
-def _non_finite(gen: EffectiveGenerator, h: float) -> NonFiniteStateError:
-    return NonFiniteStateError(f"non-finite amplitudes after step dt={h} "
+def _non_finite(gen: EffectiveGenerator, h: float,
+                what: str = "amplitudes") -> NonFiniteStateError:
+    return NonFiniteStateError(f"non-finite {what} after step dt={h} "
                                f"(epoch {gen.provenance.epoch}, mode {gen.mode.token})")
 
 
@@ -505,18 +532,23 @@ class EpochTable:
         """Fill rows i, i + 1, ... from the states of ``block`` (from
         ``_rows``), each one step of h after the row before it (row ``prev``;
         None for the start row). Stacked matvecs and dot products round as
-        component_currents' dense @ psi and square_modulus's np.vdot do;
-        block @ dense.T need not."""
+        component_currents' G @ psi and square_modulus's np.vdot do, dense
+        or CSR; block @ dense.T need not. A stepped row whose square
+        modulus overflows raises, trigger off or on."""
         gen, b = self.gen, len(block)
         if gen is None:
             J = np.empty((b, 0))
-        elif gen.linear_dense:
+        elif gen.linear:
             idx, starts = gen.launch_runs
-            dpsi = -1j * (gen.dense @ block[:, :, None])[:, :, 0]
+            g_psi = ((gen.dense @ block[:, :, None])[:, :, 0] if gen.dense is not None
+                     else (gen.matrix @ np.ascontiguousarray(block.T)).T)
+            dpsi = -1j * g_psi
             J = 2.0 * np.add.reduceat((block[:, idx].conj() * dpsi[:, idx]).real, starts, axis=1)
         else:
             J = np.array([component_currents(psi, gen).J for psi in block])
         s = square_moduli(block)
+        if prev is not None and not np.isfinite(s).all():
+            raise _non_finite(gen, h, "square modulus")
         if self.trigger_off:
             rate = np.zeros(b)
         elif (bad := (s <= 0.0).nonzero()[0]).size:

@@ -145,8 +145,11 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
 
     times = seg.times
     j_pos = np.clip(seg.currents, 0.0, None)
-    # a single sample (t_max = 0) integrates to 0
-    integrals = {m: float(np.trapezoid(j_pos[:, k], times)) for k, m in enumerate(seg.launch_ids)}
+    # One call along contiguous rows sums each component pairwise, as a call
+    # per column does (along axis 0 numpy does not); a single sample
+    # (t_max = 0) integrates to 0.
+    rows = np.trapezoid(np.ascontiguousarray(j_pos.T), times, axis=1)
+    integrals = dict(zip(seg.launch_ids, rows.tolist()))
     total = sum(integrals.values())
     predicted = {m: v / total if total > 0.0 else 0.0 for m, v in integrals.items()}
 

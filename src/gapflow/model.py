@@ -232,7 +232,8 @@ class ScenarioModel:
         return total.tocsr()
 
     def fingerprint(self) -> str:
-        """SHA-256 of the canonical serialization: equal for equal model content.
+        """SHA-256 of the canonical document as compact JSON: equal for equal
+        model content. It is never written to an artifact.
 
         RunProvenance carries it, so ensemble statistics and the oracle are
         compared only for the same model; output.scenario_hash is the file-byte
@@ -243,8 +244,9 @@ class ScenarioModel:
     @cached_property
     def _fingerprint(self) -> str:
         # Computed once: serializing a wide model costs milliseconds, and
-        # every ensemble command asks twice.
-        return hashlib.sha256(serialize_scenario(self).encode()).hexdigest()
+        # every ensemble command asks twice. Compact JSON: with ``indent``
+        # the encoder runs in pure Python.
+        return hashlib.sha256(json.dumps(_scenario_document(self)).encode()).hexdigest()
 
 
 def project(state: np.ndarray, comp_id: int, model: ScenarioModel) -> np.ndarray:
@@ -675,7 +677,12 @@ def load_scenario_file(path) -> ScenarioModel:
 
 def serialize_scenario(model: ScenarioModel) -> str:
     """Canonical document text; load_scenario(serialize(m)) == m bit-exactly."""
-    doc = {
+    return json.dumps(_scenario_document(model), indent=2) + "\n"
+
+
+def _scenario_document(model: ScenarioModel) -> dict:
+    """The canonical document serialize_scenario writes and fingerprint hashes."""
+    return {
         "schema": SCENARIO_SCHEMA,
         "dim": model.dim,
         "components": [
@@ -699,4 +706,3 @@ def serialize_scenario(model: ScenarioModel) -> str:
             "seed": model.defaults.seed, "sample_every": model.defaults.sample_every,
         },
     }
-    return json.dumps(doc, indent=2) + "\n"

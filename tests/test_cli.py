@@ -153,6 +153,26 @@ def test_overflowing_psi0_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "currents"])
+def test_overflowing_square_modulus_exit_1(tmp_path, capsys, command):
+    """A coupling of 1e308 passes validation and keeps the amplitudes finite,
+    but s overflows on the first step: a run (hazard on) and the current
+    profile (trigger off) fail with a message and write nothing instead of
+    inf and NaN."""
+    doc = json.loads(pathlib.Path(THREE_MODE).read_text())
+    doc["gaps"][0]["entries"][0][2] = 1e308
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(bad)]) == 0
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([command, "--scenario", str(bad), "--t-max", "0.1", "--dt", "0.01",
+                     "--out-dir", str(out)])
+    assert code == 1
+    assert "non-finite square modulus after step dt=0.01" in capsys.readouterr().err
+    assert not out.exists()
+
+
 DELETE = object()
 # What one mutation puts in place of a value (DELETE: remove the key or item).
 MUTANTS = (DELETE, None, True, -1, 0, 10**13, 1e308, math.nan, "x", [], {})

@@ -14,6 +14,7 @@ import inspect
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from gapflow.dynamics import (
     DENSE_DIM_LIMIT,
     FILL_BLOCK,
     PROPAGATOR_CACHE_SIZE,
+    SPARSE_FILL_LIMIT,
     EpochTable,
     GapSemantics,
     IntegratorConfig,
@@ -294,6 +296,11 @@ def rk4_stages(psi, gen, h):
     return psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def build(name):
+    """A fixture by name, or the dim-301 star, held as CSR."""
+    return star_model(300) if name == "star301" else BUILDERS[name]()
+
+
 def reachable_generators(model, mode):
     """The initial generator and the one after each possible first collapse."""
     gen = assemble_generator(model, R3, mode)
@@ -302,15 +309,17 @@ def reachable_generators(model, mode):
                     for m in gen.launch_ids]
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(BUILDERS) + ["star301"])
 def test_oneway_propagator_launch_columns_are_identity(name):
-    """The bit-exact block: M_h maps a launch-sector state to itself."""
-    model = BUILDERS[name]()
+    """The bit-exact block: M_h, dense or CSR, maps a launch-sector state to
+    itself."""
+    model = build(name)
     eye = np.eye(model.dim, dtype=complex)
     for gen in reachable_generators(model, ONEWAY):
         idx, _ = gen.launch_runs
         for h in STEP_SIZES:
-            cols = gen.propagator(h)[:, idx]
+            m = gen.propagator(h)
+            cols = (m.toarray() if sp.issparse(m) else m)[:, idx]
             assert np.ascontiguousarray(cols).tobytes() == np.ascontiguousarray(eye[:, idx]).tobytes()
     psi = reverse_initial_state(model)
     gen = assemble_generator(model, R3, ONEWAY)
@@ -318,10 +327,11 @@ def test_oneway_propagator_launch_columns_are_identity(name):
         assert step(psi, gen, h).tobytes() == psi.tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
-@pytest.mark.parametrize("mode", [ONEWAY, HERMITIAN])
-def test_propagator_step_matches_staged_rk4(name, mode):
-    model = BUILDERS[name]()
+@pytest.mark.parametrize("mode,name", [
+    *((mode, name) for mode in (ONEWAY, HERMITIAN) for name in sorted(BUILDERS)),
+    (ONEWAY, "star301")])
+def test_propagator_step_matches_staged_rk4(mode, name):
+    model = build(name)
     rng = np.random.default_rng(5)
     for gen in reachable_generators(model, mode):
         for _ in range(10):
@@ -355,13 +365,15 @@ def reference_step(psi, gen, h):
     *((name, mode) for name in sorted(BUILDERS) for mode in GapSemantics),
     # Held dense at DENSE_DIM_LIMIT, so on the M_h path; its compensated
     # steps would loop over 255 gaps per stage and stay off the M_h path.
-    ("star256", ONEWAY), ("star256", HERMITIAN)], ids=lambda v: getattr(v, "token", v))
+    ("star256", ONEWAY), ("star256", HERMITIAN),
+    # Held as CSR, with a CSR M_h.
+    ("star301", ONEWAY)], ids=lambda v: getattr(v, "token", v))
 def test_step_block_rows_equal_a_row_by_row_loop(name, mode, length):
     """Every row of step_block holds the floats of a loop that steps the row
     before it, by the reference arithmetic and by step."""
-    model = star_model(DENSE_DIM_LIMIT - 1) if name == "star256" else BUILDERS[name]()
+    model = star_model(DENSE_DIM_LIMIT - 1) if name == "star256" else build(name)
     gen = assemble_generator(model, R3, mode)
-    assert gen.dense is not None
+    assert (gen.dense is None) == (name == "star301")
     rng = np.random.default_rng(11)
     start = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
     start /= np.linalg.norm(start)
@@ -556,8 +568,11 @@ def test_csr_generator_matches_dense(mode):
     rng = np.random.default_rng(11)
     psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
     psi /= np.linalg.norm(psi)
-    # CSR takes the staged path; its dense twin takes M_h unless compensated.
-    assert gen.propagator(0.01) is None
+    # A oneway star's M_h is I - iGh, kept in CSR; the hermitian star's
+    # fills in and the compensated one has none, so both take the staged
+    # path. The dense twin takes M_h unless compensated.
+    m = gen.propagator(0.01)
+    assert sp.issparse(m) if mode is ONEWAY else m is None
     assert (dense.propagator(0.01) is None) == (mode is COMPENSATED)
     for h in STEP_SIZES:
         np.testing.assert_allclose(step(psi, gen, h), step(psi, dense, h), rtol=0, atol=1e-12)
@@ -567,6 +582,42 @@ def test_csr_generator_matches_dense(mode):
         launch_only = psi.copy()
         launch_only[0] = 0.0
         assert np.all(gen.apply(launch_only) == 0.0)
+
+
+@pytest.mark.parametrize("mode", [HERMITIAN, COMPENSATED])
+def test_csr_without_a_sparse_propagator_pays_no_sparse_product(mode, monkeypatch):
+    """The hermitian star's fill bound, sum_k nnz(column k) nnz(row k),
+    rejects its M_h before any sparse product; the compensated star is not
+    linear. The oneway star shows that the spy sees the Horner products."""
+    def spy(self, other):
+        raise AssertionError("sparse product")
+
+    gens = {m: assemble_generator(star_model(300), R3, m) for m in (mode, ONEWAY)}
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", spy)
+    for h in STEP_SIZES:
+        assert gens[mode].propagator(h) is None
+    with pytest.raises(AssertionError, match="sparse product"):
+        gens[ONEWAY].propagator(0.01)
+
+
+@pytest.mark.parametrize("per_row,kept", [(1, True), (3, False)])
+def test_csr_propagator_is_kept_only_while_sparse(per_row, kept):
+    """A CSR M_h is built with the dense Horner expression and kept only
+    while its nnz stays within SPARSE_FILL_LIMIT (nnz(G) + dim). A random G
+    with 3 entries a row passes the G^2 bound, but its M_h fills in."""
+    gen = assemble_generator(star_model(300), R3, HERMITIAN)
+    rng = np.random.default_rng(4)
+    rows, cols = rng.integers(0, gen.dim, (2, per_row * gen.dim))
+    g = sp.csr_matrix((rng.normal(size=len(rows)) + 0j, (rows, cols)), shape=(gen.dim, gen.dim))
+    gen = dataclasses.replace(gen, matrix=g)
+    twin = dataclasses.replace(gen, dense=g.toarray())
+    limit = SPARSE_FILL_LIMIT * (g.nnz + gen.dim)
+    assert np.bincount(g.indices, minlength=gen.dim) @ np.diff(g.indptr) <= limit
+    m = gen.propagator(0.01)
+    assert (m is not None) == kept
+    if kept:
+        assert m.nnz <= limit
+        np.testing.assert_allclose(m.toarray(), twin.propagator(0.01), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
