@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run a fixed matrix of CLI invocations and record a sha256 per artifact.
 
-Every shipped scenario is run in every gap mode through ten invocations
-(`currents` three ways, `ensemble` two ways, `run` two ways, `arrow` three
+Every shipped scenario is run in every gap mode through eleven invocations
+(`currents` three ways, `ensemble` three ways, `run` two ways, `arrow` three
 ways: plain, with `--suspend n3_1`, and off the dt grid with sparse
-samples), 150 in all, each in-process through
+samples), 165 in all, each in-process through
 `gapflow.cli.main` with its own output directory. The listing written to
 `<out-dir>/sha256.txt` holds one line per output file, plus the exit code,
 stdout and stderr of each invocation (the output directory masked), sorted
@@ -37,6 +37,9 @@ INVOCATIONS = (
     ("currents_every3", ["currents", "--sample-every", "3"]),
     ("ensemble", ["ensemble", "--n", "200"]),
     ("ensemble_offgrid", ["ensemble", "--n", "200", "--t-max", "2.005"]),
+    # Above ensemble.BLOCK = 2048, with a tail block: large blocks draw their
+    # substreams as arrays, small ones through the per-key loop.
+    ("ensemble_3000", ["ensemble", "--n", "3000"]),
     ("run", ["run", "--sample-every", "7"]),
     ("run_raw", ["run", "--policy", "raw", "--seed", "5"]),
     ("arrow", ["arrow"]),

@@ -148,8 +148,9 @@ class EffectiveGenerator:
     # compensated-mode loss term. Empty in the other modes.
     compensations: tuple[tuple[np.ndarray, sp.csr_matrix], ...]
     # (low, high) -> reverse block, or None where the coupling is structurally
-    # absent (the bit-exact zero-backflow guarantee of the sink modes).
-    backflows: Mapping[tuple[int, int], sp.csr_matrix | None]
+    # absent (the bit-exact zero-backflow guarantee of the sink modes); as
+    # CSR in backflow_matrices.
+    backflows: Mapping[tuple[int, int], OperatorBlock | None]
     provenance: GeneratorProvenance
     dense: np.ndarray | None = field(default=None, compare=False)
     # step size -> M_h, filled on first use (see propagator)
@@ -202,6 +203,13 @@ class EffectiveGenerator:
         runs = [self.launch_indices[cid] for cid in self.launch_ids]
         starts = np.cumsum([0] + [len(r) for r in runs])[:-1].astype(np.intp)
         return (np.concatenate(runs) if runs else np.empty(0, dtype=np.intp)), starts
+
+    @cached_property
+    def backflow_matrices(self) -> dict[tuple[int, int], sp.csr_matrix | None]:
+        """backflows as CSR, built on first use: only gap_backflow reads
+        them, and a wide hermitian generator has one block per gap."""
+        return {key: None if back is None else back.to_coo().tocsr()
+                for key, back in self.backflows.items()}
 
     @property
     def conserves_norm(self) -> bool:
@@ -262,7 +270,7 @@ def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantic
 
     sourceable = {ACTIVE, REALIZED} | ({LAUNCH} if freeze_off else set())
     compensations = []
-    backflows: dict[tuple[int, int], sp.csr_matrix | None] = {}
+    backflows: dict[tuple[int, int], OperatorBlock | None] = {}
     for gap in model.gaps:
         st_low, st_high = statuses[gap.low], statuses[gap.high]
         if freeze_off and mode is GapSemantics.HERMITIAN_TRUNCATED:
@@ -279,7 +287,7 @@ def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantic
         if mode is GapSemantics.HERMITIAN_TRUNCATED:
             back = OperatorBlock(model.dim, feed.adjoint_entries())
             entries.extend(back.entries)
-            backflows[(gap.low, gap.high)] = back.to_coo().tocsr()
+            backflows[(gap.low, gap.high)] = back
         else:
             backflows[(gap.low, gap.high)] = None
             if mode is GapSemantics.NORM_COMPENSATED:
@@ -426,7 +434,7 @@ def gap_backflow(state: np.ndarray, gen: EffectiveGenerator) -> dict[tuple[int, 
     """
     psi = np.asarray(state, dtype=np.complex128)
     out = {}
-    for key, back in gen.backflows.items():
+    for key, back in gen.backflow_matrices.items():
         if back is None:
             out[key] = 0.0
         else:

@@ -54,7 +54,7 @@ from .errors import CollapseOnEmptyError, GapflowError, NoChoiceError
 from .model import (LAUNCH, REALIZED, ZEROED, ScenarioModel, component_moduli, project,
                     square_modulus)
 from .rules import RuleSet
-from .substreams import substream_draws, substream_keys
+from .substreams import substream_keys, substream_pair
 from .substreams import trajectory_rng  # noqa: F401  (kept importable as engine.trajectory_rng)
 
 PRESERVE_TOTAL = "preserve_total"
@@ -334,7 +334,7 @@ class EpochRunner:
             return LegGroup(epoch, table, pos, scale, k0, zeros, zeros, zeros - 1, True)
         cfg, gen = self.cfg, table.gen
         # The pair a sequential walk of the substream draws at this epoch.
-        E, u = substream_draws(keys[pos], epoch + 1)[:, -2:].T
+        E, u = substream_pair(keys[pos], epoch)
         steps = np.maximum(self.n_full - k0, 0)
         n, last, hit = table.ends(E, steps, (k0 <= self.n_full) if self.rem else None)
         s2 = scale.real * scale.real + scale.imag * scale.imag

@@ -6,13 +6,23 @@ trajectories are spread over workers or blocks. trajectory_rng builds that
 generator. A block walk draws the same numbers without building one per
 trajectory: substream_keys hashes the keys of a whole block as SeedSequence
 would (the seed's pool once, then each index word mixed in with uint32
-arithmetic), and substream_draws sets each key into one reused Philox.
-"""
+arithmetic), and substream_pair gives each key's (E, u) of one epoch.
 
+For a block of at least CROSSOVER keys substream_pair computes the draws as
+arrays, bit for bit: philox_words runs Philox4x64-10 over all keys with
+uint64 arithmetic, a uniform is (word >> 11) 2**-53, and an exponential
+goes through numpy's ziggurat fast path, whose layer widths and accept
+thresholds (_exp_tables) are read off numpy's own standard_exponential once
+per process, on first use. A key any of whose exponentials leaves that fast
+path (about 1 % per exponential: the tail, the wedges, and layer 1, which
+has no fast path), and every key of a smaller block, go through
+substream_draws, which sets each key into one reused Philox and draws as
+trajectory_rng does.
+"""
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -24,8 +34,8 @@ def trajectory_rng(master_seed: int, index: int = 0) -> np.random.Generator:
 
     Philox keyed by (master_seed, spawn_key=index) gives independent streams
     whose draws do not depend on how trajectories are distributed over
-    workers; substream_keys and substream_draws give the same numbers for a
-    block of indices.
+    workers; substream_keys with substream_pair or substream_draws gives the
+    same numbers for a block of indices.
     """
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=(index,))))
@@ -161,3 +171,140 @@ def substream_draws(keys: np.ndarray, pairs: int) -> np.ndarray:
             put(exp())
             put(uni())
     return np.array(draws, dtype=float).reshape(len(keys), 2 * pairs)
+
+
+# Philox4x64-10 (Salmon et al., SC11) as numpy runs it: a fresh state's
+# first block has counter (1, 0, 0, 0) and yields four words; each round
+# multiplies counter words 0 and 2 by these constants, and the key takes a
+# Weyl step between rounds.
+_U32, _SHIFT = np.uint64(_MASK32), np.uint64(32)
+_MULT = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_MULT_LO, _MULT_HI = _MULT & _U32, _MULT >> _SHIFT
+_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+# Below this many keys the per-key loop of substream_draws is faster than
+# the fixed cost of the array rounds (about 0.2 ms either way at 96-128 keys
+# and one pair, on a 2-vCPU Xeon).
+CROSSOVER = 128
+
+
+def philox_words(keys: np.ndarray, count: int) -> np.ndarray:
+    """(len(keys), count) uint64: the first ``count`` raw words of a fresh
+    Philox with each key, as substream_draws' reused Philox yields them."""
+    blocks = -(-count // 4)
+    key = np.repeat(keys, blocks, axis=0).T.copy()
+    # Rows: counter words (0, 2), which the rounds multiply, and (1, 3).
+    x = np.zeros_like(key)
+    x[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(keys))
+    y = np.zeros_like(key)
+    lo, hi, t = np.empty_like(key), np.empty_like(key), np.empty_like(key)
+    for r in range(10):
+        if r:
+            key += _BUMP
+        # hi = high 64 bits of x * _MULT from 32-bit halves; no partial sum
+        # overflows.
+        np.bitwise_and(x, _U32, out=lo)
+        np.right_shift(x, _SHIFT, out=hi)
+        x *= _MULT
+        np.multiply(lo, _MULT_LO, out=t)
+        t >>= _SHIFT
+        lo *= _MULT_HI
+        lo += t
+        np.bitwise_and(lo, _U32, out=t)
+        lo >>= _SHIFT
+        t += hi * _MULT_LO
+        t >>= _SHIFT
+        hi *= _MULT_HI
+        hi += lo
+        hi += t
+        # The next counter: (hi_2 ^ c_1 ^ k_0, lo_2, hi_0 ^ c_3 ^ k_1, lo_0).
+        y ^= hi[::-1]
+        y ^= key
+        x, y = y, x[::-1]
+    return np.stack([x[0], y[0], x[1], y[1]], axis=1).reshape(len(keys), -1)[:, :count]
+
+
+@cache
+def _exp_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's exponential ziggurat, as far as its fast path goes: per layer
+    idx, the width we[idx] and a threshold t[idx] <= ke[idx], so a raw word
+    with ri < t[idx] gives ri * we[idx] from one word (0 where layer idx has
+    no fast path). numpy exports neither table; both are read off its own
+    standard_exponential once per process.
+    """
+    bits = np.random.Philox(0)
+    exp = np.random.Generator(bits).standard_exponential
+
+    def fast(pairs):
+        """standard_exponential() of the word of each (ri, idx) of ``pairs``
+        (at most four), and whether each read that word alone: then the
+        draws read exactly len(pairs) words and the block counter stays 0."""
+        k = len(pairs)
+        bits.state = {"bit_generator": "Philox",
+                      "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+                      "buffer": [0] * (4 - k) + [(ri << 11) | (i << 3) for ri, i in pairs],
+                      "buffer_pos": 4 - k, "has_uint32": 0, "uinteger": 0}
+        values = exp(k).tolist()
+        state = bits.state
+        return values, state["buffer_pos"] == 4 and not any(state["state"]["counter"])
+
+    def fast_each(pairs):
+        """The fast-path value of each (ri, idx) of ``pairs``, or None."""
+        out = []
+        for j in range(0, len(pairs), 4):
+            values, ok = fast(pairs[j:j + 4])
+            out += values if ok else [v[0] if f else None for v, f in
+                                      (fast([p]) for p in pairs[j:j + 4])]
+        return out
+
+    we = fast_each([(1, i) for i in range(256)])
+    # For i >= 3, ke[i] lies within -1..+3 of floor(2**53 we[i-1] / we[i]);
+    # one probe at ri = t - 1 confirms a threshold t a little below that.
+    guess = {i: int(we[i - 1] / we[i] * 2.0**53) - 4
+             for i in range(3, 256) if we[i] and we[i - 1]}
+    t = [0] * 256
+    for (i, g), value in zip(guess.items(), fast_each([(g - 1, i) for i, g in guess.items()])):
+        if value is not None:
+            t[i] = g
+    for i in range(256):
+        if we[i] is None or t[i]:
+            continue
+        lo, hi = 1, 1 << 53          # ri = lo takes the fast path, ri = hi may not
+        for _ in range(32):
+            mid = (lo + hi) // 2
+            if fast([(mid, i)])[1]:
+                lo = mid
+            else:
+                hi = mid
+        t[i] = lo + 1
+    tables = np.array([w or 0.0 for w in we]), np.array(t, dtype=np.uint64)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+def substream_pair(keys: np.ndarray, pair: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E, u) of pair ``pair`` (0-based) for each key: the standard_exponential()
+    and random() that trajectory_rng draws after ``pair`` such pairs, i.e.
+    column 2 * pair and 2 * pair + 1 of substream_draws(keys, pair + 1).
+
+    A block of at least CROSSOVER keys is computed as arrays: Philox words
+    from philox_words, u = (word >> 11) 2**-53, and E through numpy's
+    ziggurat fast path. A key any of whose exponentials, this pair's or an
+    earlier one's, leaves that path, and a smaller block, take
+    substream_draws.
+    """
+    if len(keys) < CROSSOVER:
+        draws = substream_draws(keys, pair + 1)
+        return draws[:, -2], draws[:, -1]
+    words = philox_words(keys, 2 * pair + 2)
+    we, t = _exp_tables()
+    ri = words[:, 0::2] >> np.uint64(3)
+    idx = (ri & np.uint64(0xFF)).astype(np.intp)
+    ri >>= np.uint64(8)
+    E = ri[:, -1] * we[idx[:, -1]]
+    u = (words[:, -1] >> np.uint64(11)) * 2.0**-53
+    slow = (ri >= t[idx]).any(axis=1)
+    if slow.any():
+        draws = substream_draws(keys[slow], pair + 1)
+        E[slow], u[slow] = draws[:, -2], draws[:, -1]
+    return E, u

@@ -38,7 +38,9 @@ from gapflow.errors import (
     NoChoiceError,
 )
 from gapflow.fixtures import BUILDERS, chain_three_level, three_mode, two_level
-from gapflow.substreams import substream_draws, substream_keys
+from gapflow.ensemble import BLOCK
+from gapflow.substreams import (CROSSOVER, philox_words, substream_draws, substream_keys,
+                                 substream_pair)
 from gapflow.model import (ACTIVE, LAUNCH, REALIZED, ZEROED, load_scenario, serialize_scenario,
                            square_modulus)
 from gapflow.rules import NRULES3, NRULES4, RuleSet
@@ -789,6 +791,45 @@ def test_substream_draws_equal_trajectory_rng():
             rng = trajectory_rng(seed, i)
             assert row.tolist() == [rng.standard_exponential(), rng.random(),
                                     rng.standard_exponential(), rng.random()]
+
+
+def test_philox_words_equal_random_raw():
+    """Raw words of one, two and three Philox blocks per key."""
+    keys = substream_keys(2026, np.arange(300))
+    words = philox_words(keys, 11)
+    for i in range(300):
+        bits = np.random.Philox(np.random.SeedSequence(2026, spawn_key=(i,)))
+        assert words[i].tolist() == bits.random_raw(11).tolist()
+    assert np.array_equal(philox_words(keys, 3), words[:, :3])
+
+
+def test_substream_pair_equals_trajectory_rng():
+    """substream_pair(keys, p) for p = 0..3 is the (p + 1)-th
+    standard_exponential() and random() of trajectory_rng, over 105,216 keys
+    in blocks of 1 and CROSSOVER - 1 (the per-key loop) and of CROSSOVER and
+    BLOCK (arrays). Thousands of the array blocks' keys have an exponential
+    that leaves numpy's ziggurat fast path, reading more than one word, and
+    take the loop."""
+    sizes = [1, CROSSOVER - 1, CROSSOVER] + [BLOCK] * 17
+    bounds = np.cumsum([0] + sizes).tolist()
+    left_fast_path = 0
+    for seed in (0, 2026, 2**70 + 3):
+        keys = substream_keys(seed, np.arange(bounds[-1]))
+        expected, words_read = [], []
+        for i in range(bounds[-1]):
+            rng = trajectory_rng(seed, i)
+            expected.append([f() for _ in range(4) for f in (rng.standard_exponential,
+                                                            rng.random)])
+            state = rng.bit_generator.state
+            words_read.append(4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"])
+        expected = np.array(expected)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            for pair in range(4):
+                E, u = substream_pair(keys[lo:hi], pair)
+                assert E.tolist() == expected[lo:hi, 2 * pair].tolist()
+                assert u.tolist() == expected[lo:hi, 2 * pair + 1].tolist()
+        left_fast_path += sum(read > 8 for read in words_read[bounds[2]:])
+    assert left_fast_path > 1000
 
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (-3, 5), (2**40, -1)])

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from gapflow.dynamics import GapSemantics, IntegratorConfig
-from gapflow.engine import PRESERVE_TOTAL, EpochRunner, run_trajectory, step_grid
+from gapflow.engine import (PRESERVE_TOTAL, TERMINAL_QUIESCENT, EpochRunner, run_trajectory,
+                            step_grid)
 from gapflow.ensemble import (
+    BLOCK,
     ComparisonReport,
     EnsembleStats,
     OracleResult,
@@ -24,6 +26,7 @@ from gapflow.errors import GapflowError, ProvenanceError
 from gapflow.fixtures import chain_three_level, three_mode, two_level
 from gapflow.model import load_scenario
 from gapflow.rules import NRULES3, RuleSet
+from gapflow.substreams import CROSSOVER
 
 from conftest import WIDE_LAUNCH
 
@@ -213,6 +216,37 @@ def test_worker_counts_agree_bitwise(three_mode_model, chain_model):
         assert a.no_collapse == b.no_collapse
         assert a.totals == b.totals
     assert a.totals["terminals"]["quiescent"] > 50      # the chain cascaded
+
+
+@pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda mode: mode.token)
+@pytest.mark.parametrize("build", [three_mode, chain_three_level], ids=["three_mode", "chain"])
+def test_array_draws_agree_with_per_key_loop(build, mode):
+    """Above BLOCK (a full block and a tail block, both of at least
+    CROSSOVER keys) an ensemble's epochs draw as arrays, while run_trajectory
+    walks a block of one through the per-key loop; both give each sampled
+    index the same first hit, choice, negative-current steps and ending, and
+    two workers, whose ranges split the blocks elsewhere, the same ensemble."""
+    model = build()
+    rules = RuleSet(model.defaults.rules)
+    cfg = IntegratorConfig(dt=model.defaults.dt, t_max=model.defaults.t_max)
+    n = BLOCK + 300
+    assert n - BLOCK >= CROSSOVER
+    t_first, first, negative, quiescent = _run_range(model, rules, cfg, mode, 2026,
+                                                     PRESERVE_TOTAL, 0, n)
+    cache = {}
+    for i in [*range(0, n, 41), BLOCK, n - 1]:
+        rec = run_trajectory(model, rules, cfg, mode, 2026, traj_index=i, record_samples=False,
+                             gen_cache=cache)
+        hit = (rec.events[0].t_sc, rec.events[0].chosen) if rec.events else (None, -1)
+        assert (None if math.isnan(t_first[i]) else float(t_first[i]), int(first[i])) == hit
+        assert negative[i] == rec.meta["negative_current_steps"]
+        assert quiescent[i] == (rec.terminal == TERMINAL_QUIESCENT)
+    assert (first >= 0).sum() > CROSSOVER
+    one = run_ensemble(model, rules, cfg, mode, n, 2026)
+    two = run_ensemble(model, rules, cfg, mode, n, 2026, n_workers=2)
+    for a, b in ((one.hit_times, two.hit_times), (one.hit_components, two.hit_components)):
+        assert np.array_equal(a, b)
+    assert (one.counts, one.no_collapse, one.totals) == (two.counts, two.no_collapse, two.totals)
 
 
 def test_blocks_agree_with_blocks_of_one():
