@@ -4,14 +4,20 @@
 Every shipped scenario is run in every gap mode through eleven invocations
 (`currents` three ways, `ensemble` three ways, `run` two ways, `arrow` three
 ways: plain, with `--suspend n3_1`, and off the dt grid with sparse
-samples), 165 in all, each in-process through
-`gapflow.cli.main` with its own output directory. The listing written to
-`<out-dir>/sha256.txt` holds one line per output file, plus the exit code,
-stdout and stderr of each invocation (the output directory masked), sorted
-by path. Two listings taken on two source trees with the same `--scenarios`
-directory are compared with `diff`, or with `--compare OTHER`, which prints
-the paths whose bytes differ and exits 1 if there is any (0 if none), so a
-claim that no artifact byte moved can be checked by exit code.
+samples), 165 in all. No shipped scenario has a launch component wider than
+one dimension, so WIDE_LAUNCH from tests/conftest.py, whose epoch 1 runs on
+tables of their own, is written to `<out-dir>/wide_launch.json` and run in
+every gap mode through three more (`run` on and off the dt grid, `ensemble`),
+174 in all. Each runs in-process through `gapflow.cli.main` with its own
+output directory. The listing written to `<out-dir>/sha256.txt` holds one
+line per output file, plus the exit code, stdout and stderr of each
+invocation, sorted by path. The invocation's output directory is masked in
+its stdout and stderr, and `<out-dir>` in its files, as a WIDE_LAUNCH
+manifest records its scenario's path. Two listings taken on two source
+trees with the same `--scenarios` directory are compared with `diff`, or
+with `--compare OTHER`, which prints the paths whose bytes differ and exits
+1 if there is any (0 if none), so a claim that no artifact byte moved can be
+checked by exit code.
 
 Example (a change against a checkout of its parent):
 
@@ -23,6 +29,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import pathlib
 import sys
@@ -47,6 +54,13 @@ INVOCATIONS = (
     ("arrow_offgrid", ["arrow", "--t-max", "2.005", "--sample-every", "3"]),
 )
 
+# The cases of WIDE_LAUNCH: compensated runs cost about 14 ms per trajectory.
+WIDE_INVOCATIONS = (
+    ("run", ["run", "--sample-every", "7"]),
+    ("run_offgrid", ["run", "--t-max", "2.005", "--sample-every", "3"]),
+    ("ensemble", ["ensemble", "--n", "200"]),
+)
+
 
 def sha256_of(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -65,11 +79,16 @@ def run_case(main, argv: list[str], out_dir: str) -> tuple[int, str, str]:
 
 def build_listing(scenarios: pathlib.Path, out_root: pathlib.Path) -> list[str]:
     from gapflow.cli import main
+    from conftest import WIDE_LAUNCH
 
+    os.makedirs(out_root, exist_ok=True)
+    wide = out_root / "wide_launch.json"
+    wide.write_text(json.dumps(WIDE_LAUNCH), encoding="utf-8")
+    runs = [(path, INVOCATIONS) for path in sorted(scenarios.glob("*.json"))]
     lines = []
-    for scenario in sorted(scenarios.glob("*.json")):
+    for scenario, invocations in runs + [(wide, WIDE_INVOCATIONS)]:
         for mode in GAP_MODES:
-            for case, extra in INVOCATIONS:
+            for case, extra in invocations:
                 name = f"{scenario.stem}/{mode}/{case}"
                 out_dir = str(out_root / name)
                 os.makedirs(out_dir, exist_ok=True)
@@ -82,7 +101,8 @@ def build_listing(scenarios: pathlib.Path, out_root: pathlib.Path) -> list[str]:
                 lines.append(f"{sha256_of(stdout.encode())}  {name}/<stdout>")
                 lines.append(f"{sha256_of(stderr.encode())}  {name}/<stderr>")
                 for path in sorted(pathlib.Path(out_dir).iterdir()):
-                    lines.append(f"{sha256_of(path.read_bytes())}  {name}/{path.name}")
+                    data = path.read_bytes().replace(str(out_root).encode(), b"<out>")
+                    lines.append(f"{sha256_of(data)}  {name}/{path.name}")
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 
@@ -103,7 +123,7 @@ def main() -> int:
                          "and exit 1 if any do")
     args = ap.parse_args()
 
-    sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
+    sys.path[:0] = [str(pathlib.Path(args.src).resolve()), str(ROOT / "tests")]
     out_root = pathlib.Path(args.out_dir).resolve()
     lines = build_listing(pathlib.Path(args.scenarios), out_root)
     listing = out_root / "sha256.txt"

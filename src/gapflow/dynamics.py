@@ -86,15 +86,12 @@ FILL_BLOCK = 128
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4_fixed"
     dt: float = 0.01
     t_max: float = 6.0
     sample_every: int = 1
     norm_drift_budget: float = 1e-8  # allowed |s(t)-s(0)| per unit time
 
     def __post_init__(self):
-        if self.method != "rk4_fixed":
-            raise GapflowError(f"unknown integrator method {self.method!r}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise GapflowError(f"dt must be finite and > 0, got {self.dt}")
         if not (self.t_max >= 0 and math.isfinite(self.t_max)):
@@ -500,50 +497,35 @@ class EpochTable:
     never change, so trajectories sharing a table see the same floats however
     far it grew. With ``rem`` > 0 the run ends on a shorter step of rem; the
     point that step reaches from row k is kept as well, in row steps + 1 + k.
-
-    With ``keep`` given, states is a dict that holds the states of row 0,
-    the last row, the rows in ``keep``, the first row whose hazard passed a
-    grow's E and the shorter-last-step points only, so a table that serves
-    one trajectory of a wide model stays small; without it, an array. Every
-    other column, J included, is an array in every table; state_rows reads
-    states either way.
+    A table holds every row it grew to, whether it is shared by many
+    trajectories or serves one.
 
     With ``gen`` None the table is a quiescent epoch's: no launch component,
     so no currents, and its start row only (``steps`` 0, ``rem`` 0.0).
     """
 
     def __init__(self, gen: EffectiveGenerator | None, start: np.ndarray, dt: float,
-                 steps: int, trigger_off: bool, rem: float = 0.0,
-                 keep: set[int] | None = None):
-        self.gen, self.dt, self.trigger_off, self.rem, self.keep = gen, dt, trigger_off, rem, keep
+                 steps: int, trigger_off: bool, rem: float = 0.0):
+        self.gen, self.dt, self.trigger_off, self.rem = gen, dt, trigger_off, rem
         self.launch_ids = gen.launch_ids if gen else ()
         rows = (steps + 1) * (2 if rem else 1)
-        self.states = np.empty((rows, len(start)), dtype=np.complex128) if keep is None else {}
+        self.states = np.empty((rows, len(start)), dtype=np.complex128)
         self.J = np.empty((rows, len(self.launch_ids)))
         self.s, self.rate, self.H = np.empty(rows), np.empty(rows), np.zeros(rows)
         self.neg = np.zeros(rows, dtype=np.int64)
-        block = self._rows(0, 1, len(start))
-        block[0] = start
-        self._store(0, None, block, 0.0)
+        self.states[0] = start
+        self._store(0, 1, None, 0.0)
         self.n = 0          # steps tabulated
         self._tails: set[int] = set()
 
-    def _rows(self, i: int, b: int, dim: int) -> np.ndarray:
-        """Where rows i .. i + b - 1 are stepped into: the table's own states
-        without ``keep``, else a new block that _store copies from."""
-        if self.keep is None:
-            return self.states[i:i + b]
-        return np.empty((b, dim), dtype=np.complex128)
-
-    def _store(self, i: int, prev: int | None, block: np.ndarray, h: float,
-               E: float = math.inf):
-        """Fill rows i, i + 1, ... from the states of ``block`` (from
-        ``_rows``), each one step of h after the row before it (row ``prev``;
-        None for the start row). Stacked matvecs and dot products round as
+    def _store(self, i: int, b: int, prev: int | None, h: float):
+        """Fill the other columns of rows i .. i + b - 1 from their states,
+        each one step of h after the row before it (row ``prev``; None for
+        the start row). Stacked matvecs and dot products round as
         component_currents' G @ psi and square_modulus's np.vdot do, dense
         or CSR; block @ dense.T need not. A stepped row whose square
         modulus overflows raises, trigger off or on."""
-        gen, b = self.gen, len(block)
+        gen, block = self.gen, self.states[i:i + b]
         if gen is None:
             J = np.empty((b, 0))
         elif gen.linear:
@@ -570,12 +552,6 @@ class EpochTable:
             inc = np.where(rate > 0.0, 0.5 * (before + rate) * h, 0.0)
             self.H[rows] = np.add.accumulate(np.concatenate(([self.H[prev]], inc)))[1:]
             self.neg[rows] = self.neg[prev] + np.cumsum((J < 0.0).any(axis=1))
-        if self.keep is None:
-            return
-        hit = i + int(self.H[rows].searchsorted(E, side="right"))
-        for j in range(b):
-            if i + j in self.keep or j == b - 1 or i + j == hit:
-                self.states[i + j] = block[j]
 
     def grow(self, E: float, steps: int):
         """Grow until the table holds ``steps`` steps or its hazard passes E.
@@ -589,11 +565,8 @@ class EpochTable:
         k = self.n
         while k < steps and self.H[k] <= E:
             b = min(FILL_BLOCK if E < math.inf else max(FILL_BLOCK, k), steps - k)
-            block = self._rows(k + 1, b, self.gen.dim)
-            step_block(self.states[k], self.gen, self.dt, block)
-            self._store(k + 1, k, block, self.dt, E)
-            if k and self.keep is not None and k not in self.keep:
-                del self.states[k]
+            step_block(self.states[k], self.gen, self.dt, self.states[k + 1:k + 1 + b])
+            self._store(k + 1, b, k, self.dt)
             k += b
         self.n = k
 
@@ -620,18 +593,10 @@ class EpochTable:
         """Row of the point the shorter last step reaches from row k."""
         i = len(self.s) // 2 + k
         if k not in self._tails:
-            block = step_block(self.states[k], self.gen, self.rem,
-                               self._rows(i, 1, self.gen.dim))
-            self._store(i, k, block, self.rem)
+            step_block(self.states[k], self.gen, self.rem, self.states[i:i + 1])
+            self._store(i, 1, k, self.rem)
             self._tails.add(k)
         return i
-
-    def state_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The states of table rows ``rows``, stacked; with ``keep``, each
-        must be a row the table holds."""
-        if self.keep is None:
-            return self.states[rows]
-        return np.array([self.states[r] for r in rows.tolist()])
 
     def sampled_rows(self, plan: StepPlan) -> np.ndarray:
         """Grow through all of ``plan`` without a hit; the rows of its

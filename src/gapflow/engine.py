@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -238,9 +238,12 @@ class EpochRunner:
         self.plan = plan
         self.times, self.sampled, self.rem, self.n_full = plan
         self._sources = frozenset(g.low for g in model.gaps if g.irreversible)
-        # one-dimensional component -> its basis index
-        self._unit_index = {cid: int(idx[0]) for cid, idx in model.index_arrays.items()
-                            if len(idx) == 1}
+        # Component ids, sorted, and per id the basis index of a
+        # one-dimensional component or -1 for a wider one.
+        ids = sorted(model.index_arrays)
+        self._ids = np.array(ids)
+        self._col = np.array([int(model.index_arrays[c][0]) if len(model.index_arrays[c]) == 1
+                              else -1 for c in ids])
 
     def generator(self, chosen: int | None, epoch: int) -> EffectiveGenerator:
         """Generator after collapsing onto ``chosen`` (None: the initial one)."""
@@ -265,13 +268,12 @@ class EpochRunner:
         """
         return chosen is not None and chosen not in self._sources
 
-    def table(self, epoch: int, chosen: int | None, start: np.ndarray | None = None,
-              keep: set[int] | None = None) -> EpochTable:
+    def table(self, epoch: int, chosen: int | None,
+              start: np.ndarray | None = None) -> EpochTable:
         """The table of ``epoch`` after ``chosen`` (None: epoch 0): without
         ``start`` the runner's shared one from the canonical start, built on
         first use and kept in ``tables``; with it, a new one from ``start``
-        that, with ``keep``, holds the states of the rows ``keep`` names only
-        (see EpochTable). A quiescent epoch's table has no generator."""
+        that is stored nowhere. A quiescent epoch's table has no generator."""
         shared = start is None
         if shared and (epoch, chosen) in self.tables:
             return self.tables[(epoch, chosen)]
@@ -279,25 +281,26 @@ class EpochRunner:
             start = self.model.psi0 if chosen is None else _unit(self.model, chosen)
         trigger_off = self.ruleset.trigger_suspended
         if self.quiescent(chosen):
-            table = EpochTable(None, start, self.cfg.dt, 0, trigger_off, 0.0, keep)
+            table = EpochTable(None, start, self.cfg.dt, 0, trigger_off)
         else:
             table = EpochTable(self.generator(chosen, epoch), start, self.cfg.dt, self.n_full,
-                               trigger_off, self.rem, keep)
+                               trigger_off, self.rem)
         if shared:
             self.tables[(epoch, chosen)] = table
         return table
 
-    def walk(self, indices, record: bool = False) -> list[LegGroup]:
-        """Walk trajectories ``indices`` together: one LegGroup per epoch and
-        table, epoch by epoch.
+    def walk(self, indices) -> Iterator[LegGroup]:
+        """Walk trajectories ``indices`` together, yielding one LegGroup per
+        epoch and table, epoch by epoch, each before its hits are filed under
+        the next epoch.
 
         The table of epoch 0 and of each epoch after a collapse onto a
         one-dimensional component is shared, keyed by epoch and last chosen
-        component, and holds every row, as any row may be some trajectory's
-        hit. A collapse onto a wider component starts a table that serves
-        one trajectory, as a group of one, and holds the states of its start
-        and last row only, and with ``record`` those of the sampled rows
-        that samples() reads.
+        component. A collapse onto a wider component starts a table of its
+        own that serves one trajectory, as a group of one. Either kind holds
+        every row up to the last one its trajectories reached. The walk keeps
+        no group it has yielded, so a caller that folds each group as it
+        arrives holds at most one table of its own at a time.
         """
         keys = substream_keys(self.seed, indices)
         size = len(keys)
@@ -306,27 +309,22 @@ class EpochRunner:
         # [scales], [steps before the epoch])
         frontier = {(None, -1): (None, [np.arange(size)], [np.ones(size, complex)],
                                  [np.zeros(size, np.int64)])}
-        groups: list[LegGroup] = []
         epoch = 0
         while frontier:
             nxt: dict = {}
             for (chosen, _), (start, pos, scale, k0) in frontier.items():
                 group = self._epoch(epoch, chosen, start, keys, *(
                     parts[0] if len(parts) == 1 else np.concatenate(parts)
-                    for parts in (pos, scale, k0)), record)
-                groups.append(group)
+                    for parts in (pos, scale, k0)))
+                yield group
                 if not group.quiescent:
                     self._regroup(group, nxt)
             frontier, epoch = nxt, epoch + 1
-        return groups
 
-    def _epoch(self, epoch, chosen, start, keys, pos, scale, k0, record) -> LegGroup:
+    def _epoch(self, epoch, chosen, start, keys, pos, scale, k0) -> LegGroup:
         """Advance one group through its epoch: on the shared table with
-        ``start`` None, else on a table of its own from ``start``."""
-        keep = None if start is None else (
-            set(np.flatnonzero(self.sampled[int(k0[0]):self.n_full + 1]).tolist())
-            if record else set())
-        table = self.table(epoch, chosen, start, keep)
+        ``start`` None, else on a new table of its own from ``start``."""
+        table = self.table(epoch, chosen, start)
         zeros = np.zeros(len(pos), np.int64)
         # With no bridged gap left after a collapse the realized component
         # evolves unitarily and no further hit can fire.
@@ -364,7 +362,7 @@ class EpochRunner:
         table, rows, chosen, scale = group.table, group.last[h], group.chosen[h], group.scale[h]
         k0 = group.k0[h] + group.n[h]
         pos = group.pos[h]
-        col = np.array([self._unit_index.get(c, -1) for c in chosen.tolist()])
+        col = self._col[self._ids.searchsorted(chosen)]
         one = col >= 0
         if one.any():
             after = self._unit_scales(table, rows[one], chosen[one], col[one], scale[one])
@@ -388,7 +386,7 @@ class EpochRunner:
         amplitudes, so both round as collapse_state's np.vdot does (the other
         terms of its s_chosen are exact zeros)."""
         _check_policy(self.policy)
-        psi = scale[:, None] * table.state_rows(rows)
+        psi = scale[:, None] * table.states[rows]
         a = psi[np.arange(len(rows)), col]
         s_chosen = square_moduli(a[:, None])
         if (bad := (s_chosen <= 0.0).nonzero()[0]).size:
@@ -396,10 +394,10 @@ class EpochRunner:
                 f"component {int(chosen[bad[0]])} has zero amplitude at collapse time")
         return a if self.policy == RAW else a * np.sqrt(square_moduli(psi) / s_chosen)
 
-    def legs(self, index: int, record: bool = False) -> tuple[list[Leg], str]:
+    def legs(self, index: int) -> tuple[list[Leg], str]:
         """Walk trajectory ``index`` as a block of one: one Leg per epoch, and
         its terminal."""
-        groups = self.walk([index], record)
+        groups = list(self.walk([index]))
         legs = [Leg(g.table, complex(g.scale[0]), int(g.k0[0]), int(g.n[0]),
                     float(self.times[g.k0[0] + g.n[0]]), int(g.last[0]),
                     int(g.chosen[0]) if g.chosen[0] >= 0 else None) for g in groups]
@@ -441,17 +439,19 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
 
     The run draws against shared epoch tables, epoch 0 and every epoch
     after a collapse onto a one-dimensional component, as an ensemble's
-    trajectories do. A shared table keeps every row it reached, 16 dim + 8
-    (launch components) + 32 bytes per step (twice that when t_max is off
-    the dt grid), so a run holds the rows of each such epoch up to its hit
-    or its end. ``gen_cache``, a dict the caller keeps, holds per (model,
+    trajectories do; an epoch after a collapse onto a wider component runs
+    on a table of its own. Every table keeps every row it reached, 16 dim +
+    8 (launch components) + 32 bytes per step (twice that when t_max is off
+    the dt grid), so a run holds the rows of each epoch up to its hit or its
+    end, and ``record_samples`` only decides whether samples are built from
+    them. ``gen_cache``, a dict the caller keeps, holds per (model,
     rule set, gap mode) the generators and, per ``cfg``, those tables
     across runs: runs that pass the same cache draw against them instead of
     integrating again, with the same floats as a run without one, and the
     rows stay for as long as the caller keeps the cache.
     """
     runner = EpochRunner(model, ruleset, cfg, gap_mode, seed, policy, gen_cache)
-    legs, terminal = runner.legs(traj_index, record=record_samples)
+    legs, terminal = runner.legs(traj_index)
     events = [CollapseEvent(t_sc=leg.t, chosen=leg.chosen, pre_hit_s=leg.s,
                             pre_hit_J=CurrentVector(leg.table.launch_ids, leg.J),
                             epoch=epoch, norm_policy=policy)

@@ -180,26 +180,26 @@ def _run_range(model, ruleset, cfg, gap_mode, master_seed, policy, start, stop):
 
 
 def _block_summary(runner, indices):
-    """_run_range's columns for one block of indices."""
-    try:
-        groups = runner.walk(indices)
-    except GapflowError:
-        # Raise what the lowest failing index raises when walked alone, as
-        # it does however the trajectories are split into blocks.
-        for index in indices.tolist():
-            runner.walk([index])
-        raise
+    """_run_range's columns for one block of indices, folded in from each
+    group as the walk yields it."""
     size = len(indices)
     t_first, first = np.full(size, math.nan), np.full(size, -1)
     negative, quiescent = np.zeros(size, np.int64), np.zeros(size, bool)
-    for g in groups:
-        negative[g.pos] += g.table.neg[g.last]
-        if g.quiescent:
-            quiescent[g.pos] = True
-        elif g.epoch == 0:
-            hit = g.chosen >= 0
-            t_first[g.pos[hit]] = runner.times[(g.k0 + g.n)[hit]]
-            first[g.pos[hit]] = g.chosen[hit]
+    try:
+        for g in runner.walk(indices):
+            negative[g.pos] += g.table.neg[g.last]
+            if g.quiescent:
+                quiescent[g.pos] = True
+            elif g.epoch == 0:
+                hit = g.chosen >= 0
+                t_first[g.pos[hit]] = runner.times[(g.k0 + g.n)[hit]]
+                first[g.pos[hit]] = g.chosen[hit]
+    except GapflowError:
+        # Raise what the lowest failing index raises when walked alone to
+        # its end, as it does however the trajectories are split into blocks.
+        for index in indices.tolist():
+            runner.legs(index)
+        raise
     return t_first, first, negative, quiescent
 
 

@@ -86,7 +86,6 @@ def test_gap_semantics_rejects_unknown_token():
     {"dt": -0.1},
     {"t_max": -1.0},
     {"sample_every": 0},
-    {"method": "euler"},
     {"norm_drift_budget": 0.0},
     {"dt": float("nan")},
     {"dt": float("inf")},

@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -215,15 +216,14 @@ def collapse_case(name, mode, policy):
     """(runner, epoch, grown table) of the collapse tests: each fixture's
     shared epoch-0 table, chain_three_level's shared epoch-1 table after its
     middle component ("chain_epoch1"), and WIDE_LAUNCH's private epoch-1
-    table after its two-dimensional launch component, which holds the
-    states of every third row only."""
+    table after its two-dimensional launch component."""
     cfg = IntegratorConfig(dt=0.01, t_max=2.0)
     if name == "wide_launch":
         model = load_scenario(json.dumps(WIDE_LAUNCH))
         runner = EpochRunner(model, R3, cfg, mode, 0, policy)
         start = np.zeros(model.dim, dtype=complex)
         start[model.indices_of(1)] = (0.6, 0.8j)
-        epoch, table = 1, runner.table(1, 1, start, keep=set(range(0, runner.n_full, 3)))
+        epoch, table = 1, runner.table(1, 1, start)
     elif name == "chain_epoch1":
         runner = EpochRunner(chain_three_level(), R3, cfg, mode, 0, policy)
         epoch, table = 1, runner.table(1, 1)
@@ -244,13 +244,11 @@ def test_collapse_scales_equal_collapse_state(name, mode, policy):
     on a private one alike."""
     runner, epoch, table = collapse_case(name, mode, policy)
     model = runner.model
-    held = (np.arange(runner.n_full + 1) if table.keep is None else
-            np.array(sorted(k for k in table.states if k <= runner.n_full)))
-    states = table.state_rows(held)
+    states = table.states[:runner.n_full + 1]
     rows, chosen = [], []
     for c in table.launch_ids:
         col = model.index_arrays[c][0]
-        r = held[np.flatnonzero(states[:, col] != 0.0)]
+        r = np.flatnonzero(states[:, col] != 0.0)
         rows += r.tolist()
         chosen += [c] * len(r)
     assert len(rows) > 20
@@ -310,6 +308,22 @@ def test_walked_choices_are_launch_components(name, mode):
         assert set(chosen) <= set(group.table.launch_ids)
         choices += len(chosen)
     assert choices > 50
+
+
+@pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
+def test_walk_holds_one_private_table_at_a_time(mode):
+    """A walk yields each group as it is walked and keeps none it has
+    yielded: across a WIDE_LAUNCH block, whose collapses onto the
+    two-dimensional C1 each start a table of their own, at most one such
+    table is alive whenever the walk yields."""
+    model = load_scenario(json.dumps(WIDE_LAUNCH))
+    runner = EpochRunner(model, R3, IntegratorConfig(dt=0.01, t_max=3.0), mode, 11)
+    private, most = [], 0
+    for group in runner.walk(np.arange(200)):
+        if all(group.table is not t for t in runner.tables.values()):
+            private.append(weakref.ref(group.table))
+        most = max(most, sum(ref() is not None for ref in private))
+    assert len(private) > 50 and most == 1
 
 
 # ---------------------------------------------------------------------------
@@ -398,25 +412,6 @@ def test_epoch_hazard_matches_per_step_survival(build, chosen):
     assert table.H[-1] > 1.0  # the epoch carries real hazard mass
 
 
-def test_epoch_table_keep_holds_only_the_rows_it_names():
-    """A table with ``keep`` holds the states of row 0, its last row and the
-    rows in keep, and every other column on every row, with the same floats
-    as a table that holds every row."""
-    cfg = IntegratorConfig(dt=0.01, t_max=2.0)
-    model = chain_three_level()
-    gen = EpochRunner(model, R3, cfg, ONEWAY, 0).generator(None, 0)
-    n = StepPlan.of(cfg).n_full
-    full = EpochTable(gen, model.psi0, cfg.dt, n, False)
-    lean = EpochTable(gen, model.psi0, cfg.dt, n, False, keep={7, 50})
-    grow_to_end(full, n)
-    grow_to_end(lean, n)
-    assert full.states.shape[0] == full.J.shape[0] == lean.J.shape[0] == n + 1
-    assert sorted(lean.states) == [0, 7, 50, n]
-    assert np.array_equal(lean.state_rows(np.array([0, 7, 50, n])), full.states[[0, 7, 50, n]])
-    for column in ("J", "s", "neg", "rate", "H"):
-        assert np.array_equal(getattr(lean, column), getattr(full, column))
-
-
 @pytest.mark.parametrize("t_max", [6.0, 2.005])
 def test_runner_without_a_cache_keeps_its_own_tables(t_max):
     """A runner built without a cache keeps its tables for its own life, a
@@ -438,19 +433,18 @@ def test_runner_without_a_cache_keeps_its_own_tables(t_max):
 
 
 def test_table_from_a_start_is_never_shared():
-    """A table built from a given start, with or without ``keep``, is new and
-    stored nowhere: the shared table of its epoch still starts at psi0."""
+    """A table built from a given start is new and stored nowhere: the
+    shared table of its epoch still starts at psi0."""
     model, cfg = three_mode(), IntegratorConfig(dt=0.01, t_max=1.0)
     runner = EpochRunner(model, R3, cfg, ONEWAY, 0, gen_cache={})
     start = np.zeros(model.dim, dtype=complex)
     start[1] = 1.0
-    for keep in (None, set()):
-        assert runner.table(0, None, start, keep) is not runner.table(0, None, start, keep)
+    assert runner.table(0, None, start) is not runner.table(0, None, start)
     assert np.array_equal(runner.table(0, None).states[0], model.psi0)
 
 
 def table_case(name, mode):
-    """(generator, start state, keep) of the tables the row test checks:
+    """(generator, start state) of the tables the row test checks:
     each fixture's epoch 0, WIDE_LAUNCH's private epoch-1 table after a
     collapse onto its two-dimensional launch component, and a dim-301
     star held as CSR."""
@@ -459,9 +453,9 @@ def table_case(name, mode):
         model = load_scenario(json.dumps(WIDE_LAUNCH))
         start = np.zeros(model.dim, dtype=complex)
         start[model.indices_of(1)] = (0.6, 0.8j)
-        return EpochRunner(model, R3, cfg, mode, 0).generator(1, 1), start, {7, 50}
+        return EpochRunner(model, R3, cfg, mode, 0).generator(1, 1), start
     model = star_model(300) if name == "star301" else BUILDERS[name]()
-    return EpochRunner(model, R3, cfg, mode, 0).generator(None, 0), model.psi0, None
+    return EpochRunner(model, R3, cfg, mode, 0).generator(None, 0), model.psi0
 
 
 @pytest.mark.parametrize("trigger_off", [False, True])
@@ -473,8 +467,8 @@ def test_epoch_table_rows_equal_a_step_loop(name, mode, trigger_off):
     whether the table grew in one stage or first to E = 0.5 and then on."""
     # The star's compensated steps loop over its 300 gaps, so it runs fewer.
     dt, n, rem = 0.01, 30 if name == "star301" else 200, 0.005
-    gen, start, keep = table_case(name, mode)
-    tables = [EpochTable(gen, start, dt, n, trigger_off, rem, keep) for _ in range(2)]
+    gen, start = table_case(name, mode)
+    tables = [EpochTable(gen, start, dt, n, trigger_off, rem) for _ in range(2)]
     assert not grow_to_end(tables[0], n) and tables[0].n == n
     tables[1].grow(0.5, n)
     assert tables[1].n <= n
@@ -492,9 +486,8 @@ def test_epoch_table_rows_equal_a_step_loop(name, mode, trigger_off):
             neg += bool((J < 0.0).any())
             H += 0.5 * (prev + rate) * dt if rate > 0.0 else 0.0
         for table in tables:
-            if keep is None or k in table.states:
-                assert np.array_equal(table.states[k], psi)
-                assert np.array_equal(table.J[k], J)
+            assert np.array_equal(table.states[k], psi)
+            assert np.array_equal(table.J[k], J)
             assert (table.s[k], table.neg[k], table.rate[k], table.H[k]) == (s, neg, rate, H)
             if k in (0, 7, n):
                 i = table.tail(k)
@@ -506,8 +499,6 @@ def test_epoch_table_rows_equal_a_step_loop(name, mode, trigger_off):
                 assert table.neg[i] == neg + bool((J_end < 0.0).any())
                 r = 0.0 if trigger_off else float(np.maximum(J_end, 0.0).sum()) / square_modulus(end)
                 assert table.H[i] == H + (0.5 * (rate + r) * rem if r > 0.0 else 0.0)
-    if keep is not None:
-        assert {k for k in tables[0].states if k <= n} == {0, 7, 50, n}
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from gapflow.errors import GapflowError, ProvenanceError
 from gapflow.fixtures import chain_three_level, three_mode, two_level
 from gapflow.model import load_scenario
 from gapflow.rules import NRULES3, RuleSet
-from gapflow.substreams import CROSSOVER
+from gapflow.substreams import CROSSOVER, substream_keys
 
 from conftest import WIDE_LAUNCH
 
@@ -413,3 +413,33 @@ def test_drift_error_is_the_first_failing_trajectorys():
         with pytest.raises(NormDriftError) as err:
             run_ensemble(model, R3, cfg, mode, 40, 8, n_workers=workers)
         assert str(err.value) == first
+
+
+def test_error_is_the_lowest_failing_indexs_when_a_higher_one_fails_first(monkeypatch):
+    """A block whose walk fails first for a higher index, at epoch 0, raises
+    what run_trajectory raises for the lowest failing index, at epoch 1:
+    every index is walked alone to its end. Every epoch-1 group fails, and
+    an epoch-0 group fails when it holds index 5; index 0 reaches epoch 1.
+    With more than one worker, the pool's forked workers see the patch
+    too."""
+    model, cfg, seed, high = chain_three_level(), IntegratorConfig(dt=0.01, t_max=6.0), 3, 5
+    bad_key = substream_keys(seed, [high])[0]
+    epoch_of = EpochRunner._epoch
+
+    def failing(self, epoch, chosen, start, keys, pos, *rest):
+        if epoch == 1 or (epoch == 0 and (keys[pos] == bad_key).all(axis=1).any()):
+            raise GapflowError(f"epoch {epoch} fails")
+        return epoch_of(self, epoch, chosen, start, keys, pos, *rest)
+
+    def alone(index):
+        with pytest.raises(GapflowError) as err:
+            run_trajectory(model, R3, cfg, ONEWAY, seed, traj_index=index, record_samples=False)
+        return str(err.value)
+
+    monkeypatch.setattr(EpochRunner, "_epoch", failing)
+    lowest = alone(0)
+    assert lowest == "epoch 1 fails" and alone(high) == "epoch 0 fails"
+    for workers in (1, 3):
+        with pytest.raises(GapflowError) as err:
+            run_ensemble(model, R3, cfg, ONEWAY, 40, seed, n_workers=workers)
+        assert str(err.value) == lowest
