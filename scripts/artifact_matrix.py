@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Run a fixed matrix of CLI invocations and record a sha256 per artifact.
 
-Every shipped scenario is run in every gap mode through eleven invocations
-(`currents` three ways, `ensemble` three ways, `run` two ways, `arrow` three
+Every shipped scenario is run in every gap mode through twelve invocations
+(`currents` three ways, `ensemble` four ways, `run` two ways, `arrow` three
 ways: plain, with `--suspend n3_1`, and off the dt grid with sparse
-samples), 165 in all. No shipped scenario has a launch component wider than
+samples), 180 in all. The two `--suspend n3_1` cases exit with a usage
+error outside hermitian mode. No shipped scenario has a launch component wider than
 one dimension, so WIDE_LAUNCH from tests/conftest.py, whose epoch 1 runs on
 tables of their own, is written to `<out-dir>/wide_launch.json` and run in
 every gap mode through three more (`run` on and off the dt grid, `ensemble`),
-174 in all. Each runs in-process through `gapflow.cli.main` with its own
+189 in all. Each runs in-process through `gapflow.cli.main` with its own
 output directory. The listing written to `<out-dir>/sha256.txt` holds one
 line per output file, plus the exit code, stdout and stderr of each
 invocation, sorted by path. The invocation's output directory is masked in
@@ -47,6 +48,7 @@ INVOCATIONS = (
     # Above ensemble.BLOCK = 2048, with a tail block: large blocks draw their
     # substreams as arrays, small ones through the per-key loop.
     ("ensemble_3000", ["ensemble", "--n", "3000"]),
+    ("ensemble_suspend", ["ensemble", "--n", "200", "--suspend", "n3_1"]),
     ("run", ["run", "--sample-every", "7"]),
     ("run_raw", ["run", "--policy", "raw", "--seed", "5"]),
     ("arrow", ["arrow"]),

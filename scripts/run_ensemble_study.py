@@ -47,7 +47,7 @@ def main():
         model = BUILDERS[name]()
         stats = run_ensemble(model, ruleset, cfg, mode, args.n, args.seed,
                              n_workers=args.workers)
-        oracle = deterministic_oracle(model, cfg, mode)
+        oracle = deterministic_oracle(model, cfg, mode, ruleset=ruleset)
         report = compare(stats, oracle)
         any_failed |= not report.passed
 

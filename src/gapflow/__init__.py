@@ -13,8 +13,8 @@ from .model import (ACTIVE, LAUNCH, REALIZED, ZEROED, Component, Gap, GapSemanti
                     parse_scenario, project, serialize_scenario, square_modulus,
                     validate_model)
 from .dynamics import (CurrentVector, EffectiveGenerator, IntegratorConfig,
-                       TrajectorySegment, assemble_generator, component_currents, evolve,
-                       fd_current_check, gap_backflow, step)
+                       assemble_generator, component_currents, fd_current_check,
+                       gap_backflow, step)
 from .engine import (PRESERVE_TOTAL, RAW, CollapseEvent, TrajectoryRecord,
                      TrajectorySamples, run_trajectory, trajectory_rng)
 from .ensemble import (ComparisonReport, EnsembleStats, OracleResult, compare,

@@ -104,14 +104,13 @@ def _run_cache(model, ruleset, gap_mode, cfg) -> dict:
 
 @lru_cache(maxsize=64)
 def _profile_extrema_cached(model, ruleset, gap_mode, cfg):
-    """Peak backflow, forward-current range and state drift over the sampled
-    rows of the experiment's epoch-0 table, the one its trajectories draw
-    against, grown to its end. Seed-independent, so seed loops hit the cache.
+    """Peak backflow, forward-current range and state drift over the no-hit
+    profile (EpochRunner.profile) of the experiment's epoch-0 table, the one
+    its trajectories draw against. Seed-independent, so seed loops hit the
+    cache.
     """
-    runner = EpochRunner(model, ruleset, cfg, gap_mode, 0,
-                         gen_cache=_run_cache(model, ruleset, gap_mode, cfg))
-    table = runner.table(0, None)
-    rows = table.sampled_rows(runner.plan)
+    table, rows, _ = EpochRunner(model, ruleset, cfg, gap_mode, 0,
+                                 gen_cache=_run_cache(model, ruleset, gap_mode, cfg)).profile()
     states, currents = table.states[rows], table.J[rows]
     flows = [f for state in states for f in gap_backflow(state, table.gen).values()]
     max_back = max([0.0, *flows])

@@ -19,15 +19,15 @@ import sys
 
 from .arrow import (BLOCKED, FLOWED, forward_experiment, reverse_experiment,
                     suspension_counterfactual)
-from .dynamics import GapSemantics, IntegratorConfig, assemble_generator, evolve
-from .engine import NORM_POLICIES, PRESERVE_TOTAL, run_trajectory
+from .dynamics import GapSemantics, IntegratorConfig
+from .engine import NORM_POLICIES, PRESERVE_TOTAL, EpochRunner, TrajectorySamples, run_trajectory
 from .ensemble import compare, deterministic_oracle, oracle_grid, run_ensemble
 from .errors import GapflowError, ScenarioParseError, ScenarioValidationError
-from .model import GAP_MODES, load_scenario_file, parse_scenario, validate_model
+from .model import (GAP_MODES, component_moduli, load_scenario_file, parse_scenario,
+                    validate_model)
 from .output import (build_manifest, ensemble_report, load_manifest, scenario_hash,
                      write_events_jsonl, write_histogram_csv, write_manifest,
-                     write_report_json, write_segment_csv, write_survival_csv,
-                     write_trajectory_csv)
+                     write_report_json, write_survival_csv, write_trajectory_csv)
 from .rules import FREEZE_RULES, RULE_IDS, RuleSet, ruleset_for_rule
 
 
@@ -167,7 +167,7 @@ def cmd_ensemble(args, parser) -> int:
     oracle_grid(cfg)
     stats = run_ensemble(model, ruleset, cfg, mode, args.n, seed,
                          n_workers=args.workers, policy=args.policy)
-    oracle = deterministic_oracle(model, cfg, mode)
+    oracle = deterministic_oracle(model, cfg, mode, ruleset=ruleset)
     report = compare(stats, oracle)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -227,18 +227,27 @@ def cmd_arrow(args, parser) -> int:
     return 0 if all(matches.values()) else 1
 
 
+def _profile_samples(model, ruleset, cfg, mode) -> TrajectorySamples:
+    """The sampled rows of the no-hit profile, gathered so that the runner
+    and its table are freed before the CSV text is built."""
+    table, rows, times = EpochRunner(model, ruleset, cfg, mode, 0).profile()
+    return TrajectorySamples(
+        times=times, s=table.s[rows], moduli=component_moduli(table.states[rows], model),
+        currents=table.J[rows], component_ids=tuple(c.id for c in model.components),
+        current_ids=table.launch_ids)
+
+
 def cmd_currents(args, parser) -> int:
     model = load_scenario_file(args.scenario)
     ruleset, mode, cfg, seed = _resolve(args, model, parser)
-    gen = assemble_generator(model, ruleset, mode)
-    seg = evolve(model.psi0, gen, 0.0, cfg.t_max, cfg)
+    samples = _profile_samples(model, ruleset, cfg, mode)
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_manifest(args.out_dir, _manifest_for(args, "currents", ruleset, mode,
                                                cfg, seed))
     path = os.path.join(args.out_dir, "currents.csv")
-    write_segment_csv(path, seg, model)
-    print(f"wrote {path} ({len(seg.times)} samples)")
+    write_trajectory_csv(path, samples)
+    print(f"wrote {path} ({len(samples.times)} samples)")
     return 0
 
 

@@ -40,16 +40,16 @@ staged path checks every row. step is a block of one. EpochTable steps an
 epoch's deterministic evolution straight into its own rows, FILL_BLOCK
 steps at a time, or in blocks that double with the table where no hazard
 draw can stop the growth, then fills the block's currents (one stacked
-product where G is linear, per row otherwise), square moduli, rates and
-gated hazard at once. Trajectories draw against tables (engine), and
-evolve, behind the oracle and `gapflow currents`, is a trigger-off table
-walked to its end, as is the arrow profile.
+product), square moduli, rates and gated hazard at once. Trajectories draw
+against tables (engine). The oracle, `gapflow currents` and the arrow
+profile read one no-hit profile (engine.EpochRunner.profile): a runner's
+epoch-0 table grown to its end, read in place.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
@@ -58,7 +58,7 @@ import scipy.sparse as sp
 
 from .errors import DegenerateStateError, GapflowError, NonFiniteStateError, NormDriftError
 from .model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, STATUSES, ZEROED, GapSemantics,
-                    OperatorBlock, ScenarioModel, component_moduli)
+                    OperatorBlock, ScenarioModel)
 from .rules import RuleSet
 
 # Below this total square modulus the compensated loss coefficient J/s_low is
@@ -365,35 +365,6 @@ def step(state: np.ndarray, gen: EffectiveGenerator, dt: float) -> np.ndarray:
     return step_block(psi, gen, dt, np.empty((1, len(psi)), dtype=np.complex128))[0]
 
 
-@dataclass
-class TrajectorySegment:
-    """Deterministic evolution samples between t0 and t1."""
-
-    times: np.ndarray
-    states: np.ndarray          # (n_samples, dim)
-    currents: np.ndarray        # (n_samples, len(launch_ids))
-    launch_ids: tuple[int, ...]
-
-    @property
-    def s(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.states.conj(), self.states).real
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
-
-    def current_column(self, comp_id: int) -> np.ndarray:
-        return self.currents[:, self.launch_ids.index(comp_id)]
-
-    def component_moduli(self, model: ScenarioModel) -> dict[int, np.ndarray]:
-        ids = (c.id for c in model.components)
-        return dict(zip(ids, component_moduli(self.states, model).T))
-
-
 def component_currents(state: np.ndarray, gen: EffectiveGenerator) -> CurrentVector:
     """J_m = d|P_m psi|^2/dt for each launch component, computed analytically.
 
@@ -450,7 +421,7 @@ def _check_epoch_drift(gen, cfg, s_now, s_epoch_start, elapsed):
 
 
 class StepPlan(NamedTuple):
-    """A run's time grid, as tables, walks and evolve read it.
+    """A run's time grid, as tables, walks and profiles read it.
 
     The run takes n_full steps of dt. The last grid point is pinned exactly
     onto t_max, so accumulated k*dt roundoff cannot leave the final sample at
@@ -528,14 +499,14 @@ class EpochTable:
         gen, block = self.gen, self.states[i:i + b]
         if gen is None:
             J = np.empty((b, 0))
-        elif gen.linear:
+        else:
+            # The compensated loss writes only the source rows of an included
+            # gap, never a launch row, so -i G psi gives every generator's J.
             idx, starts = gen.launch_runs
             g_psi = ((gen.dense @ block[:, :, None])[:, :, 0] if gen.dense is not None
                      else (gen.matrix @ np.ascontiguousarray(block.T)).T)
             dpsi = -1j * g_psi
             J = 2.0 * np.add.reduceat((block[:, idx].conj() * dpsi[:, idx]).real, starts, axis=1)
-        else:
-            J = np.array([component_currents(psi, gen).J for psi in block])
         s = square_moduli(block)
         if prev is not None and not np.isfinite(s).all():
             raise _non_finite(gen, h, "square modulus")
@@ -604,29 +575,3 @@ class EpochTable:
         self.grow(math.inf, plan.n_full)
         rows = np.flatnonzero(plan.sampled[:plan.n_full + 1])
         return np.append(rows, self.tail(plan.n_full)) if plan.rem else rows
-
-
-def evolve(state: np.ndarray, gen: EffectiveGenerator, t0: float, t1: float,
-           cfg: IntegratorConfig) -> TrajectorySegment:
-    """Integrate from t0 to t1 along the StepPlan of the span, sampling every
-    cfg.sample_every steps: the sampled rows of a trigger-off EpochTable.
-
-    The span need not be an integer number of steps; a shorter final step
-    lands exactly on t1. t1 == t0 yields a single untouched sample.
-    """
-    if t1 < t0:
-        raise GapflowError(f"evolve called with t1={t1} < t0={t0}")
-    span = t1 - t0
-    plan = StepPlan.of(replace(cfg, t_max=span))
-    table = EpochTable(gen, state, cfg.dt, plan.n_full, True, plan.rem)
-    rows = table.sampled_rows(plan)
-    times = t0 + plan.times[plan.sampled]
-    if len(times) > 1:
-        times[-1] = t1
-    elif span > 0:
-        # A span below StepPlan's 1e-9 dt guard takes no step but still
-        # ends on t1.
-        rows, times = np.zeros(2, np.intp), np.array([t0, t1])
-    _check_epoch_drift(gen, cfg, float(table.s[rows[-1]]), float(table.s[0]), span)
-    return TrajectorySegment(times=times, states=table.states[rows],
-                             currents=table.J[rows], launch_ids=gen.launch_ids)

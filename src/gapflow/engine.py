@@ -289,6 +289,18 @@ class EpochRunner:
             self.tables[(epoch, chosen)] = table
         return table
 
+    def profile(self) -> tuple[EpochTable, np.ndarray, np.ndarray]:
+        """The no-hit profile: the epoch-0 table grown through the plan
+        without a hit, the rows of its samples and their times. The one
+        source of the oracle's, `gapflow currents`' and the arrow profile's
+        rows; raises NormDriftError where s drifts beyond the budget over
+        t_max."""
+        table = self.table(0, None)
+        rows = table.sampled_rows(self.plan)
+        _check_epoch_drift(table.gen, self.cfg, float(table.s[rows[-1]]), float(table.s[0]),
+                           self.cfg.t_max)
+        return table, rows, self.times[self.sampled]
+
     def walk(self, indices) -> Iterator[LegGroup]:
         """Walk trajectories ``indices`` together, yielding one LegGroup per
         epoch and table, epoch by epoch, each before its hits are filed under
@@ -420,7 +432,8 @@ class EpochRunner:
         states = np.array([c * tab.states[r] for _, c, tab, r in rows])
         return TrajectorySamples(
             times=np.array([row[0] for row in rows]),
-            s=(states.conj() * states).real.sum(axis=1), moduli=component_moduli(states, model),
+            s=np.array([_abs2(c) * float(tab.s[r]) for _, c, tab, r in rows]),
+            moduli=component_moduli(states, model),
             currents=currents, component_ids=tuple(c.id for c in model.components),
             current_ids=cand)
 

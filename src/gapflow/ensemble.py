@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GapSemantics, IntegratorConfig, assemble_generator, evolve, step_grid
+from .dynamics import GapSemantics, IntegratorConfig, step_grid
 from .engine import PRESERVE_TOTAL, TERMINAL_QUIESCENT, TERMINAL_T_MAX, EpochRunner
 from .errors import GapflowError, ProvenanceError
 from .model import ScenarioModel
@@ -45,6 +45,7 @@ class RunProvenance:
 
     model_fingerprint: str
     gap_mode: str
+    suspended: tuple[str, ...]      # sorted; the rule-set variant is not compared
     dt: float
     t_max: float
 
@@ -52,13 +53,14 @@ class RunProvenance:
         if self != other:
             raise ProvenanceError(
                 f"provenance mismatch: {self} vs {other}; "
-                "stats and oracle must come from the same model and config")
+                "stats and oracle must come from the same model, suspensions and config")
 
 
-def _provenance(model: ScenarioModel, cfg: IntegratorConfig,
+def _provenance(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
                 mode: GapSemantics) -> RunProvenance:
-    return RunProvenance(model_fingerprint=model.fingerprint(),
-                         gap_mode=mode.token, dt=cfg.dt, t_max=cfg.t_max)
+    return RunProvenance(model_fingerprint=model.fingerprint(), gap_mode=mode.token,
+                         suspended=tuple(sorted(ruleset.suspended)), dt=cfg.dt,
+                         t_max=cfg.t_max)
 
 
 @dataclass
@@ -126,8 +128,12 @@ def oracle_grid(cfg: IntegratorConfig, refine: int = 10) -> IntegratorConfig:
 
 
 def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
-                         gap_mode: GapSemantics, refine: int = 10) -> OracleResult:
-    """Integrate the no-collapse dynamics on a ``refine``-times finer grid.
+                         gap_mode: GapSemantics, refine: int = 10, *,
+                         ruleset: RuleSet = RuleSet()) -> OracleResult:
+    """Integrate the no-collapse dynamics of ``ruleset`` on a
+    ``refine``-times finer grid: the no-hit profile (EpochRunner.profile) of
+    a runner on that grid, whose epoch-0 table holds J, s and the rate
+    sum J+ / s of every row.
 
     The survival takes the trapezoid of every step, while the engine's gated
     hazard (dynamics.EpochTable) drops that of a step ending at rate 0. The
@@ -139,27 +145,24 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
     from this survival by O(h^2) per zero crossing of sum J+: the order of
     the trapezoid rule's own error.
     """
-    fine = oracle_grid(cfg, refine)
-    gen = assemble_generator(model, RuleSet(), gap_mode)
-    seg = evolve(model.psi0, gen, 0.0, cfg.t_max, fine)
-
-    times = seg.times
-    j_pos = np.clip(seg.currents, 0.0, None)
+    table, rows, times = EpochRunner(model, ruleset, oracle_grid(cfg, refine), gap_mode,
+                                     0).profile()
+    j_pos = np.clip(table.J[rows], 0.0, None)
     # One call along contiguous rows sums each component pairwise, as a call
     # per column does (along axis 0 numpy does not); a single sample
     # (t_max = 0) integrates to 0.
-    rows = np.trapezoid(np.ascontiguousarray(j_pos.T), times, axis=1)
-    integrals = dict(zip(seg.launch_ids, rows.tolist()))
+    integrals = dict(zip(table.launch_ids, np.trapezoid(
+        np.ascontiguousarray(j_pos.T), times, axis=1).tolist()))
     total = sum(integrals.values())
     predicted = {m: v / total if total > 0.0 else 0.0 for m, v in integrals.items()}
 
-    rate = j_pos.sum(axis=1) / seg.s
+    rate = table.rate[rows]
     increments = 0.5 * (rate[1:] + rate[:-1]) * np.diff(times)
     survival = np.exp(-np.concatenate([[0.0], np.cumsum(increments)]))
 
     return OracleResult(integrals=integrals, predicted_shares=predicted,
                         times=times, survival=survival,
-                        provenance=_provenance(model, cfg, gap_mode))
+                        provenance=_provenance(model, ruleset, cfg, gap_mode))
 
 
 # --- ensemble execution -----------------------------------------------------
@@ -244,7 +247,7 @@ def run_ensemble(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
     return EnsembleStats(
         n=n, seed=master_seed, counts=counts, no_collapse=int(n - hit.sum()),
         hit_times=t_first[hit], hit_components=hit_components,
-        provenance=_provenance(model, cfg, gap_mode),
+        provenance=_provenance(model, ruleset, cfg, gap_mode),
         totals={"negative_current_steps": int(negative.sum()), "terminals": terminals},
     )
 

@@ -54,8 +54,8 @@ ZEROED = "zeroed"
 STATUSES = (ACTIVE, LAUNCH, REALIZED, ZEROED)
 
 # Most steps of dt in one integration grid. The step plan (a run's time grid,
-# 9 bytes per step) and every epoch table (evolve samples one too) grow by one
-# entry per step, together under 0.4 kB per step for a dim-2 scenario, so
+# 9 bytes per step) and every epoch table (the no-hit profile is one too) grow
+# by one entry per step, together under 0.4 kB per step for a dim-2 scenario, so
 # this bound keeps one grid under half a gigabyte while leaving room for runs
 # 1000 times longer than the fixtures' 600 steps.
 MAX_STEPS = 10**6

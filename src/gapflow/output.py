@@ -15,10 +15,8 @@ import os
 
 import numpy as np
 
-from .dynamics import TrajectorySegment
 from .engine import CollapseEvent, TrajectorySamples
 from .ensemble import EnsembleStats, OracleResult
-from .model import ScenarioModel, component_moduli
 from .version import __version__
 
 MANIFEST_SCHEMA = "manifest/1"
@@ -47,29 +45,20 @@ def scenario_hash(path) -> str:
 
 # --- CSV --------------------------------------------------------------------
 
-def _csv_rows(times, s, moduli, comp_ids, currents, current_ids) -> str:
+def write_trajectory_csv(path, samples: TrajectorySamples):
+    """One row per sample: t, s, each component's square modulus and each
+    current; `gapflow run`'s trajectory.csv and `gapflow currents`'
+    currents.csv."""
     header = (["t", "s"]
-              + [f"p_{cid}" for cid in comp_ids]
-              + [f"J_{cid}" for cid in current_ids])
+              + [f"p_{cid}" for cid in samples.component_ids]
+              + [f"J_{cid}" for cid in samples.current_ids])
     # One %-format per line; %.17g renders every value as fmt_float does.
     # Rows become Python floats one at a time, never the whole table at once.
     fmt = ",".join(["%.17g"] * len(header))
     lines = [fmt % (t, s_t, *m.tolist(), *j.tolist())
-             for t, s_t, m, j in zip(np.asarray(times).tolist(), np.asarray(s).tolist(),
-                                     moduli, currents)]
-    return "\n".join([",".join(header)] + lines) + "\n"
-
-
-def write_trajectory_csv(path, samples: TrajectorySamples):
-    _write_text(path, _csv_rows(samples.times, samples.s, samples.moduli,
-                                samples.component_ids, samples.currents,
-                                samples.current_ids))
-
-
-def write_segment_csv(path, seg: TrajectorySegment, model: ScenarioModel):
-    _write_text(path, _csv_rows(seg.times, seg.s, component_moduli(seg.states, model),
-                                tuple(c.id for c in model.components),
-                                seg.currents, seg.launch_ids))
+             for t, s_t, m, j in zip(samples.times.tolist(), samples.s.tolist(),
+                                     samples.moduli, samples.currents)]
+    _write_text(path, "\n".join([",".join(header)] + lines) + "\n")
 
 
 def write_histogram_csv(path, stats: EnsembleStats, t_max: float, n_bins: int = 60):

@@ -16,10 +16,9 @@ from gapflow.dynamics import (
     IntegratorConfig,
     assemble_generator,
     component_currents,
-    evolve,
     fd_current_check,
 )
-from gapflow.engine import run_trajectory
+from gapflow.engine import EpochRunner, run_trajectory
 from gapflow.ensemble import compare, deterministic_oracle, run_ensemble
 from gapflow.fixtures import BUILDERS, three_mode, two_level
 from gapflow.rules import NRULES3, NRULES4, RuleSet
@@ -145,19 +144,19 @@ def test_criterion_5_numerical_hygiene():
     # (b) RK4 endpoint error shrinks >= 8x when dt halves (Rabi fixture)
     model = two_level()
     rules = R3.with_suspended(["n3_1"])
-    gen = assemble_generator(model, rules, HERMITIAN)
     t_end = 1.0
     exact = np.array([np.cos(t_end), -1.0j * np.sin(t_end)])
     errs = []
     for dt in (0.05, 0.025):
-        seg = evolve(model.psi0, gen, 0.0, t_end, IntegratorConfig(dt=dt, t_max=t_end))
-        errs.append(float(np.max(np.abs(seg.final_state - exact))))
+        cfg = IntegratorConfig(dt=dt, t_max=t_end)
+        table, rows, _ = EpochRunner(model, rules, cfg, HERMITIAN, 0).profile()
+        errs.append(float(np.max(np.abs(table.states[rows[-1]] - exact))))
     ratio = errs[0] / errs[1]
 
     # (c) hermitian norm drift at dt = 1e-3
     cfg = IntegratorConfig(dt=1e-3, t_max=6.0)
-    seg = evolve(model.psi0, gen, 0.0, 6.0, cfg)
-    drift_per_time = abs(seg.s[-1] - seg.s[0]) / 6.0
+    table, rows, _ = EpochRunner(model, rules, cfg, HERMITIAN, 0).profile()
+    drift_per_time = abs(table.s[rows[-1]] - table.s[rows[0]]) / 6.0
 
     ok = worst_rel < 1e-6 and ratio >= 8.0 and drift_per_time < 1e-8
     verdict_line(5, "numerical hygiene",

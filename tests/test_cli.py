@@ -289,6 +289,31 @@ def test_run_events_jsonl_schema(tmp_path):
                           "J", "norm_policy"}
 
 
+def read_csv(path):
+    """A CSV's header and its rows as floats."""
+    lines = pathlib.Path(path).read_text().splitlines()
+    return lines[0].split(","), np.array([[float(v) for v in r.split(",")] for r in lines[1:]])
+
+
+@pytest.mark.parametrize("mode", ["oneway", "compensated", "hermitian"])
+@pytest.mark.parametrize("name", ["three_mode", "chain_three_level"])
+def test_trajectory_csv_s_equals_report_s(tmp_path, name, mode):
+    """trajectory.csv's s on each pre-hit row and on its last row is
+    run_report.json's pre_hit_s and final_s, bit for bit: all of them are
+    |c|^2 times the table's s."""
+    for seed in range(10):
+        out = tmp_path / str(seed)
+        assert main(["run", "--scenario", str(scenario_path(name)), "--gap-mode", mode,
+                     "--seed", str(seed), "--sample-every", "7", "--out-dir", str(out)]) == 0
+        header, data = read_csv(out / "trajectory.csv")
+        t, s = data[:, header.index("t")], data[:, header.index("s")]
+        report = json.loads((out / "run_report.json").read_text())
+        for event in report["events"]:
+            # The pre-hit row comes first at t_sc; the collapsed start follows.
+            assert s[t.searchsorted(event["t_sc"])] == event["pre_hit_s"]
+        assert s[-1] == report["meta"]["final_s"]
+
+
 def test_run_manifest_round_trips(tmp_path):
     out = tmp_path / "out"
     main(["run", "--scenario", TWO_LEVEL, "--seed", "5", "--out-dir", str(out)])
@@ -326,6 +351,20 @@ def test_currents_oneway_is_linear(tmp_path):
     data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
     t = data[:, header.index("t")]
     assert np.allclose(data[:, header.index("J_1")], 2.0 * t, atol=1e-9)
+
+
+def test_t_max_below_the_step_guard_takes_no_step(tmp_path):
+    """A t_max below StepPlan's 1e-9 dt guard takes no step: currents.csv
+    holds one row, the start at t = 0, and a run ends at final_t 0.0."""
+    args = ["--scenario", TWO_LEVEL, "--t-max", "1e-12"]
+    assert main(["currents", *args, "--out-dir", str(tmp_path / "currents")]) == 0
+    header, data = read_csv(tmp_path / "currents" / "currents.csv")
+    assert data[:, header.index("t")].tolist() == [0.0]
+    assert main(["run", *args, "--out-dir", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "run_report.json").read_text())
+    assert report["meta"]["final_t"] == 0.0
+    header, data = read_csv(tmp_path / "run" / "trajectory.csv")
+    assert data[:, header.index("t")].tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------

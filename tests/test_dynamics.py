@@ -30,16 +30,16 @@ from gapflow.dynamics import (
     StepPlan,
     assemble_generator,
     component_currents,
-    evolve,
     fd_current_check,
     gap_backflow,
     step,
     step_block,
 )
-from gapflow.engine import post_collapse_statuses
+from gapflow.engine import EpochRunner, post_collapse_statuses
 from gapflow.errors import GapflowError, NonFiniteStateError, NormDriftError
 from gapflow.fixtures import BUILDERS, three_mode, two_level
-from gapflow.model import ACTIVE, LAUNCH, MAX_STEPS, REALIZED, ZEROED, validate_model
+from gapflow.model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, ZEROED, component_moduli,
+                           validate_model)
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 
 from conftest import star_model
@@ -50,13 +50,19 @@ R4 = RuleSet(NRULES4)
 ONEWAY = GapSemantics.ONE_WAY_FEED
 COMPENSATED = GapSemantics.NORM_COMPENSATED
 HERMITIAN = GapSemantics.HERMITIAN_TRUNCATED
+RABI = R3.with_suspended(["n3_1"])
 
 
 def rabi_generator(model=None):
     """Two-level hermitian generator with the freeze rule suspended."""
     model = model or two_level()
-    rules = R3.with_suspended(["n3_1"])
-    return model, assemble_generator(model, rules, HERMITIAN)
+    return model, assemble_generator(model, RABI, HERMITIAN)
+
+
+def profile(model, rules, mode, cfg):
+    """The no-hit profile of ``model`` on ``cfg``'s grid: its table, the
+    sampled rows and their times."""
+    return EpochRunner(model, rules, cfg, mode, 0).profile()
 
 
 # ---------------------------------------------------------------------------
@@ -198,24 +204,22 @@ def test_provenance_records_assembly_inputs(three_mode_model):
 
 
 def test_one_way_two_level_matches_closed_form(two_level_model):
-    gen = assemble_generator(two_level_model, R3, ONEWAY)
     cfg = IntegratorConfig(dt=0.01, t_max=2.0)
-    seg = evolve(two_level_model.psi0, gen, 0.0, 2.0, cfg)
-    times = seg.times
-    s = seg.s
+    table, rows, times = profile(two_level_model, R3, ONEWAY, cfg)
+    s = table.s[rows]
     assert np.allclose(s, 1.0 + times**2, atol=1e-12)
-    J1 = seg.current_column(1)
+    J1 = table.J[rows, table.launch_ids.index(1)]
     assert np.allclose(J1, 2.0 * times, atol=1e-12)
-    assert seg.final_state[1] == pytest.approx(-2.0j, abs=1e-12)
+    assert table.states[rows[-1]][1] == pytest.approx(-2.0j, abs=1e-12)
 
 
 def test_rabi_closed_form():
-    model, gen = rabi_generator()
+    model = two_level()
     cfg = IntegratorConfig(dt=0.001, t_max=3.0)
-    seg = evolve(model.psi0, gen, 0.0, 3.0, cfg)
-    p1 = seg.component_moduli(model)[1]
-    assert np.allclose(p1, np.sin(seg.times) ** 2, atol=1e-9)
-    assert np.allclose(seg.current_column(1), np.sin(2.0 * seg.times), atol=1e-9)
+    table, rows, times = profile(model, RABI, HERMITIAN, cfg)
+    p1 = component_moduli(table.states[rows], model)[:, 1]
+    assert np.allclose(p1, np.sin(times) ** 2, atol=1e-9)
+    assert np.allclose(table.J[rows, table.launch_ids.index(1)], np.sin(2.0 * times), atol=1e-9)
 
 
 def test_rabi_current_goes_negative():
@@ -228,14 +232,14 @@ def test_rabi_current_goes_negative():
 
 def test_rk4_convergence_order():
     """Halving dt must shrink the Rabi endpoint error by at least 8x."""
-    model, gen = rabi_generator()
+    model = two_level()
     t_end = 1.0
     exact = np.array([np.cos(t_end), -1.0j * np.sin(t_end)])
     errors = []
     for dt in (0.05, 0.025):
         cfg = IntegratorConfig(dt=dt, t_max=t_end)
-        seg = evolve(model.psi0, gen, 0.0, t_end, cfg)
-        errors.append(np.max(np.abs(seg.final_state - exact)))
+        table, rows, _ = profile(model, RABI, HERMITIAN, cfg)
+        errors.append(np.max(np.abs(table.states[rows[-1]] - exact)))
     assert errors[0] / errors[1] >= 8.0
 
 
@@ -253,20 +257,18 @@ def test_rk4_step_matches_expm_oracle():
     assert np.allclose(got, expected, atol=1e-14)
 
 
-def test_evolve_handles_partial_final_step(two_level_model):
-    gen = assemble_generator(two_level_model, R3, ONEWAY)
+def test_profile_handles_partial_final_step(two_level_model):
     cfg = IntegratorConfig(dt=0.01, t_max=0.505)
-    seg = evolve(two_level_model.psi0, gen, 0.0, 0.505, cfg)
-    assert seg.final_time == pytest.approx(0.505, abs=1e-12)
-    assert seg.s[-1] == pytest.approx(1.0 + 0.505**2, abs=1e-12)
+    table, rows, times = profile(two_level_model, R3, ONEWAY, cfg)
+    assert times[-1] == pytest.approx(0.505, abs=1e-12)
+    assert table.s[rows[-1]] == pytest.approx(1.0 + 0.505**2, abs=1e-12)
 
 
-def test_evolve_zero_span_returns_single_sample(two_level_model):
-    gen = assemble_generator(two_level_model, R3, ONEWAY)
-    cfg = IntegratorConfig(dt=0.01, t_max=1.0)
-    seg = evolve(two_level_model.psi0, gen, 0.5, 0.5, cfg)
-    assert len(seg.times) == 1
-    assert seg.final_time == 0.5
+def test_profile_zero_t_max_returns_single_sample(two_level_model):
+    cfg = IntegratorConfig(dt=0.01, t_max=0.0)
+    _, _, times = profile(two_level_model, R3, ONEWAY, cfg)
+    assert len(times) == 1
+    assert times[-1] == 0.0
 
 
 def test_step_rejects_non_finite_state(two_level_model):
@@ -343,13 +345,15 @@ def test_propagator_step_matches_staged_rk4(mode, name):
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
-@pytest.mark.parametrize("mode", [ONEWAY, HERMITIAN])
-def test_evolve_currents_equal_per_row_currents(name, mode):
+@pytest.mark.parametrize("mode", [ONEWAY, HERMITIAN, COMPENSATED])
+def test_table_currents_equal_per_row_currents(name, mode):
+    """The table's stacked -i G psi currents are component_currents' floats,
+    compensated mode included: its loss never writes a launch row."""
     model = BUILDERS[name]()
-    gen = assemble_generator(model, R3, mode)
-    seg = evolve(model.psi0, gen, 0.0, 1.005, IntegratorConfig(dt=0.01, sample_every=3))
-    per_row = np.array([component_currents(psi, gen).J for psi in seg.states])
-    np.testing.assert_array_equal(seg.currents, per_row)
+    cfg = IntegratorConfig(dt=0.01, t_max=1.005, sample_every=3)
+    table, rows, _ = profile(model, R3, mode, cfg)
+    per_row = np.array([component_currents(psi, table.gen).J for psi in table.states[rows]])
+    np.testing.assert_array_equal(table.J[rows], per_row)
 
 
 def reference_step(psi, gen, h):
@@ -453,46 +457,42 @@ def test_propagator_is_lazy_bounded_and_linear_only(three_mode_model):
 
 
 def test_hermitian_norm_drift_within_budget():
-    model, gen = rabi_generator()
     cfg = IntegratorConfig(dt=0.001, t_max=6.0)
-    seg = evolve(model.psi0, gen, 0.0, 6.0, cfg)
-    drift = abs(seg.s[-1] - seg.s[0])
+    table, rows, _ = profile(two_level(), RABI, HERMITIAN, cfg)
+    drift = abs(table.s[rows[-1]] - table.s[rows[0]])
     assert drift < 1e-8 * 6.0
 
 
 def test_norm_drift_budget_enforced():
-    model, gen = rabi_generator()
     cfg = IntegratorConfig(dt=0.2, t_max=6.0, norm_drift_budget=1e-16)
     with pytest.raises(NormDriftError):
-        evolve(model.psi0, gen, 0.0, 6.0, cfg)
+        profile(two_level(), RABI, HERMITIAN, cfg)
 
 
 def test_compensated_mode_conserves_norm(three_mode_model):
     gen = assemble_generator(three_mode_model, R3, COMPENSATED)
     assert gen.conserves_norm
     cfg = IntegratorConfig(dt=0.001, t_max=2.0)
-    seg = evolve(three_mode_model.psi0, gen, 0.0, 2.0, cfg)
-    assert np.all(np.abs(seg.s - 1.0) < 1e-8)
+    table, rows, _ = profile(three_mode_model, R3, COMPENSATED, cfg)
+    assert np.all(np.abs(table.s[rows] - 1.0) < 1e-8)
 
 
 def test_compensated_mode_moves_weight_off_low_component(three_mode_model):
     """The compensation term drains the low side while the feed current is
     positive; the flow is nonlinear and quasi-periodic, so only the initial
     drain is asserted, not global monotonicity."""
-    gen = assemble_generator(three_mode_model, R3, COMPENSATED)
     cfg = IntegratorConfig(dt=0.001, t_max=1.0)
-    seg = evolve(three_mode_model.psi0, gen, 0.0, 1.0, cfg)
-    p0 = seg.component_moduli(three_mode_model)[0]
+    table, rows, _ = profile(three_mode_model, R3, COMPENSATED, cfg)
+    p0 = component_moduli(table.states[rows], three_mode_model)[:, 0]
     half = len(p0) // 2
     assert np.all(np.diff(p0[:half]) < 1e-12)
     assert p0[half] < 0.5
 
 
 def test_sink_mode_grows_norm(three_mode_model):
-    gen = assemble_generator(three_mode_model, R3, ONEWAY)
     cfg = IntegratorConfig(dt=0.01, t_max=1.0)
-    seg = evolve(three_mode_model.psi0, gen, 0.0, 1.0, cfg)
-    assert seg.s[-1] > 1.5
+    table, rows, _ = profile(three_mode_model, R3, ONEWAY, cfg)
+    assert table.s[rows[-1]] > 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +529,8 @@ def test_three_mode_current_ratios(three_mode_model):
     """Couplings (1, 1, sqrt(2)) give currents in ratio 1:1:2 from psi0."""
     gen = assemble_generator(three_mode_model, R3, ONEWAY)
     cfg = IntegratorConfig(dt=0.01, t_max=0.5)
-    seg = evolve(three_mode_model.psi0, gen, 0.0, 0.5, cfg)
-    J = component_currents(seg.final_state, gen)
+    table, rows, _ = profile(three_mode_model, R3, ONEWAY, cfg)
+    J = component_currents(table.states[rows[-1]], gen)
     assert J[2] == pytest.approx(J[1], rel=1e-12)
     assert J[3] == pytest.approx(2.0 * J[1], rel=1e-12)
 

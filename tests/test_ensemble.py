@@ -25,7 +25,7 @@ from gapflow.ensemble import (
 from gapflow.errors import GapflowError, ProvenanceError
 from gapflow.fixtures import chain_three_level, three_mode, two_level
 from gapflow.model import load_scenario
-from gapflow.rules import NRULES3, RuleSet
+from gapflow.rules import NRULES3, NRULES4, RuleSet
 from gapflow.substreams import CROSSOVER, substream_keys
 
 from conftest import WIDE_LAUNCH
@@ -353,6 +353,33 @@ def test_compare_rejects_mismatched_provenance(three_mode_model, two_level_model
     oracle = deterministic_oracle(two_level_model, CFG, ONEWAY)
     with pytest.raises(ProvenanceError):
         compare(stats, oracle)
+
+
+def test_compare_rejects_mismatched_suspensions():
+    """Stats and oracle must suspend the same rules; the rule-set variant
+    alone is not compared, so nrules3 and nrules4 without suspensions match."""
+    model, hermitian = chain_three_level(), GapSemantics.HERMITIAN_TRUNCATED
+    suspended = R3.with_suspended(["n3_1"])
+    stats = run_ensemble(model, suspended, CFG, hermitian, 50, 1)
+    with pytest.raises(ProvenanceError):
+        compare(stats, deterministic_oracle(model, CFG, hermitian))
+    with pytest.raises(ProvenanceError):
+        compare(run_ensemble(model, R3, CFG, hermitian, 50, 1),
+                deterministic_oracle(model, CFG, hermitian, ruleset=suspended))
+    compare(run_ensemble(model, RuleSet(NRULES4), CFG, hermitian, 50, 1),
+            deterministic_oracle(model, CFG, hermitian, ruleset=R3))
+
+
+def test_suspended_freeze_ensemble_passes_its_oracle():
+    """The oracle integrates the run's own rule set: with n3_1 suspended, a
+    hermitian chain_three_level ensemble matches it (the oracle of the frozen
+    dynamics gives KS 0.150 against a threshold of 0.025 here)."""
+    model, hermitian = chain_three_level(), GapSemantics.HERMITIAN_TRUNCATED
+    rules = R3.with_suspended(["n3_1"])
+    stats = run_ensemble(model, rules, CFG, hermitian, 5000, 1)
+    report = compare(stats, deterministic_oracle(model, CFG, hermitian, ruleset=rules))
+    assert report.z_pass, report.z_scores
+    assert report.ks_pass, (report.ks_d, report.ks_threshold)
 
 
 def test_comparison_report_serializes(three_mode_model):
