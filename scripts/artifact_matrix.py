@@ -36,7 +36,6 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-GAP_MODES = ("oneway", "compensated", "hermitian")
 
 # (case name, extra arguments) per scenario and gap mode.
 INVOCATIONS = (
@@ -81,6 +80,7 @@ def run_case(main, argv: list[str], out_dir: str) -> tuple[int, str, str]:
 
 def build_listing(scenarios: pathlib.Path, out_root: pathlib.Path) -> list[str]:
     from gapflow.cli import main
+    from gapflow.model import GAP_MODES
     from conftest import WIDE_LAUNCH
 
     os.makedirs(out_root, exist_ok=True)

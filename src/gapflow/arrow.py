@@ -6,18 +6,21 @@ one sampled trajectory. The forward run shows current crossing the gap from
 low to high entropy and hits firing. The reverse run starts from a state
 placed entirely in the launch sector; with the rules active and sink
 semantics, the generator maps that state to exactly zero, so backflow, state
-drift and hit count are all zero bit-exactly, not merely small. Suspending
-the freeze rule under hermitian semantics restores the back-coupling and the
-flow returns, which is the counterfactual the pair of reports documents.
+drift and hit count are all zero bit-exactly, not merely small. The gap
+mode, not the freeze rule, makes that so: on every shipped fixture a
+hermitian reverse start flows back with nothing suspended, a oneway one stays
+blocked with the freeze suspended, and suspending the freeze in hermitian
+mode moves the peak backflow on chain_three_level alone. The counterfactual
+pair of reports switches the gap mode and the suspension together.
 
 The sampled trajectory is a lookup: its hits are draws against the epoch
 tables of the deterministic no-hit evolution, which do not depend on the seed.
-Each process therefore keeps, per (model with its start state, rule set, gap
-mode, config), one run_trajectory cache holding the generators and the full
-epoch tables, so a seed loop integrates each path once. The profile reads the
-sampled rows of the same epoch-0 table, grown to its end, so a cold
+Each process therefore keeps one EpochRunner per (model with its start state,
+rule set, gap mode, config), which owns the generators and the full epoch
+tables, so a seed loop integrates each path once. The profile reads the
+sampled rows of the same runner's epoch-0 table, grown to its end, so a cold
 experiment steps once per table row as well. The cache keeps the
-RUN_CACHE_SIZE most recent of them; a table holds 16 dim + 8 (launch
+RUN_CACHE_SIZE most recent runners; a table holds 16 dim + 8 (launch
 components) + 32 bytes per step, twice that when t_max is off the dt grid.
 """
 
@@ -34,7 +37,7 @@ from .errors import GapflowError
 from .model import LAUNCH, ScenarioModel
 from .rules import FREEZE_RULES, RuleSet, ruleset_for_rule
 
-# Entries of the per-process run cache: the seed loops over the arrow fixtures
+# Runners kept per process (_runner): the seed loops over the arrow fixtures
 # (criterion 1, the arrow command's four experiments) cycle through at most a
 # dozen (model, start, rules, mode, config) combinations.
 RUN_CACHE_SIZE = 16
@@ -96,10 +99,10 @@ def _resolve(model, ruleset, gap_mode, seed):
 
 
 @lru_cache(maxsize=RUN_CACHE_SIZE)
-def _run_cache(model, ruleset, gap_mode, cfg) -> dict:
-    """run_trajectory's gen_cache for every seed of one experiment; the
+def _runner(model, ruleset, gap_mode, cfg) -> EpochRunner:
+    """The runner of every seed of one experiment, and of its profile; the
     model's equality covers its start state psi0."""
-    return {}
+    return EpochRunner(model, ruleset, cfg, gap_mode)
 
 
 @lru_cache(maxsize=64)
@@ -109,8 +112,7 @@ def _profile_extrema_cached(model, ruleset, gap_mode, cfg):
     its trajectories draw against. Seed-independent, so seed loops hit the
     cache.
     """
-    table, rows, _ = EpochRunner(model, ruleset, cfg, gap_mode, 0,
-                                 gen_cache=_run_cache(model, ruleset, gap_mode, cfg)).profile()
+    table, rows, _ = _runner(model, ruleset, gap_mode, cfg).profile()
     states, currents = table.states[rows], table.J[rows]
     flows = [f for state in states for f in gap_backflow(state, table.gen).values()]
     max_back = max([0.0, *flows])
@@ -122,7 +124,7 @@ def _experiment(direction, model, cfg, ruleset, gap_mode, seed) -> ArrowReport:
     """Profile of ``model``'s no-hit evolution plus one trajectory's hits."""
     max_back, max_fwd, min_fwd, delta = _profile_extrema_cached(model, ruleset, gap_mode, cfg)
     rec = run_trajectory(model, ruleset, cfg, gap_mode, seed, record_samples=False,
-                         gen_cache=_run_cache(model, ruleset, gap_mode, cfg))
+                         runner=_runner(model, ruleset, gap_mode, cfg))
     hits = len(rec.events)
     if direction == FORWARD:
         verdict, delta = (FLOWED if max_fwd > 0.0 else BLOCKED), 0.0
@@ -158,11 +160,12 @@ def reverse_experiment(model: ScenarioModel, cfg: IntegratorConfig, *,
 def suspension_counterfactual(model: ScenarioModel, cfg: IntegratorConfig,
                               rule: str, *,
                               seed: int | None = None) -> tuple[ArrowReport, ArrowReport]:
-    """Suspend a freeze rule, watch the flow return, then restore the rule.
+    """Reverse experiments with a freeze rule suspended and restored.
 
     The suspended arm runs reverse-initialized under hermitian_truncated with
     ``rule`` suspended; the restored arm is a plain reverse experiment under
-    sink semantics. Expected verdicts: (flowed, blocked).
+    sink semantics. Expected verdicts: (flowed, blocked), which the gap mode
+    alone decides (module docstring).
     """
     if rule not in FREEZE_RULES:
         raise GapflowError(

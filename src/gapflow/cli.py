@@ -230,7 +230,7 @@ def cmd_arrow(args, parser) -> int:
 def _profile_samples(model, ruleset, cfg, mode) -> TrajectorySamples:
     """The sampled rows of the no-hit profile, gathered so that the runner
     and its table are freed before the CSV text is built."""
-    table, rows, times = EpochRunner(model, ruleset, cfg, mode, 0).profile()
+    table, rows, times = EpochRunner(model, ruleset, cfg, mode).profile()
     return TrajectorySamples(
         times=times, s=table.s[rows], moduli=component_moduli(table.states[rows], model),
         currents=table.J[rows], component_ids=tuple(c.id for c in model.components),

@@ -232,18 +232,15 @@ class EffectiveGenerator:
 
 
 def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantics,
-                       suspended: frozenset[str] | None = None,
                        statuses: Mapping[int, str] | None = None,
                        epoch: int = 0) -> EffectiveGenerator:
     """Build the generator for the given component statuses.
 
-    ``suspended`` augments the rule set's own suspensions; pass the statuses
-    reached after the most recent collapse (defaults to the model's initial
-    ones).
+    Rules are suspended through ``ruleset``; pass the statuses reached after
+    the most recent collapse (defaults to the model's initial ones).
     """
     if statuses is None:
         statuses = model.initial_statuses()
-    ruleset = ruleset.with_suspended(suspended) if suspended else ruleset
     for comp_id, st in statuses.items():
         model.component(comp_id)
         if st not in STATUSES:

@@ -25,11 +25,11 @@ EpochRunner.walk advances a block of trajectories at once, grouped by
 group, one cumulative-weights comparison every choice, and one array pass
 collapses every choice of a one-dimensional component, at any epoch and from
 any table, onto the next epoch's shared table. A collapse onto a wider
-component starts a table of its own, walked as a group of one. Every
-EpochRunner keeps its shared tables for its own life; a caller's gen_cache
-only shares them across runners.
-run_ensemble walks its trajectories in blocks (ensemble.BLOCK) and
-run_trajectory walks a block of one, so both run the same epoch loop.
+component starts a table of its own, walked as a group of one. A
+seed-free EpochRunner owns its generators, step plan and tables, and each
+walk takes a seed. run_ensemble walks one index range per process on one
+runner, in blocks (ensemble.BLOCK), and run_trajectory walks a block of one,
+so both run the same epoch loop.
 
 nrules3 and nrules4 share every code path; the variant only relabels the
 frozen status. Randomness comes from a counter-based Philox substream keyed
@@ -217,26 +217,20 @@ class LegGroup(NamedTuple):
 class EpochRunner:
     """The epoch loop of run_trajectory and run_ensemble, with its step plan.
 
-    Every runner keeps, per (model, rule set, gap mode), the generators and,
-    per IntegratorConfig, the step plan and the tables its walks share, for
-    its own life. They live in ``gen_cache``, a dict the caller keeps to
-    share them across runners too, or a private one when it passes none.
+    A runner depends on no seed: it owns the generators, the step plan and
+    the tables its walks share, for its own life, and every walk takes the
+    seed of its substreams. Walks of any seeds on one runner draw against the
+    same tables, with the same floats as walks on a runner of their own.
     """
 
     def __init__(self, model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
-                 gap_mode: GapSemantics, seed: int, policy: str = PRESERVE_TOTAL,
-                 gen_cache: dict | None = None):
+                 gap_mode: GapSemantics, policy: str = PRESERVE_TOTAL):
         self.model, self.ruleset, self.cfg, self.gap_mode = model, ruleset, cfg, gap_mode
-        self.seed, self.policy = seed, policy
-        # (last chosen, epoch) -> generator; cfg -> (plan, tables), where
-        # tables maps (epoch, last chosen) -> table
-        self._gens, plans = ({} if gen_cache is None else gen_cache).setdefault(
-            (model, ruleset, gap_mode), ({}, {}))
-        if cfg not in plans:
-            plans[cfg] = (StepPlan.of(cfg), {})
-        plan, self.tables = plans[cfg]
-        self.plan = plan
-        self.times, self.sampled, self.rem, self.n_full = plan
+        self.policy = policy
+        self._gens: dict = {}           # (last chosen, epoch) -> generator
+        self.tables: dict = {}          # (epoch, last chosen) -> shared table
+        self.plan = StepPlan.of(cfg)
+        self.times, self.sampled, self.rem, self.n_full = self.plan
         self._sources = frozenset(g.low for g in model.gaps if g.irreversible)
         # Component ids, sorted, and per id the basis index of a
         # one-dimensional component or -1 for a wider one.
@@ -301,10 +295,10 @@ class EpochRunner:
                            self.cfg.t_max)
         return table, rows, self.times[self.sampled]
 
-    def walk(self, indices) -> Iterator[LegGroup]:
-        """Walk trajectories ``indices`` together, yielding one LegGroup per
-        epoch and table, epoch by epoch, each before its hits are filed under
-        the next epoch.
+    def walk(self, seed: int, indices) -> Iterator[LegGroup]:
+        """Walk trajectories ``indices`` of ``seed`` together, yielding one
+        LegGroup per epoch and table, epoch by epoch, each before its hits
+        are filed under the next epoch.
 
         The table of epoch 0 and of each epoch after a collapse onto a
         one-dimensional component is shared, keyed by epoch and last chosen
@@ -314,7 +308,7 @@ class EpochRunner:
         no group it has yielded, so a caller that folds each group as it
         arrives holds at most one table of its own at a time.
         """
-        keys = substream_keys(self.seed, indices)
+        keys = substream_keys(seed, indices)
         size = len(keys)
         # (last chosen, position of a trajectory with a table of its own or
         # -1) -> (start state or None for the canonical one, [positions],
@@ -406,10 +400,10 @@ class EpochRunner:
                 f"component {int(chosen[bad[0]])} has zero amplitude at collapse time")
         return a if self.policy == RAW else a * np.sqrt(square_moduli(psi) / s_chosen)
 
-    def legs(self, index: int) -> tuple[list[Leg], str]:
-        """Walk trajectory ``index`` as a block of one: one Leg per epoch, and
-        its terminal."""
-        groups = list(self.walk([index]))
+    def legs(self, seed: int, index: int) -> tuple[list[Leg], str]:
+        """Walk trajectory ``index`` of ``seed`` as a block of one: one Leg
+        per epoch, and its terminal."""
+        groups = list(self.walk(seed, [index]))
         legs = [Leg(g.table, complex(g.scale[0]), int(g.k0[0]), int(g.n[0]),
                     float(self.times[g.k0[0] + g.n[0]]), int(g.last[0]),
                     int(g.chosen[0]) if g.chosen[0] >= 0 else None) for g in groups]
@@ -443,7 +437,7 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
                    traj_index: int = 0,
                    policy: str = PRESERVE_TOTAL,
                    record_samples: bool = True,
-                   gen_cache: dict | None = None) -> TrajectoryRecord:
+                   runner: EpochRunner | None = None) -> TrajectoryRecord:
     """Run one full trajectory to t_max (or to post-collapse quiescence).
 
     The record is deterministic given all arguments; nrules3 and nrules4
@@ -457,14 +451,17 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
     8 (launch components) + 32 bytes per step (twice that when t_max is off
     the dt grid), so a run holds the rows of each epoch up to its hit or its
     end, and ``record_samples`` only decides whether samples are built from
-    them. ``gen_cache``, a dict the caller keeps, holds per (model,
-    rule set, gap mode) the generators and, per ``cfg``, those tables
-    across runs: runs that pass the same cache draw against them instead of
-    integrating again, with the same floats as a run without one, and the
-    rows stay for as long as the caller keeps the cache.
+    them. ``runner``, an EpochRunner of this model, rule set, config, gap
+    mode and policy that the caller keeps, holds those tables across runs of
+    any seed: runs that pass it draw against them instead of integrating
+    again, with the same floats as a run on a runner of its own. A runner
+    built for anything else is refused with GapflowError.
     """
-    runner = EpochRunner(model, ruleset, cfg, gap_mode, seed, policy, gen_cache)
-    legs, terminal = runner.legs(traj_index)
+    runner = runner or EpochRunner(model, ruleset, cfg, gap_mode, policy)
+    if (runner.model, runner.ruleset, runner.cfg, runner.gap_mode, runner.policy) != (
+            model, ruleset, cfg, gap_mode, policy):
+        raise GapflowError("runner built for another model, rule set, config, gap mode or policy")
+    legs, terminal = runner.legs(seed, traj_index)
     events = [CollapseEvent(t_sc=leg.t, chosen=leg.chosen, pre_hit_s=leg.s,
                             pre_hit_J=CurrentVector(leg.table.launch_ids, leg.J),
                             epoch=epoch, norm_policy=policy)

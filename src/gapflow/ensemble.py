@@ -12,13 +12,15 @@ grid (ks_statistic_grid), where every hit time lies.
 Trajectories are embarrassingly parallel; every trajectory draws from its own
 (master_seed, index) Philox substream, and aggregation follows trajectory
 index order, so a run's statistics are byte-identical no matter how many
-workers executed it.
+workers executed it. As trajectories draw against seed-free shared tables,
+each process walks one index range on one EpochRunner.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,8 +147,8 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
     from this survival by O(h^2) per zero crossing of sum J+: the order of
     the trapezoid rule's own error.
     """
-    table, rows, times = EpochRunner(model, ruleset, oracle_grid(cfg, refine), gap_mode,
-                                     0).profile()
+    table, rows, times = EpochRunner(model, ruleset, oracle_grid(cfg, refine),
+                                     gap_mode).profile()
     j_pos = np.clip(table.J[rows], 0.0, None)
     # One call along contiguous rows sums each component pairwise, as a call
     # per column does (along axis 0 numpy does not); a single sample
@@ -176,20 +178,20 @@ def _run_range(model, ruleset, cfg, gap_mode, master_seed, policy, start, stop):
     each epoch after a collapse onto a one-dimensional component is
     integrated once and each trajectory only draws against it.
     """
-    runner = EpochRunner(model, ruleset, cfg, gap_mode, master_seed, policy)
-    blocks = [_block_summary(runner, np.arange(lo, min(lo + BLOCK, stop)))
+    runner = EpochRunner(model, ruleset, cfg, gap_mode, policy)
+    blocks = [_block_summary(runner, master_seed, np.arange(lo, min(lo + BLOCK, stop)))
               for lo in range(start, stop, BLOCK)]
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
-def _block_summary(runner, indices):
+def _block_summary(runner, seed, indices):
     """_run_range's columns for one block of indices, folded in from each
     group as the walk yields it."""
     size = len(indices)
     t_first, first = np.full(size, math.nan), np.full(size, -1)
     negative, quiescent = np.zeros(size, np.int64), np.zeros(size, bool)
     try:
-        for g in runner.walk(indices):
+        for g in runner.walk(seed, indices):
             negative[g.pos] += g.table.neg[g.last]
             if g.quiescent:
                 quiescent[g.pos] = True
@@ -201,7 +203,7 @@ def _block_summary(runner, indices):
         # Raise what the lowest failing index raises when walked alone to
         # its end, as it does however the trajectories are split into blocks.
         for index in indices.tolist():
-            runner.legs(index)
+            runner.legs(seed, index)
         raise
     return t_first, first, negative, quiescent
 
@@ -211,25 +213,23 @@ def run_ensemble(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
                  n_workers: int = 1, policy: str = PRESERVE_TOTAL) -> EnsembleStats:
     """Aggregate n independent trajectories, each run as run_trajectory runs it.
 
-    Results are identical for any n_workers: substreams are keyed by
+    [0, n) is split into min(n_workers, n) contiguous ranges: the calling
+    process walks the first, a pool of the rest (none for one range) the
+    others. Results are identical for any n_workers: substreams are keyed by
     trajectory index, shared epoch tables hold the same floats however far a
-    worker grew them, and the reduce runs in index order.
+    process grew them, and the reduce runs in index order.
     """
     if n < 1:
         raise GapflowError(f"ensemble size must be >= 1, got {n}")
     if n_workers < 1:
         raise GapflowError(f"n_workers must be >= 1, got {n_workers}")
 
-    if n_workers == 1:
-        parts = [_run_range(model, ruleset, cfg, gap_mode, master_seed, policy, 0, n)]
-    else:
-        chunk = max(1, math.ceil(n / (n_workers * 4)))
-        bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_run_range, model, ruleset, cfg, gap_mode,
-                                   master_seed, policy, lo, hi)
-                       for lo, hi in bounds]
-            parts = [fut.result() for fut in futures]    # submission order == index order
+    k = min(n_workers, n)
+    job = (model, ruleset, cfg, gap_mode, master_seed, policy)
+    ranges = [(n * i // k, n * (i + 1) // k) for i in range(k)]
+    with ProcessPoolExecutor(k - 1) if k > 1 else nullcontext() as pool:
+        futures = [pool.submit(_run_range, *job, lo, hi) for lo, hi in ranges[1:]]
+        parts = [_run_range(*job, *ranges[0]), *(fut.result() for fut in futures)]
     t_first, first, negative, quiescent = (np.concatenate(c) for c in zip(*parts))
 
     hit = first >= 0

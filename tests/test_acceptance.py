@@ -105,14 +105,15 @@ def test_criterion_4_engine_equivalence():
     """nrules3 and nrules4 produce bit-identical event sequences."""
     mismatches = 0
     compared = 0
-    cache3, cache4 = {}, {}
     for name in sorted(BUILDERS):
         model = BUILDERS[name]()
+        runner3 = EpochRunner(model, R3, CFG, ONEWAY)
+        runner4 = EpochRunner(model, R4, CFG, ONEWAY)
         for seed in range(100):
             a = run_trajectory(model, R3, CFG, ONEWAY, seed,
-                               record_samples=False, gen_cache=cache3)
+                               record_samples=False, runner=runner3)
             b = run_trajectory(model, R4, CFG, ONEWAY, seed,
-                               record_samples=False, gen_cache=cache4)
+                               record_samples=False, runner=runner4)
             ev_a = [(e.t_sc, e.chosen, e.epoch) for e in a.events]
             ev_b = [(e.t_sc, e.chosen, e.epoch) for e in b.events]
             compared += 1
@@ -149,13 +150,13 @@ def test_criterion_5_numerical_hygiene():
     errs = []
     for dt in (0.05, 0.025):
         cfg = IntegratorConfig(dt=dt, t_max=t_end)
-        table, rows, _ = EpochRunner(model, rules, cfg, HERMITIAN, 0).profile()
+        table, rows, _ = EpochRunner(model, rules, cfg, HERMITIAN).profile()
         errs.append(float(np.max(np.abs(table.states[rows[-1]] - exact))))
     ratio = errs[0] / errs[1]
 
     # (c) hermitian norm drift at dt = 1e-3
     cfg = IntegratorConfig(dt=1e-3, t_max=6.0)
-    table, rows, _ = EpochRunner(model, rules, cfg, HERMITIAN, 0).profile()
+    table, rows, _ = EpochRunner(model, rules, cfg, HERMITIAN).profile()
     drift_per_time = abs(table.s[rows[-1]] - table.s[rows[0]]) / 6.0
 
     ok = worst_rel < 1e-6 and ratio >= 8.0 and drift_per_time < 1e-8

@@ -167,7 +167,7 @@ def test_cold_experiments_step_once_per_table_row(t_max, monkeypatch):
     plan = StepPlan.of(cfg)
     calls = count_steps(monkeypatch)
     for experiment in (reverse_experiment, forward_experiment):
-        arrow._run_cache.cache_clear()
+        arrow._runner.cache_clear()
         arrow._profile_extrema_cached.cache_clear()
         calls.clear()
         experiment(model, cfg, seed=3)

@@ -62,7 +62,7 @@ def rabi_generator(model=None):
 def profile(model, rules, mode, cfg):
     """The no-hit profile of ``model`` on ``cfg``'s grid: its table, the
     sampled rows and their times."""
-    return EpochRunner(model, rules, cfg, mode, 0).profile()
+    return EpochRunner(model, rules, cfg, mode).profile()
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +141,6 @@ def test_suspended_hermitian_equals_full_hamiltonian(detuned_model):
     gen = assemble_generator(detuned_model, rules, HERMITIAN)
     full = detuned_model.full_hamiltonian().toarray()
     assert np.array_equal(gen.matrix.toarray(), full)
-
-
-def test_suspension_argument_equivalent_to_ruleset(detuned_model):
-    via_arg = assemble_generator(detuned_model, R3, HERMITIAN, suspended=["n3_1"])
-    via_rules = assemble_generator(detuned_model, R3.with_suspended(["n3_1"]), HERMITIAN)
-    assert np.array_equal(via_arg.matrix.toarray(), via_rules.matrix.toarray())
 
 
 def test_nrules4_freeze_suspension_token(detuned_model):

@@ -220,15 +220,15 @@ def collapse_case(name, mode, policy):
     cfg = IntegratorConfig(dt=0.01, t_max=2.0)
     if name == "wide_launch":
         model = load_scenario(json.dumps(WIDE_LAUNCH))
-        runner = EpochRunner(model, R3, cfg, mode, 0, policy)
+        runner = EpochRunner(model, R3, cfg, mode, policy)
         start = np.zeros(model.dim, dtype=complex)
         start[model.indices_of(1)] = (0.6, 0.8j)
         epoch, table = 1, runner.table(1, 1, start)
     elif name == "chain_epoch1":
-        runner = EpochRunner(chain_three_level(), R3, cfg, mode, 0, policy)
+        runner = EpochRunner(chain_three_level(), R3, cfg, mode, policy)
         epoch, table = 1, runner.table(1, 1)
     else:
-        runner = EpochRunner(BUILDERS[name](), R3, cfg, mode, 0, policy)
+        runner = EpochRunner(BUILDERS[name](), R3, cfg, mode, policy)
         epoch, table = 0, runner.table(0, None)
     table.grow(math.inf, runner.n_full)
     return runner, epoch, table
@@ -266,7 +266,7 @@ def test_collapse_scales_equal_collapse_state(name, mode, policy):
 def test_epoch0_collapse_on_empty_component_raises_as_collapse_state(three_mode_model):
     """Choosing a component with zero amplitude (every launch component at
     row 0) raises collapse_state's error for the first such choice."""
-    runner = EpochRunner(three_mode_model, R3, IntegratorConfig(dt=0.01, t_max=1.0), ONEWAY, 0)
+    runner = EpochRunner(three_mode_model, R3, IntegratorConfig(dt=0.01, t_max=1.0), ONEWAY)
     table = runner.table(0, None)
     table.grow(math.inf, runner.n_full)
     group = hit_group(table, 0, [5, 0, 0], [1, 2, 3])
@@ -300,10 +300,9 @@ def test_walked_choices_are_launch_components(name, mode):
     """Only a launch component can realize: every choice of a walk is one of
     its epoch generator's launch_ids."""
     model = QUIESCENCE_MODELS[name]()
-    runner = EpochRunner(model, R3, IntegratorConfig(dt=0.01, t_max=6.0), mode, 4,
-                         gen_cache={})
+    runner = EpochRunner(model, R3, IntegratorConfig(dt=0.01, t_max=6.0), mode)
     choices = 0
-    for group in runner.walk(np.arange(300)):
+    for group in runner.walk(4, np.arange(300)):
         chosen = group.chosen[group.chosen >= 0].tolist()
         assert set(chosen) <= set(group.table.launch_ids)
         choices += len(chosen)
@@ -317,9 +316,9 @@ def test_walk_holds_one_private_table_at_a_time(mode):
     two-dimensional C1 each start a table of their own, at most one such
     table is alive whenever the walk yields."""
     model = load_scenario(json.dumps(WIDE_LAUNCH))
-    runner = EpochRunner(model, R3, IntegratorConfig(dt=0.01, t_max=3.0), mode, 11)
+    runner = EpochRunner(model, R3, IntegratorConfig(dt=0.01, t_max=3.0), mode)
     private, most = [], 0
-    for group in runner.walk(np.arange(200)):
+    for group in runner.walk(11, np.arange(200)):
         if all(group.table is not t for t in runner.tables.values()):
             private.append(weakref.ref(group.table))
         most = max(most, sum(ref() is not None for ref in private))
@@ -395,7 +394,7 @@ def test_epoch_hazard_matches_per_step_survival(build, chosen):
     prod_{j<=k} (1 - p_j), p_j = -expm1(-r_bar_j h), gated on the end rate."""
     model = build()
     cfg = IntegratorConfig(dt=0.01, t_max=6.0)
-    runner = EpochRunner(model, R3, cfg, ONEWAY, 0)
+    runner = EpochRunner(model, R3, cfg, ONEWAY)
     epoch = 0 if chosen is None else 1
     if chosen is None:
         start = model.psi0
@@ -414,12 +413,12 @@ def test_epoch_hazard_matches_per_step_survival(build, chosen):
 
 @pytest.mark.parametrize("t_max", [6.0, 2.005])
 def test_runner_without_a_cache_keeps_its_own_tables(t_max):
-    """A runner built without a cache keeps its tables for its own life, a
-    second such runner builds its own, and grown to their end (and their
-    shorter last step), both hold the same rows."""
+    """A runner keeps its tables for its own life, a second runner of the
+    same arguments builds its own, and grown to their end (and their shorter
+    last step), both hold the same rows."""
     model, cfg = three_mode(), IntegratorConfig(dt=0.01, t_max=t_max)
-    alone = EpochRunner(model, R3, cfg, ONEWAY, 0)
-    other = EpochRunner(model, R3, cfg, ONEWAY, 0)
+    alone = EpochRunner(model, R3, cfg, ONEWAY)
+    other = EpochRunner(model, R3, cfg, ONEWAY)
     tables = [alone.table(0, None), other.table(0, None)]
     assert alone.table(0, None) is tables[0] and other.table(0, None) is tables[1]
     assert tables[0] is not tables[1] and alone.tables == {(0, None): tables[0]}
@@ -436,7 +435,7 @@ def test_table_from_a_start_is_never_shared():
     """A table built from a given start is new and stored nowhere: the
     shared table of its epoch still starts at psi0."""
     model, cfg = three_mode(), IntegratorConfig(dt=0.01, t_max=1.0)
-    runner = EpochRunner(model, R3, cfg, ONEWAY, 0, gen_cache={})
+    runner = EpochRunner(model, R3, cfg, ONEWAY)
     start = np.zeros(model.dim, dtype=complex)
     start[1] = 1.0
     assert runner.table(0, None, start) is not runner.table(0, None, start)
@@ -453,9 +452,9 @@ def table_case(name, mode):
         model = load_scenario(json.dumps(WIDE_LAUNCH))
         start = np.zeros(model.dim, dtype=complex)
         start[model.indices_of(1)] = (0.6, 0.8j)
-        return EpochRunner(model, R3, cfg, mode, 0).generator(1, 1), start
+        return EpochRunner(model, R3, cfg, mode).generator(1, 1), start
     model = star_model(300) if name == "star301" else BUILDERS[name]()
-    return EpochRunner(model, R3, cfg, mode, 0).generator(None, 0), model.psi0
+    return EpochRunner(model, R3, cfg, mode).generator(None, 0), model.psi0
 
 
 @pytest.mark.parametrize("trigger_off", [False, True])
@@ -520,7 +519,7 @@ def test_epoch_hazard_bias_is_second_order_in_dt():
     model, errors = three_mode(), []
     for dt in (0.02, 0.01, 0.005):
         cfg = IntegratorConfig(dt=dt, t_max=6.0)
-        runner = EpochRunner(model, R3, cfg, ONEWAY, 0, gen_cache={})
+        runner = EpochRunner(model, R3, cfg, ONEWAY)
         table = runner.table(0, None)
         assert not grow_to_end(table, runner.n_full)
         t = runner.times[:runner.n_full + 1]
@@ -539,7 +538,7 @@ def test_quiescent_epoch_is_one_whose_generator_has_no_gap(name, mode, rules):
     """EpochRunner.quiescent, read from the model, agrees with the generator
     test it replaces, not gen.backflows, after every possible collapse."""
     model = QUIESCENCE_MODELS[name]()
-    runner = EpochRunner(model, rules, IntegratorConfig(), mode, 0)
+    runner = EpochRunner(model, rules, IntegratorConfig(), mode)
     assert not runner.quiescent(None)
     for chosen in model.launch_candidate_ids:
         gen = assemble_generator(model, rules, mode, epoch=1,
@@ -716,33 +715,36 @@ def record_of(rec):
 @pytest.mark.parametrize("t_max", [6.0, 2.005])
 @pytest.mark.parametrize("gap_mode", list(GapSemantics), ids=lambda m: m.token)
 @pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_gen_cache_reuse_is_transparent(name, gap_mode, t_max, record_samples):
-    """Runs that share a cache's generators and epoch tables report exactly
-    what runs without one do, whichever run grew a table first."""
+def test_runner_reuse_is_transparent(name, gap_mode, t_max, record_samples):
+    """Runs of any seed that share a runner's generators and epoch tables
+    report exactly what runs on a runner of their own do, whichever run grew
+    a table first."""
     model = BUILDERS[name]()
     cfg = IntegratorConfig(dt=0.01, t_max=t_max)
-    cache = {}
+    runner = EpochRunner(model, R3, cfg, gap_mode)
     for seed in (3, 4, 3, 5):
         shared = run_trajectory(model, R3, cfg, gap_mode, seed, traj_index=seed % 2,
-                                record_samples=record_samples, gen_cache=cache)
+                                record_samples=record_samples, runner=runner)
         alone = run_trajectory(model, R3, cfg, gap_mode, seed, traj_index=seed % 2,
                                record_samples=record_samples)
         assert record_of(shared) == record_of(alone)
-    assert cache
+    assert runner.tables
 
 
-def test_gen_cache_shared_across_models_keeps_them_apart():
-    """detuned_two_level has two_level's statuses but another generator."""
-    cfg = IntegratorConfig(dt=0.01, t_max=6.0)
-    cache = {}
-    run_trajectory(BUILDERS["detuned_two_level"](), R3, cfg, ONEWAY, 0,
-                   record_samples=False, gen_cache=cache)
-    model = two_level()
-    shared = run_trajectory(model, R3, cfg, ONEWAY, 0, record_samples=False, gen_cache=cache)
-    alone = run_trajectory(model, R3, cfg, ONEWAY, 0, record_samples=False)
-    assert alone.events
-    events = [[(e.t_sc, e.chosen) for e in rec.events] for rec in (shared, alone)]
-    assert events[0] == events[1]
+@pytest.mark.parametrize("field", range(5), ids=["model", "rules", "cfg", "gap_mode", "policy"])
+def test_run_trajectory_refuses_another_runner(field):
+    """A runner built for another model (detuned_two_level has two_level's
+    statuses but another generator), rule set, config, gap mode or policy
+    than the run's is refused, and nothing is drawn against it."""
+    run = (two_level(), R3, IntegratorConfig(dt=0.01, t_max=6.0), ONEWAY, PRESERVE_TOTAL)
+    other = (BUILDERS["detuned_two_level"](), R3.with_suspended(["n3_1"]),
+             IntegratorConfig(dt=0.02, t_max=6.0), GapSemantics.HERMITIAN_TRUNCATED, RAW)
+    runner = EpochRunner(*run[:field], other[field], *run[field + 1:])
+    model, rules, cfg, mode, policy = run
+    with pytest.raises(GapflowError, match="another model"):
+        run_trajectory(model, rules, cfg, mode, 0, policy=policy, record_samples=False,
+                       runner=runner)
+    assert not runner.tables
 
 
 def test_trajectory_rng_streams_are_stable():

@@ -2,10 +2,12 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from gapflow import ensemble
 from gapflow.dynamics import GapSemantics, IntegratorConfig
 from gapflow.engine import (PRESERVE_TOTAL, TERMINAL_QUIESCENT, EpochRunner, run_trajectory,
                             step_grid)
@@ -84,7 +86,7 @@ def test_gated_hazard_converges_to_oracle_survival(builder, mode):
     errors = []
     for dt in (0.02, 0.01, 0.005):
         cfg = IntegratorConfig(dt=dt, t_max=6.0)
-        runner = EpochRunner(model, R3, cfg, mode, 0)
+        runner = EpochRunner(model, R3, cfg, mode)
         table = runner.table(0, None)
         table.grow(math.inf, runner.n_full)
         oracle = deterministic_oracle(model, cfg, mode)
@@ -218,6 +220,46 @@ def test_worker_counts_agree_bitwise(three_mode_model, chain_model):
     assert a.totals["terminals"]["quiescent"] > 50      # the chain cascaded
 
 
+def summary_of(stats):
+    """Everything an EnsembleStats reports, as comparable values."""
+    return (stats.hit_times.tobytes(), stats.hit_components.tobytes(), stats.counts,
+            stats.no_collapse, stats.totals)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_more_workers_than_trajectories_agree_bitwise(n, chain_model):
+    """With fewer trajectories than workers every range holds one index and
+    no range is empty: four workers give one worker's ensemble."""
+    cfg = IntegratorConfig(dt=0.01, t_max=12.0)
+    one = run_ensemble(chain_model, R3, cfg, ONEWAY, n, 5, n_workers=1)
+    assert summary_of(run_ensemble(chain_model, R3, cfg, ONEWAY, n, 5, n_workers=4)) == \
+        summary_of(one)
+
+
+_walked_ranges = []
+
+
+def _recording_run_range(*args):
+    """_run_range that records, in the process that calls it, its range and
+    that process's id; module-level, so the pool can pickle it."""
+    _walked_ranges.append((os.getpid(), *args[-2:]))
+    return _run_range(*args)
+
+
+def test_calling_process_walks_the_first_range(three_mode_model, monkeypatch):
+    """With three workers the calling process walks [0, n // 3) itself, once,
+    and the pool the other two ranges."""
+    monkeypatch.setattr(ensemble, "_run_range", _recording_run_range)
+    _walked_ranges.clear()
+    n = 100
+    three = run_ensemble(three_mode_model, R3, CFG, ONEWAY, n, 4, n_workers=3)
+    assert _walked_ranges == [(os.getpid(), 0, n // 3)]
+    _walked_ranges.clear()
+    assert summary_of(run_ensemble(three_mode_model, R3, CFG, ONEWAY, n, 4)) == \
+        summary_of(three)
+    assert _walked_ranges == [(os.getpid(), 0, n)]
+
+
 @pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda mode: mode.token)
 @pytest.mark.parametrize("build", [three_mode, chain_three_level], ids=["three_mode", "chain"])
 def test_array_draws_agree_with_per_key_loop(build, mode):
@@ -233,10 +275,10 @@ def test_array_draws_agree_with_per_key_loop(build, mode):
     assert n - BLOCK >= CROSSOVER
     t_first, first, negative, quiescent = _run_range(model, rules, cfg, mode, 2026,
                                                      PRESERVE_TOTAL, 0, n)
-    cache = {}
+    runner = EpochRunner(model, rules, cfg, mode)
     for i in [*range(0, n, 41), BLOCK, n - 1]:
         rec = run_trajectory(model, rules, cfg, mode, 2026, traj_index=i, record_samples=False,
-                             gen_cache=cache)
+                             runner=runner)
         hit = (rec.events[0].t_sc, rec.events[0].chosen) if rec.events else (None, -1)
         assert (None if math.isnan(t_first[i]) else float(t_first[i]), int(first[i])) == hit
         assert negative[i] == rec.meta["negative_current_steps"]
@@ -257,8 +299,8 @@ def test_blocks_agree_with_blocks_of_one():
     cfg = IntegratorConfig(dt=0.01, t_max=3.0)
     for mode in GapSemantics:
         block = _run_range(model, R3, cfg, mode, 11, PRESERVE_TOTAL, 0, 60)
-        runner = EpochRunner(model, R3, cfg, mode, 11, gen_cache={})
-        alone = [_block_summary(runner, np.array([i])) for i in range(60)]
+        runner = EpochRunner(model, R3, cfg, mode)
+        alone = [_block_summary(runner, 11, np.array([i])) for i in range(60)]
         for column, expected in zip(block, zip(*alone)):
             np.testing.assert_array_equal(column, np.concatenate(expected))
         first, quiescent = block[1], block[3]

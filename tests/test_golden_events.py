@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from gapflow.dynamics import GapSemantics, IntegratorConfig, StepPlan
-from gapflow.engine import run_trajectory
+from gapflow.engine import EpochRunner, run_trajectory
 from gapflow.ensemble import run_ensemble
 from gapflow.fixtures import BUILDERS
 from gapflow.model import load_scenario
@@ -62,9 +62,9 @@ def step_index(cfg) -> dict[float, int]:
     return {t: k for k, t in enumerate(StepPlan.of(cfg).times.tolist())}
 
 
-def record(model, mode, cfg, index, gen_cache=None) -> list:
+def record(model, mode, cfg, index, runner=None) -> list:
     rec = run_trajectory(model, RuleSet(model.defaults.rules), cfg, mode, SEED,
-                         traj_index=index, record_samples=False, gen_cache=gen_cache)
+                         traj_index=index, record_samples=False, runner=runner)
     steps = step_index(cfg)
     return [[[steps[ev.t_sc], ev.chosen] for ev in rec.events], rec.terminal,
             rec.meta["negative_current_steps"]]
@@ -88,10 +88,10 @@ def test_golden_table_covers_every_case(golden):
 
 @pytest.mark.parametrize("key, model, mode, cfg", list(cases()), ids=CASE_IDS)
 def test_trajectories_reproduce_golden_table(golden, key, model, mode, cfg):
-    """Per-index run_trajectory, sharing one cache as an ensemble shares its
-    tables, and every 25th index again without a cache."""
-    cache = {}
-    assert [record(model, mode, cfg, i, cache) for i in range(N)] == golden[key]
+    """Per-index run_trajectory, sharing one runner as an ensemble shares its
+    tables, and every 25th index again on a runner of its own."""
+    runner = EpochRunner(model, RuleSet(model.defaults.rules), cfg, mode)
+    assert [record(model, mode, cfg, i, runner) for i in range(N)] == golden[key]
     assert [record(model, mode, cfg, i) for i in range(0, N, 25)] == golden[key][::25]
 
 
