@@ -12,12 +12,14 @@ every gap mode through three more (`run` on and off the dt grid, `ensemble`),
 189 in all. Each runs in-process through `gapflow.cli.main` with its own
 output directory. The listing written to `<out-dir>/sha256.txt` holds one
 line per output file, plus the exit code, stdout and stderr of each
-invocation, sorted by path. The invocation's output directory is masked in
-its stdout and stderr, and `<out-dir>` in its files, as a WIDE_LAUNCH
-manifest records its scenario's path. Two listings taken on two source
-trees with the same `--scenarios` directory are compared with `diff`, or
-with `--compare OTHER`, which prints the paths whose bytes differ and exits
-1 if there is any (0 if none), so a claim that no artifact byte moved can be
+invocation, sorted by path. Paths are masked in all of them, as every
+manifest records its scenario's path: the invocation's output directory as
+`<out>` in its stdout and stderr, `<out-dir>` as `<out>` in its files, and
+the `--scenarios` directory as `<scenarios>` in both. So two listings taken
+in two checkouts, each with its own default `--scenarios`, compare as long
+as the scenario files agree. They are compared with `diff`, or with
+`--compare OTHER`, which prints the paths whose bytes differ and exits 1 if
+there is any (0 if none), so a claim that no artifact byte moved can be
 checked by exit code.
 
 Example (a change against a checkout of its parent):
@@ -67,15 +69,17 @@ def sha256_of(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(main, argv: list[str], out_dir: str) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of one in-process CLI call."""
+def run_case(main, argv: list[str], out_dir: str, scenarios: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process CLI call, with its
+    output directory and the scenarios directory masked."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:           # argparse usage errors
             code = exc.code if isinstance(exc.code, int) else 1
-    return code, out.getvalue().replace(out_dir, "<out>"), err.getvalue().replace(out_dir, "<out>")
+    return code, *(text.getvalue().replace(out_dir, "<out>").replace(scenarios, "<scenarios>")
+                   for text in (out, err))
 
 
 def build_listing(scenarios: pathlib.Path, out_root: pathlib.Path) -> list[str]:
@@ -98,12 +102,13 @@ def build_listing(scenarios: pathlib.Path, out_root: pathlib.Path) -> list[str]:
                         *extra[1:], "--out-dir", out_dir]
                 if extra[0] == "ensemble":
                     argv += ["--workers", "1"]
-                code, stdout, stderr = run_case(main, argv, out_dir)
+                code, stdout, stderr = run_case(main, argv, out_dir, str(scenarios))
                 lines.append(f"{sha256_of(str(code).encode())}  {name}/<exit>")
                 lines.append(f"{sha256_of(stdout.encode())}  {name}/<stdout>")
                 lines.append(f"{sha256_of(stderr.encode())}  {name}/<stderr>")
                 for path in sorted(pathlib.Path(out_dir).iterdir()):
-                    data = path.read_bytes().replace(str(out_root).encode(), b"<out>")
+                    data = path.read_bytes().replace(str(out_root).encode(), b"<out>").replace(
+                        str(scenarios).encode(), b"<scenarios>")
                     lines.append(f"{sha256_of(data)}  {name}/{path.name}")
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
@@ -127,7 +132,7 @@ def main() -> int:
 
     sys.path[:0] = [str(pathlib.Path(args.src).resolve()), str(ROOT / "tests")]
     out_root = pathlib.Path(args.out_dir).resolve()
-    lines = build_listing(pathlib.Path(args.scenarios), out_root)
+    lines = build_listing(pathlib.Path(args.scenarios).resolve(), out_root)
     listing = out_root / "sha256.txt"
     listing.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     print(f"wrote {listing} ({len(lines)} entries)")

@@ -23,8 +23,7 @@ from .dynamics import GapSemantics, IntegratorConfig
 from .engine import NORM_POLICIES, PRESERVE_TOTAL, EpochRunner, TrajectorySamples, run_trajectory
 from .ensemble import compare, deterministic_oracle, oracle_grid, run_ensemble
 from .errors import GapflowError, ScenarioParseError, ScenarioValidationError
-from .model import (GAP_MODES, component_moduli, load_scenario_file, parse_scenario,
-                    validate_model)
+from .model import GAP_MODES, load_scenario_file, parse_scenario, validate_model
 from .output import (build_manifest, ensemble_report, load_manifest, scenario_hash,
                      write_events_jsonl, write_histogram_csv, write_manifest,
                      write_report_json, write_survival_csv, write_trajectory_csv)
@@ -227,20 +226,12 @@ def cmd_arrow(args, parser) -> int:
     return 0 if all(matches.values()) else 1
 
 
-def _profile_samples(model, ruleset, cfg, mode) -> TrajectorySamples:
-    """The sampled rows of the no-hit profile, gathered so that the runner
-    and its table are freed before the CSV text is built."""
-    table, rows, times = EpochRunner(model, ruleset, cfg, mode).profile()
-    return TrajectorySamples(
-        times=times, s=table.s[rows], moduli=component_moduli(table.states[rows], model),
-        currents=table.J[rows], component_ids=tuple(c.id for c in model.components),
-        current_ids=table.launch_ids)
-
-
 def cmd_currents(args, parser) -> int:
     model = load_scenario_file(args.scenario)
     ruleset, mode, cfg, seed = _resolve(args, model, parser)
-    samples = _profile_samples(model, ruleset, cfg, mode)
+    table, rows, times = EpochRunner(model, ruleset, cfg, mode).profile()
+    samples = TrajectorySamples.of(model, [(table, 1.0, rows, times)], table.launch_ids)
+    del table           # freed, with its generator, before the CSV text is built
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_manifest(args.out_dir, _manifest_for(args, "currents", ruleset, mode,

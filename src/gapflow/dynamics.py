@@ -407,14 +407,21 @@ def gap_backflow(state: np.ndarray, gen: EffectiveGenerator) -> dict[tuple[int, 
     return out
 
 
-def _check_epoch_drift(gen, cfg, s_now, s_epoch_start, elapsed):
-    if gen.conserves_norm and elapsed > 0:
-        drift = abs(s_now - s_epoch_start)
-        allowed = cfg.norm_drift_budget * max(elapsed, cfg.dt)
-        if drift > allowed:
-            raise NormDriftError(
-                f"norm drift {drift:.3e} exceeds budget {allowed:.3e} "
-                f"within epoch (elapsed {elapsed})")
+def _check_epoch_drift(gen, cfg, s_now: np.ndarray, s_epoch_start: np.ndarray,
+                       elapsed: np.ndarray):
+    """Where ``gen`` conserves the norm, raise NormDriftError for the first
+    entry of the arrays whose |s_now - s_epoch_start| exceeds the budget
+    over its elapsed time (at least dt), if that time is positive."""
+    if not gen.conserves_norm:
+        return
+    drift = np.abs(s_now - s_epoch_start)
+    allowed = cfg.norm_drift_budget * np.maximum(elapsed, cfg.dt)
+    bad = ((elapsed > 0) & (drift > allowed)).nonzero()[0]
+    if bad.size:
+        j = bad[0]
+        raise NormDriftError(
+            f"norm drift {drift[j]:.3e} exceeds budget {allowed[j]:.3e} "
+            f"within epoch (elapsed {float(elapsed[j])})")
 
 
 class StepPlan(NamedTuple):

@@ -29,7 +29,10 @@ component starts a table of its own, walked as a group of one. A
 seed-free EpochRunner owns its generators, step plan and tables, and each
 walk takes a seed. run_ensemble walks one index range per process on one
 runner, in blocks (ensemble.BLOCK), and run_trajectory walks a block of one,
-so both run the same epoch loop.
+so both run the same epoch loop. run_trajectory reads the walk's groups one
+epoch at a time, and one samples builder, TrajectorySamples.of, gathers the
+recorded rows of each epoch's table as arrays, for a trajectory and for the
+no-hit profile of `gapflow currents` alike.
 
 nrules3 and nrules4 share every code path; the variant only relabels the
 frozen status. Randomness comes from a counter-based Philox substream keyed
@@ -96,6 +99,33 @@ class TrajectorySamples:
     currents: np.ndarray          # (n, n_candidates), order = current_ids
     component_ids: tuple[int, ...]
     current_ids: tuple[int, ...]  # every component that can ever be hit
+
+    @classmethod
+    def of(cls, model: ScenarioModel, parts: list, current_ids: tuple[int, ...]
+           ) -> "TrajectorySamples":
+        """The samples of ``parts``, each (table, scale, rows, times): the
+        table's ``rows`` at ``times``, states scaled by the complex scale c,
+        s and J by |c|^2. J fills the columns of the table's launch ids among
+        ``current_ids`` and 0 the others. Each part is gathered straight into
+        the arrays, which hold no table."""
+        column = {m: i for i, m in enumerate(current_ids)}
+        size = sum(len(rows) for _, _, rows, _ in parts)
+        times, s = np.empty(size), np.empty(size)
+        states = np.empty((size, model.dim), np.complex128)
+        currents = np.zeros((size, len(current_ids)))
+        i = 0
+        for table, c, rows, t in parts:
+            c2 = c.real * c.real + c.imag * c.imag
+            at = slice(i, i + len(rows))
+            psi = table.states.take(rows, axis=0, out=states[at])
+            np.multiply(c, psi, out=psi)            # c * psi's floats, with no copy
+            s[at] = c2 * table.s[rows]
+            currents[at, [column[m] for m in table.launch_ids]] = c2 * table.J[rows]
+            times[at] = t
+            i = at.stop
+        return cls(times=times, s=s, moduli=component_moduli(states, model), currents=currents,
+                   component_ids=tuple(comp.id for comp in model.components),
+                   current_ids=current_ids)
 
 
 @dataclass
@@ -164,39 +194,11 @@ def collapse_state(psi: np.ndarray, chosen: int, model: ScenarioModel,
     return collapsed
 
 
-def _abs2(c: complex) -> float:
-    return c.real * c.real + c.imag * c.imag
-
-
 def _unit(model: ScenarioModel, chosen: int) -> np.ndarray:
     """The unit basis state of a one-dimensional component."""
     start = np.zeros(model.dim, dtype=np.complex128)
     start[model.index_arrays[chosen][0]] = 1.0
     return start
-
-
-class Leg(NamedTuple):
-    """One epoch of one trajectory."""
-
-    table: EpochTable
-    scale: complex          # the trajectory's state is scale * table state
-    k0: int                 # steps of the run before the epoch
-    n: int                  # steps integrated in the epoch
-    t: float                # time after them: the hit time when chosen is set
-    last: int               # the table row of the epoch's point at t
-    chosen: int | None
-
-    @property
-    def s(self) -> float:
-        return _abs2(self.scale) * float(self.table.s[self.last])
-
-    @property
-    def J(self) -> np.ndarray:
-        return _abs2(self.scale) * self.table.J[self.last]
-
-    @property
-    def neg(self) -> int:
-        return int(self.table.neg[self.last])
 
 
 class LegGroup(NamedTuple):
@@ -291,8 +293,8 @@ class EpochRunner:
         t_max."""
         table = self.table(0, None)
         rows = table.sampled_rows(self.plan)
-        _check_epoch_drift(table.gen, self.cfg, float(table.s[rows[-1]]), float(table.s[0]),
-                           self.cfg.t_max)
+        _check_epoch_drift(table.gen, self.cfg, table.s[rows[-1:]], table.s[:1],
+                           np.array([self.cfg.t_max]))
         return table, rows, self.times[self.sampled]
 
     def walk(self, seed: int, indices) -> Iterator[LegGroup]:
@@ -336,21 +338,15 @@ class EpochRunner:
         # evolves unitarily and no further hit can fire.
         if self.quiescent(chosen):
             return LegGroup(epoch, table, pos, scale, k0, zeros, zeros, zeros - 1, True)
-        cfg, gen = self.cfg, table.gen
+        gen = table.gen
         # The pair a sequential walk of the substream draws at this epoch.
         E, u = substream_pair(keys[pos], epoch)
         steps = np.maximum(self.n_full - k0, 0)
         n, last, hit = table.ends(E, steps, (k0 <= self.n_full) if self.rem else None)
         s2 = scale.real * scale.real + scale.imag * scale.imag
-        if gen.conserves_norm:
-            s_now, s_start = s2 * table.s[last], s2 * table.s[0]
-            elapsed = self.times[k0 + n] - self.times[k0]
-            allowed = cfg.norm_drift_budget * np.maximum(elapsed, cfg.dt)
-            bad = ((elapsed > 0) & (np.abs(s_now - s_start) > allowed)).nonzero()[0]
-            if bad.size:        # raise as the first drifting trajectory alone would
-                j = bad[0]
-                _check_epoch_drift(gen, cfg, float(s_now[j]), float(s_start[j]),
-                                   float(elapsed[j]))
+        # Raises as the first drifting trajectory alone would.
+        _check_epoch_drift(gen, self.cfg, s2 * table.s[last], s2 * table.s[0],
+                           self.times[k0 + n] - self.times[k0])
         chosen_now = zeros - 1
         h = hit.nonzero()[0]
         if h.size:
@@ -400,37 +396,6 @@ class EpochRunner:
                 f"component {int(chosen[bad[0]])} has zero amplitude at collapse time")
         return a if self.policy == RAW else a * np.sqrt(square_moduli(psi) / s_chosen)
 
-    def legs(self, seed: int, index: int) -> tuple[list[Leg], str]:
-        """Walk trajectory ``index`` of ``seed`` as a block of one: one Leg
-        per epoch, and its terminal."""
-        groups = list(self.walk(seed, [index]))
-        legs = [Leg(g.table, complex(g.scale[0]), int(g.k0[0]), int(g.n[0]),
-                    float(self.times[g.k0[0] + g.n[0]]), int(g.last[0]),
-                    int(g.chosen[0]) if g.chosen[0] >= 0 else None) for g in groups]
-        return legs, TERMINAL_QUIESCENT if groups[-1].quiescent else TERMINAL_T_MAX
-
-    def samples(self, legs: list[Leg]) -> TrajectorySamples:
-        """A walk's recorded rows: each epoch's start, its sampled steps and
-        its last step (the pre-collapse row of a hit), scaled to the trajectory."""
-        model, cand = self.model, self.model.launch_candidate_ids
-        rows = []       # (t, scale, table, row)
-        for leg in legs:
-            rows += [(self.times[leg.k0 + r], leg.scale, leg.table, r)
-                     for r in range(max(leg.n, 1)) if r == 0 or self.sampled[leg.k0 + r]]
-            if leg.n:
-                rows.append((leg.t, leg.scale, leg.table, leg.last))
-        column = {m: i for i, m in enumerate(cand)}
-        currents = np.zeros((len(rows), len(cand)))
-        for i, (_, c, tab, r) in enumerate(rows):
-            currents[i, [column[m] for m in tab.launch_ids]] = _abs2(c) * tab.J[r]
-        states = np.array([c * tab.states[r] for _, c, tab, r in rows])
-        return TrajectorySamples(
-            times=np.array([row[0] for row in rows]),
-            s=np.array([_abs2(c) * float(tab.s[r]) for _, c, tab, r in rows]),
-            moduli=component_moduli(states, model),
-            currents=currents, component_ids=tuple(c.id for c in model.components),
-            current_ids=cand)
-
 
 def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
                    gap_mode: GapSemantics, seed: int, *,
@@ -444,29 +409,44 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
     rule sets drive the very same code and so produce identical event
     sequences for identical seeds.
 
-    The run draws against shared epoch tables, epoch 0 and every epoch
-    after a collapse onto a one-dimensional component, as an ensemble's
-    trajectories do; an epoch after a collapse onto a wider component runs
-    on a table of its own. Every table keeps every row it reached, 16 dim +
-    8 (launch components) + 32 bytes per step (twice that when t_max is off
-    the dt grid), so a run holds the rows of each epoch up to its hit or its
-    end, and ``record_samples`` only decides whether samples are built from
-    them. ``runner``, an EpochRunner of this model, rule set, config, gap
-    mode and policy that the caller keeps, holds those tables across runs of
-    any seed: runs that pass it draw against them instead of integrating
-    again, with the same floats as a run on a runner of its own. A runner
-    built for anything else is refused with GapflowError.
+    The run walks the trajectory as a block of one (EpochRunner.walk) and
+    reads each epoch's group as it arrives: its event, its step and
+    negative-current counts and, with ``record_samples``, its recorded rows
+    (the epoch's start, its sampled steps and, after any step, its point at
+    the hit or the end), which TrajectorySamples.of gathers from the tables
+    at the end. It draws against shared epoch tables, epoch 0 and every
+    epoch after a collapse onto a one-dimensional component, as an
+    ensemble's trajectories do; an epoch after a collapse onto a wider
+    component runs on a table of its own, which the run keeps only while it
+    records samples. Every table keeps every row it reached, 16 dim + 8
+    (launch components) + 32 bytes per step (twice that when t_max is off
+    the dt grid). ``runner``, an EpochRunner of this model, rule set,
+    config, gap mode and policy that the caller keeps, holds those tables
+    across runs of any seed: runs that pass it draw against them instead of
+    integrating again, with the same floats as a run on a runner of its own.
+    A runner built for anything else is refused with GapflowError.
     """
     runner = runner or EpochRunner(model, ruleset, cfg, gap_mode, policy)
     if (runner.model, runner.ruleset, runner.cfg, runner.gap_mode, runner.policy) != (
             model, ruleset, cfg, gap_mode, policy):
         raise GapflowError("runner built for another model, rule set, config, gap mode or policy")
-    legs, terminal = runner.legs(seed, traj_index)
-    events = [CollapseEvent(t_sc=leg.t, chosen=leg.chosen, pre_hit_s=leg.s,
-                            pre_hit_J=CurrentVector(leg.table.launch_ids, leg.J),
-                            epoch=epoch, norm_policy=policy)
-              for epoch, leg in enumerate(legs) if leg.chosen is not None]
-    end = legs[-1]
+    times, sampled = runner.times, runner.sampled
+    events, parts, n_steps, negative = [], [], 0, 0
+    for g in runner.walk(seed, [traj_index]):
+        table, c, k0, n, last = g.table, g.scale[0], int(g.k0[0]), int(g.n[0]), int(g.last[0])
+        c2 = c.real * c.real + c.imag * c.imag
+        t, s = float(times[k0 + n]), float(c2 * table.s[last])
+        n_steps, negative = n_steps + n, negative + int(table.neg[last])
+        if g.chosen[0] >= 0:
+            events.append(CollapseEvent(
+                t_sc=t, chosen=int(g.chosen[0]), pre_hit_s=s,
+                pre_hit_J=CurrentVector(table.launch_ids, c2 * table.J[last]),
+                epoch=g.epoch, norm_policy=policy))
+        if record_samples:
+            keep = sampled[k0:k0 + n + 1].copy()
+            keep[0] = keep[n] = True            # the epoch's start and its point at t
+            at = keep.nonzero()[0]
+            parts.append((table, c, np.where(at < n, at, last), times[k0 + at]))
     meta = {
         "trajectory_id": traj_index,
         "master_seed": seed,
@@ -474,11 +454,14 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
         "suspended": sorted(ruleset.suspended),
         "gap_mode": gap_mode.token,
         "norm_policy": policy,
-        "n_steps": sum(leg.n for leg in legs),
-        "negative_current_steps": sum(leg.neg for leg in legs),
+        "n_steps": n_steps,
+        "negative_current_steps": negative,
         "epochs": len(events),
-        "final_t": end.t,
-        "final_s": end.s,
+        "final_t": t,
+        "final_s": s,
     }
-    return TrajectoryRecord(samples=runner.samples(legs) if record_samples else None,
-                            events=events, terminal=terminal, meta=meta)
+    samples = (TrajectorySamples.of(model, parts, model.launch_candidate_ids)
+               if record_samples else None)
+    return TrajectoryRecord(samples=samples, events=events,
+                            terminal=TERMINAL_QUIESCENT if g.quiescent else TERMINAL_T_MAX,
+                            meta=meta)

@@ -203,7 +203,8 @@ def _block_summary(runner, seed, indices):
         # Raise what the lowest failing index raises when walked alone to
         # its end, as it does however the trajectories are split into blocks.
         for index in indices.tolist():
-            runner.legs(seed, index)
+            for _ in runner.walk(seed, [index]):
+                pass
         raise
     return t_first, first, negative, quiescent
 

@@ -5,7 +5,8 @@ Two variants are supported and are behaviorally identical:
 * ``nrules3``: three-rule form. Rule ``n3_1`` freezes the high-entropy
   (launch) side of an irreversible gap: it is not driven by its own
   Hamiltonian and cannot source current. ``n3_2`` is the stochastic
-  trigger, ``n3_3`` the collapse.
+  trigger, ``n3_3`` the collapse. Only the freeze and trigger rules can be
+  suspended: the collapse always follows a hit.
 * ``nrules4``: four-rule form. The frozen high-entropy components are
   called "ready" instead of "launch", and the freeze is carried by rule
   ``n4_4``. Only that rule is individually addressable here.
@@ -51,6 +52,10 @@ class RuleSet:
             raise ValueError(
                 f"suspended rules {sorted(stray)} do not belong to variant {self.variant!r}"
             )
+        fixed = self.suspended - FREEZE_RULES - TRIGGER_RULES
+        if fixed:
+            raise ValueError(f"rules {sorted(fixed)} cannot be suspended; only "
+                             f"{sorted(FREEZE_RULES | TRIGGER_RULES)} can")
 
     @property
     def freeze_suspended(self) -> bool:

@@ -42,8 +42,8 @@ from gapflow.fixtures import BUILDERS, chain_three_level, three_mode, two_level
 from gapflow.ensemble import BLOCK
 from gapflow.substreams import (CROSSOVER, philox_words, substream_draws, substream_keys,
                                  substream_pair)
-from gapflow.model import (ACTIVE, LAUNCH, REALIZED, ZEROED, load_scenario, serialize_scenario,
-                           square_modulus)
+from gapflow.model import (ACTIVE, LAUNCH, REALIZED, ZEROED, component_moduli, load_scenario,
+                           serialize_scenario, square_modulus)
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 
 from conftest import WIDE_LAUNCH, star_model
@@ -610,6 +610,16 @@ def test_engine_equivalence_nrules3_nrules4(three_mode_model):
                [(e.t_sc, e.chosen, e.epoch) for e in b.events]
 
 
+def test_only_freeze_and_trigger_rules_can_be_suspended():
+    """No code reads a suspended collapse rule, so suspending it is refused
+    rather than recorded as if it changed the run."""
+    with pytest.raises(ValueError, match="cannot be suspended"):
+        RuleSet(NRULES3, {"n3_3"})
+    with pytest.raises(ValueError, match="cannot be suspended"):
+        R3.with_suspended(["n3_1", "n3_3"])
+    assert RuleSet(NRULES3, {"n3_1", "n3_2"}).trigger_suspended
+
+
 def test_chain_trajectory_cascades(chain_model):
     """chain fixture: C0 feeds C1, realizing C1 launches C2."""
     for seed in range(40):
@@ -701,6 +711,76 @@ def test_hit_time_never_at_zero_current(three_mode_model):
         rec = run_once(three_mode_model, seed=seed)
         for ev in rec.events:
             assert ev.pre_hit_J[ev.chosen] > 0.0
+
+
+def reference_samples(runner, seed, index):
+    """The per-row samples loop that TrajectorySamples.of replaced: one
+    Python row per recorded sample (each epoch's start, its sampled steps
+    and, after any step, its last point), scaled by the epoch's scale."""
+    def abs2(c):
+        return c.real * c.real + c.imag * c.imag
+
+    model, cand = runner.model, runner.model.launch_candidate_ids
+    rows = []       # (t, scale, table, row)
+    for g in runner.walk(seed, [index]):
+        c, k0, n, last = complex(g.scale[0]), int(g.k0[0]), int(g.n[0]), int(g.last[0])
+        rows += [(runner.times[k0 + r], c, g.table, r)
+                 for r in range(max(n, 1)) if r == 0 or runner.sampled[k0 + r]]
+        if n:
+            rows.append((float(runner.times[k0 + n]), c, g.table, last))
+    column = {m: i for i, m in enumerate(cand)}
+    currents = np.zeros((len(rows), len(cand)))
+    for i, (_, c, tab, r) in enumerate(rows):
+        currents[i, [column[m] for m in tab.launch_ids]] = abs2(c) * tab.J[r]
+    states = np.array([c * tab.states[r] for _, c, tab, r in rows])
+    return (np.array([row[0] for row in rows]),
+            np.array([abs2(c) * float(tab.s[r]) for _, c, tab, r in rows]),
+            component_moduli(states, model), currents)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("gap_mode", list(GapSemantics), ids=lambda m: m.token)
+@pytest.mark.parametrize("name", sorted(QUIESCENCE_MODELS.keys() - {"star"}))
+def test_samples_equal_per_row_reference(name, gap_mode):
+    """run_trajectory's samples are the per-row loop's bytes, on and off the
+    dt grid and with sparse samples; the seeds include quiescent ends and,
+    on chain_three_level and wide_launch, two-hit cascades."""
+    model = QUIESCENCE_MODELS[name]()
+    ends = set()
+    for t_max, every in [(6.0, 1), (6.0, 3), (2.005, 1), (2.005, 3)]:
+        cfg = IntegratorConfig(dt=0.01, t_max=t_max, sample_every=every)
+        runner = EpochRunner(model, R3, cfg, gap_mode)
+        for seed in range(8):
+            rec = run_trajectory(model, R3, cfg, gap_mode, seed, runner=runner)
+            got = rec.samples
+            want = reference_samples(runner, seed, 0)
+            assert all(map(same_bytes, (got.times, got.s, got.moduli, got.currents), want))
+            ends.add((rec.terminal, min(len(rec.events), 2)))
+    cascades = name in ("chain_three_level", "wide_launch")
+    assert {(TERMINAL_QUIESCENT, 2 if cascades else 1), (TERMINAL_T_MAX, 0)} <= ends
+
+
+@pytest.mark.parametrize("model, rules, cfg, mode, seed", [
+    (three_mode(), R3.with_suspended(["n3_2"]), IntegratorConfig(dt=0.01, t_max=2.005,
+                                                                 sample_every=3),
+     GapSemantics.HERMITIAN_TRUNCATED, 5),
+    (two_level(), R3, IntegratorConfig(dt=0.01, t_max=6.0), ONEWAY, 6),
+], ids=["trigger_suspended", "no_hit_seed"])
+def test_no_hit_trajectory_records_the_no_hit_profile(model, rules, cfg, mode, seed):
+    """A trajectory without a hit records the rows `gapflow currents` writes,
+    bit for bit, and their currents in its epoch-0 launch columns."""
+    rec = run_trajectory(model, rules, cfg, mode, seed)
+    assert rec.events == [] and rec.terminal == TERMINAL_T_MAX
+    table, rows, times = EpochRunner(model, rules, cfg, mode).profile()
+    got = rec.samples
+    assert same_bytes(got.times, times)
+    assert same_bytes(got.s, table.s[rows])
+    assert same_bytes(got.moduli, component_moduli(table.states[rows], model))
+    launch = [got.current_ids.index(m) for m in table.launch_ids]
+    assert same_bytes(got.currents[:, launch], table.J[rows])
 
 
 def record_of(rec):
