@@ -4,12 +4,14 @@
 Every shipped scenario is run in every gap mode through twelve invocations
 (`currents` three ways, `ensemble` four ways, `run` two ways, `arrow` three
 ways: plain, with `--suspend n3_1`, and off the dt grid with sparse
-samples), 180 in all. The two `--suspend n3_1` cases exit with a usage
+samples), 180 in all. The `--suspend n3_1` cases exit with a usage
 error outside hermitian mode. No shipped scenario has a launch component wider than
-one dimension, so WIDE_LAUNCH from tests/conftest.py, whose epoch 1 runs on
-tables of their own, is written to `<out-dir>/wide_launch.json` and run in
-every gap mode through three more (`run` on and off the dt grid, `ensemble`),
-189 in all. Each runs in-process through `gapflow.cli.main` with its own
+one dimension or a feed with two entries in one low column, so WIDE_LAUNCH
+from tests/conftest.py, whose epoch 1 runs on tables of their own and whose
+adjoint feed rows hold two entries each, is written to
+`<out-dir>/wide_launch.json` and run in every gap mode through five more
+(`run` on and off the dt grid, `ensemble`, `arrow` plain and with
+`--suspend n3_1`), 195 in all. Each runs in-process through `gapflow.cli.main` with its own
 output directory. The listing written to `<out-dir>/sha256.txt` holds one
 line per output file, plus the exit code, stdout and stderr of each
 invocation, sorted by path. Paths are masked in all of them, as every
@@ -58,10 +60,13 @@ INVOCATIONS = (
 )
 
 # The cases of WIDE_LAUNCH: compensated runs cost about 14 ms per trajectory.
+# Its arrow cases are the only ones whose backflow sums two entries per row.
 WIDE_INVOCATIONS = (
     ("run", ["run", "--sample-every", "7"]),
     ("run_offgrid", ["run", "--t-max", "2.005", "--sample-every", "3"]),
     ("ensemble", ["ensemble", "--n", "200"]),
+    ("arrow", ["arrow"]),
+    ("arrow_suspend", ["arrow", "--suspend", "n3_1"]),
 )
 
 

@@ -19,7 +19,9 @@ Each process therefore keeps one EpochRunner per (model with its start state,
 rule set, gap mode, config), which owns the generators and the full epoch
 tables, so a seed loop integrates each path once. The profile reads the
 sampled rows of the same runner's epoch-0 table, grown to its end, so a cold
-experiment steps once per table row as well. The cache keeps the
+experiment steps once per table row as well; its peak backflow is one
+gap_backflow call over all those rows, one stacked product per gap, with
+no loop over rows. The cache keeps the
 RUN_CACHE_SIZE most recent runners; a table holds 16 dim + 8 (launch
 components) + 32 bytes per step, twice that when t_max is off the dt grid.
 """
@@ -109,13 +111,13 @@ def _runner(model, ruleset, gap_mode, cfg) -> EpochRunner:
 def _profile_extrema_cached(model, ruleset, gap_mode, cfg):
     """Peak backflow, forward-current range and state drift over the no-hit
     profile (EpochRunner.profile) of the experiment's epoch-0 table, the one
-    its trajectories draw against. Seed-independent, so seed loops hit the
-    cache.
+    its trajectories draw against, read over all its rows at once.
+    Seed-independent, so seed loops hit the cache.
     """
     table, rows, _ = _runner(model, ruleset, gap_mode, cfg).profile()
     states, currents = table.states[rows], table.J[rows]
-    flows = [f for state in states for f in gap_backflow(state, table.gen).values()]
-    max_back = max([0.0, *flows])
+    flows = gap_backflow(states, table.gen).values()
+    max_back = max([0.0, *(float(f.max()) for f in flows)])
     fwd = (float(currents.max()), float(currents.min())) if currents.size else (0.0, 0.0)
     return max_back, *fwd, float(np.abs(states - states[0]).max())
 

@@ -37,7 +37,7 @@ def _add_common(sp, with_seed=True):
     sp.add_argument("--gap-mode", choices=GAP_MODES, default=None,
                     help="gap semantics (default: scenario defaults)")
     sp.add_argument("--suspend", choices=sorted(FREEZE_RULES), default=None,
-                    help="suspend a freeze rule (requires --gap-mode hermitian)")
+                    help="suspend a freeze rule (requires gap mode hermitian, by flag or default)")
     sp.add_argument("--dt", type=float, default=None)
     sp.add_argument("--t-max", type=float, default=None)
     if with_seed:
@@ -93,8 +93,9 @@ def _resolve(args, model, parser):
     d = model.defaults
     rules = args.rules
     suspended = frozenset()
+    mode = GapSemantics.from_token(args.gap_mode if args.gap_mode else d.gap_mode)
     if args.suspend:
-        if args.gap_mode != GapSemantics.HERMITIAN_TRUNCATED.token:
+        if mode is not GapSemantics.HERMITIAN_TRUNCATED:
             parser.error("--suspend requires --gap-mode hermitian; a suspension "
                          "under sink semantics would block vacuously")
         variant = ruleset_for_rule(args.suspend)
@@ -104,7 +105,6 @@ def _resolve(args, model, parser):
         rules = variant
         suspended = frozenset({args.suspend})
     ruleset = RuleSet(rules if rules is not None else d.rules, suspended)
-    mode = GapSemantics.from_token(args.gap_mode if args.gap_mode else d.gap_mode)
     cfg = IntegratorConfig(
         dt=args.dt if args.dt is not None else d.dt,
         t_max=args.t_max if args.t_max is not None else d.t_max,

@@ -15,6 +15,10 @@ suspended rules:
   mode; in the sink modes it is structurally absent, so for any state
   supported on launch components G applied to psi is zero bit-exactly.
 
+The generator records its included gaps once, in ``gaps``, in every mode.
+The compensated loss reads their feeds F; gap_backflow reads the flow
+through F-dagger over a block of rows, exact zeros in the sink modes.
+
 Integration is fixed-step RK4 on dpsi/dt = -i G psi (hbar = 1), with a
 state-dependent anti-Hermitian loss on the source sector in norm_compensated
 mode. No adaptive stepping: trajectories must be reproducible across runs and
@@ -107,14 +111,6 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class GeneratorProvenance:
-    rules: str
-    gap_mode: str
-    suspended: tuple[str, ...]
-    epoch: int
-
-
-@dataclass(frozen=True)
 class CurrentVector:
     """Per-launch-component probability currents J_m, units 1/time."""
 
@@ -131,24 +127,35 @@ class CurrentVector:
         return float(np.maximum(self.J, 0.0).sum())
 
 
+@dataclass(frozen=True, eq=False)
+class IncludedGap:
+    """A gap whose feed G includes: its (low, high) pair, the low component's
+    basis indices and the feed F, as CSR on first read (a wide star has one
+    gap per mode, and only the compensated loss and backflow read F)."""
+
+    pair: tuple[int, int]
+    low_idx: np.ndarray
+    block: OperatorBlock
+
+    @cached_property
+    def feed(self) -> sp.csr_matrix:
+        return self.block.to_coo().tocsr()
+
+
 @dataclass(frozen=True)
 class EffectiveGenerator:
-    """Immutable per-epoch generator, apart from its bounded M_h cache;
-    shareable across concurrent trajectories."""
+    """Immutable per-epoch generator, apart from its M_h and feed caches;
+    shareable across concurrent trajectories. ``matrix`` holds the included
+    own blocks, gap feeds and, in hermitian mode only, their adjoints."""
 
     dim: int
     matrix: sp.csr_matrix
     mode: GapSemantics
     launch_ids: tuple[int, ...]
     launch_indices: Mapping[int, np.ndarray]
-    # (low component indices, feed block) per included gap; drives the
-    # compensated-mode loss term. Empty in the other modes.
-    compensations: tuple[tuple[np.ndarray, sp.csr_matrix], ...]
-    # (low, high) -> reverse block, or None where the coupling is structurally
-    # absent (the bit-exact zero-backflow guarantee of the sink modes); as
-    # CSR in backflow_matrices.
-    backflows: Mapping[tuple[int, int], OperatorBlock | None]
-    provenance: GeneratorProvenance
+    # The one record of the included gaps, in every mode; empty iff none is.
+    gaps: tuple[IncludedGap, ...]
+    epoch: int
     dense: np.ndarray | None = field(default=None, compare=False)
     # step size -> M_h, filled on first use (see propagator)
     _propagators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -159,9 +166,9 @@ class EffectiveGenerator:
 
     @property
     def linear(self) -> bool:
-        """G has no compensation term: dpsi/dt = -i G psi, the propagator
-        path wherever M_h exists."""
-        return not self.compensations
+        """G has no compensation term (not compensated, or no gap included):
+        dpsi/dt = -i G psi, the propagator path wherever M_h exists."""
+        return self.mode is not GapSemantics.NORM_COMPENSATED or not self.gaps
 
     def propagator(self, h: float) -> np.ndarray | sp.csr_matrix | None:
         """The RK4 step matrix M_h = sum_{k<=4} (-iGh)^k/k!, or None off the
@@ -201,13 +208,6 @@ class EffectiveGenerator:
         starts = np.cumsum([0] + [len(r) for r in runs])[:-1].astype(np.intp)
         return (np.concatenate(runs) if runs else np.empty(0, dtype=np.intp)), starts
 
-    @cached_property
-    def backflow_matrices(self) -> dict[tuple[int, int], sp.csr_matrix | None]:
-        """backflows as CSR, built on first use: only gap_backflow reads
-        them, and a wide hermitian generator has one block per gap."""
-        return {key: None if back is None else back.to_coo().tocsr()
-                for key, back in self.backflows.items()}
-
     @property
     def conserves_norm(self) -> bool:
         return self.mode is not GapSemantics.ONE_WAY_FEED
@@ -220,14 +220,16 @@ class EffectiveGenerator:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """dpsi/dt: -i G psi plus the compensated-mode source loss."""
         out = -1j * self.matvec(psi)
-        for low_idx, feed in self.compensations:
-            low = psi[low_idx]
+        if self.linear:
+            return out
+        for gap in self.gaps:
+            low = psi[gap.low_idx]
             s_low = float(np.vdot(low, low).real)
             if s_low <= S_LOW_FLOOR:
                 continue
-            fed = feed @ psi
+            fed = gap.feed @ psi
             j_gap = 2.0 * float(np.vdot(psi, fed).imag)
-            out[low_idx] -= (0.5 * j_gap / s_low) * low
+            out[gap.low_idx] -= (0.5 * j_gap / s_low) * low
         return out
 
 
@@ -263,8 +265,7 @@ def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantic
             entries.extend(block.entries)
 
     sourceable = {ACTIVE, REALIZED} | ({LAUNCH} if freeze_off else set())
-    compensations = []
-    backflows: dict[tuple[int, int], OperatorBlock | None] = {}
+    gaps = []
     for gap in model.gaps:
         st_low, st_high = statuses[gap.low], statuses[gap.high]
         if freeze_off and mode is GapSemantics.HERMITIAN_TRUNCATED:
@@ -279,13 +280,8 @@ def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantic
         feed = gap.interaction
         entries.extend(feed.entries)
         if mode is GapSemantics.HERMITIAN_TRUNCATED:
-            back = OperatorBlock(model.dim, feed.adjoint_entries())
-            entries.extend(back.entries)
-            backflows[(gap.low, gap.high)] = back
-        else:
-            backflows[(gap.low, gap.high)] = None
-            if mode is GapSemantics.NORM_COMPENSATED:
-                compensations.append((model.indices_of(gap.low), feed.to_coo().tocsr()))
+            entries.extend(feed.adjoint_entries())
+        gaps.append(IncludedGap((gap.low, gap.high), model.indices_of(gap.low), feed))
 
     launch_ids = tuple(sorted(cid for cid, st in statuses.items() if st == LAUNCH))
     return EffectiveGenerator(
@@ -294,11 +290,8 @@ def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantic
         mode=mode,
         launch_ids=launch_ids,
         launch_indices={cid: model.indices_of(cid) for cid in launch_ids},
-        compensations=tuple(compensations),
-        backflows=backflows,
-        provenance=GeneratorProvenance(
-            rules=ruleset.variant, gap_mode=mode.token,
-            suspended=tuple(sorted(ruleset.suspended)), epoch=epoch),
+        gaps=tuple(gaps),
+        epoch=epoch,
     )
 
 
@@ -350,7 +343,7 @@ def square_moduli(block: np.ndarray) -> np.ndarray:
 def _non_finite(gen: EffectiveGenerator, h: float,
                 what: str = "amplitudes") -> NonFiniteStateError:
     return NonFiniteStateError(f"non-finite {what} after step dt={h} "
-                               f"(epoch {gen.provenance.epoch}, mode {gen.mode.token})")
+                               f"(epoch {gen.epoch}, mode {gen.mode.token})")
 
 
 def step(state: np.ndarray, gen: EffectiveGenerator, dt: float) -> np.ndarray:
@@ -391,20 +384,21 @@ def fd_current_check(state: np.ndarray, gen: EffectiveGenerator,
     return CurrentVector(ids=gen.launch_ids, J=J)
 
 
-def gap_backflow(state: np.ndarray, gen: EffectiveGenerator) -> dict[tuple[int, int], float]:
-    """Signed flow into each gap's low component through the reverse block.
+def gap_backflow(states: np.ndarray, gen: EffectiveGenerator) -> dict[tuple[int, int], np.ndarray]:
+    """Signed flow 2 Im<psi|F-dagger psi> into each included gap's low
+    component through its reverse block, per (low, high) and per row of
+    ``states`` (a single state is a block of one): one stacked product per
+    gap that rounds as a per-row np.vdot does (see square_moduli).
 
-    Exactly 0.0 wherever the reverse block is structurally absent (sink
-    modes): no arithmetic is performed, so the zero is bit-exact.
+    Exactly 0.0 in the sink modes, where the reverse block is structurally
+    absent: no arithmetic is performed, so the zero is bit-exact.
     """
-    psi = np.asarray(state, dtype=np.complex128)
-    out = {}
-    for key, back in gen.backflow_matrices.items():
-        if back is None:
-            out[key] = 0.0
-        else:
-            out[key] = 2.0 * float(np.vdot(psi, back @ psi).imag)
-    return out
+    block = np.atleast_2d(np.asarray(states, dtype=np.complex128))
+    if gen.mode is not GapSemantics.HERMITIAN_TRUNCATED:
+        return {gap.pair: np.zeros(len(block)) for gap in gen.gaps}
+    cols, bra = np.ascontiguousarray(block.T), block.conj()[:, None, :]
+    return {gap.pair: 2.0 * (bra @ (gap.feed.conj().T @ cols).T[:, :, None])[:, 0, 0].imag
+            for gap in gen.gaps}
 
 
 def _check_epoch_drift(gen, cfg, s_now: np.ndarray, s_epoch_start: np.ndarray,

@@ -256,7 +256,7 @@ class EpochRunner:
         is quiescent: it takes no step and reads its start row only.
 
         That is so when ``chosen`` sources no irreversible gap, which is
-        ``not gen.backflows`` for its generator in every gap mode and rule
+        ``not gen.gaps`` for its generator in every gap mode and rule
         set: post_collapse_statuses then launches no component and zeroes
         every one but ``chosen``, so every gap has a zeroed end (validation
         rejects a gap from a component to itself) and assemble_generator

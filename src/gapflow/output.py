@@ -23,10 +23,6 @@ MANIFEST_SCHEMA = "manifest/1"
 MANIFEST_NAME = "manifest.json"
 
 
-def fmt_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_text(path, text: str):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -45,6 +41,14 @@ def scenario_hash(path) -> str:
 
 # --- CSV --------------------------------------------------------------------
 
+def _write_csv(path, header: list[str], rows):
+    """``header`` and one line per row of Python numbers, rendered with one
+    %-format per line: %.17g gives a float 17 significant digits and an
+    integer count its digits."""
+    fmt = ",".join(["%.17g"] * len(header))
+    _write_text(path, "\n".join([",".join(header), *(fmt % row for row in rows)]) + "\n")
+
+
 def write_trajectory_csv(path, samples: TrajectorySamples):
     """One row per sample: t, s, each component's square modulus and each
     current; `gapflow run`'s trajectory.csv and `gapflow currents`'
@@ -52,21 +56,16 @@ def write_trajectory_csv(path, samples: TrajectorySamples):
     header = (["t", "s"]
               + [f"p_{cid}" for cid in samples.component_ids]
               + [f"J_{cid}" for cid in samples.current_ids])
-    # One %-format per line; %.17g renders every value as fmt_float does.
     # Rows become Python floats one at a time, never the whole table at once.
-    fmt = ",".join(["%.17g"] * len(header))
-    lines = [fmt % (t, s_t, *m.tolist(), *j.tolist())
-             for t, s_t, m, j in zip(samples.times.tolist(), samples.s.tolist(),
-                                     samples.moduli, samples.currents)]
-    _write_text(path, "\n".join([",".join(header)] + lines) + "\n")
+    _write_csv(path, header, ((t, s_t, *m.tolist(), *j.tolist())
+                              for t, s_t, m, j in zip(samples.times.tolist(), samples.s.tolist(),
+                                                      samples.moduli, samples.currents)))
 
 
 def write_histogram_csv(path, stats: EnsembleStats, t_max: float, n_bins: int = 60):
     counts, edges = np.histogram(stats.hit_times, bins=n_bins, range=(0.0, t_max))
-    lines = ["bin_left,bin_right,count"]
-    for k in range(n_bins):
-        lines.append(f"{fmt_float(edges[k])},{fmt_float(edges[k + 1])},{int(counts[k])}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, ["bin_left", "bin_right", "count"],
+               zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
 
 
 def write_survival_csv(path, stats: EnsembleStats, oracle: OracleResult,
@@ -76,10 +75,8 @@ def write_survival_csv(path, stats: EnsembleStats, oracle: OracleResult,
         grid = np.append(grid, oracle.times[-1])
     s_emp = stats.empirical_survival(grid)
     s_pred = oracle.survival_at(grid)
-    lines = ["t,survival_empirical,survival_predicted"]
-    for t, e, p in zip(grid, s_emp, s_pred):
-        lines.append(f"{fmt_float(t)},{fmt_float(e)},{fmt_float(p)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, ["t", "survival_empirical", "survival_predicted"],
+               zip(grid.tolist(), s_emp.tolist(), s_pred.tolist()))
 
 
 # --- JSON -------------------------------------------------------------------

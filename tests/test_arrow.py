@@ -1,5 +1,7 @@
 """Irreversibility experiments: forward flow, reverse block, suspension."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,14 @@ from gapflow.arrow import (
     reverse_initial_state,
     suspension_counterfactual,
 )
-from gapflow.dynamics import GapSemantics, IntegratorConfig, StepPlan
+from gapflow.dynamics import GapSemantics, IntegratorConfig, StepPlan, gap_backflow
+from gapflow.engine import EpochRunner
 from gapflow.errors import GapflowError
 from gapflow.fixtures import BUILDERS, two_level
+from gapflow.model import OperatorBlock, ScenarioModel, load_scenario
 from gapflow.rules import NRULES3, NRULES4, RuleSet
+
+from conftest import WIDE_LAUNCH, star_model
 
 R3 = RuleSet(NRULES3)
 R4 = RuleSet(NRULES4)
@@ -180,3 +186,74 @@ def test_cold_experiments_step_once_per_table_row(t_max, monkeypatch):
             assert cold == plan.n_full + (plan.rem > 0.0)
         else:
             assert 0 < cold <= reverse_cold
+
+
+# Every fixture, the one model whose feed has two entries in one low column
+# (so an adjoint row sums two entries) and a CSR-sized star, each at a
+# config whose profile the per-state loop reads in well under a second.
+BACKFLOW_MODELS = {
+    **{name: (build, None) for name, build in BUILDERS.items()},
+    "wide_launch": (lambda: load_scenario(json.dumps(WIDE_LAUNCH)), None),
+    "star_300": (lambda: star_model(300), IntegratorConfig(dt=0.02, t_max=0.5)),
+}
+
+
+def per_state_backflow(states, model, pairs):
+    """The per-state loop the arrow profile ran before gap_backflow took a
+    block: 2 Im<psi|F^dagger psi> per row and per included gap, with the
+    adjoint built from the model's OperatorBlock.adjoint_entries."""
+    out = {}
+    for gap in model.gaps:
+        if (gap.low, gap.high) in pairs:
+            back = OperatorBlock(model.dim, gap.interaction.adjoint_entries()).to_coo().tocsr()
+            out[(gap.low, gap.high)] = np.array(
+                [2.0 * float(np.vdot(psi, back @ psi).imag) for psi in states])
+    return out
+
+
+@pytest.mark.parametrize("start", [FORWARD, REVERSE])
+@pytest.mark.parametrize("rules", [R3, R3.with_suspended(["n3_1"])],
+                         ids=lambda r: "-".join([r.variant, *sorted(r.suspended)]))
+@pytest.mark.parametrize("name", sorted(BACKFLOW_MODELS))
+def test_block_backflow_matches_per_state_loop(name, rules, start):
+    """gap_backflow over the profile's rows equals the per-state reference
+    bit for bit in hermitian mode, and is exact +0.0 in the sink modes."""
+    build, cfg = BACKFLOW_MODELS[name]
+    model = build()
+    cfg = cfg or IntegratorConfig(dt=model.defaults.dt, t_max=model.defaults.t_max)
+    if start == REVERSE:
+        model = ScenarioModel(dim=model.dim, components=model.components,
+                              hamiltonian=model.hamiltonian,
+                              psi0=reverse_initial_state(model), defaults=model.defaults)
+    for mode in GapSemantics:
+        table, rows, _ = EpochRunner(model, rules, cfg, mode).profile()
+        states = table.states[rows]
+        flows = gap_backflow(states, table.gen)
+        assert set(flows) == {gap.pair for gap in table.gen.gaps} != set()
+        if mode is GapSemantics.HERMITIAN_TRUNCATED:
+            reference = per_state_backflow(states, model, set(flows))
+            assert flows.keys() == reference.keys()
+            for pair, values in flows.items():
+                assert values.view(np.int64).tolist() == reference[pair].view(np.int64).tolist()
+        else:
+            for values in flows.values():
+                assert values.view(np.int64).tolist() == [0] * len(rows)
+
+
+def test_cold_profile_reads_backflow_once(monkeypatch):
+    """The profile reads backflow over all its rows in one gap_backflow
+    call, not one call per row."""
+    calls = []
+    real = arrow.gap_backflow
+
+    def counted(states, gen):
+        calls.append(len(states))
+        return real(states, gen)
+
+    monkeypatch.setattr(arrow, "gap_backflow", counted)
+    arrow._profile_extrema_cached.cache_clear()
+    cfg = IntegratorConfig(dt=0.01, t_max=1.0)
+    report = reverse_experiment(two_level(), cfg, ruleset=R3.with_suspended(["n3_1"]),
+                                gap_mode=GapSemantics.HERMITIAN_TRUNCATED)
+    assert calls == [StepPlan.of(cfg).n_full + 1]
+    assert report.max_backflow > 0.0

@@ -245,6 +245,25 @@ def test_suspend_requires_hermitian(tmp_path):
     assert exc.value.code == 2
 
 
+def test_suspend_accepts_a_hermitian_scenario_default(tmp_path):
+    """--suspend checks the resolved gap mode: a scenario whose defaults are
+    hermitian needs no --gap-mode, and a sink --gap-mode still refuses it."""
+    doc = json.loads(read_bytes(TWO_LEVEL))
+    doc["defaults"]["gap_mode"] = "hermitian"
+    path = tmp_path / "two_level_hermitian.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["arrow", "--scenario", str(path), "--suspend", "n3_1",
+                 "--out-dir", str(out)]) == 0
+    manifest = load_manifest(out / "manifest.json")
+    assert (manifest["gap_mode"], manifest["suspended"]) == ("hermitian", ["n3_1"])
+    report = json.loads((out / "arrow_report.json").read_text())
+    assert report["reports"]["suspended"]["verdict"] == "flowed"
+    with pytest.raises(SystemExit) as exc:
+        main(["arrow", "--scenario", str(path), "--gap-mode", "oneway", "--suspend", "n3_1"])
+    assert exc.value.code == 2
+
+
 def test_suspend_variant_mismatch_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scenario", TWO_LEVEL, "--rules", "nrules3",

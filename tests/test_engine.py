@@ -536,14 +536,14 @@ def test_epoch_hazard_bias_is_second_order_in_dt():
 @pytest.mark.parametrize("name", sorted(QUIESCENCE_MODELS))
 def test_quiescent_epoch_is_one_whose_generator_has_no_gap(name, mode, rules):
     """EpochRunner.quiescent, read from the model, agrees with the generator
-    test it replaces, not gen.backflows, after every possible collapse."""
+    test it replaces, not gen.gaps, after every possible collapse."""
     model = QUIESCENCE_MODELS[name]()
     runner = EpochRunner(model, rules, IntegratorConfig(), mode)
     assert not runner.quiescent(None)
     for chosen in model.launch_candidate_ids:
         gen = assemble_generator(model, rules, mode, epoch=1,
                                  statuses=post_collapse_statuses(model, chosen))
-        assert runner.quiescent(chosen) == (not gen.backflows)
+        assert runner.quiescent(chosen) == (not gen.gaps)
 
 
 def test_fan_out_ensemble_assembles_no_generator_after_epoch_0(monkeypatch):

@@ -25,7 +25,8 @@ from gapflow.ensemble import (
     run_ensemble,
 )
 from gapflow.errors import GapflowError, ProvenanceError
-from gapflow.fixtures import chain_three_level, three_mode, two_level
+from gapflow.fixtures import (chain_three_level, detuned_two_level, three_mode, two_level,
+                              two_mode_symmetric)
 from gapflow.model import load_scenario
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 from gapflow.substreams import CROSSOVER, substream_keys
@@ -93,6 +94,32 @@ def test_gated_hazard_converges_to_oracle_survival(builder, mode):
         errors.append(abs(math.exp(-table.H[runner.n_full]) - oracle.survival[-1]))
     assert errors[0] >= 3 * errors[1] >= 9 * errors[2]
     assert errors[1] < 3e-5
+
+
+def test_compensated_oracle_equals_hermitian_without_source_energy():
+    """The compensated and hermitian oracles agree to rounding on every
+    fixture whose sources carry no own block, and differ on the detuned one.
+
+    With no own block on a source, psi_low stays real up to a global phase,
+    and each fed amplitude is -i f_g times a real function. Then the
+    compensated loss -(j_g / 2 s_low) psi_low equals the hermitian backflow
+    -i sum_g f_g^dagger psi_g term by term, so the two modes evolve the same
+    state. A source energy winds psi_low's phase and breaks the equality.
+    """
+    compensated, hermitian = GapSemantics.NORM_COMPENSATED, GapSemantics.HERMITIAN_TRUNCATED
+    for builder in (two_level, two_mode_symmetric, three_mode, chain_three_level,
+                    detuned_two_level):
+        model = builder()
+        a = deterministic_oracle(model, CFG, compensated, refine=2)
+        b = deterministic_oracle(model, CFG, hermitian, refine=2)
+        gap = max(np.abs(a.survival - b.survival).max(),
+                  *(abs(a.predicted_shares[m] - b.predicted_shares[m])
+                    for m in a.predicted_shares))
+        assert a.predicted_shares.keys() == b.predicted_shares.keys()
+        if builder is detuned_two_level:
+            assert gap > 0.01
+        else:
+            assert gap < 1e-14
 
 
 def test_oracle_rejects_bad_refine(three_mode_model):
