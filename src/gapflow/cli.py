@@ -161,12 +161,17 @@ def cmd_run(args, parser) -> int:
 def cmd_ensemble(args, parser) -> int:
     model = load_scenario_file(args.scenario)
     ruleset, mode, cfg, seed = _resolve(args, model, parser)
-    # The oracle's grid is finer than the run's, so it may exceed MAX_STEPS
-    # where the run does not: check it before any trajectory.
-    oracle_grid(cfg)
+    # The oracle's finer grid, twice the run's, may exceed MAX_STEPS where
+    # the run does not: check it before any trajectory.
+    oracle_grid(cfg, 2)
+    # The calling process walks on this runner, and the oracle reads the
+    # run's grid from its epoch-0 table; the walk's other tables are freed
+    # before the oracle runs.
+    runner = EpochRunner(model, ruleset, cfg, mode, args.policy)
     stats = run_ensemble(model, ruleset, cfg, mode, args.n, seed,
-                         n_workers=args.workers, policy=args.policy)
-    oracle = deterministic_oracle(model, cfg, mode, ruleset=ruleset)
+                         n_workers=args.workers, policy=args.policy, runner=runner)
+    runner.tables = {(0, None): runner.table(0, None)}
+    oracle = deterministic_oracle(model, cfg, mode, ruleset=ruleset, runner=runner)
     report = compare(stats, oracle)
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -86,6 +86,10 @@ PROPAGATOR_CACHE_SIZE = 4
 
 # Rows an EpochTable steps before it fills their other columns at once.
 FILL_BLOCK = 128
+# A block that doubles with its table stops growing at this many bytes of
+# states (and at FILL_BLOCK rows at least): _store's temporaries are a few
+# times the block's states, so they stay a small share of a wide table.
+FILL_BLOCK_BYTES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -527,13 +531,15 @@ class EpochTable:
         Rows never change, so growing past what a trajectory reads is safe.
 
         With E infinite no row can stop the growth, so blocks double with
-        the table (FILL_BLOCK, FILL_BLOCK, 2 FILL_BLOCK, ...) and _store runs
-        a few times rather than once per FILL_BLOCK rows. Only H and neg
-        carry from one row to the next, each accumulated a row at a time, so
-        the rows are the same floats for any split into blocks."""
+        the table (FILL_BLOCK, FILL_BLOCK, 2 FILL_BLOCK, ...), up to
+        FILL_BLOCK_BYTES of states, and _store runs a few times rather than
+        once per FILL_BLOCK rows. Only H and neg carry from one row to the
+        next, each accumulated a row at a time, so the rows are the same
+        floats for any split into blocks."""
         k = self.n
+        cap = max(FILL_BLOCK, FILL_BLOCK_BYTES // self.states[0].nbytes)
         while k < steps and self.H[k] <= E:
-            b = min(FILL_BLOCK if E < math.inf else max(FILL_BLOCK, k), steps - k)
+            b = min(FILL_BLOCK if E < math.inf else min(max(FILL_BLOCK, k), cap), steps - k)
             step_block(self.states[k], self.gen, self.dt, self.states[k + 1:k + 1 + b])
             self._store(k + 1, b, k, self.dt)
             k += b

@@ -241,6 +241,21 @@ class EpochRunner:
         self._col = np.array([int(model.index_arrays[c][0]) if len(model.index_arrays[c]) == 1
                               else -1 for c in ids])
 
+    @classmethod
+    def reuse(cls, runner: "EpochRunner | None", model: ScenarioModel, ruleset: RuleSet,
+              cfg: IntegratorConfig, gap_mode: GapSemantics,
+              policy: str = PRESERVE_TOTAL) -> "EpochRunner":
+        """``runner`` where it was built for this model, rule set, config, gap
+        mode and policy, a new runner for them where it is None. A runner
+        built for anything else is refused with GapflowError."""
+        if runner is None:
+            return cls(model, ruleset, cfg, gap_mode, policy)
+        if (runner.model, runner.ruleset, runner.cfg, runner.gap_mode, runner.policy) != (
+                model, ruleset, cfg, gap_mode, policy):
+            raise GapflowError(
+                "runner built for another model, rule set, config, gap mode or policy")
+        return runner
+
     def generator(self, chosen: int | None, epoch: int) -> EffectiveGenerator:
         """Generator after collapsing onto ``chosen`` (None: the initial one)."""
         gen = self._gens.get((chosen, epoch))
@@ -285,17 +300,20 @@ class EpochRunner:
             self.tables[(epoch, chosen)] = table
         return table
 
-    def profile(self) -> tuple[EpochTable, np.ndarray, np.ndarray]:
+    def profile(self, every_step: bool = False) -> tuple[EpochTable, np.ndarray, np.ndarray]:
         """The no-hit profile: the epoch-0 table grown through the plan
-        without a hit, the rows of its samples and their times. The one
-        source of the oracle's, `gapflow currents`' and the arrow profile's
-        rows; raises NormDriftError where s drifts beyond the budget over
-        t_max."""
+        without a hit, the rows of its samples (of every grid point with
+        ``every_step``) and their times. The one source of the oracle's,
+        `gapflow currents`' and the arrow profile's rows; raises
+        NormDriftError where s drifts beyond the budget over t_max."""
+        plan = self.plan
+        if every_step:
+            plan = plan._replace(sampled=np.ones_like(plan.sampled))
         table = self.table(0, None)
-        rows = table.sampled_rows(self.plan)
+        rows = table.sampled_rows(plan)
         _check_epoch_drift(table.gen, self.cfg, table.s[rows[-1:]], table.s[:1],
                            np.array([self.cfg.t_max]))
-        return table, rows, self.times[self.sampled]
+        return table, rows, plan.times[plan.sampled]
 
     def walk(self, seed: int, indices) -> Iterator[LegGroup]:
         """Walk trajectories ``indices`` of ``seed`` together, yielding one
@@ -426,10 +444,7 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
     integrating again, with the same floats as a run on a runner of its own.
     A runner built for anything else is refused with GapflowError.
     """
-    runner = runner or EpochRunner(model, ruleset, cfg, gap_mode, policy)
-    if (runner.model, runner.ruleset, runner.cfg, runner.gap_mode, runner.policy) != (
-            model, ruleset, cfg, gap_mode, policy):
-        raise GapflowError("runner built for another model, rule set, config, gap mode or policy")
+    runner = EpochRunner.reuse(runner, model, ruleset, cfg, gap_mode, policy)
     times, sampled = runner.times, runner.sampled
     events, parts, n_steps, negative = [], [], 0, 0
     for g in runner.walk(seed, [traj_index]):

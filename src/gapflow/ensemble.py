@@ -1,9 +1,13 @@
 """Trajectory ensembles, the deterministic current-integral oracle, and the
 statistical comparison between them.
 
-The oracle never collapses: it integrates the pre-hit dynamics on a refined
-grid, accumulates each launch component's positive current integral, and
-exponentiates the integrated rate into a predicted survival curve. Empirical
+The oracle never collapses: it integrates the pre-hit dynamics on the run's
+grid and on one twice as fine, integrates each launch component's positive
+current and the hit rate sum J+ / s exactly over the clipped linear
+interpolant of every step, extrapolates the two grids' integrals (Richardson)
+and exponentiates the integrated rate into a predicted survival curve on the
+run's grid. The run's grid is the epoch-0 table of the runner an ensemble
+command walks, so only the finer grid is integrated again. Empirical
 collapse shares (conditioned on a collapse happening) are compared against the
 normalized integrals with binomial z-scores, and first-hit times against the
 predicted survival via a Kolmogorov-Smirnov statistic taken on the run's step
@@ -120,48 +124,100 @@ class OracleResult:
         return (1.0 - self.survival_at(t)) / total
 
 
-def oracle_grid(cfg: IntegratorConfig, refine: int = 10) -> IntegratorConfig:
-    """The ``refine``-times finer grid deterministic_oracle integrates; like
-    every IntegratorConfig it raises above MAX_STEPS steps."""
+def oracle_grid(cfg: IntegratorConfig, refine: int = 1) -> IntegratorConfig:
+    """The grid ``refine`` times finer than the run's; deterministic_oracle
+    integrates those of its ``refine`` and of twice that. Like every
+    IntegratorConfig it raises above MAX_STEPS steps."""
     if refine < 1:
         raise GapflowError(f"refine must be >= 1, got {refine}")
     return IntegratorConfig(dt=cfg.dt / refine, t_max=cfg.t_max, sample_every=1,
                             norm_drift_budget=cfg.norm_drift_budget)
 
 
-def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
-                         gap_mode: GapSemantics, refine: int = 10, *,
-                         ruleset: RuleSet = RuleSet()) -> OracleResult:
-    """Integrate the no-collapse dynamics of ``ruleset`` on a
-    ``refine``-times finer grid: the no-hit profile (EpochRunner.profile) of
-    a runner on that grid, whose epoch-0 table holds J, s and the rate
-    sum J+ / s of every row.
+def _clipped_steps(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per step of h along the last axis of ``f``, the exact integral of the
+    clipped linear interpolant max(L, 0) between its endpoints a and b:
+    h (a + b) / 2 with both >= 0, 0 with both <= 0, else h p^2 / (2 |a - b|)
+    for the positive endpoint p."""
+    a, b = f[..., :-1], f[..., 1:]
+    low, p = np.minimum(a, b), np.maximum(np.maximum(a, b), 0.0)
+    steps = np.where(low >= 0.0, 0.5 * h * (a + b), 0.0)
+    cross = (low < 0.0) & (p > 0.0)
+    steps[cross] = (np.broadcast_to(h, a.shape)[cross] * p[cross] ** 2
+                    / (2.0 * (p[cross] - low[cross])))
+    return steps
 
-    The survival takes the trapezoid of every step, while the engine's gated
-    hazard (dynamics.EpochTable) drops that of a step ending at rate 0. The
-    rate r = sum J+ / s is Lipschitz in t (J+ = max(J, 0) of a smooth J, s >
-    0), so a step of h that ends at r = 0 starts at most L h above it and the
-    trapezoid it drops, r(t_k) h / 2, is at most L h^2 / 2. It is nonzero
-    only where sum J+ falls to 0 within the step, as a step at rate 0 at
-    both ends adds nothing to either hazard, so the engine's exp(-H) departs
-    from this survival by O(h^2) per zero crossing of sum J+: the order of
-    the trapezoid rule's own error.
+
+def _profile_steps(runner: EpochRunner):
+    """The launch ids and grid times of ``runner``'s no-hit profile, and per
+    step the clipped integrals of each launch component's J (components x
+    steps) and of the rate sum_m J_m / s (0 with the trigger suspended)."""
+    table, rows, times = runner.profile(every_step=True)
+    J = np.ascontiguousarray(table.J[rows].T)
+    h = np.diff(times)
+    rate = (np.zeros(len(h)) if table.trigger_off
+            else _clipped_steps(J / table.s[rows], h).sum(axis=0))
+    return table.launch_ids, times, _clipped_steps(J, h), rate
+
+
+def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
+                         gap_mode: GapSemantics, refine: int = 1, *,
+                         ruleset: RuleSet = RuleSet(),
+                         runner: EpochRunner | None = None) -> OracleResult:
+    """Integrate the no-collapse dynamics of ``ruleset`` on two grids,
+    ``refine`` and 2 ``refine`` times finer than the run's, and extrapolate
+    (Richardson): the no-hit profile (EpochRunner.profile) of a runner on
+    each grid, whose epoch-0 table holds J and s at every grid point.
+
+    Each step integrates J_m and J_m / s as the exact integral of their
+    clipped linear interpolants (_clipped_steps), so a zero crossing inside a
+    step is counted and the error of every integral is c h^2 + O(h^3), smooth
+    in h: (4 T_2 - T_1) / 3 over the two grids' integrals T_1 and T_2 cancels
+    c h^2, for the share integrals and for the cumulative hazard at each of
+    the coarse grid's points. Those points lie on the fine grid exactly, as
+    2k (dt / 2) and k dt are the same float and both grids end on t_max; a
+    shorter last step off the dt grid is split by the fine grid as it
+    falls, which leaves that one step an O(h^3) error. The predicted
+    survival is on the coarse grid, at refine 1 the run's own, whose
+    epoch-0 table ``runner`` (an EpochRunner of this model, rule set, config
+    and gap mode, of any policy, as the profile collapses nothing) supplies
+    where the caller holds one; that grid's rows are the same floats however
+    far a walk grew them. A runner built for anything else is refused with
+    GapflowError, as is one passed with ``refine`` above 1.
+
+    The engine's gated hazard (dynamics.EpochTable) takes the trapezoid of
+    the rate r = sum J+ / s over each step that ends at r > 0 and drops that
+    of a step ending at r = 0. On the run's grid it differs from the
+    clipped integrals only in a step where some q_m = J_m / s changes sign.
+    Each q_m, and r with them, is Lipschitz in t (L; J is smooth, s > 0).
+    For endpoints a < 0 < b the clipped integral h b^2 / (2 (b - a)) and the
+    trapezoid of q_m+, h b / 2, are each at most h (b - a) / 2 <= L h^2 / 2,
+    and a dropped step that ends at r = 0 started at most L h above it, so
+    it drops at most L h^2 / 2. The run's grid in turn departs from this
+    survival by the trapezoid rule's c h^2, which the extrapolation removes.
+    So the engine's exp(-H) departs from this survival by O(h^2) plus
+    O(h^2) per sign change of a J_m: errors of one order, which shrink by
+    four as dt halves.
     """
-    table, rows, times = EpochRunner(model, ruleset, oracle_grid(cfg, refine),
-                                     gap_mode).profile()
-    j_pos = np.clip(table.J[rows], 0.0, None)
-    # One call along contiguous rows sums each component pairwise, as a call
-    # per column does (along axis 0 numpy does not); a single sample
-    # (t_max = 0) integrates to 0.
-    integrals = dict(zip(table.launch_ids, np.trapezoid(
-        np.ascontiguousarray(j_pos.T), times, axis=1).tolist()))
+    if runner is None:
+        runner = EpochRunner(model, ruleset, oracle_grid(cfg, refine), gap_mode)
+    elif refine != 1:
+        raise GapflowError("a runner holds the run's own grid, which only refine 1 reads")
+    else:
+        EpochRunner.reuse(runner, model, ruleset, cfg, gap_mode, runner.policy)
+    ids, times, j1, r1 = _profile_steps(runner)
+    _, fine_times, j2, r2 = _profile_steps(
+        EpochRunner(model, ruleset, oracle_grid(cfg, 2 * refine), gap_mode))
+    # The fine grid's index of each coarse point: 2k, and t_max last.
+    at = 2 * np.arange(len(times))
+    at[-1] = len(fine_times) - 1
+    # A single sample (t_max = 0) integrates to 0.
+    integrals = dict(zip(ids, ((4.0 * j2.sum(axis=1) - j1.sum(axis=1)) / 3.0).tolist()))
     total = sum(integrals.values())
     predicted = {m: v / total if total > 0.0 else 0.0 for m, v in integrals.items()}
 
-    rate = table.rate[rows]
-    increments = 0.5 * (rate[1:] + rate[:-1]) * np.diff(times)
-    survival = np.exp(-np.concatenate([[0.0], np.cumsum(increments)]))
-
+    hazard = [np.concatenate([[0.0], np.cumsum(r)]) for r in (r1, r2)]
+    survival = np.exp(-(4.0 * hazard[1][at] - hazard[0]) / 3.0)
     return OracleResult(integrals=integrals, predicted_shares=predicted,
                         times=times, survival=survival,
                         provenance=_provenance(model, ruleset, cfg, gap_mode))
@@ -169,16 +225,17 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
 
 # --- ensemble execution -----------------------------------------------------
 
-def _run_range(model, ruleset, cfg, gap_mode, master_seed, policy, start, stop):
+def _run_range(model, ruleset, cfg, gap_mode, master_seed, policy, start, stop, runner=None):
     """Per trajectory of [start, stop): first hit time or nan, first choice
     or -1, negative-current steps and whether it ended quiescent, as arrays.
 
     The range is walked in blocks of BLOCK through run_trajectory's epoch
-    loop with one runner, whose tables every block shares, so epoch 0 and
-    each epoch after a collapse onto a one-dimensional component is
-    integrated once and each trajectory only draws against it.
+    loop with one runner (``runner``, or a new one), whose tables every
+    block shares, so epoch 0 and each epoch after a collapse onto a
+    one-dimensional component is integrated once and each trajectory only
+    draws against it.
     """
-    runner = EpochRunner(model, ruleset, cfg, gap_mode, policy)
+    runner = runner or EpochRunner(model, ruleset, cfg, gap_mode, policy)
     blocks = [_block_summary(runner, master_seed, np.arange(lo, min(lo + BLOCK, stop)))
               for lo in range(start, stop, BLOCK)]
     return tuple(np.concatenate(column) for column in zip(*blocks))
@@ -211,12 +268,15 @@ def _block_summary(runner, seed, indices):
 
 def run_ensemble(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
                  gap_mode: GapSemantics, n: int, master_seed: int, *,
-                 n_workers: int = 1, policy: str = PRESERVE_TOTAL) -> EnsembleStats:
+                 n_workers: int = 1, policy: str = PRESERVE_TOTAL,
+                 runner: EpochRunner | None = None) -> EnsembleStats:
     """Aggregate n independent trajectories, each run as run_trajectory runs it.
 
     [0, n) is split into min(n_workers, n) contiguous ranges: the calling
-    process walks the first, a pool of the rest (none for one range) the
-    others. Results are identical for any n_workers: substreams are keyed by
+    process walks the first, on ``runner`` where the caller keeps one (as
+    run_trajectory takes it, and refused in the same way where it was built
+    for anything else), a pool of the rest (none for one range) the others.
+    Results are identical for any n_workers: substreams are keyed by
     trajectory index, shared epoch tables hold the same floats however far a
     process grew them, and the reduce runs in index order.
     """
@@ -224,13 +284,15 @@ def run_ensemble(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
         raise GapflowError(f"ensemble size must be >= 1, got {n}")
     if n_workers < 1:
         raise GapflowError(f"n_workers must be >= 1, got {n_workers}")
+    runner = EpochRunner.reuse(runner, model, ruleset, cfg, gap_mode, policy)
 
     k = min(n_workers, n)
     job = (model, ruleset, cfg, gap_mode, master_seed, policy)
     ranges = [(n * i // k, n * (i + 1) // k) for i in range(k)]
     with ProcessPoolExecutor(k - 1) if k > 1 else nullcontext() as pool:
         futures = [pool.submit(_run_range, *job, lo, hi) for lo, hi in ranges[1:]]
-        parts = [_run_range(*job, *ranges[0]), *(fut.result() for fut in futures)]
+        parts = [_run_range(*job, *ranges[0], runner=runner),
+                 *(fut.result() for fut in futures)]
     t_first, first, negative, quiescent = (np.concatenate(c) for c in zip(*parts))
 
     hit = first >= 0

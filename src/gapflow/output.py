@@ -44,9 +44,12 @@ def scenario_hash(path) -> str:
 def _write_csv(path, header: list[str], rows):
     """``header`` and one line per row of Python numbers, rendered with one
     %-format per line: %.17g gives a float 17 significant digits and an
-    integer count its digits."""
-    fmt = ",".join(["%.17g"] * len(header))
-    _write_text(path, "\n".join([",".join(header), *(fmt % row for row in rows)]) + "\n")
+    integer count its digits. Lines go to the file as they are rendered,
+    so the text of a wide table is never held whole."""
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % row for row in rows)
 
 
 def write_trajectory_csv(path, samples: TrajectorySamples):
@@ -68,15 +71,11 @@ def write_histogram_csv(path, stats: EnsembleStats, t_max: float, n_bins: int = 
                zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
 
 
-def write_survival_csv(path, stats: EnsembleStats, oracle: OracleResult,
-                       stride: int = 10):
-    grid = oracle.times[::stride]
-    if grid[-1] != oracle.times[-1]:
-        grid = np.append(grid, oracle.times[-1])
-    s_emp = stats.empirical_survival(grid)
-    s_pred = oracle.survival_at(grid)
+def write_survival_csv(path, stats: EnsembleStats, oracle: OracleResult):
+    """One row per point of the oracle's grid, the run's at refine 1."""
+    s_emp = stats.empirical_survival(oracle.times)
     _write_csv(path, ["t", "survival_empirical", "survival_predicted"],
-               zip(grid.tolist(), s_emp.tolist(), s_pred.tolist()))
+               zip(oracle.times.tolist(), s_emp.tolist(), oracle.survival.tolist()))
 
 
 # --- JSON -------------------------------------------------------------------

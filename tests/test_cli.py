@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gapflow import cli, dynamics, engine
 from gapflow.cli import arrow_check_main, main
 from gapflow.output import load_manifest
 
@@ -123,7 +124,7 @@ def test_mistyped_amplitude_exit_1(tmp_path, capsys, value):
 
 def test_too_many_steps_exit_1(tmp_path, capsys):
     """A run above MAX_STEPS fails before any step, from the scenario or a
-    flag; so does an ensemble whose oracle grid, ten times finer, is above it."""
+    flag; so does an ensemble whose oracle grid, twice as fine, is above it."""
     doc = json.loads(pathlib.Path(TWO_LEVEL).read_text())
     doc["defaults"]["t_max"] = 1e15
     bad = tmp_path / "bad.json"
@@ -131,11 +132,26 @@ def test_too_many_steps_exit_1(tmp_path, capsys):
     assert main(["validate", "--scenario", str(bad)]) == 1
     assert "step-count" in capsys.readouterr().out
     for argv in (["run", "--scenario", TWO_LEVEL, "--t-max", "1e15"],
-                 ["ensemble", "--scenario", TWO_LEVEL, "--n", "1", "--t-max", "2000"]):
+                 ["ensemble", "--scenario", TWO_LEVEL, "--n", "1", "--t-max", "6000"]):
         out = tmp_path / argv[0]
         assert main([*argv, "--out-dir", str(out)]) == 1
         assert "exceeds MAX_STEPS" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max, code", [("3", 0), ("3.125", 1)])
+def test_oracle_grid_step_limit_is_checked_first(tmp_path, capsys, monkeypatch, t_max, code):
+    """With MAX_STEPS at 48, a run of 24 steps of dt 0.125 runs, as does
+    its oracle's finer grid of 48 steps; one of 25 steps is refused before
+    any trajectory, for its oracle grid of 50."""
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 48)
+    if code:
+        monkeypatch.setattr(cli, "run_ensemble", lambda *a, **k: pytest.fail("ran"))
+    out = tmp_path / "out"
+    assert main(["ensemble", "--scenario", TWO_LEVEL, "--n", "1", "--dt", "0.125",
+                 "--t-max", t_max, "--out-dir", str(out)]) == code
+    assert ("exceeds MAX_STEPS = 48" in capsys.readouterr().err) == bool(code)
+    assert out.exists() != bool(code)
 
 
 def test_overflowing_psi0_exit_1(tmp_path, capsys):
@@ -439,6 +455,26 @@ def test_ensemble_writes_report(tmp_path, capsys):
     assert (out / "survival.csv").exists()
     text = capsys.readouterr().out
     assert "passed" in text
+
+
+def test_ensemble_integrates_epoch_0_once_per_grid(tmp_path, monkeypatch):
+    """One ensemble command builds one epoch-0 table at the run's dt, which
+    its trajectories draw against and the oracle reads, and one at dt / 2
+    for the oracle; survival.csv has a row per point of the run's grid."""
+    built = []
+
+    class CountedTable(engine.EpochTable):
+        def __init__(self, gen, *args, **kwargs):
+            if gen is not None and gen.epoch == 0:
+                built.append(args[1])
+            super().__init__(gen, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "EpochTable", CountedTable)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--scenario", THREE_MODE, "--n", "200", "--seed", "3",
+                 "--out-dir", str(out)]) == 0
+    assert built == [0.01, 0.005]
+    assert len((out / "survival.csv").read_text().splitlines()) == 1 + 601
 
 
 def test_ensemble_worker_flag_is_byte_stable(tmp_path):

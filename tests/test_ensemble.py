@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gapflow import ensemble
-from gapflow.dynamics import GapSemantics, IntegratorConfig
+from gapflow.dynamics import GapSemantics, IntegratorConfig, StepPlan
 from gapflow.engine import (PRESERVE_TOTAL, TERMINAL_QUIESCENT, EpochRunner, run_trajectory,
                             step_grid)
 from gapflow.ensemble import (
@@ -110,8 +110,8 @@ def test_compensated_oracle_equals_hermitian_without_source_energy():
     for builder in (two_level, two_mode_symmetric, three_mode, chain_three_level,
                     detuned_two_level):
         model = builder()
-        a = deterministic_oracle(model, CFG, compensated, refine=2)
-        b = deterministic_oracle(model, CFG, hermitian, refine=2)
+        a = deterministic_oracle(model, CFG, compensated)
+        b = deterministic_oracle(model, CFG, hermitian)
         gap = max(np.abs(a.survival - b.survival).max(),
                   *(abs(a.predicted_shares[m] - b.predicted_shares[m])
                     for m in a.predicted_shares))
@@ -120,6 +120,73 @@ def test_compensated_oracle_equals_hermitian_without_source_energy():
             assert gap > 0.01
         else:
             assert gap < 1e-14
+
+
+def _trapezoid_oracle(model, cfg, mode, refine):
+    """Survival and share integrals of the trapezoid of the clipped rows on
+    the ``refine``-times finer grid: the oracle before Richardson."""
+    table, rows, times = EpochRunner(model, R3, ensemble.oracle_grid(cfg, refine),
+                                     mode).profile()
+    integrals = np.trapezoid(np.clip(table.J[rows], 0.0, None).T, times, axis=1)
+    rate = table.rate[rows]
+    hazard = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(times))])
+    return times, np.exp(-hazard), integrals
+
+
+ACCURACY_CASES = [(b, mode, 6.0) for b in (two_level, detuned_two_level, two_mode_symmetric,
+                                           three_mode, chain_three_level)
+                  for mode in (ONEWAY, GapSemantics.HERMITIAN_TRUNCATED)]
+ACCURACY_CASES += [(three_mode, GapSemantics.HERMITIAN_TRUNCATED, 2.005),
+                   (detuned_two_level, GapSemantics.NORM_COMPENSATED, 2.005)]
+
+
+@pytest.mark.parametrize("builder, mode, t_max", ACCURACY_CASES,
+                         ids=lambda v: getattr(v, "__name__", getattr(v, "token", v)))
+def test_oracle_is_as_accurate_as_refine_10(builder, mode, t_max):
+    """Against a refine-40 trapezoid, the oracle's extrapolation from the
+    run's grid and one twice as fine is off by no more than a refine-10
+    trapezoid, in S(t) on the run's grid, in the share integrals and in the
+    shares (the last two to within rounding where both are exact), on and
+    off the dt grid. Compensated mode equals hermitian mode but on
+    detuned_two_level (test_compensated_oracle_equals_hermitian_without_source_energy)."""
+    model = builder()
+    cfg = IntegratorConfig(dt=0.01, t_max=t_max)
+    ref_times, ref_s, ref_int = _trapezoid_oracle(model, cfg, mode, 40)
+    times10, s10, int10 = _trapezoid_oracle(model, cfg, mode, 10)
+    oracle = deterministic_oracle(model, cfg, mode, ruleset=R3)
+    assert len(oracle.times) == len(StepPlan.of(cfg).times)
+    s_err = np.abs(oracle.survival - np.interp(oracle.times, ref_times, ref_s)).max()
+    assert s_err <= np.abs(s10 - np.interp(times10, ref_times, ref_s)).max()
+    integrals = np.array(list(oracle.integrals.values()))
+    scale = ref_int.max()
+    assert np.abs(integrals - ref_int).max() / scale <= max(
+        np.abs(int10 - ref_int).max() / scale, 1e-13)
+    shares = np.array(list(oracle.predicted_shares.values()))
+    ref_shares = ref_int / ref_int.sum()
+    assert np.abs(shares - ref_shares).max() <= max(
+        np.abs(int10 / int10.sum() - ref_shares).max(), 1e-13)
+
+
+def test_oracle_reads_the_runs_table():
+    """An oracle on a runner of any policy whose epoch-0 table grew part of
+    the way gives the floats of one on a runner of its own; a runner for
+    another config or policy, or with refine above 1, is refused."""
+    model = chain_three_level()
+    cfg = IntegratorConfig(dt=0.01, t_max=2.005)
+    runner = EpochRunner(model, R3, cfg, ONEWAY, "raw")
+    runner.table(0, None).grow(math.inf, 57)
+    assert runner.table(0, None).n == 57
+    shared = deterministic_oracle(model, cfg, ONEWAY, runner=runner)
+    alone = deterministic_oracle(model, cfg, ONEWAY)
+    assert np.array_equal(shared.survival, alone.survival)
+    assert shared.integrals == alone.integrals
+    with pytest.raises(GapflowError, match="runner built for another"):
+        deterministic_oracle(model, IntegratorConfig(dt=0.02, t_max=2.005), ONEWAY,
+                             runner=runner)
+    with pytest.raises(GapflowError, match="refine 1"):
+        deterministic_oracle(model, cfg, ONEWAY, refine=2, runner=runner)
+    with pytest.raises(GapflowError, match="runner built for another"):
+        run_ensemble(model, R3, cfg, ONEWAY, 5, 7, runner=runner)
 
 
 def test_oracle_rejects_bad_refine(three_mode_model):
@@ -266,11 +333,11 @@ def test_more_workers_than_trajectories_agree_bitwise(n, chain_model):
 _walked_ranges = []
 
 
-def _recording_run_range(*args):
+def _recording_run_range(*args, **kwargs):
     """_run_range that records, in the process that calls it, its range and
     that process's id; module-level, so the pool can pickle it."""
     _walked_ranges.append((os.getpid(), *args[-2:]))
-    return _run_range(*args)
+    return _run_range(*args, **kwargs)
 
 
 def test_calling_process_walks_the_first_range(three_mode_model, monkeypatch):
