@@ -21,7 +21,7 @@ from .arrow import (BLOCKED, FLOWED, forward_experiment, reverse_experiment,
                     suspension_counterfactual)
 from .dynamics import GapSemantics, IntegratorConfig
 from .engine import NORM_POLICIES, PRESERVE_TOTAL, EpochRunner, TrajectorySamples, run_trajectory
-from .ensemble import compare, deterministic_oracle, oracle_grid, run_ensemble
+from .ensemble import compare, deterministic_oracle, run_ensemble
 from .errors import GapflowError, ScenarioParseError, ScenarioValidationError
 from .model import GAP_MODES, load_scenario_file, parse_scenario, validate_model
 from .output import (build_manifest, ensemble_report, load_manifest, scenario_hash,
@@ -161,17 +161,13 @@ def cmd_run(args, parser) -> int:
 def cmd_ensemble(args, parser) -> int:
     model = load_scenario_file(args.scenario)
     ruleset, mode, cfg, seed = _resolve(args, model, parser)
-    # The oracle's finer grid, twice the run's, may exceed MAX_STEPS where
-    # the run does not: check it before any trajectory.
-    oracle_grid(cfg, 2)
-    # The calling process walks on this runner, and the oracle reads the
-    # run's grid from its epoch-0 table; the walk's other tables are freed
-    # before the oracle runs.
-    runner = EpochRunner(model, ruleset, cfg, mode, args.policy)
+    # The oracle runs first, so its finer grid's MAX_STEPS check comes before
+    # any trajectory; it grows the runner's epoch-0 table, which the calling
+    # process then walks on.
+    runner = EpochRunner(model, ruleset, cfg, mode)
+    oracle = deterministic_oracle(model, cfg, mode, ruleset=ruleset, runner=runner)
     stats = run_ensemble(model, ruleset, cfg, mode, args.n, seed,
                          n_workers=args.workers, policy=args.policy, runner=runner)
-    runner.tables = {(0, None): runner.table(0, None)}
-    oracle = deterministic_oracle(model, cfg, mode, ruleset=ruleset, runner=runner)
     report = compare(stats, oracle)
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -491,13 +491,15 @@ class EpochTable:
         self.n = 0          # steps tabulated
         self._tails: set[int] = set()
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _store(self, i: int, b: int, prev: int | None, h: float):
         """Fill the other columns of rows i .. i + b - 1 from their states,
         each one step of h after the row before it (row ``prev``; None for
         the start row). Stacked matvecs and dot products round as
         component_currents' G @ psi and square_modulus's np.vdot do, dense
         or CSR; block @ dense.T need not. A stepped row whose square
-        modulus overflows raises, trigger off or on."""
+        modulus, or else launch current, overflows raises, trigger off or
+        on, with no numpy warning before the error."""
         gen, block = self.gen, self.states[i:i + b]
         if gen is None:
             J = np.empty((b, 0))
@@ -512,6 +514,8 @@ class EpochTable:
         s = square_moduli(block)
         if prev is not None and not np.isfinite(s).all():
             raise _non_finite(gen, h, "square modulus")
+        if prev is not None and not np.isfinite(J).all():
+            raise _non_finite(gen, h, "launch current")
         if self.trigger_off:
             rate = np.zeros(b)
         elif (bad := (s <= 0.0).nonzero()[0]).size:

@@ -25,14 +25,15 @@ EpochRunner.walk advances a block of trajectories at once, grouped by
 group, one cumulative-weights comparison every choice, and one array pass
 collapses every choice of a one-dimensional component, at any epoch and from
 any table, onto the next epoch's shared table. A collapse onto a wider
-component starts a table of its own, walked as a group of one. A
-seed-free EpochRunner owns its generators, step plan and tables, and each
-walk takes a seed. run_ensemble walks one index range per process on one
-runner, in blocks (ensemble.BLOCK), and run_trajectory walks a block of one,
-so both run the same epoch loop. run_trajectory reads the walk's groups one
-epoch at a time, and one samples builder, TrajectorySamples.of, gathers the
-recorded rows of each epoch's table as arrays, for a trajectory and for the
-no-hit profile of `gapflow currents` alike.
+component starts a table of its own, walked as a group of one. An
+EpochRunner owns its generators, step plan and tables, and each walk takes
+the seed and the norm policy. run_ensemble walks each index range on a
+runner it is handed, in blocks (ensemble.BLOCK), and run_trajectory walks a
+block of one, so both run the same epoch loop. run_trajectory reads the
+walk's groups one epoch at a time, and one samples builder,
+TrajectorySamples.of, gathers the recorded rows of each epoch's table as
+arrays, for a trajectory and for the no-hit profile of `gapflow currents`
+alike.
 
 nrules3 and nrules4 share every code path; the variant only relabels the
 frozen status. Randomness comes from a counter-based Philox substream keyed
@@ -219,16 +220,17 @@ class LegGroup(NamedTuple):
 class EpochRunner:
     """The epoch loop of run_trajectory and run_ensemble, with its step plan.
 
-    A runner depends on no seed: it owns the generators, the step plan and
-    the tables its walks share, for its own life, and every walk takes the
-    seed of its substreams. Walks of any seeds on one runner draw against the
-    same tables, with the same floats as walks on a runner of their own.
+    A runner depends on no seed and no norm policy: it owns the generators,
+    the step plan and the tables its walks share, all from canonical starts,
+    for its own life, and every walk takes the seed of its substreams and
+    the policy of its collapses. Walks of any seeds and policies on one
+    runner draw against the same tables, with the same floats as walks on a
+    runner of their own.
     """
 
     def __init__(self, model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
-                 gap_mode: GapSemantics, policy: str = PRESERVE_TOTAL):
+                 gap_mode: GapSemantics):
         self.model, self.ruleset, self.cfg, self.gap_mode = model, ruleset, cfg, gap_mode
-        self.policy = policy
         self._gens: dict = {}           # (last chosen, epoch) -> generator
         self.tables: dict = {}          # (epoch, last chosen) -> shared table
         self.plan = StepPlan.of(cfg)
@@ -243,17 +245,15 @@ class EpochRunner:
 
     @classmethod
     def reuse(cls, runner: "EpochRunner | None", model: ScenarioModel, ruleset: RuleSet,
-              cfg: IntegratorConfig, gap_mode: GapSemantics,
-              policy: str = PRESERVE_TOTAL) -> "EpochRunner":
-        """``runner`` where it was built for this model, rule set, config, gap
-        mode and policy, a new runner for them where it is None. A runner
-        built for anything else is refused with GapflowError."""
+              cfg: IntegratorConfig, gap_mode: GapSemantics) -> "EpochRunner":
+        """``runner`` where it was built for this model, rule set, config and
+        gap mode, a new runner for them where it is None. A runner built for
+        anything else is refused with GapflowError."""
         if runner is None:
-            return cls(model, ruleset, cfg, gap_mode, policy)
-        if (runner.model, runner.ruleset, runner.cfg, runner.gap_mode, runner.policy) != (
-                model, ruleset, cfg, gap_mode, policy):
-            raise GapflowError(
-                "runner built for another model, rule set, config, gap mode or policy")
+            return cls(model, ruleset, cfg, gap_mode)
+        if (runner.model, runner.ruleset, runner.cfg, runner.gap_mode) != (
+                model, ruleset, cfg, gap_mode):
+            raise GapflowError("runner built for another model, rule set, config or gap mode")
         return runner
 
     def generator(self, chosen: int | None, epoch: int) -> EffectiveGenerator:
@@ -315,10 +315,10 @@ class EpochRunner:
                            np.array([self.cfg.t_max]))
         return table, rows, plan.times[plan.sampled]
 
-    def walk(self, seed: int, indices) -> Iterator[LegGroup]:
-        """Walk trajectories ``indices`` of ``seed`` together, yielding one
-        LegGroup per epoch and table, epoch by epoch, each before its hits
-        are filed under the next epoch.
+    def walk(self, seed: int, indices, policy: str) -> Iterator[LegGroup]:
+        """Walk trajectories ``indices`` of ``seed`` together under the norm
+        ``policy``, checked first, yielding one LegGroup per epoch and table,
+        epoch by epoch, each before its hits are filed under the next epoch.
 
         The table of epoch 0 and of each epoch after a collapse onto a
         one-dimensional component is shared, keyed by epoch and last chosen
@@ -328,6 +328,7 @@ class EpochRunner:
         no group it has yielded, so a caller that folds each group as it
         arrives holds at most one table of its own at a time.
         """
+        _check_policy(policy)
         keys = substream_keys(seed, indices)
         size = len(keys)
         # (last chosen, position of a trajectory with a table of its own or
@@ -344,7 +345,7 @@ class EpochRunner:
                     for parts in (pos, scale, k0)))
                 yield group
                 if not group.quiescent:
-                    self._regroup(group, nxt)
+                    self._regroup(group, nxt, policy)
             frontier, epoch = nxt, epoch + 1
 
     def _epoch(self, epoch, chosen, start, keys, pos, scale, k0) -> LegGroup:
@@ -372,10 +373,10 @@ class EpochRunner:
             chosen_now[h] = np.asarray(gen.launch_ids)[_choose(weights, u[h])]
         return LegGroup(epoch, table, pos, scale, k0, n, last, chosen_now, False)
 
-    def _regroup(self, group: LegGroup, nxt: dict):
-        """Collapse a group's hits and file them under their next epoch's key:
-        the choices of one-dimensional components at once, onto the shared
-        tables, and each choice of a wider one onto a table of its own."""
+    def _regroup(self, group: LegGroup, nxt: dict, policy: str):
+        """Collapse a group's hits under ``policy``, filed under their next
+        epoch's key: the choices of one-dimensional components at once, onto
+        the shared tables, and each choice of a wider one onto its own."""
         h = (group.chosen >= 0).nonzero()[0]
         if not h.size:
             return
@@ -385,7 +386,8 @@ class EpochRunner:
         col = self._col[self._ids.searchsorted(chosen)]
         one = col >= 0
         if one.any():
-            after = self._unit_scales(table, rows[one], chosen[one], col[one], scale[one])
+            after = self._unit_scales(table, rows[one], chosen[one], col[one], scale[one],
+                                      policy)
             for c in sorted(set(chosen[one].tolist())):
                 sel = chosen[one] == c
                 entry = nxt.setdefault((c, -1), (None, [], [], []))
@@ -393,26 +395,25 @@ class EpochRunner:
                     bucket.append(values)
         for j in (~one).nonzero()[0].tolist():          # a table of its own
             start = collapse_state(scale[j] * table.states[int(rows[j])], int(chosen[j]),
-                                   self.model, self.policy)
+                                   self.model, policy)
             nxt[(int(chosen[j]), int(pos[j]))] = (start, [pos[j:j + 1]], [np.ones(1, complex)],
                                                   [k0[j:j + 1]])
 
     def _unit_scales(self, table: EpochTable, rows: np.ndarray, chosen: np.ndarray,
-                     col: np.ndarray, scale: np.ndarray) -> np.ndarray:
+                     col: np.ndarray, scale: np.ndarray, policy: str) -> np.ndarray:
         """The next epoch's scale after collapsing ``scale`` times each of
         the table's ``rows`` onto the one-dimensional ``chosen`` at basis
         index ``col``: collapse_state's floats, as one array pass. s_pre and
         s_chosen are stacked products on the scaled rows and on their chosen
         amplitudes, so both round as collapse_state's np.vdot does (the other
         terms of its s_chosen are exact zeros)."""
-        _check_policy(self.policy)
         psi = scale[:, None] * table.states[rows]
         a = psi[np.arange(len(rows)), col]
         s_chosen = square_moduli(a[:, None])
         if (bad := (s_chosen <= 0.0).nonzero()[0]).size:
             raise CollapseOnEmptyError(
                 f"component {int(chosen[bad[0]])} has zero amplitude at collapse time")
-        return a if self.policy == RAW else a * np.sqrt(square_moduli(psi) / s_chosen)
+        return a if policy == RAW else a * np.sqrt(square_moduli(psi) / s_chosen)
 
 
 def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
@@ -439,15 +440,15 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
     records samples. Every table keeps every row it reached, 16 dim + 8
     (launch components) + 32 bytes per step (twice that when t_max is off
     the dt grid). ``runner``, an EpochRunner of this model, rule set,
-    config, gap mode and policy that the caller keeps, holds those tables
-    across runs of any seed: runs that pass it draw against them instead of
-    integrating again, with the same floats as a run on a runner of its own.
-    A runner built for anything else is refused with GapflowError.
+    config and gap mode that the caller keeps, holds those tables across
+    runs of any seed and policy: runs that pass it draw against them instead
+    of integrating again, with the same floats as a run on a runner of its
+    own. A runner built for anything else is refused with GapflowError.
     """
-    runner = EpochRunner.reuse(runner, model, ruleset, cfg, gap_mode, policy)
+    runner = EpochRunner.reuse(runner, model, ruleset, cfg, gap_mode)
     times, sampled = runner.times, runner.sampled
     events, parts, n_steps, negative = [], [], 0, 0
-    for g in runner.walk(seed, [traj_index]):
+    for g in runner.walk(seed, [traj_index], policy):
         table, c, k0, n, last = g.table, g.scale[0], int(g.k0[0]), int(g.n[0]), int(g.last[0])
         c2 = c.real * c.real + c.imag * c.imag
         t, s = float(times[k0 + n]), float(c2 * table.s[last])

@@ -6,18 +6,19 @@ grid and on one twice as fine, integrates each launch component's positive
 current and the hit rate sum J+ / s exactly over the clipped linear
 interpolant of every step, extrapolates the two grids' integrals (Richardson)
 and exponentiates the integrated rate into a predicted survival curve on the
-run's grid. The run's grid is the epoch-0 table of the runner an ensemble
-command walks, so only the finer grid is integrated again. Empirical
-collapse shares (conditioned on a collapse happening) are compared against the
-normalized integrals with binomial z-scores, and first-hit times against the
-predicted survival via a Kolmogorov-Smirnov statistic taken on the run's step
-grid (ks_statistic_grid), where every hit time lies.
+run's grid. An ensemble command runs the oracle first on its one
+EpochRunner: the oracle grows that runner's epoch-0 table over the run's
+grid, and the trajectories then draw against it. Empirical collapse shares
+(conditioned on a collapse happening) are compared against the normalized
+integrals with binomial z-scores, and first-hit times against the predicted
+survival via a Kolmogorov-Smirnov statistic taken on the run's step grid
+(ks_statistic_grid), where every hit time lies.
 
 Trajectories are embarrassingly parallel; every trajectory draws from its own
 (master_seed, index) Philox substream, and aggregation follows trajectory
 index order, so a run's statistics are byte-identical no matter how many
-workers executed it. As trajectories draw against seed-free shared tables,
-each process walks one index range on one EpochRunner.
+workers executed it. Each index range walks on one EpochRunner it is
+handed, whose tables depend on neither seed nor norm policy.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GapSemantics, IntegratorConfig, step_grid
+from .dynamics import GapSemantics, IntegratorConfig
 from .engine import PRESERVE_TOTAL, TERMINAL_QUIESCENT, TERMINAL_T_MAX, EpochRunner
 from .errors import GapflowError, ProvenanceError
 from .model import ScenarioModel
@@ -124,13 +125,11 @@ class OracleResult:
         return (1.0 - self.survival_at(t)) / total
 
 
-def oracle_grid(cfg: IntegratorConfig, refine: int = 1) -> IntegratorConfig:
-    """The grid ``refine`` times finer than the run's; deterministic_oracle
-    integrates those of its ``refine`` and of twice that. Like every
-    IntegratorConfig it raises above MAX_STEPS steps."""
-    if refine < 1:
-        raise GapflowError(f"refine must be >= 1, got {refine}")
-    return IntegratorConfig(dt=cfg.dt / refine, t_max=cfg.t_max, sample_every=1,
+def oracle_grid(cfg: IntegratorConfig) -> IntegratorConfig:
+    """The grid twice as fine as the run's, which deterministic_oracle
+    integrates beside the run's own. Like every IntegratorConfig it raises
+    above MAX_STEPS steps."""
+    return IntegratorConfig(dt=cfg.dt / 2, t_max=cfg.t_max, sample_every=1,
                             norm_drift_budget=cfg.norm_drift_budget)
 
 
@@ -161,13 +160,12 @@ def _profile_steps(runner: EpochRunner):
 
 
 def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
-                         gap_mode: GapSemantics, refine: int = 1, *,
-                         ruleset: RuleSet = RuleSet(),
+                         gap_mode: GapSemantics, *, ruleset: RuleSet = RuleSet(),
                          runner: EpochRunner | None = None) -> OracleResult:
-    """Integrate the no-collapse dynamics of ``ruleset`` on two grids,
-    ``refine`` and 2 ``refine`` times finer than the run's, and extrapolate
-    (Richardson): the no-hit profile (EpochRunner.profile) of a runner on
-    each grid, whose epoch-0 table holds J and s at every grid point.
+    """Integrate the no-collapse dynamics of ``ruleset`` on two grids, the
+    run's and one twice as fine (oracle_grid), and extrapolate (Richardson):
+    the no-hit profile (EpochRunner.profile) of a runner on each grid, whose
+    epoch-0 table holds J and s at every grid point.
 
     Each step integrates J_m and J_m / s as the exact integral of their
     clipped linear interpolants (_clipped_steps), so a zero crossing inside a
@@ -178,12 +176,11 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
     2k (dt / 2) and k dt are the same float and both grids end on t_max; a
     shorter last step off the dt grid is split by the fine grid as it
     falls, which leaves that one step an O(h^3) error. The predicted
-    survival is on the coarse grid, at refine 1 the run's own, whose
-    epoch-0 table ``runner`` (an EpochRunner of this model, rule set, config
-    and gap mode, of any policy, as the profile collapses nothing) supplies
-    where the caller holds one; that grid's rows are the same floats however
-    far a walk grew them. A runner built for anything else is refused with
-    GapflowError, as is one passed with ``refine`` above 1.
+    survival is on the run's grid: the epoch-0 table of ``runner``
+    (EpochRunner.reuse, which refuses a runner built for anything else),
+    grown through the grid, whose rows a later walk on the runner draws
+    against as the same floats. The finer grid's MAX_STEPS check comes
+    before either grid is integrated, and its table is freed at once.
 
     The engine's gated hazard (dynamics.EpochTable) takes the trapezoid of
     the rate r = sum J+ / s over each step that ends at r > 0 and drops that
@@ -199,15 +196,9 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
     O(h^2) per sign change of a J_m: errors of one order, which shrink by
     four as dt halves.
     """
-    if runner is None:
-        runner = EpochRunner(model, ruleset, oracle_grid(cfg, refine), gap_mode)
-    elif refine != 1:
-        raise GapflowError("a runner holds the run's own grid, which only refine 1 reads")
-    else:
-        EpochRunner.reuse(runner, model, ruleset, cfg, gap_mode, runner.policy)
-    ids, times, j1, r1 = _profile_steps(runner)
-    _, fine_times, j2, r2 = _profile_steps(
-        EpochRunner(model, ruleset, oracle_grid(cfg, 2 * refine), gap_mode))
+    fine = oracle_grid(cfg)
+    ids, times, j1, r1 = _profile_steps(EpochRunner.reuse(runner, model, ruleset, cfg, gap_mode))
+    _, fine_times, j2, r2 = _profile_steps(EpochRunner(model, ruleset, fine, gap_mode))
     # The fine grid's index of each coarse point: 2k, and t_max last.
     at = 2 * np.arange(len(times))
     at[-1] = len(fine_times) - 1
@@ -225,30 +216,29 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
 
 # --- ensemble execution -----------------------------------------------------
 
-def _run_range(model, ruleset, cfg, gap_mode, master_seed, policy, start, stop, runner=None):
-    """Per trajectory of [start, stop): first hit time or nan, first choice
-    or -1, negative-current steps and whether it ended quiescent, as arrays.
+def _run_range(runner, seed, policy, start, stop):
+    """Per trajectory of [start, stop) of ``seed`` under ``policy``: first
+    hit time or nan, first choice or -1, negative-current steps and whether
+    it ended quiescent, as arrays.
 
     The range is walked in blocks of BLOCK through run_trajectory's epoch
-    loop with one runner (``runner``, or a new one), whose tables every
-    block shares, so epoch 0 and each epoch after a collapse onto a
-    one-dimensional component is integrated once and each trajectory only
-    draws against it.
+    loop on ``runner``, whose tables every block shares, so epoch 0 and each
+    epoch after a collapse onto a one-dimensional component is integrated
+    once and each trajectory only draws against it.
     """
-    runner = runner or EpochRunner(model, ruleset, cfg, gap_mode, policy)
-    blocks = [_block_summary(runner, master_seed, np.arange(lo, min(lo + BLOCK, stop)))
+    blocks = [_block_summary(runner, seed, policy, np.arange(lo, min(lo + BLOCK, stop)))
               for lo in range(start, stop, BLOCK)]
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
-def _block_summary(runner, seed, indices):
+def _block_summary(runner, seed, policy, indices):
     """_run_range's columns for one block of indices, folded in from each
     group as the walk yields it."""
     size = len(indices)
     t_first, first = np.full(size, math.nan), np.full(size, -1)
     negative, quiescent = np.zeros(size, np.int64), np.zeros(size, bool)
     try:
-        for g in runner.walk(seed, indices):
+        for g in runner.walk(seed, indices, policy):
             negative[g.pos] += g.table.neg[g.last]
             if g.quiescent:
                 quiescent[g.pos] = True
@@ -260,7 +250,7 @@ def _block_summary(runner, seed, indices):
         # Raise what the lowest failing index raises when walked alone to
         # its end, as it does however the trajectories are split into blocks.
         for index in indices.tolist():
-            for _ in runner.walk(seed, [index]):
+            for _ in runner.walk(seed, [index], policy):
                 pass
         raise
     return t_first, first, negative, quiescent
@@ -272,26 +262,26 @@ def run_ensemble(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
                  runner: EpochRunner | None = None) -> EnsembleStats:
     """Aggregate n independent trajectories, each run as run_trajectory runs it.
 
-    [0, n) is split into min(n_workers, n) contiguous ranges: the calling
-    process walks the first, on ``runner`` where the caller keeps one (as
-    run_trajectory takes it, and refused in the same way where it was built
-    for anything else), a pool of the rest (none for one range) the others.
-    Results are identical for any n_workers: substreams are keyed by
-    trajectory index, shared epoch tables hold the same floats however far a
-    process grew them, and the reduce runs in index order.
+    [0, n) is split into min(n_workers, n) contiguous ranges, and each
+    range walks on a runner it is handed: the calling process walks the
+    first on ``runner`` (EpochRunner.reuse, as run_trajectory takes it), a
+    pool of the rest (none for one range) each other range on a new runner
+    built here. Results are identical for any n_workers: substreams are
+    keyed by trajectory index, shared epoch tables hold the same floats
+    however far a process grew them, and the reduce runs in index order.
     """
     if n < 1:
         raise GapflowError(f"ensemble size must be >= 1, got {n}")
     if n_workers < 1:
         raise GapflowError(f"n_workers must be >= 1, got {n_workers}")
-    runner = EpochRunner.reuse(runner, model, ruleset, cfg, gap_mode, policy)
+    runner = EpochRunner.reuse(runner, model, ruleset, cfg, gap_mode)
 
     k = min(n_workers, n)
-    job = (model, ruleset, cfg, gap_mode, master_seed, policy)
     ranges = [(n * i // k, n * (i + 1) // k) for i in range(k)]
     with ProcessPoolExecutor(k - 1) if k > 1 else nullcontext() as pool:
-        futures = [pool.submit(_run_range, *job, lo, hi) for lo, hi in ranges[1:]]
-        parts = [_run_range(*job, *ranges[0], runner=runner),
+        futures = [pool.submit(_run_range, EpochRunner(model, ruleset, cfg, gap_mode),
+                               master_seed, policy, lo, hi) for lo, hi in ranges[1:]]
+        parts = [_run_range(runner, master_seed, policy, *ranges[0]),
                  *(fut.result() for fut in futures)]
     t_first, first, negative, quiescent = (np.concatenate(c) for c in zip(*parts))
 
@@ -363,11 +353,15 @@ class ComparisonReport:
         return self.z_pass and self.ks_pass
 
     def to_dict(self) -> dict:
+        """The report as JSON values, a non-finite float as None (null)."""
+        def finite(v):
+            return v if math.isfinite(v) else None
+
         return {
             "n": self.n, "n_hits": self.n_hits,
-            "z_scores": {str(m): z for m, z in sorted(self.z_scores.items())},
-            "max_abs_z": self.max_abs_z, "z_threshold": self.z_threshold,
-            "ks_d": self.ks_d, "ks_threshold": self.ks_threshold,
+            "z_scores": {str(m): finite(z) for m, z in sorted(self.z_scores.items())},
+            "max_abs_z": finite(self.max_abs_z), "z_threshold": finite(self.z_threshold),
+            "ks_d": finite(self.ks_d), "ks_threshold": finite(self.ks_threshold),
             "shares_observed": {str(m): v for m, v in sorted(self.shares_observed.items())},
             "shares_predicted": {str(m): v for m, v in sorted(self.shares_predicted.items())},
             "z_pass": self.z_pass, "ks_pass": self.ks_pass, "passed": self.passed,
@@ -377,7 +371,8 @@ class ComparisonReport:
 def compare(stats: EnsembleStats, oracle: OracleResult,
             z_threshold: float = Z_THRESHOLD_DEFAULT,
             ks_coefficient: float = KS_COEFF_1PCT) -> ComparisonReport:
-    """Binomial z-scores on conditional shares plus KS on first-hit times."""
+    """Binomial z-scores on conditional shares plus KS on first-hit times
+    over the oracle's grid, which the provenance check makes the run's."""
     stats.provenance.require_match(oracle.provenance)
 
     n_hits = stats.n_hits
@@ -395,8 +390,7 @@ def compare(stats: EnsembleStats, oracle: OracleResult,
         z_scores[m] = (obs - p) / se
 
     if n_hits > 0:
-        grid = step_grid(IntegratorConfig(dt=stats.provenance.dt,
-                                          t_max=stats.provenance.t_max))
+        grid = oracle.times[1:]
         ks_d = ks_statistic_grid(stats.hit_times, grid, oracle.cdf_at(grid))
         ks_threshold = ks_coefficient / math.sqrt(n_hits)
     else:

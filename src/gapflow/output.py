@@ -1,10 +1,10 @@
 """File outputs: trajectory CSV, event log, JSON reports, run manifests.
 
 Everything written here is byte-reproducible for a fixed manifest: floats are
-rendered with 17 significant digits (round-trip exact), JSON keys are sorted,
-line endings are always "\\n", and nothing timestamp- or host-dependent is
-embedded. The manifest deliberately omits the worker count, since results do
-not depend on it.
+rendered with 17 significant digits (round-trip exact), JSON is strict (no
+NaN or Infinity) with sorted keys, line endings are always "\\n", and nothing
+timestamp- or host-dependent is embedded. The manifest deliberately omits
+the worker count, since results do not depend on it.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def write_histogram_csv(path, stats: EnsembleStats, t_max: float, n_bins: int = 
 
 
 def write_survival_csv(path, stats: EnsembleStats, oracle: OracleResult):
-    """One row per point of the oracle's grid, the run's at refine 1."""
+    """One row per point of the oracle's grid, the run's step grid."""
     s_emp = stats.empirical_survival(oracle.times)
     _write_csv(path, ["t", "survival_empirical", "survival_predicted"],
                zip(oracle.times.tolist(), s_emp.tolist(), oracle.survival.tolist()))
@@ -81,7 +81,8 @@ def write_survival_csv(path, stats: EnsembleStats, oracle: OracleResult):
 # --- JSON -------------------------------------------------------------------
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or infinite float raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report_json(path, obj):
@@ -89,7 +90,8 @@ def write_report_json(path, obj):
 
 
 def write_events_jsonl(path, events: list[CollapseEvent], trajectory_id: int = 0):
-    lines = [json.dumps(ev.to_record(trajectory_id), sort_keys=True) for ev in events]
+    lines = [json.dumps(ev.to_record(trajectory_id), sort_keys=True, allow_nan=False)
+             for ev in events]
     _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

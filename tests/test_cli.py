@@ -7,6 +7,7 @@ import json
 import math
 import pathlib
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -170,22 +171,30 @@ def test_overflowing_psi0_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "currents"])
-def test_overflowing_square_modulus_exit_1(tmp_path, capsys, command):
-    """A coupling of 1e308 passes validation and keeps the amplitudes finite,
-    but s overflows on the first step: a run (hazard on) and the current
-    profile (trigger off) fail with a message and write nothing instead of
-    inf and NaN."""
-    doc = json.loads(pathlib.Path(THREE_MODE).read_text())
-    doc["gaps"][0]["entries"][0][2] = 1e308
+@pytest.mark.parametrize("name, coupling, what", [
+    ("two_level", 1e155, "launch current"),
+    ("three_mode", 1e308, "square modulus"),
+])
+def test_overflow_exits_1_with_its_error_alone(tmp_path, name, coupling, what, command):
+    """A coupling that passes validation, with finite amplitudes, but
+    overflows on the first step fails a run (hazard on) and the current
+    profile (trigger off) with one error line and no numpy warning, even
+    where warnings are errors, and writes nothing instead of inf and NaN.
+    two_level's 1e155 keeps s finite (1e306) but not J, which would
+    otherwise be drawn from as an infinite rate; where s overflows too
+    (three_mode's 1e308), its message comes first."""
+    doc = json.loads(scenario_path(name).read_text())
+    doc["gaps"][0]["entries"][0][2] = coupling
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    assert main(["validate", "--scenario", str(bad)]) == 0
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main([command, "--scenario", str(bad), "--t-max", "0.1", "--dt", "0.01",
-                     "--out-dir", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call(["validate", "--scenario", str(bad)]) == (0, "")
+        code, err = call([command, "--scenario", str(bad), "--t-max", "0.1",
+                          "--out-dir", str(out)])
     assert code == 1
-    assert "non-finite square modulus after step dt=0.01" in capsys.readouterr().err
+    assert err == f"error: non-finite {what} after step dt=0.01 (epoch 0, mode oneway)\n"
     assert not out.exists()
 
 
@@ -457,6 +466,31 @@ def test_ensemble_writes_report(tmp_path, capsys):
     assert "passed" in text
 
 
+def strict_json(text):
+    """``text`` parsed as JSON proper: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("t_max, passed", [("0.01", False), ("0", True)])
+def test_ensemble_report_writes_infinities_as_null(tmp_path, t_max, passed):
+    """With no hit the z-scores of shares above 0 and the KS threshold are
+    infinite; the report writes them, and max|z|, as null and stays JSON.
+    At t_max 0 every predicted share is 0, so the z-scores are 0 and the
+    comparison passes."""
+    out = tmp_path / "out"
+    assert main(["ensemble", "--scenario", THREE_MODE, "--t-max", t_max, "--n", "1",
+                 "--out-dir", str(out)]) == 0
+    comparison = strict_json((out / "ensemble_report.json").read_text())["comparison"]
+    assert comparison["n_hits"] == 0 and comparison["ks_threshold"] is None
+    z = 0.0 if passed else None
+    assert comparison["z_scores"] == {"1": z, "2": z, "3": z}
+    assert comparison["max_abs_z"] == z
+    assert comparison["passed"] is passed
+
+
 def test_ensemble_integrates_epoch_0_once_per_grid(tmp_path, monkeypatch):
     """One ensemble command builds one epoch-0 table at the run's dt, which
     its trajectories draw against and the oracle reads, and one at dt / 2
@@ -500,6 +534,18 @@ def test_rerun_reproduces_ensemble(tmp_path):
     second = tmp_path / "second"
     assert main(["ensemble", "--scenario", THREE_MODE, "--n", "80", "--seed", "4",
                  "--out-dir", str(first)]) == 0
+    assert main(["rerun", "--manifest", str(first / "manifest.json"),
+                 "--out-dir", str(second)]) == 0
+    assert tree_bytes(first) == tree_bytes(second)
+
+
+def test_rerun_reproduces_suspended_ensemble(tmp_path):
+    """A manifest with a suspended freeze rule replays with --suspend."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["ensemble", "--scenario", str(scenario_path("chain_three_level")),
+                 "--gap-mode", "hermitian", "--suspend", "n3_1", "--n", "200",
+                 "--out-dir", str(first)]) == 0
+    assert load_manifest(first / "manifest.json")["suspended"] == ["n3_1"]
     assert main(["rerun", "--manifest", str(first / "manifest.json"),
                  "--out-dir", str(second)]) == 0
     assert tree_bytes(first) == tree_bytes(second)

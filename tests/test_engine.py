@@ -203,6 +203,16 @@ def test_collapse_state_rejects_unknown_policy(three_mode_model):
         collapse_state(rigged_state(three_mode_model), 1, three_mode_model, policy="x")
 
 
+def test_walk_rejects_unknown_policy_before_any_table(three_mode_model):
+    """A walk checks its policy once, first: a run with an unknown one is
+    refused before its runner builds a table, whether or not it would hit."""
+    cfg = IntegratorConfig(dt=0.01, t_max=1.0)
+    runner = EpochRunner(three_mode_model, R3, cfg, ONEWAY)
+    with pytest.raises(GapflowError, match="unknown norm policy 'x'"):
+        run_trajectory(three_mode_model, R3, cfg, ONEWAY, 0, policy="x", runner=runner)
+    assert not runner.tables
+
+
 def hit_group(table, epoch, rows, chosen, scale=None) -> LegGroup:
     """A group on ``table`` whose trajectory j, at ``scale[j]`` (default 1),
     hit at ``rows[j]`` and chose ``chosen[j]``."""
@@ -213,7 +223,7 @@ def hit_group(table, epoch, rows, chosen, scale=None) -> LegGroup:
                     np.asarray(chosen), False)
 
 
-def collapse_case(name, mode, policy):
+def collapse_case(name, mode):
     """(runner, epoch, grown table) of the collapse tests: each fixture's
     shared epoch-0 table, chain_three_level's shared epoch-1 table after its
     middle component ("chain_epoch1"), and WIDE_LAUNCH's private epoch-1
@@ -221,15 +231,15 @@ def collapse_case(name, mode, policy):
     cfg = IntegratorConfig(dt=0.01, t_max=2.0)
     if name == "wide_launch":
         model = load_scenario(json.dumps(WIDE_LAUNCH))
-        runner = EpochRunner(model, R3, cfg, mode, policy)
+        runner = EpochRunner(model, R3, cfg, mode)
         start = np.zeros(model.dim, dtype=complex)
         start[model.indices_of(1)] = (0.6, 0.8j)
         epoch, table = 1, runner.table(1, 1, start)
     elif name == "chain_epoch1":
-        runner = EpochRunner(chain_three_level(), R3, cfg, mode, policy)
+        runner = EpochRunner(chain_three_level(), R3, cfg, mode)
         epoch, table = 1, runner.table(1, 1)
     else:
-        runner = EpochRunner(BUILDERS[name](), R3, cfg, mode, policy)
+        runner = EpochRunner(BUILDERS[name](), R3, cfg, mode)
         epoch, table = 0, runner.table(0, None)
     table.grow(math.inf, runner.n_full)
     return runner, epoch, table
@@ -243,7 +253,7 @@ def test_collapse_scales_equal_collapse_state(name, mode, policy):
     one array pass carry, per row, non-unit scale and choice, the bytes of
     collapse_state's chosen amplitude, at any epoch, on a shared table and
     on a private one alike."""
-    runner, epoch, table = collapse_case(name, mode, policy)
+    runner, epoch, table = collapse_case(name, mode)
     model = runner.model
     states = table.states[:runner.n_full + 1]
     rows, chosen = [], []
@@ -255,7 +265,7 @@ def test_collapse_scales_equal_collapse_state(name, mode, policy):
     assert len(rows) > 20
     scale = np.linspace(0.2, 3.0, len(rows)) * np.exp(0.7j * np.arange(len(rows)))
     nxt = {}
-    runner._regroup(hit_group(table, epoch, rows, chosen, scale), nxt)
+    runner._regroup(hit_group(table, epoch, rows, chosen, scale), nxt, policy)
     for c in table.launch_ids:
         _, pos, scales, _ = nxt[(c, -1)]
         col = model.index_arrays[c][0]
@@ -274,7 +284,7 @@ def test_epoch0_collapse_on_empty_component_raises_as_collapse_state(three_mode_
     with pytest.raises(CollapseOnEmptyError) as expected:
         collapse_state(group.table.states[0], 2, three_mode_model)
     with pytest.raises(CollapseOnEmptyError) as got:
-        runner._regroup(group, {})
+        runner._regroup(group, {}, PRESERVE_TOTAL)
     assert str(got.value) == str(expected.value)
     assert str(got.value) == "component 2 has zero amplitude at collapse time"
 
@@ -284,13 +294,13 @@ def test_later_collapse_on_empty_component_raises_as_collapse_state(name):
     """At epoch 1, on a shared and on a private table, a scaled choice of the
     launch component at row 0, where it is empty, raises collapse_state's
     error."""
-    runner, epoch, table = collapse_case(name, ONEWAY, PRESERVE_TOTAL)
+    runner, epoch, table = collapse_case(name, ONEWAY)
     (c,) = table.launch_ids
     group = hit_group(table, epoch, [42, 0], [c, c], [0.5j, 2.0 - 1.0j])
     with pytest.raises(CollapseOnEmptyError) as expected:
         collapse_state((2.0 - 1.0j) * table.states[0], c, runner.model)
     with pytest.raises(CollapseOnEmptyError) as got:
-        runner._regroup(group, {})
+        runner._regroup(group, {}, PRESERVE_TOTAL)
     assert str(got.value) == str(expected.value) == \
         f"component {c} has zero amplitude at collapse time"
 
@@ -303,7 +313,7 @@ def test_walked_choices_are_launch_components(name, mode):
     model = QUIESCENCE_MODELS[name]()
     runner = EpochRunner(model, R3, IntegratorConfig(dt=0.01, t_max=6.0), mode)
     choices = 0
-    for group in runner.walk(4, np.arange(300)):
+    for group in runner.walk(4, np.arange(300), PRESERVE_TOTAL):
         chosen = group.chosen[group.chosen >= 0].tolist()
         assert set(chosen) <= set(group.table.launch_ids)
         choices += len(chosen)
@@ -319,7 +329,7 @@ def test_walk_holds_one_private_table_at_a_time(mode):
     model = load_scenario(json.dumps(WIDE_LAUNCH))
     runner = EpochRunner(model, R3, IntegratorConfig(dt=0.01, t_max=3.0), mode)
     private, most = [], 0
-    for group in runner.walk(11, np.arange(200)):
+    for group in runner.walk(11, np.arange(200), PRESERVE_TOTAL):
         if all(group.table is not t for t in runner.tables.values()):
             private.append(weakref.ref(group.table))
         most = max(most, sum(ref() is not None for ref in private))
@@ -740,7 +750,7 @@ def reference_samples(runner, seed, index):
 
     model, cand = runner.model, runner.model.launch_candidate_ids
     rows = []       # (t, scale, table, row)
-    for g in runner.walk(seed, [index]):
+    for g in runner.walk(seed, [index], PRESERVE_TOTAL):
         c, k0, n, last = complex(g.scale[0]), int(g.k0[0]), int(g.n[0]), int(g.last[0])
         rows += [(runner.times[k0 + r], c, g.table, r)
                  for r in range(max(n, 1)) if r == 0 or runner.sampled[k0 + r]]
@@ -829,20 +839,41 @@ def test_runner_reuse_is_transparent(name, gap_mode, t_max, record_samples):
     assert runner.tables
 
 
-@pytest.mark.parametrize("field", range(5), ids=["model", "rules", "cfg", "gap_mode", "policy"])
+@pytest.mark.parametrize("field", range(4), ids=["model", "rules", "cfg", "gap_mode"])
 def test_run_trajectory_refuses_another_runner(field):
     """A runner built for another model (detuned_two_level has two_level's
-    statuses but another generator), rule set, config, gap mode or policy
-    than the run's is refused, and nothing is drawn against it."""
-    run = (two_level(), R3, IntegratorConfig(dt=0.01, t_max=6.0), ONEWAY, PRESERVE_TOTAL)
+    statuses but another generator), rule set, config or gap mode than the
+    run's is refused, and nothing is drawn against it."""
+    run = (two_level(), R3, IntegratorConfig(dt=0.01, t_max=6.0), ONEWAY)
     other = (BUILDERS["detuned_two_level"](), R3.with_suspended(["n3_1"]),
-             IntegratorConfig(dt=0.02, t_max=6.0), GapSemantics.HERMITIAN_TRUNCATED, RAW)
+             IntegratorConfig(dt=0.02, t_max=6.0), GapSemantics.HERMITIAN_TRUNCATED)
     runner = EpochRunner(*run[:field], other[field], *run[field + 1:])
-    model, rules, cfg, mode, policy = run
     with pytest.raises(GapflowError, match="another model"):
-        run_trajectory(model, rules, cfg, mode, 0, policy=policy, record_samples=False,
-                       runner=runner)
+        run_trajectory(*run, 0, record_samples=False, runner=runner)
     assert not runner.tables
+
+
+@pytest.mark.parametrize("gap_mode", list(GapSemantics), ids=lambda m: m.token)
+@pytest.mark.parametrize("name", ["chain_three_level", "wide_launch"])
+def test_one_runner_serves_both_norm_policies(name, gap_mode):
+    """Runs of both norm policies, interleaved on one runner, report exactly
+    what runs on a runner of their own policy do: the runner's tables start
+    from canonical states, and a collapse onto a two-dimensional component
+    (wide_launch) starts a table of the run's own policy. The policies'
+    samples differ after a collapse, so the check is not vacuous."""
+    model = QUIESCENCE_MODELS[name]()
+    cfg = IntegratorConfig(dt=0.01, t_max=6.0)
+    shared = EpochRunner(model, R3, cfg, gap_mode)
+    own = {policy: EpochRunner(model, R3, cfg, gap_mode) for policy in (PRESERVE_TOTAL, RAW)}
+    records = {PRESERVE_TOTAL: [], RAW: []}
+    for seed in range(6):
+        for policy in ((PRESERVE_TOTAL, RAW) if seed % 2 else (RAW, PRESERVE_TOTAL)):
+            got, want = (record_of(run_trajectory(model, R3, cfg, gap_mode, seed, policy=policy,
+                                                  runner=runner))
+                         for runner in (shared, own[policy]))
+            assert got == want
+            records[policy].append(got[3])
+    assert records[PRESERVE_TOTAL] != records[RAW]
 
 
 def test_trajectory_rng_streams_are_stable():
@@ -854,11 +885,12 @@ def test_trajectory_rng_streams_are_stable():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("seed", [0, 2026, 2**32 - 1, 2**32 + 5, 2**70 + 3])
+@pytest.mark.parametrize("seed", [0, 2026, 2**32 - 1, 2**32 + 5, 2**70 + 3, 2**130 + 7])
 def test_substream_keys_equal_seed_sequence(seed):
     """Block keys are SeedSequence(seed, spawn_key=(i,)).generate_state(2,
     np.uint64) for indices 0 .. 10**5 - 1 and for indices of two or three
-    32-bit words; a block of one takes the scalar path."""
+    32-bit words; a block of one takes the scalar path. 2**130 + 7 is a
+    seed of five words, one more than the pool holds."""
     for lo in range(0, 10**5, 10**4):
         indices = np.arange(lo, lo + 10**4)
         expected = np.array([np.random.SeedSequence(seed, spawn_key=(i,))

@@ -68,8 +68,10 @@ def test_oracle_two_level_survival_closed_form(two_level_model):
 
 
 def test_oracle_grid_refinement_converges(three_mode_model):
-    coarse = deterministic_oracle(three_mode_model, CFG, ONEWAY, refine=5)
-    fine = deterministic_oracle(three_mode_model, CFG, ONEWAY, refine=20)
+    coarse = deterministic_oracle(three_mode_model, IntegratorConfig(dt=CFG.dt / 5, t_max=6.0),
+                                  ONEWAY)
+    fine = deterministic_oracle(three_mode_model, IntegratorConfig(dt=CFG.dt / 20, t_max=6.0),
+                                ONEWAY)
     for comp in (1, 2, 3):
         assert coarse.predicted_shares[comp] == pytest.approx(
             fine.predicted_shares[comp], rel=1e-6)
@@ -125,8 +127,8 @@ def test_compensated_oracle_equals_hermitian_without_source_energy():
 def _trapezoid_oracle(model, cfg, mode, refine):
     """Survival and share integrals of the trapezoid of the clipped rows on
     the ``refine``-times finer grid: the oracle before Richardson."""
-    table, rows, times = EpochRunner(model, R3, ensemble.oracle_grid(cfg, refine),
-                                     mode).profile()
+    fine = IntegratorConfig(dt=cfg.dt / refine, t_max=cfg.t_max)
+    table, rows, times = EpochRunner(model, R3, fine, mode).profile()
     integrals = np.trapezoid(np.clip(table.J[rows], 0.0, None).T, times, axis=1)
     rate = table.rate[rows]
     hazard = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(times))])
@@ -168,30 +170,23 @@ def test_oracle_is_as_accurate_as_refine_10(builder, mode, t_max):
 
 
 def test_oracle_reads_the_runs_table():
-    """An oracle on a runner of any policy whose epoch-0 table grew part of
-    the way gives the floats of one on a runner of its own; a runner for
-    another config or policy, or with refine above 1, is refused."""
+    """An oracle on a runner whose epoch-0 table grew part of the way gives
+    the floats of one on a runner of its own; the oracle and run_ensemble
+    refuse a runner for another config."""
     model = chain_three_level()
     cfg = IntegratorConfig(dt=0.01, t_max=2.005)
-    runner = EpochRunner(model, R3, cfg, ONEWAY, "raw")
+    runner = EpochRunner(model, R3, cfg, ONEWAY)
     runner.table(0, None).grow(math.inf, 57)
     assert runner.table(0, None).n == 57
     shared = deterministic_oracle(model, cfg, ONEWAY, runner=runner)
     alone = deterministic_oracle(model, cfg, ONEWAY)
     assert np.array_equal(shared.survival, alone.survival)
     assert shared.integrals == alone.integrals
+    other = IntegratorConfig(dt=0.02, t_max=2.005)
     with pytest.raises(GapflowError, match="runner built for another"):
-        deterministic_oracle(model, IntegratorConfig(dt=0.02, t_max=2.005), ONEWAY,
-                             runner=runner)
-    with pytest.raises(GapflowError, match="refine 1"):
-        deterministic_oracle(model, cfg, ONEWAY, refine=2, runner=runner)
+        deterministic_oracle(model, other, ONEWAY, runner=runner)
     with pytest.raises(GapflowError, match="runner built for another"):
-        run_ensemble(model, R3, cfg, ONEWAY, 5, 7, runner=runner)
-
-
-def test_oracle_rejects_bad_refine(three_mode_model):
-    with pytest.raises(GapflowError):
-        deterministic_oracle(three_mode_model, CFG, ONEWAY, refine=0)
+        run_ensemble(model, R3, other, ONEWAY, 5, 7, runner=runner)
 
 
 def test_oracle_cdf_is_truncated_and_normalized(three_mode_model):
@@ -367,7 +362,7 @@ def test_array_draws_agree_with_per_key_loop(build, mode):
     cfg = IntegratorConfig(dt=model.defaults.dt, t_max=model.defaults.t_max)
     n = BLOCK + 300
     assert n - BLOCK >= CROSSOVER
-    t_first, first, negative, quiescent = _run_range(model, rules, cfg, mode, 2026,
+    t_first, first, negative, quiescent = _run_range(EpochRunner(model, rules, cfg, mode), 2026,
                                                      PRESERVE_TOTAL, 0, n)
     runner = EpochRunner(model, rules, cfg, mode)
     for i in [*range(0, n, 41), BLOCK, n - 1]:
@@ -392,9 +387,9 @@ def test_blocks_agree_with_blocks_of_one():
     model = load_scenario(json.dumps(WIDE_LAUNCH))
     cfg = IntegratorConfig(dt=0.01, t_max=3.0)
     for mode in GapSemantics:
-        block = _run_range(model, R3, cfg, mode, 11, PRESERVE_TOTAL, 0, 60)
+        block = _run_range(EpochRunner(model, R3, cfg, mode), 11, PRESERVE_TOTAL, 0, 60)
         runner = EpochRunner(model, R3, cfg, mode)
-        alone = [_block_summary(runner, 11, np.array([i])) for i in range(60)]
+        alone = [_block_summary(runner, 11, PRESERVE_TOTAL, np.array([i])) for i in range(60)]
         for column, expected in zip(block, zip(*alone)):
             np.testing.assert_array_equal(column, np.concatenate(expected))
         first, quiescent = block[1], block[3]

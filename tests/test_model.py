@@ -119,6 +119,22 @@ def test_parse_rejects_unknown_top_level_field():
         doc_model(lambda d: d.__setitem__("extra", 1))
 
 
+def test_parse_rejects_non_object_root():
+    with pytest.raises(ScenarioParseError, match="root must be an object"):
+        parse_scenario("[]")
+
+
+def test_parse_rejects_unknown_defaults_field():
+    with pytest.raises(ScenarioParseError, match="unknown defaults fields"):
+        doc_model(lambda d: d["defaults"].__setitem__("tmax", 1.0))
+
+
+def test_parse_rejects_second_own_block():
+    own = {"component": 0, "entries": [[0, 0, 0.5, 0.0]]}
+    with pytest.raises(ScenarioParseError, match="second own block for component 0"):
+        doc_model(lambda d: d.__setitem__("own", [own, own]))
+
+
 def test_parse_rejects_missing_field():
     def mutate(d):
         del d["components"][0]["entropy_rank"]
@@ -202,6 +218,14 @@ def test_parse_accepts_adjoint_direction_entries():
     backward = doc_model(
         lambda d: d["gaps"][0].__setitem__("entries", [[0, 1, 1.0, 0.0]]))
     assert backward.gaps[0].interaction.entries == forward.gaps[0].interaction.entries
+
+
+@pytest.mark.parametrize("entry", [[1, 0, 1.0, 0.0], [0, 1, 1.0, 0.0]],
+                         ids=["feed", "adjoint"])
+def test_parse_rejects_duplicate_gap_entry(entry):
+    """An entry stored twice in either direction is refused."""
+    with pytest.raises(ScenarioParseError, match="duplicate gap entry"):
+        doc_model(lambda d: d["gaps"][0].__setitem__("entries", [entry, entry]))
 
 
 def test_parse_rejects_inconsistent_two_sided_entries():
@@ -379,10 +403,68 @@ def test_duplicate_component_id_rejected():
     assert any("not unique" in m for m in violation_messages(doc))
 
 
-def test_bad_defaults_rejected():
+def chain_doc(high_status):
+    """base_doc with a third component, fed by the launch component 1, that
+    starts with ``high_status``."""
     doc = base_doc()
-    doc["defaults"]["dt"] = -1.0
-    assert any("dt" in m for m in violation_messages(doc))
+    doc["dim"] = 3
+    doc["components"].append({"id": 2, "indices": [2], "entropy_rank": 2,
+                              "status": high_status})
+    doc["gaps"].append({"low": 1, "high": 2, "entries": [[2, 1, 1.0, 0.0]]})
+    doc["psi0"].append([0.0, 0.0])
+    return doc
+
+
+def own_block(component, entries):
+    return lambda d: d.__setitem__("own", [{"component": component, "entries": entries}])
+
+
+@pytest.mark.parametrize("mutate, code", [
+    (lambda d: d.__setitem__("dim", 0), "dim"),
+    (lambda d: d["components"][1].__setitem__("indices", []), "empty-component"),
+    (lambda d: d["gaps"][0].__setitem__("high", 0), "self-gap"),
+    (lambda d: d["gaps"].append(copy.deepcopy(d["gaps"][0])), "duplicate-gap"),
+    (own_block(0, [[0, 0, 0.5, 0.0], [0, 0, 0.5, 0.0]]), "duplicate-entry"),
+    (own_block(7, [[0, 0, 0.5, 0.0]]), "unknown-component"),
+], ids=["dim", "empty-component", "self-gap", "duplicate-gap", "own-duplicate-entry",
+        "own-unknown-component"])
+def test_structural_violation_rejected(mutate, code):
+    doc = base_doc()
+    mutate(doc)
+    assert code in violation_codes(doc)
+
+
+def test_chained_gap_launched_early_rejected():
+    """The high side of a chained gap stays active until its source
+    realizes; starting it as launch is premature."""
+    assert violation_codes(chain_doc("active")) == []
+    assert violation_codes(chain_doc("launch")) == ["premature-launch"]
+
+
+def test_multiple_feeds_warn():
+    """Two sources feeding one launch component validate, with a warning."""
+    doc = base_doc()
+    doc["dim"] = 3
+    doc["components"].append({"id": 2, "indices": [2], "entropy_rank": 0,
+                              "status": "active"})
+    doc["gaps"].append({"low": 2, "high": 1, "entries": [[1, 2, 1.0, 0.0]]})
+    doc["psi0"].append([1.0, 0.0])
+    report = validate_model(parse_scenario(json.dumps(doc)))
+    assert report.ok
+    assert [v.code for v in report.warnings] == ["multi-feed"]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dt", -1.0, "dt must be > 0"),
+    ("rules", "nrules5", "unknown rules variant 'nrules5'"),
+    ("gap_mode", "open", "unknown gap_mode 'open'"),
+    ("sample_every", 0, "sample_every must be >= 1"),
+])
+def test_bad_defaults_rejected(key, value, message):
+    doc = base_doc()
+    doc["defaults"][key] = value
+    assert violation_codes(doc) == ["defaults"]
+    assert any(message in m for m in violation_messages(doc))
 
 
 def test_load_scenario_raises_on_invalid():
