@@ -16,11 +16,15 @@ exceeds the metric's bound. Two verdicts follow: "gain" where this tree won
 at least 9 in 10 of the pairs and its median is better than the parent's by
 more than the parent's IQR, and "worse" where its median is worse than the
 parent's by more than the metric's bound. Last come the failed and attempted
-operations of each side.
+operations of each side. With --json PATH the same summary is also written to
+PATH as a JSON object: the workload, seeds, seconds and number of pairs; per
+metric both medians, the parent's quartiles, IQR / median, the pairs won and
+the verdicts; and per side the failed and attempted operations.
 
 Example (a change against a checkout of its parent):
 
-    python3 scripts/bench_pairs.py --parent ../parent --workload chained --first-seed 41
+    python3 scripts/bench_pairs.py --parent ../parent --workload chained --first-seed 41 \
+        --json BENCH_chained.json
 """
 
 import argparse
@@ -53,6 +57,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=None,
                     help="duration of each run (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
+    ap.add_argument("--json", default=None, metavar="PATH",
+                    help="also write the summary to PATH as JSON")
     args = ap.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -68,6 +74,8 @@ def main(argv=None) -> int:
                 f"{m['name']}={res['metrics'][m['name']]['value']:.4g}" for m in declared)
                 + f" failed={res['failed']}/{res['attempted']}", flush=True)
 
+    summary = {"workload": args.workload, "pairs": args.pairs, "seconds": seconds,
+               "seeds": [args.first_seed + k for k in range(args.pairs)], "metrics": {}}
     print(f"{'metric':<24}{'parent':>12}{'this':>12}{'this/parent':>13}{'won':>7}"
           f"{'parent IQR':>12}{'IQR/median':>12}  verdict")
     for info in declared:
@@ -89,9 +97,19 @@ def main(argv=None) -> int:
         print(f"{metric + ' (' + info['unit'] + ')':<24}{med['parent']:>12.4g}"
               f"{med['this']:>12.4g}{ratio:>13.3f}{f'{won}/{args.pairs}':>7}"
               f"{q3 - q1:>12.4g}{spread:>12.3f}  {' '.join(verdict) or '-'}")
+        summary["metrics"][metric] = {
+            "unit": info["unit"], "better": info["better"], "bound": info["bound"],
+            "median_parent": med["parent"], "median_this": med["this"],
+            "parent_q1": q1, "parent_q3": q3, "parent_iqr_over_median": spread,
+            "won": won, "verdict": verdict}
+    summary["operations"] = {}
     for name, res in results.items():
-        print(f"{name}: failed {sum(r['failed'] for r in res)} "
-              f"of {sum(r['attempted'] for r in res)} operations")
+        failed, attempted = (sum(r[key] for r in res) for key in ("failed", "attempted"))
+        summary["operations"][name] = {"failed": failed, "attempted": attempted}
+        print(f"{name}: failed {failed} of {attempted} operations")
+    if args.json:
+        pathlib.Path(args.json).write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 

@@ -24,8 +24,8 @@ from .engine import NORM_POLICIES, PRESERVE_TOTAL, EpochRunner, TrajectorySample
 from .ensemble import compare, deterministic_oracle, run_ensemble
 from .errors import GapflowError, ScenarioParseError, ScenarioValidationError
 from .model import GAP_MODES, load_scenario_file, parse_scenario, validate_model
-from .output import (build_manifest, ensemble_report, load_manifest, scenario_hash,
-                     write_events_jsonl, write_histogram_csv, write_manifest,
+from .output import (build_manifest, dump_events, dump_json, ensemble_report, load_manifest,
+                     scenario_hash, write_events_jsonl, write_histogram_csv, write_manifest,
                      write_report_json, write_survival_csv, write_trajectory_csv)
 from .rules import FREEZE_RULES, RULE_IDS, RuleSet, ruleset_for_rule
 
@@ -116,12 +116,15 @@ def _resolve(args, model, parser):
     return ruleset, mode, cfg, seed
 
 
-def _manifest_for(args, command, ruleset, mode, cfg, seed, n=1, policy=PRESERVE_TOTAL):
-    return build_manifest(
+def _manifest_for(args, command, ruleset, mode, cfg, seed, n=1, policy=PRESERVE_TOTAL) -> str:
+    """The manifest's JSON text. Every writing command serialises its JSON
+    texts before it makes the output directory, so a value strict JSON
+    refuses (ValueError, exit 1) leaves no partial output behind."""
+    return dump_json(build_manifest(
         command, args.scenario, scenario_hash(args.scenario),
         rules=ruleset.variant, suspended=sorted(ruleset.suspended),
         gap_mode=mode.token, dt=cfg.dt, t_max=cfg.t_max, seed=seed,
-        n=n, sample_every=cfg.sample_every, policy=policy)
+        n=n, sample_every=cfg.sample_every, policy=policy))
 
 
 def cmd_validate(args, parser) -> int:
@@ -141,18 +144,20 @@ def cmd_run(args, parser) -> int:
     model = load_scenario_file(args.scenario)
     ruleset, mode, cfg, seed = _resolve(args, model, parser)
     rec = run_trajectory(model, ruleset, cfg, mode, seed, policy=args.policy)
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_manifest(args.out_dir, _manifest_for(args, "run", ruleset, mode, cfg,
-                                               seed, policy=args.policy))
-    write_trajectory_csv(os.path.join(args.out_dir, "trajectory.csv"), rec.samples)
-    write_events_jsonl(os.path.join(args.out_dir, "events.jsonl"), rec.events)
-    write_report_json(os.path.join(args.out_dir, "run_report.json"), {
+    manifest = _manifest_for(args, "run", ruleset, mode, cfg, seed, policy=args.policy)
+    events = dump_events(rec.events)
+    report = dump_json({
         "terminal": rec.terminal,
         "n_events": len(rec.events),
         "events": [ev.to_record(0) for ev in rec.events],
         "meta": rec.meta,
     })
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    write_manifest(args.out_dir, manifest)
+    write_trajectory_csv(os.path.join(args.out_dir, "trajectory.csv"), rec.samples)
+    write_events_jsonl(os.path.join(args.out_dir, "events.jsonl"), events)
+    write_report_json(os.path.join(args.out_dir, "run_report.json"), report)
     print(f"trajectory: {len(rec.events)} event(s), terminal={rec.terminal}, "
           f"outputs in {args.out_dir}")
     return 0
@@ -169,12 +174,13 @@ def cmd_ensemble(args, parser) -> int:
     stats = run_ensemble(model, ruleset, cfg, mode, args.n, seed,
                          n_workers=args.workers, policy=args.policy, runner=runner)
     report = compare(stats, oracle)
+    manifest = _manifest_for(args, "ensemble", ruleset, mode, cfg, seed, n=args.n,
+                             policy=args.policy)
+    report_text = dump_json(ensemble_report(stats, oracle, report))
 
     os.makedirs(args.out_dir, exist_ok=True)
-    write_manifest(args.out_dir, _manifest_for(args, "ensemble", ruleset, mode,
-                                               cfg, seed, n=args.n, policy=args.policy))
-    write_report_json(os.path.join(args.out_dir, "ensemble_report.json"),
-                      ensemble_report(stats, oracle, report))
+    write_manifest(args.out_dir, manifest)
+    write_report_json(os.path.join(args.out_dir, "ensemble_report.json"), report_text)
     write_histogram_csv(os.path.join(args.out_dir, "hit_times_hist.csv"),
                         stats, cfg.t_max)
     write_survival_csv(os.path.join(args.out_dir, "survival.csv"), stats, oracle)
@@ -215,15 +221,16 @@ def cmd_arrow(args, parser) -> int:
               f"max_backflow={rep.max_backflow:.6g} hits={rep.total_hits}")
 
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        write_manifest(args.out_dir, _manifest_for(args, "arrow", ruleset, mode,
-                                                   cfg, seed))
-        write_report_json(os.path.join(args.out_dir, "arrow_report.json"), {
+        manifest = _manifest_for(args, "arrow", ruleset, mode, cfg, seed)
+        report = dump_json({
             "reports": {k: v.to_dict() for k, v in reports.items()},
             "expected": expected,
             "matches": matches,
             "all_match": all(matches.values()),
         })
+        os.makedirs(args.out_dir, exist_ok=True)
+        write_manifest(args.out_dir, manifest)
+        write_report_json(os.path.join(args.out_dir, "arrow_report.json"), report)
     return 0 if all(matches.values()) else 1
 
 
@@ -233,10 +240,10 @@ def cmd_currents(args, parser) -> int:
     table, rows, times = EpochRunner(model, ruleset, cfg, mode).profile()
     samples = TrajectorySamples.of(model, [(table, 1.0, rows, times)], table.launch_ids)
     del table           # freed, with its generator, before the CSV text is built
+    manifest = _manifest_for(args, "currents", ruleset, mode, cfg, seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    write_manifest(args.out_dir, _manifest_for(args, "currents", ruleset, mode,
-                                               cfg, seed))
+    write_manifest(args.out_dir, manifest)
     path = os.path.join(args.out_dir, "currents.csv")
     write_trajectory_csv(path, samples)
     print(f"wrote {path} ({len(samples.times)} samples)")

@@ -256,6 +256,25 @@ def test_mutated_fixture_exits_cleanly(site, value):
             assert "Traceback" not in stderr
 
 
+def test_failing_report_leaves_no_output_directory(tmp_path):
+    """A start of norm 1e154 keeps every row finite but overflows the
+    oracle's integrals, so the ensemble report is not strict JSON: the
+    command exits 1 before it makes its output directory, manifest and
+    all."""
+    doc = copy.deepcopy(FIXTURE_DOCS["two_level"])
+    doc["psi0"] = [[1e154, 0.0], [0.0, 0.0]]
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, stderr = call(["ensemble", "--scenario", str(scenario), "--t-max", "0.505",
+                             "--dt", "0.1", "--n", "40", "--out-dir", str(out)])
+    assert code == 1
+    assert "not JSON compliant" in stderr
+    assert not out.exists()
+
+
 def test_unknown_gap_mode_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scenario", TWO_LEVEL, "--gap-mode", "open",

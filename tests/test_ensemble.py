@@ -67,6 +67,37 @@ def test_oracle_two_level_survival_closed_form(two_level_model):
     assert oracle.survival_at(6.0) == pytest.approx(1.0 / 37.0, rel=1e-6)
 
 
+def _born_survival(model):
+    """The oracle's survival and s(0)/s(t) of the no-hit profile, on the
+    fixture's own grid, in oneway mode."""
+    d = model.defaults
+    cfg = IntegratorConfig(dt=d.dt, t_max=d.t_max)
+    oracle = deterministic_oracle(model, cfg, ONEWAY, ruleset=RuleSet(d.rules))
+    table, rows, times = EpochRunner(model, RuleSet(d.rules), cfg, ONEWAY).profile(
+        every_step=True)
+    assert np.array_equal(times, oracle.times)
+    return oracle.survival, table.s[0] / table.s[rows], table.J[rows]
+
+
+@pytest.mark.parametrize("builder", [two_level, chain_three_level, two_mode_symmetric,
+                                     three_mode], ids=lambda b: b.__name__)
+def test_oracle_survival_is_born_weight_where_currents_flow_one_way(builder):
+    """Where no current turns negative the hazard sum J+ / s is -d ln s / dt,
+    so the survival is s(0) / s(t), the Born weight of the start."""
+    survival, born, currents = _born_survival(builder())
+    assert (currents >= 0.0).all()
+    assert np.abs(survival - born).max() < 1e-9
+
+
+def test_oracle_survival_is_below_born_weight_with_backflow():
+    """detuned_two_level's current turns negative on a third of its rows:
+    the hazard counts only J+, so the survival is at most s(0) / s(t)."""
+    survival, born, currents = _born_survival(detuned_two_level())
+    assert (currents < 0.0).any(axis=1).sum() > 100
+    assert (survival <= born + 1e-10).all()
+    assert (born - survival).max() > 0.1
+
+
 def test_oracle_grid_refinement_converges(three_mode_model):
     coarse = deterministic_oracle(three_mode_model, IntegratorConfig(dt=CFG.dt / 5, t_max=6.0),
                                   ONEWAY)
