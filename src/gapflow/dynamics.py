@@ -190,7 +190,10 @@ class EffectiveGenerator:
             self._propagators[h] = self._horner(h)
         return self._propagators[h]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _horner(self, h: float) -> np.ndarray | sp.csr_matrix | None:
+        # A G h large enough to overflow M_h raises in step_block's
+        # finiteness check, with no numpy warning before the error.
         g, sparse = self.matrix, self.dense is None
         limit = SPARSE_FILL_LIMIT * (g.nnz + self.dim)
         # nnz(G^2) <= sum_k nnz(column k) nnz(row k) rejects a G that fills
@@ -299,6 +302,7 @@ def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantic
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step_block(psi: np.ndarray, gen: EffectiveGenerator, h: float,
                out: np.ndarray) -> np.ndarray:
     """Fill the rows of ``out`` with RK4 updates of dpsi/dt = gen.apply(psi),
@@ -310,7 +314,9 @@ def step_block(psi: np.ndarray, gen: EffectiveGenerator, h: float,
     row before it (in place where M_h is dense), and the block is checked
     for non-finite amplitudes once, at its end. The staged path checks each
     row before it stages the next, so a non-finite state never runs on into
-    further gen.apply calls.
+    further gen.apply calls. Either check raises NonFiniteStateError with
+    no numpy warning before it: the arithmetic runs with overflow and
+    invalid values ignored, as EpochTable._store's does.
 
     h may be negative (used by the central-difference current oracle).
     """

@@ -11,8 +11,8 @@ exp(-r_bar h), as for a per-step draw with p = 1 - exp(-r_bar h) (the
 waiting-time method of Monte-Carlo wavefunction solvers). A hit zeroes the
 other components exactly, marks the chosen one realized, bridges the gaps it
 sources and starts the next epoch; with no bridged gap left the trajectory is
-quiescent, and its last epoch's table holds the collapsed state alone, with
-no generator assembled.
+quiescent: it takes no step and draws no number, and no generator is
+assembled for it.
 
 Every generator mode is homogeneous of degree 1 (the compensated loss J/s_low
 is scale-free), so an epoch is tabulated (dynamics.EpochTable) from a
@@ -24,10 +24,15 @@ EpochRunner.walk advances a block of trajectories at once, grouped by
 (epoch, last chosen component): one searchsorted finds every hit row of a
 group, one cumulative-weights comparison every choice, and one array pass
 collapses every choice of a one-dimensional component, at any epoch and from
-any table, onto the next epoch's shared table. A collapse onto a wider
-component starts a table of its own, walked as a group of one. An
-EpochRunner owns its generators, step plan and tables, and each walk takes
-the seed and the norm policy. run_ensemble walks each index range on a
+any table, onto the next epoch's shared table. Every trajectory that rests
+in a one-dimensional component sourcing no gap is filed in one quiescent
+group per epoch, with no table: the ensemble only counts it, and
+run_trajectory reads the component's shared table for its start row. A
+collapse onto a wider component starts a table of its own, walked as a
+group of one, quiescent or not. An EpochRunner owns its generators, step
+plan and tables, and each walk takes the seed and the norm policy; a runner
+on another grid can share its generators (EpochRunner.on_grid), as G does
+not depend on the step size. run_ensemble walks each index range on a
 runner it is handed, in blocks (ensemble.BLOCK), and run_trajectory walks a
 block of one, so both run the same epoch loop. run_trajectory reads the
 walk's groups one epoch at a time, and one samples builder,
@@ -67,6 +72,11 @@ NORM_POLICIES = (PRESERVE_TOTAL, RAW)
 
 TERMINAL_T_MAX = "t_max"
 TERMINAL_QUIESCENT = "quiescent"
+
+# The component slot of a walk's frontier key for every trajectory that
+# rests in a one-dimensional component sourcing no gap: one quiescent group
+# per epoch, with no table (no component id is negative).
+_RESTING = -1
 
 
 @dataclass(frozen=True)
@@ -207,7 +217,7 @@ class LegGroup(NamedTuple):
     arrays hold one entry per trajectory."""
 
     epoch: int
-    table: EpochTable
+    table: EpochTable | None  # None: trajectories resting in one-dimensional components
     pos: np.ndarray         # the trajectories' positions in the block
     scale: np.ndarray       # complex: a trajectory's state is scale * table state
     k0: np.ndarray          # steps of the run before the epoch
@@ -237,11 +247,13 @@ class EpochRunner:
         self.times, self.sampled, self.rem, self.n_full = self.plan
         self._sources = frozenset(g.low for g in model.gaps if g.irreversible)
         # Component ids, sorted, and per id the basis index of a
-        # one-dimensional component or -1 for a wider one.
+        # one-dimensional component or -1 for a wider one, and whether it
+        # sources no gap.
         ids = sorted(model.index_arrays)
         self._ids = np.array(ids)
         self._col = np.array([int(model.index_arrays[c][0]) if len(model.index_arrays[c]) == 1
                               else -1 for c in ids])
+        self._rests = np.array([c not in self._sources for c in ids])
 
     @classmethod
     def reuse(cls, runner: "EpochRunner | None", model: ScenarioModel, ruleset: RuleSet,
@@ -254,6 +266,15 @@ class EpochRunner:
         if (runner.model, runner.ruleset, runner.cfg, runner.gap_mode) != (
                 model, ruleset, cfg, gap_mode):
             raise GapflowError("runner built for another model, rule set, config or gap mode")
+        return runner
+
+    def on_grid(self, cfg: IntegratorConfig) -> "EpochRunner":
+        """A runner of this model, rule set and gap mode on ``cfg``'s grid
+        that shares this runner's generators: G depends on the statuses, the
+        rules and the gap mode, not on the step size, and each generator
+        keeps its M_h per step size (PROPAGATOR_CACHE_SIZE of them)."""
+        runner = EpochRunner(self.model, self.ruleset, cfg, self.gap_mode)
+        runner._gens = self._gens
         return runner
 
     def generator(self, chosen: int | None, epoch: int) -> EffectiveGenerator:
@@ -321,12 +342,17 @@ class EpochRunner:
         epoch by epoch, each before its hits are filed under the next epoch.
 
         The table of epoch 0 and of each epoch after a collapse onto a
-        one-dimensional component is shared, keyed by epoch and last chosen
-        component. A collapse onto a wider component starts a table of its
-        own that serves one trajectory, as a group of one. Either kind holds
-        every row up to the last one its trajectories reached. The walk keeps
-        no group it has yielded, so a caller that folds each group as it
-        arrives holds at most one table of its own at a time.
+        one-dimensional component that sources a gap is shared, keyed by
+        epoch and last chosen component. Every trajectory that rests in a
+        one-dimensional component sourcing no gap takes no step and draws no
+        number: an epoch files them all in one quiescent group whose table
+        is None (run_trajectory reads the shared table of the component it
+        rests in). A collapse onto a wider component starts a table of its
+        own that serves one trajectory, as a group of one, quiescent or not.
+        Every table holds every row up to the last one its trajectories
+        reached. The walk keeps no group it has yielded, so a caller that
+        folds each group as it arrives holds at most one table of its own at
+        a time.
         """
         _check_policy(policy)
         keys = substream_keys(seed, indices)
@@ -349,12 +375,15 @@ class EpochRunner:
             frontier, epoch = nxt, epoch + 1
 
     def _epoch(self, epoch, chosen, start, keys, pos, scale, k0) -> LegGroup:
-        """Advance one group through its epoch: on the shared table with
-        ``start`` None, else on a new table of its own from ``start``."""
-        table = self.table(epoch, chosen, start)
+        """Advance one group through its epoch: with no table where it
+        rests (``chosen`` _RESTING), on the shared table with ``start`` None,
+        else on a new table of its own from ``start``."""
         zeros = np.zeros(len(pos), np.int64)
         # With no bridged gap left after a collapse the realized component
         # evolves unitarily and no further hit can fire.
+        if chosen == _RESTING:
+            return LegGroup(epoch, None, pos, scale, k0, zeros, zeros, zeros - 1, True)
+        table = self.table(epoch, chosen, start)
         if self.quiescent(chosen):
             return LegGroup(epoch, table, pos, scale, k0, zeros, zeros, zeros - 1, True)
         gen = table.gen
@@ -376,20 +405,23 @@ class EpochRunner:
     def _regroup(self, group: LegGroup, nxt: dict, policy: str):
         """Collapse a group's hits under ``policy``, filed under their next
         epoch's key: the choices of one-dimensional components at once, onto
-        the shared tables, and each choice of a wider one onto its own."""
+        the shared tables or, for every component that sources no gap, under
+        the one _RESTING key, and each choice of a wider one onto its own."""
         h = (group.chosen >= 0).nonzero()[0]
         if not h.size:
             return
         table, rows, chosen, scale = group.table, group.last[h], group.chosen[h], group.scale[h]
         k0 = group.k0[h] + group.n[h]
         pos = group.pos[h]
-        col = self._col[self._ids.searchsorted(chosen)]
+        at = self._ids.searchsorted(chosen)
+        col = self._col[at]
         one = col >= 0
         if one.any():
             after = self._unit_scales(table, rows[one], chosen[one], col[one], scale[one],
                                       policy)
-            for c in sorted(set(chosen[one].tolist())):
-                sel = chosen[one] == c
+            key = np.where(self._rests[at[one]], _RESTING, chosen[one])
+            for c in sorted(set(key.tolist())):
+                sel = key == c
                 entry = nxt.setdefault((c, -1), (None, [], [], []))
                 for bucket, values in zip(entry[1:], (pos[one][sel], after[sel], k0[one][sel])):
                     bucket.append(values)
@@ -435,9 +467,12 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
     the hit or the end), which TrajectorySamples.of gathers from the tables
     at the end. It draws against shared epoch tables, epoch 0 and every
     epoch after a collapse onto a one-dimensional component, as an
-    ensemble's trajectories do; an epoch after a collapse onto a wider
-    component runs on a table of its own, which the run keeps only while it
-    records samples. Every table keeps every row it reached, 16 dim + 8
+    ensemble's trajectories do. Where it rests in a one-dimensional
+    component that sources no gap, the walk's group has no table, and the
+    run reads that component's shared table, built on first use, for its
+    start row alone: its samples and final s. An epoch after a collapse
+    onto a wider component runs on a table of its own, which the run keeps
+    only while it records samples. Every table keeps every row it reached, 16 dim + 8
     (launch components) + 32 bytes per step (twice that when t_max is off
     the dt grid). ``runner``, an EpochRunner of this model, rule set,
     config and gap mode that the caller keeps, holds those tables across
@@ -450,6 +485,8 @@ def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig
     events, parts, n_steps, negative = [], [], 0, 0
     for g in runner.walk(seed, [traj_index], policy):
         table, c, k0, n, last = g.table, g.scale[0], int(g.k0[0]), int(g.n[0]), int(g.last[0])
+        if table is None:                       # rests in the last chosen component
+            table = runner.table(g.epoch, events[-1].chosen)
         c2 = c.real * c.real + c.imag * c.imag
         t, s = float(times[k0 + n]), float(c2 * table.s[last])
         n_steps, negative = n_steps + n, negative + int(table.neg[last])

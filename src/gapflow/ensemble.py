@@ -8,11 +8,16 @@ interpolant of every step, extrapolates the two grids' integrals (Richardson)
 and exponentiates the integrated rate into a predicted survival curve on the
 run's grid. An ensemble command runs the oracle first on its one
 EpochRunner: the oracle grows that runner's epoch-0 table over the run's
-grid, and the trajectories then draw against it. Empirical collapse shares
+grid, and the trajectories then draw against it. The finer grid's runner
+shares the command runner's generators (EpochRunner.on_grid), so each
+status set's generator is assembled once. Empirical collapse shares
 (conditioned on a collapse happening) are compared against the normalized
 integrals with binomial z-scores, and first-hit times against the predicted
 survival via a Kolmogorov-Smirnov statistic taken on the run's step grid
-(ks_statistic_grid), where every hit time lies.
+(ks_statistic_grid), where every hit time lies. Both carry a RunProvenance
+that holds their model; the comparison hashes the models
+(ScenarioModel.fingerprint) only where stats and oracle hold two model
+objects, so one ensemble command hashes nothing.
 
 Trajectories are embarrassingly parallel; every trajectory draws from its own
 (master_seed, index) Philox substream, and aggregation follows trajectory
@@ -48,24 +53,32 @@ KS_COEFF_1PCT = 1.63
 
 @dataclass(frozen=True)
 class RunProvenance:
-    """What must match before comparing two results statistically."""
+    """What must match before comparing two results statistically: the
+    model, which equality and repr leave out, and the fields."""
 
-    model_fingerprint: str
+    model: ScenarioModel = field(compare=False, repr=False)
     gap_mode: str
     suspended: tuple[str, ...]      # sorted; the rule-set variant is not compared
     dt: float
     t_max: float
 
     def require_match(self, other: "RunProvenance"):
+        """Raise ProvenanceError unless the fields are equal and the models
+        are one object or have one fingerprint. A model is frozen with a
+        read-only psi0, so one object cannot differ from itself, and only
+        two objects are hashed (ScenarioModel.fingerprint)."""
         if self != other:
             raise ProvenanceError(
                 f"provenance mismatch: {self} vs {other}; "
                 "stats and oracle must come from the same model, suspensions and config")
+        if self.model is not other.model and self.model.fingerprint() != other.model.fingerprint():
+            raise ProvenanceError("provenance mismatch: stats and oracle come from different "
+                                  "models (fingerprints differ)")
 
 
 def _provenance(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,
                 mode: GapSemantics) -> RunProvenance:
-    return RunProvenance(model_fingerprint=model.fingerprint(), gap_mode=mode.token,
+    return RunProvenance(model=model, gap_mode=mode.token,
                          suspended=tuple(sorted(ruleset.suspended)), dt=cfg.dt,
                          t_max=cfg.t_max)
 
@@ -179,8 +192,10 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
     survival is on the run's grid: the epoch-0 table of ``runner``
     (EpochRunner.reuse, which refuses a runner built for anything else),
     grown through the grid, whose rows a later walk on the runner draws
-    against as the same floats. The finer grid's MAX_STEPS check comes
-    before either grid is integrated, and its table is freed at once.
+    against as the same floats. The finer grid's runner (EpochRunner.on_grid)
+    shares that runner's generator, so no generator is assembled twice. The
+    finer grid's MAX_STEPS check comes before either grid is integrated, and
+    its table is freed at once.
 
     The engine's gated hazard (dynamics.EpochTable) takes the trapezoid of
     the rate r = sum J+ / s over each step that ends at r > 0 and drops that
@@ -197,8 +212,9 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
     four as dt halves.
     """
     fine = oracle_grid(cfg)
-    ids, times, j1, r1 = _profile_steps(EpochRunner.reuse(runner, model, ruleset, cfg, gap_mode))
-    _, fine_times, j2, r2 = _profile_steps(EpochRunner(model, ruleset, fine, gap_mode))
+    runner = EpochRunner.reuse(runner, model, ruleset, cfg, gap_mode)
+    ids, times, j1, r1 = _profile_steps(runner)
+    _, fine_times, j2, r2 = _profile_steps(runner.on_grid(fine))
     # The fine grid's index of each coarse point: 2k, and t_max last.
     at = 2 * np.arange(len(times))
     at[-1] = len(fine_times) - 1
@@ -233,16 +249,18 @@ def _run_range(runner, seed, policy, start, stop):
 
 def _block_summary(runner, seed, policy, indices):
     """_run_range's columns for one block of indices, folded in from each
-    group as the walk yields it."""
+    group as the walk yields it. A quiescent group, which may have no
+    table, only marks its trajectories quiescent."""
     size = len(indices)
     t_first, first = np.full(size, math.nan), np.full(size, -1)
     negative, quiescent = np.zeros(size, np.int64), np.zeros(size, bool)
     try:
         for g in runner.walk(seed, indices, policy):
-            negative[g.pos] += g.table.neg[g.last]
-            if g.quiescent:
+            if g.quiescent:                 # no step: no negative current
                 quiescent[g.pos] = True
-            elif g.epoch == 0:
+                continue
+            negative[g.pos] += g.table.neg[g.last]
+            if g.epoch == 0:
                 hit = g.chosen >= 0
                 t_first[g.pos[hit]] = runner.times[(g.k0 + g.n)[hit]]
                 first[g.pos[hit]] = g.chosen[hit]

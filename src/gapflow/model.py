@@ -235,17 +235,16 @@ class ScenarioModel:
         """SHA-256 of the canonical document as compact JSON: equal for equal
         model content. It is never written to an artifact.
 
-        RunProvenance carries it, so ensemble statistics and the oracle are
-        compared only for the same model; output.scenario_hash is the file-byte
-        hash that ``rerun`` checks.
+        RunProvenance compares it where ensemble statistics and the oracle
+        hold two model objects, so they are compared only for the same model;
+        output.scenario_hash is the file-byte hash that ``rerun`` checks.
         """
         return self._fingerprint
 
     @cached_property
     def _fingerprint(self) -> str:
-        # Computed once: serializing a wide model costs milliseconds, and
-        # every ensemble command asks twice. Compact JSON: with ``indent``
-        # the encoder runs in pure Python.
+        # Computed once: serializing a wide model costs milliseconds.
+        # Compact JSON: with ``indent`` the encoder runs in pure Python.
         return hashlib.sha256(json.dumps(_scenario_document(self)).encode()).hexdigest()
 
 

@@ -15,10 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapflow import cli, dynamics, engine
+from gapflow import model as model_module
 from gapflow.cli import arrow_check_main, main
+from gapflow.dynamics import GapSemantics, IntegratorConfig
+from gapflow.ensemble import run_ensemble
+from gapflow.errors import NonFiniteStateError
+from gapflow.model import load_scenario_file, serialize_scenario
 from gapflow.output import load_manifest
+from gapflow.rules import RuleSet
 
-from conftest import scenario_path
+from conftest import scenario_path, star_model
 
 TWO_LEVEL = str(scenario_path("two_level"))
 THREE_MODE = str(scenario_path("three_mode"))
@@ -195,6 +201,34 @@ def test_overflow_exits_1_with_its_error_alone(tmp_path, name, coupling, what, c
                           "--out-dir", str(out)])
     assert code == 1
     assert err == f"error: non-finite {what} after step dt=0.01 (epoch 0, mode oneway)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("coupling, mode", [
+    (3e4, "hermitian"),         # overflows the dense M_h loop
+    (1e100, "hermitian"),       # overflows the M_h product itself
+    (300, "compensated"),       # overflows the staged step and the source loss
+], ids=["m_h_loop", "m_h_product", "staged"])
+def test_non_finite_step_exits_1_with_its_error_alone(tmp_path, coupling, mode):
+    """A two_level coupling whose first step of 0.1 overflows raises
+    NonFiniteStateError on each step path with no numpy warning before it,
+    in-process and from the CLI, where warnings are errors: stderr is the
+    error line alone and nothing is written."""
+    doc = json.loads(scenario_path("two_level").read_text())
+    doc["gaps"][0]["entries"][0][2] = coupling
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    model = load_scenario_file(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError):
+            run_ensemble(model, RuleSet(), IntegratorConfig(dt=0.1, t_max=model.defaults.t_max),
+                         GapSemantics.from_token(mode), 10, 1)
+        code, err = call(["ensemble", "--scenario", str(bad), "--gap-mode", mode,
+                          "--dt", "0.1", "--n", "10", "--out-dir", str(out)])
+    assert code == 1
+    assert err == f"error: non-finite amplitudes after step dt=0.1 (epoch 0, mode {mode})\n"
     assert not out.exists()
 
 
@@ -528,6 +562,45 @@ def test_ensemble_integrates_epoch_0_once_per_grid(tmp_path, monkeypatch):
                  "--out-dir", str(out)]) == 0
     assert built == [0.01, 0.005]
     assert len((out / "survival.csv").read_text().splitlines()) == 1 + 601
+
+
+@pytest.mark.parametrize("name, status_sets", [
+    ("three_mode", 1), ("chain_three_level", 2), ("fan_out", 1)])
+def test_ensemble_assembles_each_generator_once(tmp_path, monkeypatch, name, status_sets):
+    """One ensemble command assembles one generator per status set it
+    reaches: the oracle's finer grid reads the run's, and a collapse onto
+    a component that sources no gap needs none. chain_three_level reaches
+    the statuses after its middle component, the 511-mode fan-out none."""
+    if name == "fan_out":
+        path = tmp_path / "fan_out.json"
+        path.write_text(serialize_scenario(star_model(511)))
+    else:
+        path = scenario_path(name)
+    assembled = []
+    real = engine.assemble_generator
+
+    def counted(*args, **kwargs):
+        assembled.append(tuple(sorted(kwargs["statuses"].items())))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "assemble_generator", counted)
+    assert main(["ensemble", "--scenario", str(path), "--n", "400", "--seed", "5",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(assembled) == len(set(assembled)) == status_sets
+
+
+def test_ensemble_computes_no_fingerprint(tmp_path, monkeypatch):
+    """The stats and the oracle of one ensemble command hold one model
+    object, so the provenance check hashes nothing: with the canonical
+    document refused, a fingerprint fails and the command still passes."""
+    def refuse(model):
+        raise AssertionError("canonical document requested")
+
+    monkeypatch.setattr(model_module, "_scenario_document", refuse)
+    with pytest.raises(AssertionError):
+        load_scenario_file(THREE_MODE).fingerprint()
+    assert main(["ensemble", "--scenario", THREE_MODE, "--n", "200", "--seed", "3",
+                 "--out-dir", str(tmp_path / "out")]) == 0
 
 
 def test_ensemble_worker_flag_is_byte_stable(tmp_path):

@@ -26,6 +26,7 @@ from gapflow.engine import (
     TERMINAL_T_MAX,
     EpochRunner,
     LegGroup,
+    _RESTING,
     _choose,
     collapse_state,
     post_collapse_statuses,
@@ -252,7 +253,8 @@ def test_collapse_scales_equal_collapse_state(name, mode, policy):
     """The collapses onto one-dimensional components that a walk files in
     one array pass carry, per row, non-unit scale and choice, the bytes of
     collapse_state's chosen amplitude, at any epoch, on a shared table and
-    on a private one alike."""
+    on a private one alike. Each row is filed once: under its component
+    where that sources a gap, else under the one resting key."""
     runner, epoch, table = collapse_case(name, mode)
     model = runner.model
     states = table.states[:runner.n_full + 1]
@@ -266,12 +268,17 @@ def test_collapse_scales_equal_collapse_state(name, mode, policy):
     scale = np.linspace(0.2, 3.0, len(rows)) * np.exp(0.7j * np.arange(len(rows)))
     nxt = {}
     runner._regroup(hit_group(table, epoch, rows, chosen, scale), nxt, policy)
-    for c in table.launch_ids:
-        _, pos, scales, _ = nxt[(c, -1)]
-        col = model.index_arrays[c][0]
-        expected = [collapse_state(scale[p] * table.states[rows[p]], c, model, policy)[col]
-                    for p in np.concatenate(pos).tolist()]
+    assert set(nxt) == {(_RESTING if runner.quiescent(c) else c, -1) for c in table.launch_ids}
+    filed = []
+    for (key, _), (_, pos, scales, _) in nxt.items():
+        pos = np.concatenate(pos).tolist()
+        assert all(runner.quiescent(chosen[p]) if key == _RESTING else chosen[p] == key
+                   for p in pos)
+        expected = [collapse_state(scale[p] * table.states[rows[p]], chosen[p], model,
+                                   policy)[model.index_arrays[chosen[p]][0]] for p in pos]
         assert np.concatenate(scales).tobytes() == np.array(expected, complex).tobytes()
+        filed += pos
+    assert sorted(filed) == list(range(len(rows)))
 
 
 def test_epoch0_collapse_on_empty_component_raises_as_collapse_state(three_mode_model):
@@ -315,7 +322,7 @@ def test_walked_choices_are_launch_components(name, mode):
     choices = 0
     for group in runner.walk(4, np.arange(300), PRESERVE_TOTAL):
         chosen = group.chosen[group.chosen >= 0].tolist()
-        assert set(chosen) <= set(group.table.launch_ids)
+        assert set(chosen) <= set(group.table.launch_ids if group.table else ())
         choices += len(chosen)
     assert choices > 50
 
@@ -330,7 +337,8 @@ def test_walk_holds_one_private_table_at_a_time(mode):
     runner = EpochRunner(model, R3, IntegratorConfig(dt=0.01, t_max=3.0), mode)
     private, most = [], 0
     for group in runner.walk(11, np.arange(200), PRESERVE_TOTAL):
-        if all(group.table is not t for t in runner.tables.values()):
+        if group.table is not None and all(group.table is not t
+                                           for t in runner.tables.values()):
             private.append(weakref.ref(group.table))
         most = max(most, sum(ref() is not None for ref in private))
     assert len(private) > 50 and most == 1
@@ -595,6 +603,28 @@ def test_fan_out_ensemble_assembles_no_generator_after_epoch_0(monkeypatch):
     assert stats.totals["terminals"]["quiescent"] == stats.n_hits
 
 
+def test_star_walk_rests_in_one_tableless_group_per_epoch():
+    """Every collapse of a 511-mode star rests in a one-dimensional component
+    that sources no gap: a walk yields at most one quiescent group per
+    epoch for all of them, with no table, and an ensemble on the runner
+    builds no table but epoch 0's."""
+    from gapflow.ensemble import run_ensemble
+
+    model, cfg = star_model(511), IntegratorConfig(dt=0.02, t_max=1.0)
+    runner = EpochRunner(model, R3, cfg, ONEWAY)
+    resting = {}
+    for group in runner.walk(7, np.arange(400), PRESERVE_TOTAL):
+        if group.table is None:
+            assert group.quiescent and (group.chosen == -1).all()
+            resting[group.epoch] = resting.get(group.epoch, 0) + 1
+        else:
+            assert not group.quiescent
+    assert resting == {1: 1}
+    stats = run_ensemble(model, R3, cfg, ONEWAY, 400, 7, runner=runner)
+    assert len(set(stats.hit_components.tolist())) > 50
+    assert list(runner.tables) == [(0, None)]
+
+
 def test_two_level_trajectory_hits_the_launch_side(two_level_model):
     rec = run_once(two_level_model, seed=5)
     assert len(rec.events) == 1
@@ -752,10 +782,13 @@ def reference_samples(runner, seed, index):
     rows = []       # (t, scale, table, row)
     for g in runner.walk(seed, [index], PRESERVE_TOTAL):
         c, k0, n, last = complex(g.scale[0]), int(g.k0[0]), int(g.n[0]), int(g.last[0])
-        rows += [(runner.times[k0 + r], c, g.table, r)
+        # A resting group has no table: the shared one of its component.
+        table = g.table if g.table is not None else runner.table(g.epoch, rests_in)
+        rows += [(runner.times[k0 + r], c, table, r)
                  for r in range(max(n, 1)) if r == 0 or runner.sampled[k0 + r]]
         if n:
-            rows.append((float(runner.times[k0 + n]), c, g.table, last))
+            rows.append((float(runner.times[k0 + n]), c, table, last))
+        rests_in = int(g.chosen[0])
     column = {m: i for i, m in enumerate(cand)}
     currents = np.zeros((len(rows), len(cand)))
     for i, (_, c, tab, r) in enumerate(rows):

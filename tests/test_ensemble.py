@@ -27,7 +27,7 @@ from gapflow.ensemble import (
 from gapflow.errors import GapflowError, ProvenanceError
 from gapflow.fixtures import (chain_three_level, detuned_two_level, three_mode, two_level,
                               two_mode_symmetric)
-from gapflow.model import load_scenario
+from gapflow.model import load_scenario, load_scenario_file
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 from gapflow.substreams import CROSSOVER, substream_keys
 
@@ -515,6 +515,16 @@ def test_compare_rejects_mismatched_provenance(three_mode_model, two_level_model
     oracle = deterministic_oracle(two_level_model, CFG, ONEWAY)
     with pytest.raises(ProvenanceError):
         compare(stats, oracle)
+
+
+def test_compare_accepts_two_loads_of_one_scenario(scenario_dir):
+    """Stats and an oracle of two separately loaded copies of one scenario
+    compare: two model objects are matched by their fingerprints."""
+    path = scenario_dir / "three_mode.json"
+    model, again = load_scenario_file(path), load_scenario_file(path)
+    assert model is not again
+    stats = small_ensemble(model, n=200, seed=3)
+    compare(stats, deterministic_oracle(again, CFG, ONEWAY))
 
 
 def test_compare_rejects_mismatched_suspensions():
