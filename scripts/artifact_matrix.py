@@ -11,13 +11,19 @@ from tests/conftest.py, whose epoch 1 runs on tables of their own and whose
 adjoint feed rows hold two entries each, is written to
 `<out-dir>/wide_launch.json` and run in every gap mode through five more
 (`run` on and off the dt grid, `ensemble`, `arrow` plain and with
-`--suspend n3_1`), 195 in all. Each runs in-process through `gapflow.cli.main` with its own
-output directory. The listing written to `<out-dir>/sha256.txt` holds one
-line per output file, plus the exit code, stdout and stderr of each
-invocation, sorted by path. Paths are masked in all of them, as every
-manifest records its scenario's path: the invocation's output directory as
-`<out>` in its stdout and stderr, `<out-dir>` as `<out>` in its files, and
-the `--scenarios` directory as `<scenarios>` in both. So two listings taken
+`--suspend n3_1`), 195 so far. No model above `DENSE_DIM_LIMIT` is among
+them, so `star_model(300)` from tests/conftest.py, of dim 301 with an own
+block on its source (G^2 is not 0), is written to `<out-dir>/star.json`
+and run in every gap mode through two more (`ensemble` and `currents`),
+201 in all: its generator is CSR, with a CSR M_h in oneway mode and
+staged steps in the others. Each runs in-process through
+`gapflow.cli.main` with its own output directory. The listing written to
+`<out-dir>/sha256.txt` holds one line per output file, plus the exit
+code, stdout and stderr of each invocation, sorted by path. Paths are
+masked in all of them, as every manifest records its scenario's path: the
+invocation's output directory as `<out>` in its stdout and stderr,
+`<out-dir>` as `<out>` in its files, and the `--scenarios` directory as
+`<scenarios>` in both. So two listings taken
 in two checkouts, each with its own default `--scenarios`, compare as long
 as the scenario files agree. They are compared with `diff`, or with
 `--compare OTHER`, which prints the paths whose bytes differ and exits 1 if
@@ -70,6 +76,14 @@ WIDE_INVOCATIONS = (
 )
 
 
+# The cases of star_model(300), on the CSR path: about 3 s in all, nearly
+# all of it compensated.
+STAR_INVOCATIONS = (
+    ("ensemble", ["ensemble", "--n", "200", "--t-max", "0.5"]),
+    ("currents", ["currents", "--t-max", "0.5"]),
+)
+
+
 def sha256_of(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -89,15 +103,17 @@ def run_case(main, argv: list[str], out_dir: str, scenarios: str) -> tuple[int, 
 
 def build_listing(scenarios: pathlib.Path, out_root: pathlib.Path) -> list[str]:
     from gapflow.cli import main
-    from gapflow.model import GAP_MODES
-    from conftest import WIDE_LAUNCH
+    from gapflow.model import GAP_MODES, serialize_scenario
+    from conftest import WIDE_LAUNCH, star_model
 
     os.makedirs(out_root, exist_ok=True)
     wide = out_root / "wide_launch.json"
     wide.write_text(json.dumps(WIDE_LAUNCH), encoding="utf-8")
+    star = out_root / "star.json"
+    star.write_text(serialize_scenario(star_model(300)), encoding="utf-8")
     runs = [(path, INVOCATIONS) for path in sorted(scenarios.glob("*.json"))]
     lines = []
-    for scenario, invocations in runs + [(wide, WIDE_INVOCATIONS)]:
+    for scenario, invocations in runs + [(wide, WIDE_INVOCATIONS), (star, STAR_INVOCATIONS)]:
         for mode in GAP_MODES:
             for case, extra in invocations:
                 name = f"{scenario.stem}/{mode}/{case}"

@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_arrow)
 
     sp = sub.add_parser("currents", help="deterministic current profile as CSV")
-    _add_common(sp, with_seed=True)
+    _add_common(sp, with_seed=False)     # the profile draws no number
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_currents)
 
@@ -166,9 +166,8 @@ def cmd_run(args, parser) -> int:
 def cmd_ensemble(args, parser) -> int:
     model = load_scenario_file(args.scenario)
     ruleset, mode, cfg, seed = _resolve(args, model, parser)
-    # The oracle runs first, so its finer grid's MAX_STEPS check comes before
-    # any trajectory; it grows the runner's epoch-0 table, which the calling
-    # process then walks on.
+    # The oracle runs first: it grows the runner's epoch-0 table, which the
+    # calling process then walks on.
     runner = EpochRunner(model, ruleset, cfg, mode)
     oracle = deterministic_oracle(model, cfg, mode, ruleset=ruleset, runner=runner)
     stats = run_ensemble(model, ruleset, cfg, mode, args.n, seed,
@@ -268,8 +267,9 @@ def cmd_rerun(args, parser) -> int:
     argv = [manifest["command"], "--scenario", scenario,
             "--rules", manifest["rules"], "--gap-mode", manifest["gap_mode"],
             "--dt", repr(manifest["dt"]), "--t-max", repr(manifest["t_max"]),
-            "--seed", str(manifest["seed"]),
             "--sample-every", str(manifest["sample_every"])]
+    if manifest["command"] != "currents":     # which takes no --seed
+        argv += ["--seed", str(manifest["seed"])]
     for rule in manifest["suspended"]:
         argv += ["--suspend", rule]
     if manifest["command"] == "ensemble":

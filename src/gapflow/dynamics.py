@@ -37,10 +37,13 @@ worker layouts. A step takes one of two paths:
   (its loss term is nonlinear, so no M_h exists), and so does a CSR
   generator whose M_h would fill in.
 
-step_block is the one stepping routine: it fills a block of rows, each one
-step after the row before it. On the propagator path it writes each row as
-M_h times the row before it, with one finiteness check per block; the
-staged path checks every row. step is a block of one. EpochTable steps an
+step_block is the one sequential stepping routine: it fills a block of
+rows, each one step after the row before it. On the propagator path it
+writes each row as M_h times the row before it, with one finiteness check
+per block; the staged path checks every row. step is a block of one.
+step_each steps every row of a block once, as one stacked product where
+M_h exists, for the ensemble oracle's midpoints; block_currents gives J
+and s of a block of rows, for tables and midpoints alike. EpochTable steps an
 epoch's deterministic evolution straight into its own rows, FILL_BLOCK
 steps at a time, or in blocks that double with the table where no hazard
 draw can stop the growth, then fills the block's currents (one stacked
@@ -80,8 +83,9 @@ DENSE_DIM_LIMIT = 256
 # 115 us at dim 2048; the two broke even near 9 at dim 2048.
 SPARSE_FILL_LIMIT = 4
 
-# RK4 step matrices kept per generator: a run needs dt, perhaps a shorter last
-# step, and the two probes of fd_current_check.
+# RK4 step matrices kept per generator: a run needs dt and perhaps a shorter
+# last step rem, the ensemble oracle dt / 2 and rem / 2, and
+# fd_current_check its two probes.
 PROPAGATOR_CACHE_SIZE = 4
 
 # Rows an EpochTable steps before it fills their other columns at once.
@@ -344,10 +348,78 @@ def step_block(psi: np.ndarray, gen: EffectiveGenerator, h: float,
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def step_each(block: np.ndarray, gen: EffectiveGenerator, h: float) -> np.ndarray:
+    """Every row of ``block`` after one RK4 step of h, as a new array: per
+    row the floats step_block writes one step after it. The oracle's
+    midpoints take it; step_block stays the one sequential routine.
+
+    Where gen.propagator has an M_h, one stacked product steps every row,
+    rounding as step_block's M_h times one row does, dense or CSR, and the
+    result is checked for non-finite amplitudes once. Otherwise each row
+    takes step_block's staged step, which checks it. Either check raises
+    NonFiniteStateError with no numpy warning before it.
+    """
+    out = np.empty_like(block)
+    m = gen.propagator(h)
+    if m is None:
+        for j in range(len(block)):
+            step_block(block[j], gen, h, out[j:j + 1])
+        return out
+    if isinstance(m, np.ndarray):
+        np.matmul(m, block[:, :, None], out=out[:, :, None])
+    else:
+        out[:] = (m @ np.ascontiguousarray(block.T)).T
+    if not np.isfinite(out).all():
+        raise _non_finite(gen, h)
+    return out
+
+
 def square_moduli(block: np.ndarray) -> np.ndarray:
     """<psi|psi> per row of ``block``, one stacked product that rounds as
     square_modulus's np.vdot does."""
     return (block.conj()[:, None, :] @ block[:, :, None])[:, 0, 0].real
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def block_currents(gen: EffectiveGenerator | None, block: np.ndarray,
+                   h: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The launch currents J (rows x gen.launch_ids) and square moduli s of
+    each row of ``block``; J has no column where ``gen`` is None (a
+    quiescent epoch). The one current formula of tables and the oracle's
+    midpoints. Stacked matvecs and dot products round as
+    component_currents' G @ psi and square_modulus's np.vdot do, dense or
+    CSR; block @ dense.T need not.
+
+    With ``h`` given the rows were stepped by h, and a row whose square
+    modulus, or else launch current, overflows raises NonFiniteStateError
+    with no numpy warning before it; the start row of a table (h None) is
+    not checked.
+    """
+    if gen is None:
+        J = np.empty((len(block), 0))
+    else:
+        # The compensated loss writes only the source rows of an included
+        # gap, never a launch row, so -i G psi gives every generator's J.
+        idx, starts = gen.launch_runs
+        g_psi = ((gen.dense @ block[:, :, None])[:, :, 0] if gen.dense is not None
+                 else (gen.matrix @ np.ascontiguousarray(block.T)).T)
+        dpsi = -1j * g_psi
+        J = 2.0 * np.add.reduceat((block[:, idx].conj() * dpsi[:, idx]).real, starts, axis=1)
+    s = square_moduli(block)
+    if h is not None and not np.isfinite(s).all():
+        raise _non_finite(gen, h, "square modulus")
+    if h is not None and not np.isfinite(J).all():
+        raise _non_finite(gen, h, "launch current")
+    return J, s
+
+
+def positive_moduli(s: np.ndarray) -> np.ndarray:
+    """``s``, where every square modulus is positive, as a hit rate
+    J+ / s needs; else DegenerateStateError for the first that is not."""
+    if (bad := (s <= 0.0).nonzero()[0]).size:
+        raise DegenerateStateError(f"total square modulus {s[bad[0]]} is not positive")
+    return s
 
 
 def _non_finite(gen: EffectiveGenerator, h: float,
@@ -501,33 +573,14 @@ class EpochTable:
     def _store(self, i: int, b: int, prev: int | None, h: float):
         """Fill the other columns of rows i .. i + b - 1 from their states,
         each one step of h after the row before it (row ``prev``; None for
-        the start row). Stacked matvecs and dot products round as
-        component_currents' G @ psi and square_modulus's np.vdot do, dense
-        or CSR; block @ dense.T need not. A stepped row whose square
-        modulus, or else launch current, overflows raises, trigger off or
-        on, with no numpy warning before the error."""
-        gen, block = self.gen, self.states[i:i + b]
-        if gen is None:
-            J = np.empty((b, 0))
-        else:
-            # The compensated loss writes only the source rows of an included
-            # gap, never a launch row, so -i G psi gives every generator's J.
-            idx, starts = gen.launch_runs
-            g_psi = ((gen.dense @ block[:, :, None])[:, :, 0] if gen.dense is not None
-                     else (gen.matrix @ np.ascontiguousarray(block.T)).T)
-            dpsi = -1j * g_psi
-            J = 2.0 * np.add.reduceat((block[:, idx].conj() * dpsi[:, idx]).real, starts, axis=1)
-        s = square_moduli(block)
-        if prev is not None and not np.isfinite(s).all():
-            raise _non_finite(gen, h, "square modulus")
-        if prev is not None and not np.isfinite(J).all():
-            raise _non_finite(gen, h, "launch current")
+        the start row): J and s from block_currents, which checks the
+        stepped rows, then the rates and the gated hazard. With the trigger
+        on, a square modulus that is not positive raises (positive_moduli)."""
+        J, s = block_currents(self.gen, self.states[i:i + b], None if prev is None else h)
         if self.trigger_off:
             rate = np.zeros(b)
-        elif (bad := (s <= 0.0).nonzero()[0]).size:
-            raise DegenerateStateError(f"total square modulus {s[bad[0]]} is not positive")
         else:
-            rate = np.maximum(J, 0.0).sum(axis=1) / s
+            rate = np.maximum(J, 0.0).sum(axis=1) / positive_moduli(s)
         rows = slice(i, i + b)
         self.s[rows], self.rate[rows], self.J[rows] = s, rate, J
         if prev is not None:

@@ -30,9 +30,9 @@ group per epoch, with no table: the ensemble only counts it, and
 run_trajectory reads the component's shared table for its start row. A
 collapse onto a wider component starts a table of its own, walked as a
 group of one, quiescent or not. An EpochRunner owns its generators, step
-plan and tables, and each walk takes the seed and the norm policy; a runner
-on another grid can share its generators (EpochRunner.on_grid), as G does
-not depend on the step size. run_ensemble walks each index range on a
+plan and tables, and each walk takes the seed and the norm policy; the
+ensemble oracle reads the runner's epoch-0 table on the run's own grid, the
+one grid of a command. run_ensemble walks each index range on a
 runner it is handed, in blocks (ensemble.BLOCK), and run_trajectory walks a
 block of one, so both run the same epoch loop. run_trajectory reads the
 walk's groups one epoch at a time, and one samples builder,
@@ -266,15 +266,6 @@ class EpochRunner:
         if (runner.model, runner.ruleset, runner.cfg, runner.gap_mode) != (
                 model, ruleset, cfg, gap_mode):
             raise GapflowError("runner built for another model, rule set, config or gap mode")
-        return runner
-
-    def on_grid(self, cfg: IntegratorConfig) -> "EpochRunner":
-        """A runner of this model, rule set and gap mode on ``cfg``'s grid
-        that shares this runner's generators: G depends on the statuses, the
-        rules and the gap mode, not on the step size, and each generator
-        keeps its M_h per step size (PROPAGATOR_CACHE_SIZE of them)."""
-        runner = EpochRunner(self.model, self.ruleset, cfg, self.gap_mode)
-        runner._gens = self._gens
         return runner
 
     def generator(self, chosen: int | None, epoch: int) -> EffectiveGenerator:

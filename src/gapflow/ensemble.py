@@ -1,19 +1,19 @@
 """Trajectory ensembles, the deterministic current-integral oracle, and the
 statistical comparison between them.
 
-The oracle never collapses: it integrates the pre-hit dynamics on the run's
-grid and on one twice as fine, integrates each launch component's positive
-current and the hit rate sum J+ / s exactly over the clipped linear
-interpolant of every step, extrapolates the two grids' integrals (Richardson)
-and exponentiates the integrated rate into a predicted survival curve on the
+The oracle never collapses: it reads the pre-hit dynamics on the run's own
+grid and half a step after each of its rows, one RK4 step of h / 2 from the
+row, integrates each launch component's positive current and the hit rate
+sum J+ / s exactly over the clipped linear interpolant of every step and of
+its two halves, extrapolates the two integrals (Richardson) and
+exponentiates the integrated rate into a predicted survival curve on the
 run's grid. An ensemble command runs the oracle first on its one
 EpochRunner: the oracle grows that runner's epoch-0 table over the run's
-grid, and the trajectories then draw against it. The finer grid's runner
-shares the command runner's generators (EpochRunner.on_grid), so each
-status set's generator is assembled once. Empirical collapse shares
-(conditioned on a collapse happening) are compared against the normalized
-integrals with binomial z-scores, and first-hit times against the predicted
-survival via a Kolmogorov-Smirnov statistic taken on the run's step grid
+grid, the one table of epoch 0 the command builds, and the trajectories
+then draw against it. Empirical collapse shares (conditioned on a
+collapse happening) are compared against the normalized integrals with
+binomial z-scores, and first-hit times against the predicted survival via
+a Kolmogorov-Smirnov statistic taken on the run's step grid
 (ks_statistic_grid), where every hit time lies. Both carry a RunProvenance
 that holds their model; the comparison hashes the models
 (ScenarioModel.fingerprint) only where stats and oracle hold two model
@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GapSemantics, IntegratorConfig
+from .dynamics import (FILL_BLOCK, FILL_BLOCK_BYTES, EpochTable, GapSemantics, IntegratorConfig,
+                       block_currents, positive_moduli, step_each)
 from .engine import PRESERVE_TOTAL, TERMINAL_QUIESCENT, TERMINAL_T_MAX, EpochRunner
 from .errors import GapflowError, ProvenanceError
 from .model import ScenarioModel
@@ -138,20 +139,15 @@ class OracleResult:
         return (1.0 - self.survival_at(t)) / total
 
 
-def oracle_grid(cfg: IntegratorConfig) -> IntegratorConfig:
-    """The grid twice as fine as the run's, which deterministic_oracle
-    integrates beside the run's own. Like every IntegratorConfig it raises
-    above MAX_STEPS steps."""
-    return IntegratorConfig(dt=cfg.dt / 2, t_max=cfg.t_max, sample_every=1,
-                            norm_drift_budget=cfg.norm_drift_budget)
-
-
 def _clipped_steps(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Per step of h along the last axis of ``f``, the exact integral of the
     clipped linear interpolant max(L, 0) between its endpoints a and b:
     h (a + b) / 2 with both >= 0, 0 with both <= 0, else h p^2 / (2 |a - b|)
-    for the positive endpoint p."""
+    for the positive endpoint p. With no value of ``f`` negative every step
+    is the first case, and no crossing is looked for."""
     a, b = f[..., :-1], f[..., 1:]
+    if not (f < 0.0).any():
+        return 0.5 * h * (a + b)
     low, p = np.minimum(a, b), np.maximum(np.maximum(a, b), 0.0)
     steps = np.where(low >= 0.0, 0.5 * h * (a + b), 0.0)
     cross = (low < 0.0) & (p > 0.0)
@@ -160,42 +156,73 @@ def _clipped_steps(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     return steps
 
 
+def _midpoints(runner: EpochRunner, table: EpochTable) -> tuple[np.ndarray, np.ndarray]:
+    """J and s half a step after each row of the no-hit profile but its
+    last: one RK4 step of dt / 2 from each of rows 0 .. n_full - 1 and, where
+    the run ends on a shorter step of rem, of rem / 2 from row n_full
+    (step_each, then block_currents), in FILL_BLOCK_BYTES blocks of states
+    as a growing table takes them. Each is the floats of the first step of
+    a table from its row at that half step."""
+    gen, n_full = table.gen, runner.n_full
+    cap = max(FILL_BLOCK, FILL_BLOCK_BYTES // table.states[0].nbytes)
+    spans = [(lo, min(lo + cap, n_full), runner.cfg.dt / 2) for lo in range(0, n_full, cap)]
+    if runner.rem:
+        spans.append((n_full, n_full + 1, runner.rem / 2))
+    steps = n_full + bool(runner.rem)
+    J, s = np.empty((steps, len(table.launch_ids))), np.empty(steps)
+    for lo, hi, h in spans:
+        J[lo:hi], s[lo:hi] = block_currents(gen, step_each(table.states[lo:hi], gen, h), h)
+    return J, s
+
+
 def _profile_steps(runner: EpochRunner):
-    """The launch ids and grid times of ``runner``'s no-hit profile, and per
-    step the clipped integrals of each launch component's J (components x
-    steps) and of the rate sum_m J_m / s (0 with the trigger suspended)."""
+    """The launch ids and grid times of ``runner``'s no-hit profile, and
+    twice per step of its grid the clipped integrals of each launch
+    component's J (components x steps) and of the rate sum_m J_m / s (0 with
+    the trigger suspended): over the step (T_1), and over its halves, with
+    the step's midpoint (_midpoints) between its rows (T_2)."""
     table, rows, times = runner.profile(every_step=True)
-    J = np.ascontiguousarray(table.J[rows].T)
+    J_mid, s_mid = _midpoints(runner, table)
     h = np.diff(times)
-    rate = (np.zeros(len(h)) if table.trigger_off
-            else _clipped_steps(J / table.s[rows], h).sum(axis=0))
-    return table.launch_ids, times, _clipped_steps(J, h), rate
+    # The grid's rows and its midpoints, interleaved, on the grid of half steps.
+    J, s = np.empty((len(table.launch_ids), 2 * len(h) + 1)), np.empty(2 * len(h) + 1)
+    J[:, ::2], J[:, 1::2] = table.J[rows].T, J_mid.T
+    s[::2], s[1::2] = table.s[rows], s_mid
+    half = np.repeat(0.5 * h, 2)
+    j1, j2 = _clipped_steps(J[:, ::2], h), _clipped_steps(J, half)
+    if table.trigger_off:
+        r1, r2 = np.zeros(len(h)), np.zeros(len(half))
+    else:
+        q = J / positive_moduli(s)
+        r1, r2 = _clipped_steps(q[:, ::2], h).sum(axis=0), _clipped_steps(q, half).sum(axis=0)
+    return table.launch_ids, times, (j1, r1), (j2, r2)
 
 
 def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
                          gap_mode: GapSemantics, *, ruleset: RuleSet = RuleSet(),
                          runner: EpochRunner | None = None) -> OracleResult:
-    """Integrate the no-collapse dynamics of ``ruleset`` on two grids, the
-    run's and one twice as fine (oracle_grid), and extrapolate (Richardson):
-    the no-hit profile (EpochRunner.profile) of a runner on each grid, whose
-    epoch-0 table holds J and s at every grid point.
+    """Integrate the no-collapse dynamics of ``ruleset`` on the run's grid,
+    sample it half a step after each row, and extrapolate (Richardson): the
+    no-hit profile (EpochRunner.profile) of ``runner``, whose epoch-0 table
+    holds J and s at every grid point, and J and s at each step's midpoint,
+    one RK4 step of h / 2 from the step's first row (h is dt, or rem for a
+    shorter last step). The table is ``runner``'s (EpochRunner.reuse, which
+    refuses a runner built for anything else), grown through the grid, whose
+    rows a later walk on the runner draws against as the same floats; the
+    midpoints are not kept. The one grid is the run's, so an ensemble that
+    fits MAX_STEPS gets its oracle.
 
     Each step integrates J_m and J_m / s as the exact integral of their
-    clipped linear interpolants (_clipped_steps), so a zero crossing inside a
-    step is counted and the error of every integral is c h^2 + O(h^3), smooth
-    in h: (4 T_2 - T_1) / 3 over the two grids' integrals T_1 and T_2 cancels
-    c h^2, for the share integrals and for the cumulative hazard at each of
-    the coarse grid's points. Those points lie on the fine grid exactly, as
-    2k (dt / 2) and k dt are the same float and both grids end on t_max; a
-    shorter last step off the dt grid is split by the fine grid as it
-    falls, which leaves that one step an O(h^3) error. The predicted
-    survival is on the run's grid: the epoch-0 table of ``runner``
-    (EpochRunner.reuse, which refuses a runner built for anything else),
-    grown through the grid, whose rows a later walk on the runner draws
-    against as the same floats. The finer grid's runner (EpochRunner.on_grid)
-    shares that runner's generator, so no generator is assembled twice. The
-    finer grid's MAX_STEPS check comes before either grid is integrated, and
-    its table is freed at once.
+    clipped linear interpolants (_clipped_steps), once over the step (T_1)
+    and once over its two halves (T_2), so a zero crossing inside a step is
+    counted, and the error of every integral is c h^2 + O(h^3), smooth in
+    h: (4 T_2 - T_1) / 3 cancels c h^2, for the share integrals and for the
+    cumulative hazard at each of the grid's points. Where no current changes
+    sign it is Simpson's rule, h (a + 4 m + b) / 6. A midpoint's state
+    carries the run grid's O(h^4) error of its row and one half step's
+    O(h^5), not the O((h / 2)^4) of a run on dt / 2, which leaves the
+    extrapolated integrals an O(h^4) error beyond the crossing rule's
+    O(h^3) per sign change. The predicted survival is on the run's grid.
 
     The engine's gated hazard (dynamics.EpochTable) takes the trapezoid of
     the rate r = sum J+ / s over each step that ends at r > 0 and drops that
@@ -211,20 +238,17 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
     O(h^2) per sign change of a J_m: errors of one order, which shrink by
     four as dt halves.
     """
-    fine = oracle_grid(cfg)
     runner = EpochRunner.reuse(runner, model, ruleset, cfg, gap_mode)
-    ids, times, j1, r1 = _profile_steps(runner)
-    _, fine_times, j2, r2 = _profile_steps(runner.on_grid(fine))
-    # The fine grid's index of each coarse point: 2k, and t_max last.
-    at = 2 * np.arange(len(times))
-    at[-1] = len(fine_times) - 1
+    ids, times, (j1, r1), (j2, r2) = _profile_steps(runner)
     # A single sample (t_max = 0) integrates to 0.
     integrals = dict(zip(ids, ((4.0 * j2.sum(axis=1) - j1.sum(axis=1)) / 3.0).tolist()))
     total = sum(integrals.values())
     predicted = {m: v / total if total > 0.0 else 0.0 for m, v in integrals.items()}
 
-    hazard = [np.concatenate([[0.0], np.cumsum(r)]) for r in (r1, r2)]
-    survival = np.exp(-(4.0 * hazard[1][at] - hazard[0]) / 3.0)
+    # The half-step hazard at each grid point: every second partial sum.
+    hazard1 = np.concatenate([[0.0], np.cumsum(r1)])
+    hazard2 = np.concatenate([[0.0], np.cumsum(r2)])[::2]
+    survival = np.exp(-(4.0 * hazard2 - hazard1) / 3.0)
     return OracleResult(integrals=integrals, predicted_shares=predicted,
                         times=times, survival=survival,
                         provenance=_provenance(model, ruleset, cfg, gap_mode))

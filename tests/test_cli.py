@@ -131,7 +131,7 @@ def test_mistyped_amplitude_exit_1(tmp_path, capsys, value):
 
 def test_too_many_steps_exit_1(tmp_path, capsys):
     """A run above MAX_STEPS fails before any step, from the scenario or a
-    flag; so does an ensemble whose oracle grid, twice as fine, is above it."""
+    flag; so does an ensemble whose grid is above it."""
     doc = json.loads(pathlib.Path(TWO_LEVEL).read_text())
     doc["defaults"]["t_max"] = 1e15
     bad = tmp_path / "bad.json"
@@ -139,18 +139,19 @@ def test_too_many_steps_exit_1(tmp_path, capsys):
     assert main(["validate", "--scenario", str(bad)]) == 1
     assert "step-count" in capsys.readouterr().out
     for argv in (["run", "--scenario", TWO_LEVEL, "--t-max", "1e15"],
-                 ["ensemble", "--scenario", TWO_LEVEL, "--n", "1", "--t-max", "6000"]):
+                 ["ensemble", "--scenario", TWO_LEVEL, "--n", "1", "--t-max", "20000"]):
         out = tmp_path / argv[0]
         assert main([*argv, "--out-dir", str(out)]) == 1
         assert "exceeds MAX_STEPS" in capsys.readouterr().err
         assert not out.exists()
 
 
-@pytest.mark.parametrize("t_max, code", [("3", 0), ("3.125", 1)])
-def test_oracle_grid_step_limit_is_checked_first(tmp_path, capsys, monkeypatch, t_max, code):
-    """With MAX_STEPS at 48, a run of 24 steps of dt 0.125 runs, as does
-    its oracle's finer grid of 48 steps; one of 25 steps is refused before
-    any trajectory, for its oracle grid of 50."""
+@pytest.mark.parametrize("t_max, code", [("6", 0), ("6.125", 1)])
+def test_step_limit_is_checked_before_any_trajectory(tmp_path, capsys, monkeypatch, t_max,
+                                                      code):
+    """With MAX_STEPS at 48, an ensemble of 48 steps of dt 0.125 runs with
+    its oracle, on that one grid; one of 49 steps is refused before any
+    trajectory and leaves no output directory."""
     monkeypatch.setattr(dynamics, "MAX_STEPS", 48)
     if code:
         monkeypatch.setattr(cli, "run_ensemble", lambda *a, **k: pytest.fail("ran"))
@@ -159,6 +160,8 @@ def test_oracle_grid_step_limit_is_checked_first(tmp_path, capsys, monkeypatch, 
                  "--t-max", t_max, "--out-dir", str(out)]) == code
     assert ("exceeds MAX_STEPS = 48" in capsys.readouterr().err) == bool(code)
     assert out.exists() != bool(code)
+    if not code:
+        assert len((out / "survival.csv").read_text().splitlines()) == 1 + 49
 
 
 def test_overflowing_psi0_exit_1(tmp_path, capsys):
@@ -544,10 +547,10 @@ def test_ensemble_report_writes_infinities_as_null(tmp_path, t_max, passed):
     assert comparison["passed"] is passed
 
 
-def test_ensemble_integrates_epoch_0_once_per_grid(tmp_path, monkeypatch):
-    """One ensemble command builds one epoch-0 table at the run's dt, which
-    its trajectories draw against and the oracle reads, and one at dt / 2
-    for the oracle; survival.csv has a row per point of the run's grid."""
+def test_ensemble_integrates_epoch_0_once(tmp_path, monkeypatch):
+    """One ensemble command builds one epoch-0 table, at the run's dt,
+    which its trajectories draw against and the oracle reads, midpoints
+    included; survival.csv has a row per point of the run's grid."""
     built = []
 
     class CountedTable(engine.EpochTable):
@@ -560,7 +563,7 @@ def test_ensemble_integrates_epoch_0_once_per_grid(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["ensemble", "--scenario", THREE_MODE, "--n", "200", "--seed", "3",
                  "--out-dir", str(out)]) == 0
-    assert built == [0.01, 0.005]
+    assert built == [0.01]
     assert len((out / "survival.csv").read_text().splitlines()) == 1 + 601
 
 
@@ -568,8 +571,8 @@ def test_ensemble_integrates_epoch_0_once_per_grid(tmp_path, monkeypatch):
     ("three_mode", 1), ("chain_three_level", 2), ("fan_out", 1)])
 def test_ensemble_assembles_each_generator_once(tmp_path, monkeypatch, name, status_sets):
     """One ensemble command assembles one generator per status set it
-    reaches: the oracle's finer grid reads the run's, and a collapse onto
-    a component that sources no gap needs none. chain_three_level reaches
+    reaches: the oracle reads the run's, and a collapse onto a component
+    that sources no gap needs none. chain_three_level reaches
     the statuses after its middle component, the 511-mode fan-out none."""
     if name == "fan_out":
         path = tmp_path / "fan_out.json"
@@ -641,6 +644,30 @@ def test_rerun_reproduces_suspended_ensemble(tmp_path):
     assert main(["rerun", "--manifest", str(first / "manifest.json"),
                  "--out-dir", str(second)]) == 0
     assert tree_bytes(first) == tree_bytes(second)
+
+
+def test_rerun_reproduces_currents(tmp_path):
+    """A currents manifest, which records the scenario's default seed,
+    replays without --seed into the same files."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["currents", "--scenario", THREE_MODE, "--t-max", "0.505",
+                 "--out-dir", str(first)]) == 0
+    assert load_manifest(first / "manifest.json")["seed"] == load_scenario_file(
+        THREE_MODE).defaults.seed
+    assert main(["rerun", "--manifest", str(first / "manifest.json"),
+                 "--out-dir", str(second)]) == 0
+    assert tree_bytes(first) == tree_bytes(second)
+    assert (first / "currents.csv").read_bytes() == (second / "currents.csv").read_bytes()
+
+
+def test_currents_takes_no_seed(tmp_path, capsys):
+    """The no-hit profile draws no number, so --seed is a usage error."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["currents", "--scenario", THREE_MODE, "--seed", "1", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rerun_rejects_tampered_scenario(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gapflow import ensemble
-from gapflow.dynamics import GapSemantics, IntegratorConfig, StepPlan
+from gapflow.dynamics import EpochTable, GapSemantics, IntegratorConfig, StepPlan
 from gapflow.engine import (PRESERVE_TOTAL, TERMINAL_QUIESCENT, EpochRunner, run_trajectory,
                             step_grid)
 from gapflow.ensemble import (
@@ -25,13 +25,13 @@ from gapflow.ensemble import (
     run_ensemble,
 )
 from gapflow.errors import GapflowError, ProvenanceError
-from gapflow.fixtures import (chain_three_level, detuned_two_level, three_mode, two_level,
-                              two_mode_symmetric)
+from gapflow.fixtures import (BUILDERS, chain_three_level, detuned_two_level, three_mode,
+                              two_level, two_mode_symmetric)
 from gapflow.model import load_scenario, load_scenario_file
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 from gapflow.substreams import CROSSOVER, substream_keys
 
-from conftest import WIDE_LAUNCH
+from conftest import WIDE_LAUNCH, star_model
 
 R3 = RuleSet(NRULES3)
 ONEWAY = GapSemantics.ONE_WAY_FEED
@@ -198,6 +198,47 @@ def test_oracle_is_as_accurate_as_refine_10(builder, mode, t_max):
     ref_shares = ref_int / ref_int.sum()
     assert np.abs(shares - ref_shares).max() <= max(
         np.abs(int10 / int10.sum() - ref_shares).max(), 1e-13)
+
+
+@pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_oracle_is_within_5e_9_of_its_run_at_dt_over_40(name, mode):
+    """Against the oracle of its own run at dt / 40, the oracle at the
+    fixture's dt is within 5e-9 in S(t) on its grid and in every share
+    integral. Compensated mode stages every step, so it runs to t_max
+    1.005, off the dt grid, where the last midpoint is a rem / 2 step."""
+    model = BUILDERS[name]()
+    d = model.defaults
+    t_max = 1.005 if mode is GapSemantics.NORM_COMPENSATED else d.t_max
+    rules = RuleSet(d.rules)
+    oracle = deterministic_oracle(model, IntegratorConfig(dt=d.dt, t_max=t_max), mode,
+                                  ruleset=rules)
+    ref = deterministic_oracle(model, IntegratorConfig(dt=d.dt / 40, t_max=t_max), mode,
+                               ruleset=rules)
+    assert np.abs(oracle.survival - np.interp(oracle.times, ref.times, ref.survival)).max() < 5e-9
+    assert oracle.integrals.keys() == ref.integrals.keys()
+    assert max(abs(v - ref.integrals[m]) for m, v in oracle.integrals.items()) < 5e-9
+
+
+@pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
+@pytest.mark.parametrize("build, t_max", [(three_mode, 2.005), (chain_three_level, 0.505),
+                                          (lambda: star_model(300), 0.105)],
+                         ids=["three_mode", "chain_three_level", "star_300"])
+def test_midpoints_are_one_step_tables(build, t_max, mode):
+    """The oracle's midpoint J and s are, bit for bit, the first stepped row
+    of a table started at row k with a step of h / 2: dt / 2 from each row
+    of the dt grid and rem / 2 from the last one, t_max being off the grid;
+    on the dense, CSR and staged paths (the star's hermitian M_h fills in)."""
+    model = build()
+    runner = EpochRunner(model, R3, IntegratorConfig(dt=0.01, t_max=t_max), mode)
+    table, rows, times = runner.profile(every_step=True)
+    J, s = ensemble._midpoints(runner, table)
+    assert runner.rem and len(s) == len(J) == len(times) - 1 == runner.n_full + 1
+    for k in range(len(s)):
+        h = 0.005 if k < runner.n_full else runner.rem / 2
+        one = EpochTable(table.gen, table.states[k], h, 1, table.trigger_off)
+        one.grow(math.inf, 1)
+        assert np.array_equal(one.J[1], J[k]) and one.s[1] == s[k]
 
 
 def test_oracle_reads_the_runs_table():
