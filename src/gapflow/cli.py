@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import os
 import sys
 
@@ -23,7 +24,7 @@ from .dynamics import GapSemantics, IntegratorConfig
 from .engine import NORM_POLICIES, PRESERVE_TOTAL, EpochRunner, TrajectorySamples, run_trajectory
 from .ensemble import compare, deterministic_oracle, run_ensemble
 from .errors import GapflowError, ScenarioParseError, ScenarioValidationError
-from .model import GAP_MODES, load_scenario_file, parse_scenario, validate_model
+from .model import GAP_MODES, load_scenario, parse_scenario, scenario_text, validate_model
 from .output import (build_manifest, dump_events, dump_json, ensemble_report, load_manifest,
                      scenario_hash, write_events_jsonl, write_histogram_csv, write_manifest,
                      write_report_json, write_survival_csv, write_trajectory_csv)
@@ -116,20 +117,30 @@ def _resolve(args, model, parser):
     return ruleset, mode, cfg, seed
 
 
-def _manifest_for(args, command, ruleset, mode, cfg, seed, n=1, policy=PRESERVE_TOTAL) -> str:
+def _load(path):
+    """The scenario at ``path`` and the SHA-256 of the bytes it was parsed
+    from. The file is read once, so the manifest names the bytes the
+    command ran, even if the file changes while it runs."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return load_scenario(scenario_text(data)), hashlib.sha256(data).hexdigest()
+
+
+def _manifest_for(args, command, sha256, ruleset, mode, cfg, seed, n=1,
+                  policy=PRESERVE_TOTAL) -> str:
     """The manifest's JSON text. Every writing command serialises its JSON
     texts before it makes the output directory, so a value strict JSON
     refuses (ValueError, exit 1) leaves no partial output behind."""
     return dump_json(build_manifest(
-        command, args.scenario, scenario_hash(args.scenario),
+        command, args.scenario, sha256,
         rules=ruleset.variant, suspended=sorted(ruleset.suspended),
         gap_mode=mode.token, dt=cfg.dt, t_max=cfg.t_max, seed=seed,
         n=n, sample_every=cfg.sample_every, policy=policy))
 
 
 def cmd_validate(args, parser) -> int:
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(args.scenario, "rb") as fh:
+        text = scenario_text(fh.read())
     try:
         model = parse_scenario(text)
     except ScenarioParseError as exc:
@@ -141,10 +152,10 @@ def cmd_validate(args, parser) -> int:
 
 
 def cmd_run(args, parser) -> int:
-    model = load_scenario_file(args.scenario)
+    model, sha256 = _load(args.scenario)
     ruleset, mode, cfg, seed = _resolve(args, model, parser)
     rec = run_trajectory(model, ruleset, cfg, mode, seed, policy=args.policy)
-    manifest = _manifest_for(args, "run", ruleset, mode, cfg, seed, policy=args.policy)
+    manifest = _manifest_for(args, "run", sha256, ruleset, mode, cfg, seed, policy=args.policy)
     events = dump_events(rec.events)
     report = dump_json({
         "terminal": rec.terminal,
@@ -164,7 +175,7 @@ def cmd_run(args, parser) -> int:
 
 
 def cmd_ensemble(args, parser) -> int:
-    model = load_scenario_file(args.scenario)
+    model, sha256 = _load(args.scenario)
     ruleset, mode, cfg, seed = _resolve(args, model, parser)
     # The oracle runs first: it grows the runner's epoch-0 table, which the
     # calling process then walks on.
@@ -173,7 +184,7 @@ def cmd_ensemble(args, parser) -> int:
     stats = run_ensemble(model, ruleset, cfg, mode, args.n, seed,
                          n_workers=args.workers, policy=args.policy, runner=runner)
     report = compare(stats, oracle)
-    manifest = _manifest_for(args, "ensemble", ruleset, mode, cfg, seed, n=args.n,
+    manifest = _manifest_for(args, "ensemble", sha256, ruleset, mode, cfg, seed, n=args.n,
                              policy=args.policy)
     report_text = dump_json(ensemble_report(stats, oracle, report))
 
@@ -190,7 +201,7 @@ def cmd_ensemble(args, parser) -> int:
 
 
 def cmd_arrow(args, parser) -> int:
-    model = load_scenario_file(args.scenario)
+    model, sha256 = _load(args.scenario)
     ruleset, mode, cfg, seed = _resolve(args, model, parser)
     active = RuleSet(ruleset.variant)
 
@@ -220,7 +231,7 @@ def cmd_arrow(args, parser) -> int:
               f"max_backflow={rep.max_backflow:.6g} hits={rep.total_hits}")
 
     if args.out_dir:
-        manifest = _manifest_for(args, "arrow", ruleset, mode, cfg, seed)
+        manifest = _manifest_for(args, "arrow", sha256, ruleset, mode, cfg, seed)
         report = dump_json({
             "reports": {k: v.to_dict() for k, v in reports.items()},
             "expected": expected,
@@ -234,12 +245,12 @@ def cmd_arrow(args, parser) -> int:
 
 
 def cmd_currents(args, parser) -> int:
-    model = load_scenario_file(args.scenario)
+    model, sha256 = _load(args.scenario)
     ruleset, mode, cfg, seed = _resolve(args, model, parser)
     table, rows, times = EpochRunner(model, ruleset, cfg, mode).profile()
     samples = TrajectorySamples.of(model, [(table, 1.0, rows, times)], table.launch_ids)
     del table           # freed, with its generator, before the CSV text is built
-    manifest = _manifest_for(args, "currents", ruleset, mode, cfg, seed)
+    manifest = _manifest_for(args, "currents", sha256, ruleset, mode, cfg, seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_manifest(args.out_dir, manifest)

@@ -138,8 +138,7 @@ class CurrentVector:
 @dataclass(frozen=True, eq=False)
 class IncludedGap:
     """A gap whose feed G includes: its (low, high) pair, the low component's
-    basis indices and the feed F, as CSR on first read (a wide star has one
-    gap per mode, and only the compensated loss and backflow read F)."""
+    basis indices and the feed F, as CSR on first read."""
 
     pair: tuple[int, int]
     low_idx: np.ndarray
@@ -152,8 +151,8 @@ class IncludedGap:
 
 @dataclass(frozen=True)
 class EffectiveGenerator:
-    """Immutable per-epoch generator, apart from its M_h and feed caches;
-    shareable across concurrent trajectories. ``matrix`` holds the included
+    """Immutable per-epoch generator, apart from its M_h, gap and feed
+    caches; shareable across concurrent trajectories. ``matrix`` holds the included
     own blocks, gap feeds and, in hermitian mode only, their adjoints."""
 
     dim: int
@@ -161,8 +160,9 @@ class EffectiveGenerator:
     mode: GapSemantics
     launch_ids: tuple[int, ...]
     launch_indices: Mapping[int, np.ndarray]
-    # The one record of the included gaps, in every mode; empty iff none is.
-    gaps: tuple[IncludedGap, ...]
+    model: ScenarioModel = field(compare=False, repr=False)
+    # Which of model.gaps G includes, in every mode; read through ``gaps``.
+    included: np.ndarray = field(compare=False, repr=False)
     epoch: int
     dense: np.ndarray | None = field(default=None, compare=False)
     # step size -> M_h, filled on first use (see propagator)
@@ -171,6 +171,15 @@ class EffectiveGenerator:
     def __post_init__(self):
         if self.dense is None and self.dim <= DENSE_DIM_LIMIT:
             object.__setattr__(self, "dense", self.matrix.toarray())
+
+    @cached_property
+    def gaps(self) -> tuple[IncludedGap, ...]:
+        """The one record of the included gaps, in every mode; empty iff none
+        is. Built on first read: only the compensated loss and backflow read
+        it, and a wide star includes one gap per mode."""
+        index_arrays = self.model.index_arrays
+        return tuple([IncludedGap((g.low, g.high), index_arrays[g.low], g.interaction)
+                      for g, inc in zip(self.model.gaps, self.included.tolist()) if inc])
 
     @property
     def linear(self) -> bool:
@@ -254,54 +263,59 @@ def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantic
     """
     if statuses is None:
         statuses = model.initial_statuses()
-    for comp_id, st in statuses.items():
-        model.component(comp_id)
-        if st not in STATUSES:
-            raise GapflowError(f"unknown status {st!r} for component {comp_id}")
-    missing = {c.id for c in model.components} - set(statuses)
+    by_id = model._by_id
+    if not (statuses.keys() <= by_id.keys() and all(st in STATUSES for st in statuses.values())):
+        bad = next(cid for cid, st in statuses.items() if cid not in by_id or st not in STATUSES)
+        model.component(bad)
+        raise GapflowError(f"unknown status {statuses[bad]!r} for component {bad}")
+    missing = by_id.keys() - statuses.keys()
     if missing:
         raise GapflowError(f"statuses missing for components {sorted(missing)}")
 
     freeze_off = ruleset.freeze_suspended
-    entries: list[tuple[int, int, complex]] = []
+    hermitian = mode is GapSemantics.HERMITIAN_TRUNCATED
+    own = [e for comp_id, block in model.hamiltonian.own.items()
+           if statuses[comp_id] in (ACTIVE, REALIZED) or freeze_off and statuses[comp_id] == LAUNCH
+           for e in block.entries]
 
-    def own_included(comp_id: int) -> bool:
-        st = statuses[comp_id]
-        if st in (ACTIVE, REALIZED):
-            return True
-        return st == LAUNCH and freeze_off
+    # Each gap's inclusion from its two components' statuses, then every
+    # included gap's feed entries in one selection.
+    rows, cols, vals, gap, low, high = model.gap_feeds
+    st = [statuses[c.id] for c in model.components]
+    if freeze_off and hermitian:
+        # Suspending the freeze restores the full Hermitian H0 + H01 on
+        # every surviving component, the counterfactual the arrow
+        # experiments need.
+        alive = np.array([s != ZEROED for s in st], dtype=bool)
+        included = alive[low] & alive[high]
+    else:
+        sourceable = (ACTIVE, REALIZED, LAUNCH) if freeze_off else (ACTIVE, REALIZED)
+        source = np.array([s in sourceable for s in st], dtype=bool)
+        launch = np.array([s == LAUNCH for s in st], dtype=bool)
+        included = source[low] & launch[high]
+    chosen = included[gap]
+    gap, rows, cols, vals = gap[chosen], rows[chosen], cols[chosen], vals[chosen]
+    if hermitian:
+        # Each gap's adjoint entries follow its feed entries.
+        order = np.argsort(np.concatenate([gap, gap]), kind="stable")
+        rows, cols = np.concatenate([rows, cols])[order], np.concatenate([cols, rows])[order]
+        vals = np.concatenate([vals, vals.conj()])[order]
+    if own:
+        own_rows, own_cols, own_vals = zip(*own)
+        rows = np.concatenate([np.array(own_rows, dtype=np.intp), rows])
+        cols = np.concatenate([np.array(own_cols, dtype=np.intp), cols])
+        vals = np.concatenate([np.array(own_vals, dtype=np.complex128), vals])
 
-    for comp_id, block in model.hamiltonian.own.items():
-        if own_included(comp_id):
-            entries.extend(block.entries)
-
-    sourceable = {ACTIVE, REALIZED} | ({LAUNCH} if freeze_off else set())
-    gaps = []
-    for gap in model.gaps:
-        st_low, st_high = statuses[gap.low], statuses[gap.high]
-        if freeze_off and mode is GapSemantics.HERMITIAN_TRUNCATED:
-            # Suspending the freeze restores the full Hermitian H0 + H01 on
-            # every surviving component, the counterfactual the arrow
-            # experiments need.
-            included = st_low != ZEROED and st_high != ZEROED
-        else:
-            included = st_low in sourceable and st_high == LAUNCH
-        if not included:
-            continue
-        feed = gap.interaction
-        entries.extend(feed.entries)
-        if mode is GapSemantics.HERMITIAN_TRUNCATED:
-            entries.extend(feed.adjoint_entries())
-        gaps.append(IncludedGap((gap.low, gap.high), model.indices_of(gap.low), feed))
-
+    index_arrays = model.index_arrays
     launch_ids = tuple(sorted(cid for cid, st in statuses.items() if st == LAUNCH))
     return EffectiveGenerator(
         dim=model.dim,
-        matrix=OperatorBlock(model.dim, tuple(entries)).to_coo().tocsr(),
+        matrix=sp.coo_matrix((vals, (rows, cols)), shape=(model.dim, model.dim)).tocsr(),
         mode=mode,
         launch_ids=launch_ids,
-        launch_indices={cid: model.indices_of(cid) for cid in launch_ids},
-        gaps=tuple(gaps),
+        launch_indices={cid: index_arrays[cid] for cid in launch_ids},
+        model=model,
+        included=included,
         epoch=epoch,
     )
 

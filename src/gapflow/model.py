@@ -32,9 +32,11 @@ import enum
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import accumulate
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -206,7 +208,45 @@ class ScenarioModel:
 
     @cached_property
     def index_arrays(self) -> dict[int, np.ndarray]:
-        return {c.id: np.array(c.basis_indices, dtype=np.intp) for c in self.components}
+        """Each component's basis indices: read-only rows of _by_size."""
+        rows = [None] * len(self.components)
+        for pos, indices in self._by_size:
+            for k, row in zip(pos.tolist(), indices):
+                rows[k] = row
+        return {c.id: row for c, row in zip(self.components, rows)}
+
+    @cached_property
+    def _by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per distinct component size s: the positions in ``components`` of
+        the components of that size, and their basis indices as the rows of
+        a read-only array of s columns."""
+        by_size: dict[int, list[int]] = {}
+        for k, c in enumerate(self.components):
+            by_size.setdefault(len(c.basis_indices), []).append(k)
+        plan = []
+        for size, pos in by_size.items():
+            indices = np.array([i for k in pos for i in self.components[k].basis_indices],
+                               dtype=np.intp).reshape(len(pos), size)
+            indices.setflags(write=False)
+            plan.append((np.array(pos, dtype=np.intp), indices))
+        return tuple(plan)
+
+    @cached_property
+    def gap_feeds(self) -> tuple[np.ndarray, ...]:
+        """Every gap's feed entries as arrays, derived once from ``gaps`` of a
+        valid model: (rows, cols, vals, gap) per entry, in gap and entry
+        order, then (low, high), each gap's component positions in
+        ``components``."""
+        gaps = self.gaps
+        position = {c.id: k for k, c in enumerate(self.components)}
+        entries = [e for g in gaps for e in g.interaction.entries]
+        rows, cols, vals = zip(*entries) if entries else ((), (), ())
+        counts = [len(g.interaction.entries) for g in gaps]
+        return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                np.array(vals, dtype=np.complex128),
+                np.repeat(np.arange(len(gaps), dtype=np.intp), counts),
+                np.array([position[g.low] for g in gaps], dtype=np.intp),
+                np.array([position[g.high] for g in gaps], dtype=np.intp))
 
     def indices_of(self, comp_id: int) -> np.ndarray:
         self.component(comp_id)
@@ -257,10 +297,19 @@ def project(state: np.ndarray, comp_id: int, model: ScenarioModel) -> np.ndarray
 
 
 def component_moduli(states: np.ndarray, model: ScenarioModel) -> np.ndarray:
-    """Square modulus of each component, in model order, per row of ``states``."""
+    """Square modulus of each component, in model order, per row of ``states``.
+
+    One sum over the last axis per distinct component size: each sum adds
+    a component's values in the order and grouping of a sum over that
+    component alone. One np.add.reduceat over all components would not:
+    from three indices on it groups the terms differently.
+    """
     sq = (states.conj() * states).real
-    return np.stack([sq[:, model.index_arrays[c.id]].sum(axis=1) for c in model.components],
-                    axis=1)
+    sums = [(pos, sq[:, indices].sum(axis=2)) for pos, indices in model._by_size]
+    out = np.empty((len(sq), len(model.components)))
+    for pos, moduli in sums:
+        out[:, pos] = moduli
+    return out
 
 
 def component_square_moduli(state: np.ndarray, model: ScenarioModel) -> dict[int, float]:
@@ -334,42 +383,28 @@ def _coverage_message(covered: set[int], dim: int) -> str:
             f"the first {MAX_LISTED}: {first[:MAX_LISTED]}")
 
 
-def validate_model(model: ScenarioModel) -> ValidationReport:
-    """Collect every invariant violation; violations are data, not exceptions."""
-    report = ValidationReport()
-    dim = model.dim
-    if dim < 1:
-        report.error("dim", f"dim must be >= 1, got {dim}")
-        return report
+def _check_gaps(report, gaps, by_id, member, dim):
+    """Report each gap's violations in gap order, then the multi-feed warnings.
 
-    ids = [c.id for c in model.components]
-    if len(ids) != len(set(ids)):
-        report.error("duplicate-id", "component ids are not unique")
-    by_id = {c.id: c for c in model.components}
+    Which gaps may break a rule is found in bulk, over all gaps and entries
+    at once; only those gaps are then checked one by one.
+    """
+    pairs = [(g.low, g.high) for g in gaps]
+    first_of = dict(zip(reversed(pairs), range(len(pairs) - 1, -1, -1)))
+    suspect = {k for k, g in enumerate(gaps)
+               if not (g.irreversible and g.low in by_id and g.high in by_id
+                       and by_id[g.high].entropy_rank > by_id[g.low].entropy_rank)}
+    suspect.update(k for k, g in enumerate(gaps) for r, c, v in g.interaction.entries
+                   if not ((g.high, r) in member and (g.low, c) in member
+                           and 0 <= r < dim and 0 <= c < dim and cmath.isfinite(v)))
+    keys = [(k, r, c) for k, g in enumerate(gaps) for r, c, _ in g.interaction.entries]
+    if len(set(keys)) < len(keys):
+        suspect.update(k for (k, _, _), n in Counter(keys).items() if n > 1)
+    if len(first_of) < len(pairs):
+        suspect.update(k for k, pair in enumerate(pairs) if first_of[pair] != k)
 
-    covered: set[int] = set()
-    for c in model.components:
-        where = f"component {c.id}"
-        if not c.basis_indices:
-            report.error("empty-component", "basis_indices is empty", where)
-        if c.status not in (ACTIVE, LAUNCH):
-            report.error("initial-status",
-                         f"initial status must be 'active' or 'launch', got {c.status!r}", where)
-        for i in c.basis_indices:
-            if not 0 <= i < dim:
-                report.error("index-range", f"basis index {i} outside dim={dim}", where)
-            elif i in covered:
-                report.error("components-overlap", f"components overlap at basis index {i}", where)
-            else:
-                covered.add(i)
-    if len(covered) < dim and not report.errors:
-        # Counted, not allocated: dim may be far larger than the document.
-        report.error("coverage", _coverage_message(covered, dim))
-
-    low_sets = {c.id: set(c.basis_indices) for c in model.components}
-    pair_seen = set()
-    feeds_into: dict[int, list[int]] = {}
-    for k, gap in enumerate(model.gaps):
+    for k in sorted(suspect):
+        gap = gaps[k]
         where = f"gap {k} ({gap.low}->{gap.high})"
         if gap.low not in by_id or gap.high not in by_id:
             report.error("unknown-component", "gap references unknown component", where)
@@ -383,32 +418,80 @@ def validate_model(model: ScenarioModel) -> ValidationReport:
                          "component and use its own block instead", where)
         if by_id[gap.high].entropy_rank <= by_id[gap.low].entropy_rank:
             report.error("entropy-order", "gap not entropy-increasing", where)
-        if (gap.low, gap.high) in pair_seen:
+        if first_of[(gap.low, gap.high)] != k:
             report.error("duplicate-gap", "second gap declared for the same pair", where)
-        pair_seen.add((gap.low, gap.high))
-        feeds_into.setdefault(gap.high, []).append(gap.low)
-        lo, hi = low_sets[gap.low], low_sets[gap.high]
         for r, c, _ in gap.interaction.entries:
-            if not (r in hi and c in lo):
+            if (gap.high, r) not in member or (gap.low, c) not in member:
                 report.error("gap-support",
                              f"entry ({r},{c}) does not map the low component into the high one",
                              where)
         _check_block_entries(report, gap.interaction, dim, where)
 
-    for high, lows in feeds_into.items():
-        if len(lows) > 1:
-            report.warn("multi-feed",
-                        f"multiple components {sorted(lows)} feed launch component {high}; "
-                        "their currents are summed")
+    feeds = [(g.high, g.low) for g in gaps if g.low in by_id and g.high in by_id
+             and g.low != g.high]
+    if len({high for high, _ in feeds}) < len(feeds):
+        feeds_into: dict[int, list[int]] = {}
+        for high, low in feeds:
+            feeds_into.setdefault(high, []).append(low)
+        for high, lows in feeds_into.items():
+            if len(lows) > 1:
+                report.warn("multi-feed",
+                            f"multiple components {sorted(lows)} feed launch component {high}; "
+                            "their currents are summed")
+
+
+def validate_model(model: ScenarioModel) -> ValidationReport:
+    """Collect every invariant violation; violations are data, not exceptions."""
+    report = ValidationReport()
+    dim = model.dim
+    if dim < 1:
+        report.error("dim", f"dim must be >= 1, got {dim}")
+        return report
+
+    by_id = {c.id: c for c in model.components}
+    if len(by_id) != len(model.components):
+        report.error("duplicate-id", "component ids are not unique")
+
+    # The components are checked one by one only where one is empty, starts
+    # neither active nor launch, or their indices repeat or leave range(dim).
+    indices = [i for c in model.components for i in c.basis_indices]
+    covered = set(indices)
+    if not (all(c.basis_indices and c.status in (ACTIVE, LAUNCH) for c in model.components)
+            and len(covered) == len(indices) and (not indices or 0 <= min(indices)
+                                                  and max(indices) < dim)):
+        covered = set()
+        for c in model.components:
+            where = f"component {c.id}"
+            if not c.basis_indices:
+                report.error("empty-component", "basis_indices is empty", where)
+            if c.status not in (ACTIVE, LAUNCH):
+                report.error("initial-status",
+                             f"initial status must be 'active' or 'launch', got {c.status!r}",
+                             where)
+            for i in c.basis_indices:
+                if not 0 <= i < dim:
+                    report.error("index-range", f"basis index {i} outside dim={dim}", where)
+                elif i in covered:
+                    report.error("components-overlap",
+                                 f"components overlap at basis index {i}", where)
+                else:
+                    covered.add(i)
+    if len(covered) < dim and not report.errors:
+        # Counted, not allocated: dim may be far larger than the document.
+        report.error("coverage", _coverage_message(covered, dim))
+
+    # (component id, basis index) of each id's component: an entry (r, c)
+    # maps low into high iff (high, r) and (low, c) are members.
+    member = {(cid, i) for cid, c in by_id.items() for i in c.basis_indices}
+    _check_gaps(report, model.gaps, by_id, member, dim)
 
     for comp_id, block in model.hamiltonian.own.items():
         where = f"own block of component {comp_id}"
         if comp_id not in by_id:
             report.error("unknown-component", "own block references unknown component", where)
             continue
-        inside = low_sets[comp_id]
         for r, c, _ in block.entries:
-            if r not in inside or c not in inside:
+            if (comp_id, r) not in member or (comp_id, c) not in member:
                 report.error("own-support",
                              f"entry ({r},{c}) lies outside the component's basis indices", where)
         _check_block_entries(report, block, dim, where)
@@ -424,39 +507,36 @@ def validate_model(model: ScenarioModel) -> ValidationReport:
                          "status 'launch' requires being the high side of at least one gap",
                          f"component {c.id}")
     for k, gap in enumerate(model.gaps):
-        if gap.low not in by_id or gap.high not in by_id or not gap.irreversible:
+        low, high = by_id.get(gap.low), by_id.get(gap.high)
+        if low is None or high is None or not gap.irreversible:
             continue
-        where = f"gap {k} ({gap.low}->{gap.high})"
-        if by_id[gap.low].status == ACTIVE and by_id[gap.high].status != LAUNCH:
+        if low.status == ACTIVE and high.status != LAUNCH:
             report.error("unbridged-gap",
                          "high side of a gap fed by an active component must have status 'launch'",
-                         where)
-        if by_id[gap.low].status == LAUNCH and by_id[gap.high].status == LAUNCH:
+                         f"gap {k} ({gap.low}->{gap.high})")
+        if low.status == LAUNCH and high.status == LAUNCH:
             report.error("premature-launch",
                          "high side of a chained gap must stay 'active' until its source realizes",
-                         where)
+                         f"gap {k} ({gap.low}->{gap.high})")
 
     psi0 = model.psi0
     if psi0.shape != (dim,):
         report.error("psi0-shape", f"psi0 has shape {psi0.shape}, expected ({dim},)")
-    elif not np.isfinite(psi0).all():
+    # A finite square modulus s0 means every amplitude is finite, and s0 > 0
+    # that one is not zero; the array checks run only where s0 leaves it open.
+    elif not math.isfinite(s0 := square_modulus(psi0)) and not np.isfinite(psi0).all():
         bad = np.flatnonzero(~np.isfinite(psi0))
         report.error("non-finite", f"psi0 has NaN or infinite amplitude at indices {bad.tolist()}")
-    elif not psi0.any():
+    elif s0 == 0.0 and not psi0.any():
         report.error("psi0-zero", "psi0 is all zero")
-    elif not math.isfinite(s0 := square_modulus(psi0)):
+    elif not math.isfinite(s0):
         report.error("psi0-overflow", f"psi0's square modulus overflows to {s0}")
     else:
-        active_mask = np.zeros(dim, dtype=bool)
-        for c in model.components:
-            if c.status == ACTIVE:
-                for i in c.basis_indices:
-                    if 0 <= i < dim:
-                        active_mask[i] = True
-        stray = np.flatnonzero((np.abs(psi0) > 0) & ~active_mask)
-        if stray.size:
+        active = {i for c in model.components if c.status == ACTIVE for i in c.basis_indices}
+        stray = [i for i in np.flatnonzero(psi0).tolist() if i not in active]
+        if stray:
             report.error("psi0-support",
-                         f"psi0 has amplitude outside active components at indices {stray.tolist()}")
+                         f"psi0 has amplitude outside active components at indices {stray}")
 
     d = model.defaults
     for name, value in (("dt", d.dt), ("t_max", d.t_max)):
@@ -522,53 +602,168 @@ def _optional_list(doc, key) -> list:
     return _need(doc, key, list, "document") if key in doc else []
 
 
-def _parse_entries(raw, where) -> tuple[tuple[int, int, complex], ...]:
-    out = []
-    for j, quad in enumerate(raw):
-        if not (isinstance(quad, list) and len(quad) == 4):
-            raise ScenarioParseError("operator entries must be [row, col, re, im] quads",
-                                     f"{where}.entries[{j}]")
-        r, c, re, im = quad
-        if isinstance(r, bool) or isinstance(c, bool) or not isinstance(r, int) or not isinstance(c, int):
-            raise ScenarioParseError("row/col must be integers", f"{where}.entries[{j}]")
-        if not (type(re) is float and type(im) is float):
-            re, im = (_number(re, "re", f"{where}.entries[{j}]"),
-                      _number(im, "im", f"{where}.entries[{j}]"))
-        out.append((r, c, complex(re, im)))
-    return tuple(out)
+# The types of JSON numbers. The bulk checks test ``type(v)`` where _need
+# tests isinstance: json.loads makes no subclass of int, float or list, and
+# a boolean's type is bool.
+_NUMBERS = {float, int}
 
 
-def _canonical_feed(entries, low_set, high_set, dim, where):
-    """Normalize stored gap entries to the feed (high<-low) direction.
+def _check_quad(quad, where):
+    """Raise the parse error of one malformed [row, col, re, im] quad."""
+    if not (type(quad) is list and len(quad) == 4):
+        raise ScenarioParseError("operator entries must be [row, col, re, im] quads", where)
+    r, c, re, im = quad
+    if type(r) is not int or type(c) is not int:
+        raise ScenarioParseError("row/col must be integers", where)
+    _number(re, "re", where)
+    _number(im, "im", where)
+
+
+def _parse_quads(lists, section, first=0):
+    """Rows, columns and complex values of the [row, col, re, im] quads of
+    ``lists``, the entry lists of ``section``'s blocks from block ``first``
+    on, concatenated, and the number of blocks they cover; with the
+    ScenarioParseError of the first malformed quad, whose block ends the
+    blocks covered, else None.
+
+    Checked and converted in bulk; the blocks are walked one by one only
+    to name a malformed quad.
+    """
+    quads = [q for entries in lists for q in entries]
+    try:
+        # Only lists pass: zip splits a string into str characters and a
+        # dict into str keys.
+        rows, cols, res, ims = zip(*quads) if quads else ((), (), (), ())
+        if (set(map(len, quads)) <= {4} and set(map(type, rows + cols)) <= {int}
+                and set(map(type, res + ims)) <= _NUMBERS):
+            return rows, cols, list(map(complex, res, ims)), len(lists), None
+    except (TypeError, ValueError, OverflowError):
+        # A quad that is no sequence, or has too few values, or an int
+        # re or im beyond the float range.
+        pass
+    for i, entries in enumerate(lists):
+        try:
+            for j, quad in enumerate(entries):
+                _check_quad(quad, f"{section}[{first + i}].entries[{j}]")
+        except ScenarioParseError as exc:
+            return (*_parse_quads(lists[:i], section)[:3], i, exc)
+    raise AssertionError("no malformed quad found")
+
+
+def _check_component(raw, where):
+    """Raise the parse error of one malformed component document."""
+    if not isinstance(raw, dict):
+        raise ScenarioParseError("component must be an object", where)
+    if any(type(i) is not int for i in _need(raw, "indices", list, where)):
+        raise ScenarioParseError("indices must be integers", where)
+    _need(raw, "id", int, where)
+    _need(raw, "entropy_rank", int, where)
+
+
+def _parse_components(raw: list) -> tuple[Component, ...]:
+    if not (all(type(c) is dict and type(c.get("indices")) is list and type(c.get("id")) is int
+                and type(c.get("entropy_rank")) is int for c in raw)
+            and {type(i) for c in raw for i in c["indices"]} <= {int}):
+        for i, c in enumerate(raw):
+            _check_component(c, f"components[{i}]")
+    # "ready" is the four-rule variant's name for "launch".
+    return tuple([Component(c["id"], tuple(c["indices"]), c["entropy_rank"],
+                            LAUNCH if (st := c.get("status", ACTIVE)) == "ready" else st)
+                  for c in raw])
+
+
+def _check_gap(raw, where):
+    """Raise the parse error of one gap document whose fields are malformed."""
+    if not isinstance(raw, dict):
+        raise ScenarioParseError("gap must be an object", where)
+    _need(raw, "low", int, where)
+    _need(raw, "high", int, where)
+    if not isinstance(raw.get("irreversible", True), bool):
+        raise ScenarioParseError("field 'irreversible' must be true or false", where)
+    _need(raw, "entries", list, where)
+    raise AssertionError(f"{where} is well-formed")
+
+
+def _parse_gaps(raw: list, components, dim: int) -> tuple[Gap, ...]:
+    """The gaps, each entry stored in the feed (high <- low) direction.
 
     Both storage directions are accepted; if both are present for the same
-    pair they must be conjugate transposes of each other.
+    pair they must be conjugate transposes of each other. An entry in
+    neither direction stays as written, so validate_model reports it as a
+    gap-support violation instead of a parse error. The first error in
+    document order is raised: a gap's fields, then its entries, then the
+    duplicate and conjugate-symmetry checks of its feed.
     """
-    feed: dict[tuple[int, int], complex] = {}
-    back: dict[tuple[int, int], complex] = {}
-    for r, c, v in entries:
-        if r in high_set and c in low_set:
-            if (r, c) in feed:
-                raise ScenarioParseError(f"duplicate gap entry at ({r},{c})", where)
-            feed[(r, c)] = v
-        elif r in low_set and c in high_set:
-            if (c, r) in back:
-                raise ScenarioParseError(f"duplicate gap entry at ({r},{c})", where)
-            back[(c, r)] = v.conjugate()
-        else:
-            # Leave misplaced entries in the block untouched so validate_model
-            # reports them as a gap-support violation instead of a parse error.
-            feed[(r, c)] = v
-    for key, v in back.items():
-        if key in feed:
-            if abs(feed[key] - v) > HERMITICITY_TOL:
-                raise ScenarioParseError(
-                    f"gap entries at ({key[0]},{key[1]}) and its transpose are not "
-                    "conjugate-symmetric", where)
-        else:
-            feed[key] = v
-    items = sorted(feed.items())
-    return OperatorBlock(dim, tuple((r, c, v) for (r, c), v in items))
+    n = next((i for i, g in enumerate(raw)
+              if not (type(g) is dict and type(g.get("low")) is int
+                      and type(g.get("high")) is int
+                      and type(g.get("irreversible", True)) is bool
+                      and type(g.get("entries")) is list)), len(raw))
+    lists = [g["entries"] for g in raw[:n]]
+    _, _, vals, n_parsed, entry_error = _parse_quads(lists, "gaps")
+    good = raw[:n_parsed]
+    # (component id, basis index) of each id's last component.
+    member = {(c.id, i) for c in {c.id: c for c in components}.values()
+              for i in c.basis_indices}
+    # Each entry as (gap, direction, row, col), the direction 1 for feed
+    # (high <- low), -1 for back (low <- high), 0 for neither.
+    keyed = [(k, 1 if (g["high"], r) in member and (g["low"], c) in member else
+              -1 if (g["low"], r) in member and (g["high"], c) in member else 0, r, c)
+             for k, g in enumerate(good) for r, c, _, _ in g["entries"]]
+    # Feed and neither entries keyed (gap, row, col), the last of a repeated
+    # neither entry winning; back entries transposed and conjugated.
+    feed = {(k, r, c): v for (k, d, r, c), v in zip(keyed, vals) if d >= 0}
+    backs = {(k, c, r): v.conjugate() for (k, d, r, c), v in zip(keyed, vals) if d < 0}
+    errors = []
+    if len(feed) + len(backs) < len(keyed):
+        # Some key repeats: an error where it is a feed or back entry.
+        seen = set()
+        for k, d, r, c in keyed:
+            if d and (k, d, r, c) in seen:
+                errors.append((k, 0, f"duplicate gap entry at ({r},{c})"))
+                break
+            seen.add((k, d, r, c))
+    for (k, r, c), v in backs.items():
+        if (k, r, c) in feed and abs(feed[(k, r, c)] - v) > HERMITICITY_TOL:
+            errors.append((k, 1, f"gap entries at ({r},{c}) and its transpose are not "
+                                 "conjugate-symmetric"))
+            break
+    if errors:
+        k, _, message = min(errors)
+        raise ScenarioParseError(message, f"gaps[{k}]")
+    if entry_error:
+        raise entry_error
+    if n < len(raw):
+        _check_gap(raw[n], f"gaps[{n}]")
+
+    merged = backs | feed
+    if len(merged) == len(keyed):
+        counts = map(len, lists[:n_parsed])
+    else:
+        per_gap = Counter(k for k, _, _ in merged)
+        counts = [per_gap[k] for k in range(len(good))]
+    bounds = list(accumulate(counts, initial=0))
+    entries = tuple([(r, c, v) for (_, r, c), v in sorted(merged.items())])
+    return tuple([Gap(g["low"], g["high"], g.get("irreversible", True),
+                      OperatorBlock(dim, entries[a:b]))
+                  for g, a, b in zip(good, bounds, bounds[1:])])
+
+
+def _parse_psi0(raw: list) -> np.ndarray:
+    """psi0 from its [re, im] pairs, checked and converted in bulk; the
+    pairs are walked one by one only to name a malformed one."""
+    try:
+        res, ims = zip(*raw) if raw else ((), ())
+        if set(map(len, raw)) <= {2} and set(map(type, res + ims)) <= _NUMBERS:
+            return np.array(list(map(complex, res, ims)), dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for i, pair in enumerate(raw):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ScenarioParseError("psi0 entries must be [re, im] pairs", f"psi0[{i}]")
+        _number(pair[0], "re", f"psi0[{i}]")
+        _number(pair[1], "im", f"psi0[{i}]")
+    raise AssertionError("psi0 is well-formed")
 
 
 def parse_scenario(text: str) -> ScenarioModel:
@@ -588,41 +783,8 @@ def parse_scenario(text: str) -> ScenarioModel:
         raise ScenarioParseError(f"unsupported schema {schema!r}, expected {SCENARIO_SCHEMA!r}")
 
     dim = _need(doc, "dim", int, "document")
-
-    components = []
-    for i, raw in enumerate(_need(doc, "components", list, "document")):
-        where = f"components[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioParseError("component must be an object", where)
-        status = raw.get("status", ACTIVE)
-        if status == "ready":
-            status = LAUNCH
-        indices = _need(raw, "indices", list, where)
-        if any(isinstance(i_, bool) or not isinstance(i_, int) for i_ in indices):
-            raise ScenarioParseError("indices must be integers", where)
-        components.append(Component(
-            id=_need(raw, "id", int, where),
-            basis_indices=tuple(indices),
-            entropy_rank=_need(raw, "entropy_rank", int, where),
-            status=status,
-        ))
-    index_sets = {c.id: set(c.basis_indices) for c in components}
-
-    gaps = []
-    for i, raw in enumerate(_optional_list(doc, "gaps")):
-        where = f"gaps[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioParseError("gap must be an object", where)
-        low = _need(raw, "low", int, where)
-        high = _need(raw, "high", int, where)
-        irreversible = raw.get("irreversible", True)
-        if not isinstance(irreversible, bool):
-            raise ScenarioParseError("field 'irreversible' must be true or false", where)
-        entries = _parse_entries(_need(raw, "entries", list, where), where)
-        feed = _canonical_feed(entries, index_sets.get(low, set()),
-                               index_sets.get(high, set()), dim, where)
-        gaps.append(Gap(low=low, high=high, irreversible=irreversible, interaction=feed))
-
+    components = _parse_components(_need(doc, "components", list, "document"))
+    gaps = _parse_gaps(_optional_list(doc, "gaps"), components, dim)
     own = {}
     for i, raw in enumerate(_optional_list(doc, "own")):
         where = f"own[{i}]"
@@ -631,32 +793,29 @@ def parse_scenario(text: str) -> ScenarioModel:
         comp = _need(raw, "component", int, where)
         if comp in own:
             raise ScenarioParseError(f"second own block for component {comp}", where)
-        own[comp] = OperatorBlock(dim, _parse_entries(_need(raw, "entries", list, where), where))
-
-    psi_raw = _need(doc, "psi0", list, "document")
-    amps = []
-    for i, pair in enumerate(psi_raw):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ScenarioParseError("psi0 entries must be [re, im] pairs", f"psi0[{i}]")
-        re, im = pair
-        if not (type(re) is float and type(im) is float):
-            re, im = _number(re, "re", f"psi0[{i}]"), _number(im, "im", f"psi0[{i}]")
-        amps.append(complex(re, im))
-    psi0 = np.array(amps, dtype=np.complex128)
+        rows, cols, vals, _, error = _parse_quads([_need(raw, "entries", list, where)], "own", i)
+        if error:
+            raise error
+        own[comp] = OperatorBlock(dim, tuple(zip(rows, cols, vals)))
+    psi0 = _parse_psi0(_need(doc, "psi0", list, "document"))
 
     defaults = RunDefaults()
     if "defaults" in doc:
         raw = doc["defaults"]
         if not isinstance(raw, dict):
             raise ScenarioParseError("defaults must be an object", "defaults")
-        unknown = set(raw) - set(_DEFAULT_KINDS)
+        unknown = raw.keys() - _DEFAULT_KINDS.keys()
         if unknown:
             raise ScenarioParseError(f"unknown defaults fields {sorted(unknown)}", "defaults")
-        defaults = RunDefaults(**{key: _need(raw, key, kind, "defaults")
-                                  for key, kind in _DEFAULT_KINDS.items() if key in raw})
+        # Fields of their exact kind are taken as they are; _need converts
+        # an int dt or t_max and names a field of a wrong type.
+        if not all(type(val) is _DEFAULT_KINDS[key] for key, val in raw.items()):
+            raw = {key: _need(raw, key, kind, "defaults")
+                   for key, kind in _DEFAULT_KINDS.items() if key in raw}
+        defaults = RunDefaults(**raw)
 
-    return ScenarioModel(dim=dim, components=tuple(components),
-                         hamiltonian=HamiltonianPartition(own=own, interactions=tuple(gaps)),
+    return ScenarioModel(dim=dim, components=components,
+                         hamiltonian=HamiltonianPartition(own=own, interactions=gaps),
                          psi0=psi0, defaults=defaults)
 
 
@@ -669,9 +828,15 @@ def load_scenario(text: str) -> ScenarioModel:
     return model
 
 
+def scenario_text(data: bytes) -> str:
+    """A scenario file's text from its bytes, as a text-mode read gives it:
+    UTF-8, with universal newlines."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_scenario_file(path) -> ScenarioModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+    with open(path, "rb") as fh:
+        return load_scenario(scenario_text(fh.read()))
 
 
 def serialize_scenario(model: ScenarioModel) -> str:

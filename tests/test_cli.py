@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -668,6 +669,35 @@ def test_currents_takes_no_seed(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, step", [("run", "run_trajectory"),
+                                           ("ensemble", "run_ensemble"),
+                                           ("arrow", "forward_experiment"),
+                                           ("currents", "EpochRunner")])
+def test_manifest_hashes_the_bytes_the_command_parsed(tmp_path, monkeypatch, command, step):
+    """A scenario edited while a command runs: the manifest names the bytes
+    the command parsed, so rerun refuses the edited file."""
+    scenario = tmp_path / "three_mode.json"
+    original = read_bytes(THREE_MODE)
+    scenario.write_bytes(original)
+    run_step = getattr(cli, step)
+
+    def edit_then_run(*args, **kwargs):
+        scenario.write_bytes(original.replace(b'"seed": 1', b'"seed": 2'))
+        return run_step(*args, **kwargs)
+
+    monkeypatch.setattr(cli, step, edit_then_run)
+    out = tmp_path / "out"
+    argv = [command, "--scenario", str(scenario), "--n", "50"] if command == "ensemble" else \
+        [command, "--scenario", str(scenario)]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    assert read_bytes(scenario) != original
+    recorded = load_manifest(out / "manifest.json")["scenario"]["sha256"]
+    assert recorded == hashlib.sha256(original).hexdigest()
+    monkeypatch.undo()
+    assert main(["rerun", "--manifest", str(out / "manifest.json"),
+                 "--out-dir", str(tmp_path / "again")]) == 2
 
 
 def test_rerun_rejects_tampered_scenario(tmp_path):

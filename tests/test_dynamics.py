@@ -40,8 +40,8 @@ from gapflow.dynamics import (
 from gapflow.engine import EpochRunner, post_collapse_statuses
 from gapflow.errors import GapflowError, NonFiniteStateError, NormDriftError
 from gapflow.fixtures import BUILDERS, three_mode, two_level
-from gapflow.model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, ZEROED, component_moduli,
-                           load_scenario, validate_model)
+from gapflow.model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, ZEROED, OperatorBlock,
+                           component_moduli, load_scenario, validate_model)
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 
 from conftest import WIDE_LAUNCH, star_model
@@ -203,6 +203,48 @@ def test_backflow_blocks_present_only_in_hermitian(three_mode_model):
                 assert not reverse.any()
                 assert flows[gap.pair].tolist() == [0.0] * len(states)
                 assert not np.signbit(flows[gap.pair]).any()
+
+
+def entrywise_matrix(model, rules, mode, statuses):
+    """G as assemble_generator built it gap by gap: the included own blocks,
+    then each included gap's feed entries followed, in hermitian mode, by
+    their adjoints, summed in that order."""
+    freeze_off = rules.freeze_suspended
+    entries = [e for comp_id, block in model.hamiltonian.own.items()
+               if statuses[comp_id] in (ACTIVE, REALIZED)
+               or freeze_off and statuses[comp_id] == LAUNCH
+               for e in block.entries]
+    for gap in model.gaps:
+        low, high = statuses[gap.low], statuses[gap.high]
+        if freeze_off and mode is HERMITIAN:
+            included = ZEROED not in (low, high)
+        else:
+            included = low in (ACTIVE, REALIZED) + ((LAUNCH,) if freeze_off else ()) \
+                and high == LAUNCH
+        if included:
+            entries.extend(gap.interaction.entries)
+            if mode is HERMITIAN:
+                entries.extend(gap.interaction.adjoint_entries())
+    return OperatorBlock(model.dim, tuple(entries)).to_coo().tocsr()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS) + ["wide_launch", "star300"])
+def test_bulk_assembly_equals_entrywise_assembly(name):
+    """G from one selection of the model's gap feeds has the CSR arrays,
+    dtypes included, of G built entry by entry, for every gap mode, the
+    freeze rule active and suspended, and random status sets."""
+    model = (load_scenario(json.dumps(WIDE_LAUNCH)) if name == "wide_launch" else
+             star_model(300) if name == "star300" else BUILDERS[name]())
+    rng = np.random.default_rng(11)
+    status_sets = [model.initial_statuses()] + [
+        {c.id: str(rng.choice([ACTIVE, LAUNCH, REALIZED, ZEROED])) for c in model.components}
+        for _ in range(6)]
+    for rules, mode, statuses in itertools.product([R3, RABI], GapSemantics, status_sets):
+        got = assemble_generator(model, rules, mode, statuses).matrix
+        want = entrywise_matrix(model, rules, mode, statuses)
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_provenance_records_assembly_inputs(three_mode_model):

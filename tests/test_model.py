@@ -19,9 +19,11 @@ from gapflow.model import (
     ZEROED,
     Component,
     Gap,
+    HamiltonianPartition,
     OperatorBlock,
     RunDefaults,
     ScenarioModel,
+    component_moduli,
     component_square_moduli,
     load_scenario,
     load_scenario_file,
@@ -570,6 +572,31 @@ def test_component_moduli_partition_norm(psi):
     vec = np.array(psi, dtype=complex)
     moduli = component_square_moduli(vec, model)
     assert sum(moduli.values()) == pytest.approx(square_modulus(vec), rel=1e-12, abs=1e-12)
+
+
+def test_component_moduli_add_each_component_as_its_own_sum():
+    """One sum per component size gives, bit for bit, the sum over each
+    component alone, for components of 1 to 300 indices in shuffled order."""
+    rng = np.random.default_rng(3)
+    sizes = [1, 2, 3, 7, 8, 9, 17, 2, 128, 129, 300, 1, 9]
+    perm = rng.permutation(sum(sizes))
+    parts = np.split(perm, np.cumsum(sizes)[:-1])
+    components = tuple(Component(k, tuple(part.tolist()), 0, ACTIVE)
+                       for k, part in enumerate(parts))
+    model = ScenarioModel(len(perm), components, HamiltonianPartition({}, ()),
+                          np.ones(len(perm)))
+    states = (rng.normal(size=(40, len(perm))) + 1j * rng.normal(size=(40, len(perm)))) \
+        * 10.0 ** rng.uniform(-6, 6, size=(40, len(perm)))
+    sq = (states.conj() * states).real
+    want = np.stack([sq[:, part].sum(axis=1) for part in parts], axis=1)
+    assert component_moduli(states, model).tobytes() == want.tobytes()
+
+
+def test_index_arrays_are_read_only_views():
+    model = BUILDERS["chain_three_level"]()
+    arrays = model.index_arrays
+    assert {k: v.tolist() for k, v in arrays.items()} == {0: [0], 1: [1], 2: [2]}
+    assert all(a.dtype == np.intp and not a.flags.writeable for a in arrays.values())
 
 
 @pytest.mark.parametrize("dim, indices, message", [
