@@ -17,7 +17,11 @@ suspended rules:
 
 The generator records its included gaps once, in ``gaps``, in every mode.
 The compensated loss reads their feeds F; gap_backflow reads the flow
-through F-dagger over a block of rows, exact zeros in the sink modes.
+through F-dagger over a block of rows, exact zeros in the sink modes. One
+rule (_operator) holds G, its M_h and every F and F-dagger: a dense array
+up to DENSE_DIM_LIMIT, scattered straight from the entries, CSR above.
+row_products applies any of them to each row of a block, and row_dots
+takes the per-row <a|b> of the square moduli and the backflow.
 
 Integration is fixed-step RK4 on dpsi/dt = -i G psi (hbar = 1), with a
 state-dependent anti-Hermitian loss on the source sector in norm_compensated
@@ -27,12 +31,11 @@ worker layouts. A step takes one of two paths:
 * propagator: where G carries no compensation term (oneway and hermitian
   modes), the dynamics is linear and constant within an epoch, so an RK4
   step of length h is the fixed matrix M_h = sum_{k<=4} (-iGh)^k/k!, built
-  once per h and applied as one matvec. It is dense where G is held dense
-  (up to DENSE_DIM_LIMIT) and CSR above, where it is kept only while it
-  stays sparse (SPARSE_FILL_LIMIT): a oneway star's M_h is I - iGh, a
-  hermitian star's fills in. G's launch columns are zero in the sink modes,
-  so M_h's launch columns are exact identity columns and the zero-backflow
-  guarantee stays bit-exact.
+  once per h and applied as one matvec. It takes G's form; a CSR M_h is
+  kept only while it stays sparse (SPARSE_FILL_LIMIT): a oneway star's M_h
+  is I - iGh, a hermitian star's fills in. G's launch columns are zero in
+  the sink modes, so M_h's launch columns are exact identity columns and
+  the zero-backflow guarantee stays bit-exact.
 * staged: the four-stage RK4 through gen.apply. Compensated mode needs it
   (its loss term is nonlinear, so no M_h exists), and so does a CSR
   generator whose M_h would fill in.
@@ -65,7 +68,7 @@ import scipy.sparse as sp
 
 from .errors import DegenerateStateError, GapflowError, NonFiniteStateError, NormDriftError
 from .model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, STATUSES, ZEROED, GapSemantics,
-                    OperatorBlock, ScenarioModel)
+                    ScenarioModel)
 from .rules import RuleSet
 
 # Below this total square modulus the compensated loss coefficient J/s_low is
@@ -73,7 +76,7 @@ from .rules import RuleSet
 S_LOW_FLOOR = 1e-300
 
 # Dense matvec beats csr by a wide margin for the model sizes this package
-# targets; fall back to sparse only for genuinely large bases.
+# targets; fall back to sparse only for genuinely large bases (_operator).
 DENSE_DIM_LIMIT = 256
 
 # A CSR M_h is kept while its nnz is at most this many times nnz(G) + dim,
@@ -135,28 +138,47 @@ class CurrentVector:
         return float(np.maximum(self.J, 0.0).sum())
 
 
+Operator = np.ndarray | sp.csr_matrix
+
+
+def _operator(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> Operator:
+    """The one rule for holding an operator: up to DENSE_DIM_LIMIT a dense
+    array, the entries summed onto zeros as a CSR's toarray does; CSR above."""
+    if dim > DENSE_DIM_LIMIT:
+        return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    op = np.zeros((dim, dim), dtype=np.complex128)
+    np.add.at(op, (rows, cols), vals)
+    return op
+
+
 @dataclass(frozen=True, eq=False)
 class IncludedGap:
     """A gap whose feed G includes: its (low, high) pair, the low component's
-    basis indices and the feed F, as CSR on first read."""
+    basis indices and its feed entries; F and F-dagger on first read."""
 
     pair: tuple[int, int]
     low_idx: np.ndarray
-    block: OperatorBlock
+    dim: int
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @cached_property
-    def feed(self) -> sp.csr_matrix:
-        return self.block.to_coo().tocsr()
+    def feed(self) -> Operator:
+        return _operator(self.dim, *self.entries)
+
+    @cached_property
+    def adjoint(self) -> Operator:
+        rows, cols, vals = self.entries
+        return _operator(self.dim, cols, rows, vals.conj())
 
 
 @dataclass(frozen=True)
 class EffectiveGenerator:
     """Immutable per-epoch generator, apart from its M_h, gap and feed
-    caches; shareable across concurrent trajectories. ``matrix`` holds the included
+    caches; shareable across concurrent trajectories. ``op`` holds the included
     own blocks, gap feeds and, in hermitian mode only, their adjoints."""
 
     dim: int
-    matrix: sp.csr_matrix
+    op: Operator = field(repr=False)
     mode: GapSemantics
     launch_ids: tuple[int, ...]
     launch_indices: Mapping[int, np.ndarray]
@@ -164,22 +186,34 @@ class EffectiveGenerator:
     # Which of model.gaps G includes, in every mode; read through ``gaps``.
     included: np.ndarray = field(compare=False, repr=False)
     epoch: int
-    dense: np.ndarray | None = field(default=None, compare=False)
     # step size -> M_h, filled on first use (see propagator)
     _propagators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.dense is None and self.dim <= DENSE_DIM_LIMIT:
-            object.__setattr__(self, "dense", self.matrix.toarray())
+    # dense and matrix are read-only views of G for the benchmark's trace
+    # hooks; nothing in the package reads them.
+    @property
+    def dense(self) -> np.ndarray | None:
+        """G where it is held dense, else None."""
+        return None if sp.issparse(self.op) else self.op
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """G as CSR, built on first read where G is held dense."""
+        return sp.csr_matrix(self.op)
 
     @cached_property
     def gaps(self) -> tuple[IncludedGap, ...]:
         """The one record of the included gaps, in every mode; empty iff none
-        is. Built on first read: only the compensated loss and backflow read
-        it, and a wide star includes one gap per mode."""
+        is. Built on first read, each from its run of model.gap_feeds: only
+        the compensated loss and backflow read it, and a wide star includes
+        one gap per mode."""
+        rows, cols, vals, gap = self.model.gap_feeds[:4]
+        ends = np.searchsorted(gap, np.arange(len(self.model.gaps) + 1)).tolist()
         index_arrays = self.model.index_arrays
-        return tuple([IncludedGap((g.low, g.high), index_arrays[g.low], g.interaction)
-                      for g, inc in zip(self.model.gaps, self.included.tolist()) if inc])
+        return tuple([IncludedGap((g.low, g.high), index_arrays[g.low], self.dim,
+                                  (rows[a:b], cols[a:b], vals[a:b]))
+                      for g, a, b, inc in zip(self.model.gaps, ends, ends[1:],
+                                              self.included.tolist()) if inc])
 
     @property
     def linear(self) -> bool:
@@ -187,7 +221,7 @@ class EffectiveGenerator:
         dpsi/dt = -i G psi, the propagator path wherever M_h exists."""
         return self.mode is not GapSemantics.NORM_COMPENSATED or not self.gaps
 
-    def propagator(self, h: float) -> np.ndarray | sp.csr_matrix | None:
+    def propagator(self, h: float) -> Operator | None:
         """The RK4 step matrix M_h = sum_{k<=4} (-iGh)^k/k!, or None off the
         propagator path (compensated mode, a CSR G whose M_h fills in).
 
@@ -204,19 +238,17 @@ class EffectiveGenerator:
         return self._propagators[h]
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _horner(self, h: float) -> np.ndarray | sp.csr_matrix | None:
+    def _horner(self, h: float) -> Operator | None:
         # A G h large enough to overflow M_h raises in step_block's
         # finiteness check, with no numpy warning before the error.
-        g, sparse = self.matrix, self.dense is None
-        limit = SPARSE_FILL_LIMIT * (g.nnz + self.dim)
+        g, sparse = self.op, sp.issparse(self.op)
+        limit = SPARSE_FILL_LIMIT * (g.nnz + self.dim) if sparse else None
         # nnz(G^2) <= sum_k nnz(column k) nnz(row k) rejects a G that fills
         # in (a hermitian star) before any sparse product.
         if sparse and np.bincount(g.indices, minlength=self.dim) @ np.diff(g.indptr) > limit:
             return None
-        if sparse:
-            a, eye = (-1j * h) * g, sp.identity(self.dim, dtype=np.complex128, format="csr")
-        else:
-            a, eye = (-1j * h) * self.dense, np.eye(self.dim, dtype=np.complex128)
+        a, eye = (-1j * h) * g, sp.identity(self.dim, dtype=np.complex128, format="csr")
+        eye = eye if sparse else eye.toarray()
         m = eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
         return None if sparse and m.nnz > limit else m
 
@@ -232,14 +264,9 @@ class EffectiveGenerator:
     def conserves_norm(self) -> bool:
         return self.mode is not GapSemantics.ONE_WAY_FEED
 
-    def matvec(self, psi: np.ndarray) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense @ psi
-        return self.matrix @ psi
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """dpsi/dt: -i G psi plus the compensated-mode source loss."""
-        out = -1j * self.matvec(psi)
+        out = -1j * (self.op @ psi)
         if self.linear:
             return out
         for gap in self.gaps:
@@ -310,7 +337,7 @@ def assemble_generator(model: ScenarioModel, ruleset: RuleSet, mode: GapSemantic
     launch_ids = tuple(sorted(cid for cid, st in statuses.items() if st == LAUNCH))
     return EffectiveGenerator(
         dim=model.dim,
-        matrix=sp.coo_matrix((vals, (rows, cols)), shape=(model.dim, model.dim)).tocsr(),
+        op=_operator(model.dim, rows, cols, vals),
         mode=mode,
         launch_ids=launch_ids,
         launch_indices={cid: index_arrays[cid] for cid in launch_ids},
@@ -368,31 +395,40 @@ def step_each(block: np.ndarray, gen: EffectiveGenerator, h: float) -> np.ndarra
     row the floats step_block writes one step after it. The oracle's
     midpoints take it; step_block stays the one sequential routine.
 
-    Where gen.propagator has an M_h, one stacked product steps every row,
-    rounding as step_block's M_h times one row does, dense or CSR, and the
+    Where gen.propagator has an M_h, row_products steps every row, and the
     result is checked for non-finite amplitudes once. Otherwise each row
     takes step_block's staged step, which checks it. Either check raises
     NonFiniteStateError with no numpy warning before it.
     """
-    out = np.empty_like(block)
     m = gen.propagator(h)
     if m is None:
+        out = np.empty_like(block)
         for j in range(len(block)):
             step_block(block[j], gen, h, out[j:j + 1])
         return out
-    if isinstance(m, np.ndarray):
-        np.matmul(m, block[:, :, None], out=out[:, :, None])
-    else:
-        out[:] = (m @ np.ascontiguousarray(block.T)).T
+    out = row_products(m, block)
     if not np.isfinite(out).all():
         raise _non_finite(gen, h)
     return out
 
 
+def row_products(op: Operator, block: np.ndarray) -> np.ndarray:
+    """op @ row for each row of ``block``, as a new C-contiguous array: one
+    stacked product that rounds as op @ row does, dense or CSR."""
+    if sp.issparse(op):
+        return np.ascontiguousarray((op @ np.ascontiguousarray(block.T)).T)
+    return (op @ block[:, :, None])[:, :, 0]
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_j|b_j> for each row j, one stacked product that rounds as a
+    per-row np.vdot does."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def square_moduli(block: np.ndarray) -> np.ndarray:
-    """<psi|psi> per row of ``block``, one stacked product that rounds as
-    square_modulus's np.vdot does."""
-    return (block.conj()[:, None, :] @ block[:, :, None])[:, 0, 0].real
+    """<psi|psi> per row of ``block`` (row_dots)."""
+    return row_dots(block, block).real
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -400,10 +436,8 @@ def block_currents(gen: EffectiveGenerator | None, block: np.ndarray,
                    h: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The launch currents J (rows x gen.launch_ids) and square moduli s of
     each row of ``block``; J has no column where ``gen`` is None (a
-    quiescent epoch). The one current formula of tables and the oracle's
-    midpoints. Stacked matvecs and dot products round as
-    component_currents' G @ psi and square_modulus's np.vdot do, dense or
-    CSR; block @ dense.T need not.
+    quiescent epoch). The one current formula: tables, the oracle's
+    midpoints and component_currents (a block of one) read it.
 
     With ``h`` given the rows were stepped by h, and a row whose square
     modulus, or else launch current, overflows raises NonFiniteStateError
@@ -416,9 +450,7 @@ def block_currents(gen: EffectiveGenerator | None, block: np.ndarray,
         # The compensated loss writes only the source rows of an included
         # gap, never a launch row, so -i G psi gives every generator's J.
         idx, starts = gen.launch_runs
-        g_psi = ((gen.dense @ block[:, :, None])[:, :, 0] if gen.dense is not None
-                 else (gen.matrix @ np.ascontiguousarray(block.T)).T)
-        dpsi = -1j * g_psi
+        dpsi = -1j * row_products(gen.op, block)
         J = 2.0 * np.add.reduceat((block[:, idx].conj() * dpsi[:, idx]).real, starts, axis=1)
     s = square_moduli(block)
     if h is not None and not np.isfinite(s).all():
@@ -452,17 +484,10 @@ def step(state: np.ndarray, gen: EffectiveGenerator, dt: float) -> np.ndarray:
 
 
 def component_currents(state: np.ndarray, gen: EffectiveGenerator) -> CurrentVector:
-    """J_m = d|P_m psi|^2/dt for each launch component, computed analytically.
-
-    Equal to 2 Im(<P_m psi|G psi>); evaluated through gen.apply so the
-    compensated-mode loss (which never touches launch rows) needs no special
-    case.
-    """
+    """J_m = d|P_m psi|^2/dt for each launch component, computed analytically:
+    block_currents of one row."""
     psi = np.asarray(state, dtype=np.complex128)
-    idx, starts = gen.launch_runs
-    dpsi = gen.apply(psi)
-    w = (psi[idx].conj() * dpsi[idx]).real
-    return CurrentVector(ids=gen.launch_ids, J=2.0 * np.add.reduceat(w, starts))
+    return CurrentVector(ids=gen.launch_ids, J=block_currents(gen, psi[None, :])[0][0])
 
 
 def fd_current_check(state: np.ndarray, gen: EffectiveGenerator,
@@ -492,8 +517,7 @@ def gap_backflow(states: np.ndarray, gen: EffectiveGenerator) -> dict[tuple[int,
     block = np.atleast_2d(np.asarray(states, dtype=np.complex128))
     if gen.mode is not GapSemantics.HERMITIAN_TRUNCATED:
         return {gap.pair: np.zeros(len(block)) for gap in gen.gaps}
-    cols, bra = np.ascontiguousarray(block.T), block.conj()[:, None, :]
-    return {gap.pair: 2.0 * (bra @ (gap.feed.conj().T @ cols).T[:, :, None])[:, 0, 0].imag
+    return {gap.pair: 2.0 * row_dots(block, row_products(gap.adjoint, block)).imag
             for gap in gen.gaps}
 
 

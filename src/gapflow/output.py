@@ -336,9 +336,31 @@ def write_manifest(out_dir, text: str) -> str:
     return path
 
 
+# The fields rerun reads, each with its JSON type (float: any number), and
+# the commands it replays.
+RERUN_FIELDS = {"command": str, "scenario": dict, "scenario.path": str,
+                "scenario.sha256": str, "rules": str, "suspended": list, "gap_mode": str,
+                "dt": float, "t_max": float, "seed": int, "n": int, "sample_every": int,
+                "norm_policy": str}
+RERUN_COMMANDS = ("run", "ensemble", "arrow", "currents")
+
+
 def load_manifest(path) -> dict:
+    """A manifest of the supported schema that holds every RERUN_FIELDS
+    field with its type and one of RERUN_COMMANDS; else ValueError naming
+    the first bad field."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if type(doc) is not dict:
+        raise ValueError("manifest is not a JSON object")
     if doc.get("schema") != MANIFEST_SCHEMA:
         raise ValueError(f"unsupported manifest schema {doc.get('schema')!r}")
+    for name, kind in RERUN_FIELDS.items():
+        *parent, key = name.split(".")
+        value = (doc[parent[0]] if parent else doc).get(key)
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise ValueError(f"manifest field {name!r} is missing or not of its JSON type")
+    if doc["command"] not in RERUN_COMMANDS:
+        raise ValueError(f"manifest field 'command' is {doc['command']!r}, not one of "
+                         f"{', '.join(RERUN_COMMANDS)}")
     return doc

@@ -22,7 +22,7 @@ from gapflow.dynamics import GapSemantics, IntegratorConfig
 from gapflow.ensemble import run_ensemble
 from gapflow.errors import NonFiniteStateError
 from gapflow.model import load_scenario_file, serialize_scenario
-from gapflow.output import load_manifest
+from gapflow.output import RERUN_FIELDS, build_manifest, load_manifest
 from gapflow.rules import RuleSet
 
 from conftest import scenario_path, star_model
@@ -709,3 +709,40 @@ def test_rerun_rejects_tampered_scenario(tmp_path):
     (first / "manifest.json").write_text(json.dumps(manifest, indent=2))
     assert main(["rerun", "--manifest", str(first / "manifest.json"),
                  "--out-dir", str(tmp_path / "second")]) == 2
+
+
+def malformed_manifests():
+    """(case id, manifest document, the field its error names) per defect:
+    a non-object root, each field rerun reads missing, one of the wrong
+    JSON type, and an unknown command."""
+    def valid():
+        return build_manifest("run", TWO_LEVEL, "0" * 64, rules="nrules3", suspended=[],
+                              gap_mode="oneway", dt=0.01, t_max=1.0, seed=1)
+
+    cases = [("array-root", [valid()], "not a JSON object")]
+    for name in RERUN_FIELDS:
+        doc = target = valid()
+        *parents, key = name.split(".")
+        for parent in parents:
+            target = target[parent]
+        del target[key]
+        cases.append((f"missing-{name}", doc, repr(name)))
+    cases.append(("string-dt", {**valid(), "dt": "0.01"}, "'dt'"))
+    cases.append(("list-scenario", {**valid(), "scenario": [TWO_LEVEL]}, "'scenario'"))
+    cases.append(("bool-seed", {**valid(), "seed": True}, "'seed'"))
+    cases.append(("unknown-command", {**valid(), "command": "validate"}, "'command'"))
+    return cases
+
+
+@pytest.mark.parametrize("doc,field", [case[1:] for case in malformed_manifests()],
+                         ids=[case[0] for case in malformed_manifests()])
+def test_rerun_refuses_a_malformed_manifest(tmp_path, capsys, doc, field):
+    """rerun names the first bad field of a malformed manifest on stderr and
+    exits 1, with no traceback and no output directory."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["rerun", "--manifest", str(manifest), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()

@@ -34,6 +34,8 @@ from gapflow.dynamics import (
     component_currents,
     fd_current_check,
     gap_backflow,
+    row_dots,
+    row_products,
     step,
     step_block,
 )
@@ -53,6 +55,11 @@ ONEWAY = GapSemantics.ONE_WAY_FEED
 COMPENSATED = GapSemantics.NORM_COMPENSATED
 HERMITIAN = GapSemantics.HERMITIAN_TRUNCATED
 RABI = R3.with_suspended(["n3_1"])
+
+
+def held(op):
+    """An operator as _operator's rule holds it, as an array."""
+    return op.toarray() if sp.issparse(op) else op
 
 
 def rabi_generator(model=None):
@@ -132,7 +139,7 @@ def test_sink_generator_is_not_norm_conserving(three_mode_model):
 def test_launch_own_block_frozen_under_active_rules(detuned_model):
     """With the freeze rule active, a launch component's own energy is absent."""
     gen = assemble_generator(detuned_model, R3, HERMITIAN)
-    h = gen.matrix.toarray()
+    h = held(gen.op)
     idx = detuned_model.indices_of(1)[0]
     assert h[idx, idx] == 0.0
 
@@ -142,20 +149,20 @@ def test_suspended_hermitian_equals_full_hamiltonian(detuned_model):
     rules = R3.with_suspended(["n3_1"])
     gen = assemble_generator(detuned_model, rules, HERMITIAN)
     full = detuned_model.full_hamiltonian().toarray()
-    assert np.array_equal(gen.matrix.toarray(), full)
+    assert np.array_equal(held(gen.op), full)
 
 
 def test_nrules4_freeze_suspension_token(detuned_model):
     rules = R4.with_suspended(["n4_4"])
     gen = assemble_generator(detuned_model, rules, HERMITIAN)
     full = detuned_model.full_hamiltonian().toarray()
-    assert np.array_equal(gen.matrix.toarray(), full)
+    assert np.array_equal(held(gen.op), full)
 
 
 def test_zeroed_component_is_excluded(three_mode_model):
     statuses = {0: ACTIVE, 1: LAUNCH, 2: ZEROED, 3: LAUNCH}
     gen = assemble_generator(three_mode_model, R3, ONEWAY, statuses=statuses, epoch=1)
-    h = gen.matrix.toarray()
+    h = held(gen.op)
     idx = three_mode_model.indices_of(2)[0]
     assert np.all(h[idx, :] == 0.0)
     assert np.all(h[:, idx] == 0.0)
@@ -165,22 +172,22 @@ def test_zeroed_component_is_excluded(three_mode_model):
 def test_realized_component_keeps_own_block(detuned_model):
     statuses = {0: REALIZED, 1: ZEROED}
     gen = assemble_generator(detuned_model, R3, ONEWAY, statuses=statuses, epoch=1)
-    h = gen.matrix.toarray()
+    h = held(gen.op)
     assert h[0, 0] == pytest.approx(1.5)
     assert np.count_nonzero(h) == 1
 
 
 def test_hermitian_generator_is_hermitian(three_mode_model):
     gen = assemble_generator(three_mode_model, R3, HERMITIAN)
-    h = gen.matrix.toarray()
+    h = held(gen.op)
     assert np.allclose(h, h.conj().T, atol=1e-15)
     assert gen.conserves_norm
 
 
 def test_backflow_blocks_present_only_in_hermitian(three_mode_model):
-    """Every mode records the same included gaps, each with its feed; the
-    adjoint entries are in G in hermitian mode only, and the sink modes'
-    backflow is exact zeros."""
+    """Every mode records the same included gaps, each with its feed and
+    the feed's adjoint; the adjoint entries are in G in hermitian mode only,
+    and the sink modes' backflow is exact zeros."""
     model = three_mode_model
     rng = np.random.default_rng(5)
     states = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
@@ -188,11 +195,12 @@ def test_backflow_blocks_present_only_in_hermitian(three_mode_model):
     for rules, mode in itertools.product([R3, RABI], GapSemantics):
         gen = assemble_generator(model, rules, mode)
         assert [gap.pair for gap in gen.gaps] == pairs
-        g = gen.matrix.toarray()
+        g = held(gen.op)
         flows = gap_backflow(states, gen)
         for gap, model_gap in zip(gen.gaps, model.gaps):
             feed = model_gap.interaction.to_coo().toarray()
-            assert np.array_equal(gap.feed.toarray(), feed)
+            assert np.array_equal(held(gap.feed), feed)
+            assert np.array_equal(held(gap.adjoint), feed.conj().T)
             assert np.array_equal(gap.low_idx, model.indices_of(gap.pair[0]))
             reverse = g[np.ix_(gap.low_idx, model.indices_of(gap.pair[1]))]
             if mode is HERMITIAN:
@@ -230,9 +238,10 @@ def entrywise_matrix(model, rules, mode, statuses):
 
 @pytest.mark.parametrize("name", sorted(BUILDERS) + ["wide_launch", "star300"])
 def test_bulk_assembly_equals_entrywise_assembly(name):
-    """G from one selection of the model's gap feeds has the CSR arrays,
-    dtypes included, of G built entry by entry, for every gap mode, the
-    freeze rule active and suspended, and random status sets."""
+    """G from one selection of the model's gap feeds holds the bytes of G
+    built entry by entry, for every gap mode, the freeze rule active and
+    suspended, and random status sets: the CSR arrays, dtypes included,
+    above DENSE_DIM_LIMIT, and the dense array of that CSR up to it."""
     model = (load_scenario(json.dumps(WIDE_LAUNCH)) if name == "wide_launch" else
              star_model(300) if name == "star300" else BUILDERS[name]())
     rng = np.random.default_rng(11)
@@ -240,10 +249,12 @@ def test_bulk_assembly_equals_entrywise_assembly(name):
         {c.id: str(rng.choice([ACTIVE, LAUNCH, REALIZED, ZEROED])) for c in model.components}
         for _ in range(6)]
     for rules, mode, statuses in itertools.product([R3, RABI], GapSemantics, status_sets):
-        got = assemble_generator(model, rules, mode, statuses).matrix
+        got = assemble_generator(model, rules, mode, statuses).op
         want = entrywise_matrix(model, rules, mode, statuses)
-        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
-                     (got.data, want.data)):
+        pairs = (((got.indptr, want.indptr), (got.indices, want.indices),
+                  (got.data, want.data)) if sp.issparse(got) else ((got, want.toarray()),))
+        assert sp.issparse(got) == (model.dim > DENSE_DIM_LIMIT)
+        for a, b in pairs:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -315,7 +326,7 @@ def test_rk4_step_matches_expm_oracle():
     rng = np.random.default_rng(7)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     dt = 0.001
-    u = scipy.linalg.expm(-1j * gen.matrix.toarray() * dt)
+    u = scipy.linalg.expm(-1j * held(gen.op) * dt)
     expected = u @ psi
     got = step(psi, gen, dt)
     assert np.allclose(got, expected, atol=1e-14)
@@ -328,7 +339,7 @@ def test_rk4_step_matches_expm_oracle():
             runner = EpochRunner(model, R3, IntegratorConfig(dt=dt, t_max=model.defaults.t_max),
                                  mode)
             table, rows, _ = runner.profile(every_step=True)
-            u = scipy.linalg.expm(-1j * runner.generator(None, 0).matrix.toarray() * dt)
+            u = scipy.linalg.expm(-1j * held(runner.generator(None, 0).op) * dt)
             exact = [model.psi0]
             for _ in rows[1:]:
                 exact.append(u @ exact[-1])
@@ -336,6 +347,74 @@ def test_rk4_step_matches_expm_oracle():
             assert errors[-1] <= 2.0 * dt ** 4, (name, mode.token, dt, errors)
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse <= 1e-12 or coarse >= 12.0 * fine, (name, mode.token, errors)
+
+
+def gauge_reference(model, times):
+    """The compensated no-hit profile at ``times`` from its reduced system,
+    with no call into the engine. In the sink modes nothing feeds a source,
+    and each loss term is a real multiple of its source's own vector, so a
+    source c evolves as x_c(t) = lambda_c(t) exp(-i A_c t) x_c(0), with A_c
+    its own block and lambda_c real, lambda_c' = -(sum_gaps j_gap / 2 s_c)
+    lambda_c; the launch sector y (frozen under nrules3) is fed through
+    y' = -i sum_c F_c x_c. The reduced system is integrated by DOP853."""
+    import scipy.integrate
+
+    statuses, idx = model.initial_statuses(), model.index_arrays
+    sources = [c.id for c in model.components if statuses[c.id] in (ACTIVE, REALIZED)]
+    launch = np.concatenate([idx[c.id] for c in model.components if statuses[c.id] == LAUNCH])
+    psi0 = np.asarray(model.psi0)
+    own = {c: model.hamiltonian.own[c].to_coo().toarray()[np.ix_(idx[c], idx[c])]
+           if c in model.hamiltonian.own else np.zeros((len(idx[c]),) * 2) for c in sources}
+    eig = {c: np.linalg.eigh(a) for c, a in own.items()}
+    s0 = {c: float(np.vdot(psi0[idx[c]], psi0[idx[c]]).real) for c in sources}
+    feeds = [(sources.index(g.low), g.interaction.to_coo().toarray()[np.ix_(launch, idx[g.low])])
+             for g in model.gaps if g.low in sources and statuses[g.high] == LAUNCH]
+
+    def unitary_part(t):
+        """exp(-i A_c t) x_c(0) per source."""
+        return [v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0[idx[c]]))
+                for c, (w, v) in eig.items()]
+
+    def rhs(t, z):
+        lam, y, u = z[:len(sources)].real, z[len(sources):], unitary_part(t)
+        dlam, dy = np.zeros(len(sources), dtype=complex), np.zeros(len(y), dtype=complex)
+        for k, f in feeds:
+            fed = f @ u[k]
+            dy -= 1j * lam[k] * fed
+            # j_gap / (2 s_c) lambda_c, with j_gap = 2 lambda_c Im<y|F u_c>
+            # and s_c = lambda_c^2 s_c(0).
+            dlam[k] -= np.vdot(y, fed).imag / s0[sources[k]] if s0[sources[k]] else 0.0
+        return np.concatenate([dlam, dy])
+
+    z0 = np.concatenate([np.ones(len(sources), dtype=complex), psi0[launch]])
+    sol = scipy.integrate.solve_ivp(rhs, (0.0, times[-1]), z0, method="DOP853",
+                                    rtol=1e-13, atol=1e-15, t_eval=times)
+    assert sol.success
+    out = np.zeros((len(times), model.dim), dtype=complex)
+    for j, t in enumerate(times):
+        for k, (c, u) in enumerate(zip(sources, unitary_part(t))):
+            out[j, idx[c]] = sol.y[k, j].real * u
+        out[j, launch] = sol.y[len(sources):, j]
+    return out
+
+
+@pytest.mark.parametrize("name", ["detuned_two_level", "three_mode", "chain_three_level",
+                                  "wide_launch"])
+def test_compensated_profile_converges_to_the_gauge_reference(name):
+    """Every row of the compensated no-hit profile against the reduced
+    system of gauge_reference, which shares no code with apply, over the
+    fixture's own t_max: the largest error is at most 2 dt^4 (measured:
+    at most 1.48 dt^4, three_mode) and each halving of dt cuts it by 14 to
+    18, as RK4's order 4 does (measured: 15.96 to 16.04)."""
+    model = build(name)
+    errors = []
+    for dt in (0.02, 0.01, 0.005):
+        cfg = IntegratorConfig(dt=dt, t_max=model.defaults.t_max)
+        table, rows, times = profile(model, R3, COMPENSATED, cfg)
+        errors.append(np.abs(table.states[rows] - gauge_reference(model, times)).max())
+        assert errors[-1] <= 2.0 * dt ** 4, (dt, errors)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 <= coarse / fine <= 18.0, errors
 
 
 def test_profile_handles_partial_final_step(two_level_model):
@@ -379,7 +458,9 @@ def rk4_stages(psi, gen, h):
 
 
 def build(name):
-    """A fixture by name, or the dim-301 star, held as CSR."""
+    """A fixture by name, WIDE_LAUNCH, or the dim-301 star, held as CSR."""
+    if name == "wide_launch":
+        return load_scenario(json.dumps(WIDE_LAUNCH))
     return star_model(300) if name == "star301" else BUILDERS[name]()
 
 
@@ -428,13 +509,63 @@ def test_propagator_step_matches_staged_rk4(mode, name):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 @pytest.mark.parametrize("mode", [ONEWAY, HERMITIAN, COMPENSATED])
 def test_table_currents_equal_per_row_currents(name, mode):
-    """The table's stacked -i G psi currents are component_currents' floats,
-    compensated mode included: its loss never writes a launch row."""
+    """The table's stacked -i G psi currents, taken over blocks of rows, are
+    component_currents' floats, a block of one per row. That -i G psi is
+    every mode's current is test_compensated_loss_never_writes_a_launch_row."""
     model = BUILDERS[name]()
     cfg = IntegratorConfig(dt=0.01, t_max=1.005, sample_every=3)
     table, rows, _ = profile(model, R3, mode, cfg)
     per_row = np.array([component_currents(psi, table.gen).J for psi in table.states[rows]])
     np.testing.assert_array_equal(table.J[rows], per_row)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS) + ["wide_launch", "star301"])
+def test_compensated_loss_never_writes_a_launch_row(name):
+    """On the launch indices gen.apply(psi) holds the bytes of -i (G psi),
+    for every reachable compensated generator, while the loss does write
+    the source rows of the initial one: so one current formula, -i G psi
+    in block_currents, serves every gap mode."""
+    model = build(name)
+    rng = np.random.default_rng(17)
+    psi = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
+    for k, gen in enumerate(reachable_generators(model, COMPENSATED)):
+        idx, _ = gen.launch_runs
+        linear = -1j * (gen.op @ psi)
+        assert gen.apply(psi)[idx].tobytes() == linear[idx].tobytes()
+        if k == 0:
+            assert not np.array_equal(gen.apply(psi), linear)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS) + ["wide_launch", "star301"])
+def test_row_routines_round_as_per_row_products(name):
+    """row_products holds, per row, the bytes of op @ row for G, its M_h and
+    every feed and adjoint, dense and CSR, as a C-contiguous array; row_dots
+    holds those of np.vdot per row."""
+    model = build(name)
+    rng = np.random.default_rng(23)
+    block = rng.normal(size=(5, model.dim)) + 1j * rng.normal(size=(5, model.dim))
+    gen = assemble_generator(model, R3, HERMITIAN)
+    ops = [gen.op, gen.propagator(0.01)] + [op for gap in gen.gaps
+                                           for op in (gap.feed, gap.adjoint)]
+    for op in [op for op in ops if op is not None]:
+        got = row_products(op, block)
+        assert got.flags.c_contiguous
+        for row, psi in zip(got, block):
+            assert row.tobytes() == (op @ psi).tobytes()
+    dots = row_dots(block, got)
+    for j in range(len(block)):
+        assert dots[j] == np.vdot(block[j], got[j])
+
+
+def test_dense_and_matrix_are_views_of_the_held_operator():
+    """The benchmark's trace hooks read G through ``dense`` (None where G
+    is CSR) and ``matrix`` (CSR in either form)."""
+    for model in (three_mode(), star_model(300)):
+        gen = assemble_generator(model, R3, HERMITIAN)
+        assert (gen.dense is gen.op) == (model.dim <= DENSE_DIM_LIMIT)
+        assert (gen.dense is None) == sp.issparse(gen.op)
+        assert sp.issparse(gen.matrix)
+        assert np.array_equal(gen.matrix.toarray(), held(gen.op))
 
 
 def reference_step(psi, gen, h):
@@ -646,7 +777,7 @@ def test_csr_generator_matches_dense(mode):
     assert validate_model(model).ok
     gen = assemble_generator(model, R3, mode)
     assert gen.dim > DENSE_DIM_LIMIT and gen.dense is None
-    dense = dataclasses.replace(gen, dense=gen.matrix.toarray())
+    dense = dataclasses.replace(gen, op=gen.op.toarray())
     rng = np.random.default_rng(11)
     psi = rng.normal(size=gen.dim) + 1j * rng.normal(size=gen.dim)
     psi /= np.linalg.norm(psi)
@@ -691,8 +822,8 @@ def test_csr_propagator_is_kept_only_while_sparse(per_row, kept):
     rng = np.random.default_rng(4)
     rows, cols = rng.integers(0, gen.dim, (2, per_row * gen.dim))
     g = sp.csr_matrix((rng.normal(size=len(rows)) + 0j, (rows, cols)), shape=(gen.dim, gen.dim))
-    gen = dataclasses.replace(gen, matrix=g)
-    twin = dataclasses.replace(gen, dense=g.toarray())
+    gen = dataclasses.replace(gen, op=g)
+    twin = dataclasses.replace(gen, op=g.toarray())
     limit = SPARSE_FILL_LIMIT * (g.nnz + gen.dim)
     assert np.bincount(g.indices, minlength=gen.dim) @ np.diff(g.indptr) <= limit
     m = gen.propagator(0.01)

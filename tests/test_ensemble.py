@@ -595,6 +595,30 @@ def test_suspended_freeze_ensemble_passes_its_oracle():
     assert report.ks_pass, (report.ks_d, report.ks_threshold)
 
 
+@pytest.mark.parametrize("builder,mode,others", [
+    (detuned_two_level, GapSemantics.NORM_COMPENSATED,
+     (GapSemantics.HERMITIAN_TRUNCATED, ONEWAY)),
+    (three_mode, GapSemantics.HERMITIAN_TRUNCATED, (ONEWAY,))],
+    ids=["compensated-detuned_two_level", "hermitian-three_mode"])
+def test_gap_mode_ensemble_passes_its_own_oracle_and_no_other(builder, mode, others):
+    """An ensemble passes compare against its own gap mode's oracle, and its
+    hit times fail KS against another mode's (three_mode's compensated
+    oracle equals its hermitian one). Measured at n = 5000: KS 0.014 against
+    its own oracle, and 0.181 (hermitian) and 0.074 (oneway) for
+    compensated detuned_two_level, 0.263 (oneway) for hermitian three_mode,
+    with thresholds 0.032 and 0.023."""
+    model = builder()
+    stats = run_ensemble(model, R3, CFG, mode, 5000, 1)
+    report = compare(stats, deterministic_oracle(model, CFG, mode))
+    assert report.z_pass, report.z_scores
+    assert report.ks_pass, (report.ks_d, report.ks_threshold)
+    for other in others:
+        oracle = deterministic_oracle(model, CFG, other)
+        grid = oracle.times[1:]
+        ks_d = ks_statistic_grid(stats.hit_times, grid, oracle.cdf_at(grid))
+        assert ks_d > report.ks_threshold, (other.token, ks_d, report.ks_threshold)
+
+
 def test_comparison_report_serializes(three_mode_model):
     stats = small_ensemble(three_mode_model, n=200, seed=41)
     oracle = deterministic_oracle(three_mode_model, CFG, ONEWAY)
