@@ -7,8 +7,9 @@ ways: plain, with `--suspend n3_1`, and off the dt grid with sparse
 samples), 180 in all. The `--suspend n3_1` cases exit with a usage
 error outside hermitian mode. No shipped scenario has a launch component wider than
 one dimension or a feed with two entries in one low column, so WIDE_LAUNCH
-from tests/conftest.py, whose epoch 1 runs on tables of their own and whose
-adjoint feed rows hold two entries each, is written to
+from tests/conftest.py, whose epoch 1 runs on tables of their own and each
+of whose feeds has two entries (the 0→1 feed in one low column, the 1→2
+feed in one high row), is written to
 `<out-dir>/wide_launch.json` and run in every gap mode through five more
 (`run` on and off the dt grid, `ensemble`, `arrow` plain and with
 `--suspend n3_1`), 195 so far. No model above `DENSE_DIM_LIMIT` is among
@@ -66,7 +67,7 @@ INVOCATIONS = (
 )
 
 # The cases of WIDE_LAUNCH: compensated runs cost about 14 ms per trajectory.
-# Its arrow cases are the only ones whose backflow sums two entries per row.
+# Its feeds are the only ones whose flow sums two entries per row.
 WIDE_INVOCATIONS = (
     ("run", ["run", "--sample-every", "7"]),
     ("run_offgrid", ["run", "--t-max", "2.005", "--sample-every", "3"]),

@@ -20,8 +20,8 @@ rule set, gap mode, config), which owns the generators and the full epoch
 tables, so a seed loop integrates each path once. The profile reads the
 sampled rows of the same runner's epoch-0 table, grown to its end, so a cold
 experiment steps once per table row as well; its peak backflow is one
-gap_backflow call over all those rows, one stacked product per gap, with
-no loop over rows. The cache keeps the
+gap_backflow call over all those rows, one row_dots over each gap's feed
+entries, with no loop over rows. The cache keeps the
 RUN_CACHE_SIZE most recent runners; a table holds 16 dim + 8 (launch
 components) + 32 bytes per step, twice that when t_max is off the dt grid.
 """

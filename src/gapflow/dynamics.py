@@ -15,13 +15,15 @@ suspended rules:
   mode; in the sink modes it is structurally absent, so for any state
   supported on launch components G applied to psi is zero bit-exactly.
 
-The generator records its included gaps once, in ``gaps``, in every mode.
-The compensated loss reads their feeds F; gap_backflow reads the flow
-through F-dagger over a block of rows, exact zeros in the sink modes. One
-rule (_operator) holds G, its M_h and every F and F-dagger: a dense array
-up to DENSE_DIM_LIMIT, scattered straight from the entries, CSR above.
-row_products applies any of them to each row of a block, and row_dots
-takes the per-row <a|b> of the square moduli and the backflow.
+The generator records its included gaps once, in ``gaps``, in every mode,
+each by its feed entries (r, c, v), never as an operator. Both readers of
+a gap take the feed flow j_gap = 2 Im<psi|F psi> = 2 Im sum conj(psi_r) v
+psi_c: the compensated loss per state, gap_backflow per row as -j_gap,
+since <psi|F-dagger psi> is the conjugate of <psi|F psi>. One rule
+(_operator) holds G and so M_h: a dense array up to DENSE_DIM_LIMIT,
+scattered straight from the entries, CSR above. row_products applies
+either to each row of a block, and row_dots takes the per-row <a|b> of
+the square moduli and the backflow.
 
 Integration is fixed-step RK4 on dpsi/dt = -i G psi (hbar = 1), with a
 state-dependent anti-Hermitian loss on the source sector in norm_compensated
@@ -86,9 +88,10 @@ DENSE_DIM_LIMIT = 256
 # 115 us at dim 2048; the two broke even near 9 at dim 2048.
 SPARSE_FILL_LIMIT = 4
 
-# RK4 step matrices kept per generator: a run needs dt and perhaps a shorter
-# last step rem, the ensemble oracle dt / 2 and rem / 2, and
-# fd_current_check its two probes.
+# RK4 step matrices kept per generator, the first built dropped first: a run
+# needs dt and perhaps a shorter last step rem, the ensemble oracle dt / 2
+# and rem / 2; fd_current_check's two probes, beyond those, drop the two
+# built first.
 PROPAGATOR_CACHE_SIZE = 4
 
 # Rows an EpochTable steps before it fills their other columns at once.
@@ -142,8 +145,9 @@ Operator = np.ndarray | sp.csr_matrix
 
 
 def _operator(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> Operator:
-    """The one rule for holding an operator: up to DENSE_DIM_LIMIT a dense
-    array, the entries summed onto zeros as a CSR's toarray does; CSR above."""
+    """The one rule for holding G (and so its M_h): up to DENSE_DIM_LIMIT a
+    dense array, the entries summed onto zeros as a CSR's toarray does; CSR
+    above. A gap's feed is never held as an operator, only as its entries."""
     if dim > DENSE_DIM_LIMIT:
         return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     op = np.zeros((dim, dim), dtype=np.complex128)
@@ -154,27 +158,19 @@ def _operator(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) ->
 @dataclass(frozen=True, eq=False)
 class IncludedGap:
     """A gap whose feed G includes: its (low, high) pair, the low component's
-    basis indices and its feed entries; F and F-dagger on first read."""
+    basis indices and its feed entries F[rows, cols] = vals, F's one record."""
 
     pair: tuple[int, int]
     low_idx: np.ndarray
-    dim: int
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @cached_property
-    def feed(self) -> Operator:
-        return _operator(self.dim, *self.entries)
-
-    @cached_property
-    def adjoint(self) -> Operator:
-        rows, cols, vals = self.entries
-        return _operator(self.dim, cols, rows, vals.conj())
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
 
 @dataclass(frozen=True)
 class EffectiveGenerator:
-    """Immutable per-epoch generator, apart from its M_h, gap and feed
-    caches; shareable across concurrent trajectories. ``op`` holds the included
+    """Immutable per-epoch generator, apart from its M_h and gap caches;
+    shareable across concurrent trajectories. ``op`` holds the included
     own blocks, gap feeds and, in hermitian mode only, their adjoints."""
 
     dim: int
@@ -210,8 +206,8 @@ class EffectiveGenerator:
         rows, cols, vals, gap = self.model.gap_feeds[:4]
         ends = np.searchsorted(gap, np.arange(len(self.model.gaps) + 1)).tolist()
         index_arrays = self.model.index_arrays
-        return tuple([IncludedGap((g.low, g.high), index_arrays[g.low], self.dim,
-                                  (rows[a:b], cols[a:b], vals[a:b]))
+        return tuple([IncludedGap((g.low, g.high), index_arrays[g.low],
+                                  rows[a:b], cols[a:b], vals[a:b])
                       for g, a, b, inc in zip(self.model.gaps, ends, ends[1:],
                                               self.included.tolist()) if inc])
 
@@ -226,8 +222,9 @@ class EffectiveGenerator:
         propagator path (compensated mode, a CSR G whose M_h fills in).
 
         Built in Horner form on first use, dense where G is and CSR
-        otherwise; the PROPAGATOR_CACHE_SIZE most recently asked step sizes
-        are kept, None included.
+        otherwise. The cache holds the PROPAGATOR_CACHE_SIZE step sizes built
+        last, None included: a new one drops the first built, even where
+        that size was just asked.
         """
         if not self.linear:
             return None
@@ -274,8 +271,7 @@ class EffectiveGenerator:
             s_low = float(np.vdot(low, low).real)
             if s_low <= S_LOW_FLOOR:
                 continue
-            fed = gap.feed @ psi
-            j_gap = 2.0 * float(np.vdot(psi, fed).imag)
+            j_gap = 2.0 * float(np.vdot(psi[gap.rows], gap.vals * psi[gap.cols]).imag)
             out[gap.low_idx] -= (0.5 * j_gap / s_low) * low
         return out
 
@@ -413,8 +409,9 @@ def step_each(block: np.ndarray, gen: EffectiveGenerator, h: float) -> np.ndarra
 
 
 def row_products(op: Operator, block: np.ndarray) -> np.ndarray:
-    """op @ row for each row of ``block``, as a new C-contiguous array: one
-    stacked product that rounds as op @ row does, dense or CSR."""
+    """op @ row for each row of ``block`` (G or its M_h), as a new
+    C-contiguous array: one stacked product that rounds as op @ row does,
+    dense or CSR."""
     if sp.issparse(op):
         return np.ascontiguousarray((op @ np.ascontiguousarray(block.T)).T)
     return (op @ block[:, :, None])[:, :, 0]
@@ -508,8 +505,10 @@ def fd_current_check(state: np.ndarray, gen: EffectiveGenerator,
 def gap_backflow(states: np.ndarray, gen: EffectiveGenerator) -> dict[tuple[int, int], np.ndarray]:
     """Signed flow 2 Im<psi|F-dagger psi> into each included gap's low
     component through its reverse block, per (low, high) and per row of
-    ``states`` (a single state is a block of one): one stacked product per
-    gap that rounds as a per-row np.vdot does (see square_moduli).
+    ``states`` (a single state is a block of one). <psi|F-dagger psi> is
+    the conjugate of <psi|F psi>, so this is minus apply's feed flow j_gap:
+    one row_dots over the gathered entries per gap, each row rounding as
+    apply's np.vdot does.
 
     Exactly 0.0 in the sink modes, where the reverse block is structurally
     absent: no arithmetic is performed, so the zero is bit-exact.
@@ -517,7 +516,7 @@ def gap_backflow(states: np.ndarray, gen: EffectiveGenerator) -> dict[tuple[int,
     block = np.atleast_2d(np.asarray(states, dtype=np.complex128))
     if gen.mode is not GapSemantics.HERMITIAN_TRUNCATED:
         return {gap.pair: np.zeros(len(block)) for gap in gen.gaps}
-    return {gap.pair: 2.0 * row_dots(block, row_products(gap.adjoint, block)).imag
+    return {gap.pair: -2.0 * row_dots(block[:, gap.rows], gap.vals * block[:, gap.cols]).imag
             for gap in gen.gaps}
 
 

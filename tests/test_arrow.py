@@ -188,9 +188,9 @@ def test_cold_experiments_step_once_per_table_row(t_max, monkeypatch):
             assert 0 < cold <= reverse_cold
 
 
-# Every fixture, the one model whose feed has two entries in one low column
-# (so an adjoint row sums two entries) and a CSR-sized star, each at a
-# config whose profile the per-state loop reads in well under a second.
+# Every fixture, the one model whose feeds have two entries each (one in one
+# low column, one in one high row) and a CSR-sized star, each at a
+# config whose profile the per-state loops read in well under a second.
 BACKFLOW_MODELS = {
     **{name: (build, None) for name, build in BUILDERS.items()},
     "wide_launch": (lambda: load_scenario(json.dumps(WIDE_LAUNCH)), None),
@@ -199,9 +199,21 @@ BACKFLOW_MODELS = {
 
 
 def per_state_backflow(states, model, pairs):
-    """The per-state loop the arrow profile ran before gap_backflow took a
-    block: 2 Im<psi|F^dagger psi> per row and per included gap, with the
-    adjoint built from the model's OperatorBlock.adjoint_entries."""
+    """Minus the feed flow 2 Im sum conj(psi_r) v psi_c over each included
+    gap's feed entries (r, c, v), one np.vdot per row and per gap."""
+    out = {}
+    for gap in model.gaps:
+        if (gap.low, gap.high) in pairs:
+            rows, cols, vals = (np.array(x) for x in zip(*gap.interaction.entries))
+            out[(gap.low, gap.high)] = np.array(
+                [-2.0 * float(np.vdot(psi[rows], vals * psi[cols]).imag) for psi in states])
+    return out
+
+
+def adjoint_backflow(states, model, pairs):
+    """2 Im<psi|F^dagger psi> per row and per included gap, through the
+    adjoint built from the model's OperatorBlock.adjoint_entries: the
+    product the backflow was before it read the feed entries."""
     out = {}
     for gap in model.gaps:
         if (gap.low, gap.high) in pairs:
@@ -216,8 +228,11 @@ def per_state_backflow(states, model, pairs):
                          ids=lambda r: "-".join([r.variant, *sorted(r.suspended)]))
 @pytest.mark.parametrize("name", sorted(BACKFLOW_MODELS))
 def test_block_backflow_matches_per_state_loop(name, rules, start):
-    """gap_backflow over the profile's rows equals the per-state reference
-    bit for bit in hermitian mode, and is exact +0.0 in the sink modes."""
+    """gap_backflow over the profile's rows equals minus the per-row feed
+    flow bit for bit in hermitian mode, and is exact +0.0 in the sink modes.
+    It agrees with the F^dagger product to rounding: within 1e-14 of the
+    row's 2 sum |conj(psi_r) v psi_c| (measured: at most 4.3e-16 over the
+    53,440 gap rows of all cases)."""
     build, cfg = BACKFLOW_MODELS[name]
     model = build()
     cfg = cfg or IntegratorConfig(dt=model.defaults.dt, t_max=model.defaults.t_max)
@@ -232,9 +247,13 @@ def test_block_backflow_matches_per_state_loop(name, rules, start):
         assert set(flows) == {gap.pair for gap in table.gen.gaps} != set()
         if mode is GapSemantics.HERMITIAN_TRUNCATED:
             reference = per_state_backflow(states, model, set(flows))
-            assert flows.keys() == reference.keys()
-            for pair, values in flows.items():
-                assert values.view(np.int64).tolist() == reference[pair].view(np.int64).tolist()
+            adjoint = adjoint_backflow(states, model, set(flows))
+            assert flows.keys() == reference.keys() == adjoint.keys()
+            for gap in table.gen.gaps:
+                values, want = flows[gap.pair], reference[gap.pair]
+                assert values.view(np.int64).tolist() == want.view(np.int64).tolist()
+                terms = np.abs(states[:, gap.rows] * gap.vals * states[:, gap.cols])
+                assert (np.abs(values - adjoint[gap.pair]) <= 2e-14 * terms.sum(axis=1)).all()
         else:
             for values in flows.values():
                 assert values.view(np.int64).tolist() == [0] * len(rows)

@@ -109,24 +109,43 @@ def test_oracle_grid_refinement_converges(three_mode_model):
     assert coarse.survival_at(6.0) == pytest.approx(fine.survival_at(6.0), rel=1e-5)
 
 
-@pytest.mark.parametrize("mode", [GapSemantics.HERMITIAN_TRUNCATED,
-                                  GapSemantics.NORM_COMPENSATED], ids=lambda m: m.token)
-@pytest.mark.parametrize("builder", [three_mode, chain_three_level], ids=lambda b: b.__name__)
+def fitted_order(dts, errors):
+    """Slope of log error against log dt, fitted by least squares."""
+    return float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
+
+
+@pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
+@pytest.mark.parametrize("builder", [three_mode, chain_three_level, detuned_two_level],
+                         ids=lambda b: b.__name__)
 def test_gated_hazard_converges_to_oracle_survival(builder, mode):
     """The engine's hazard drops the trapezoid of a step that ends at rate 0,
     the oracle's keeps it; where backflow turns the currents negative the gap
-    closes as h^2, so the end survivals agree ever better as dt halves."""
+    closes as h^2, so the end survivals agree ever better as dt halves.
+
+    Over dt 0.02, 0.01 and 0.005 the end error and the largest
+    |exp(-H_k) - S(t_k)| over the epoch-0 grid each fit an order of at
+    least 1.5 in every gap mode (measured: 1.53 to 2.47, the lowest
+    detuned_two_level's hermitian 3.50e-5, 1.51e-5, 4.17e-6). The detuned
+    source's own block makes its ratios uneven (compensated end errors
+    2.35e-5, 9.14e-6, 1.69e-6), so the per-halving bound holds for the
+    other two fixtures only."""
     model = builder()
-    errors = []
-    for dt in (0.02, 0.01, 0.005):
+    dts, errors, grid_errors = (0.02, 0.01, 0.005), [], []
+    for dt in dts:
         cfg = IntegratorConfig(dt=dt, t_max=6.0)
         runner = EpochRunner(model, R3, cfg, mode)
         table = runner.table(0, None)
         table.grow(math.inf, runner.n_full)
         oracle = deterministic_oracle(model, cfg, mode)
+        survival = np.exp(-table.H[:runner.n_full + 1])
+        assert np.array_equal(oracle.times, runner.times[:runner.n_full + 1])
         errors.append(abs(math.exp(-table.H[runner.n_full]) - oracle.survival[-1]))
-    assert errors[0] >= 3 * errors[1] >= 9 * errors[2]
+        grid_errors.append(float(np.abs(survival - oracle.survival).max()))
+    if builder is not detuned_two_level:
+        assert errors[0] >= 3 * errors[1] >= 9 * errors[2]
     assert errors[1] < 3e-5
+    assert fitted_order(dts, errors) >= 1.5, errors
+    assert fitted_order(dts, grid_errors) >= 1.5, grid_errors
 
 
 def test_compensated_oracle_equals_hermitian_without_source_energy():
