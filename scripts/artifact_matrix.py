@@ -55,8 +55,8 @@ INVOCATIONS = (
     ("currents_every3", ["currents", "--sample-every", "3"]),
     ("ensemble", ["ensemble", "--n", "200"]),
     ("ensemble_offgrid", ["ensemble", "--n", "200", "--t-max", "2.005"]),
-    # Above ensemble.BLOCK = 2048, with a tail block: large blocks draw their
-    # substreams as arrays, small ones through the per-key loop.
+    # One walk block of any shipped fixture (ensemble.walk_block), which
+    # draws its substreams as arrays.
     ("ensemble_3000", ["ensemble", "--n", "3000"]),
     ("ensemble_suspend", ["ensemble", "--n", "200", "--suspend", "n3_1"]),
     ("run", ["run", "--sample-every", "7"]),

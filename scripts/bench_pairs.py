@@ -21,10 +21,17 @@ PATH as a JSON object: the workload, seeds, seconds and number of pairs; per
 metric both medians, the parent's quartiles, IQR / median, the pairs won and
 the verdicts; and per side the failed and attempted operations.
 
+--workload takes several names, each given once: their pairs run one
+workload after another, each with the same seeds, and --json then writes
+one object holding each workload's summary under its name. With one
+workload the JSON is that workload's summary itself.
+
 Example (a change against a checkout of its parent):
 
     python3 scripts/bench_pairs.py --parent ../parent --workload chained --first-seed 41 \
         --json BENCH_chained.json
+    python3 scripts/bench_pairs.py --parent ../parent --workload single_gap chained \
+        wide_fanout arrow_sweep --seconds 8 --json BENCH_all.json
 """
 
 import argparse
@@ -52,7 +59,8 @@ def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> di
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="root of the parent source tree")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, nargs="+",
+                    help="one or more workloads, run one after another")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=None,
                     help="duration of each run (default: BENCHMARK.json's run_seconds)")
@@ -60,21 +68,37 @@ def main(argv=None) -> int:
     ap.add_argument("--json", default=None, metavar="PATH",
                     help="also write the summary to PATH as JSON")
     args = ap.parse_args(argv)
+    if len(set(args.workload)) < len(args.workload):
+        ap.error("--workload names a workload more than once")
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    declared = benchmark["end_to_end"]
     seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
+    summaries = {}
+    for workload in args.workload:
+        if len(args.workload) > 1:
+            print(f"workload {workload}", flush=True)
+        summaries[workload] = compare_workload(args, benchmark["end_to_end"], workload, seconds)
+    if args.json:
+        doc = summaries if len(summaries) > 1 else summaries[args.workload[0]]
+        pathlib.Path(args.json).write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+def compare_workload(args, declared: list[dict], workload: str, seconds: float) -> dict:
+    """Run ``workload``'s pairs, print their metrics and the comparison, and
+    return the summary."""
     sides = {"parent": pathlib.Path(args.parent).resolve(), "this": ROOT}
     results: dict[str, list[dict]] = {name: [] for name in sides}
     for pair in range(1, args.pairs + 1):
         for name in list(sides) if pair % 2 else reversed(sides):
-            res = run_once(sides[name], args.workload, args.first_seed + pair - 1, seconds)
+            res = run_once(sides[name], workload, args.first_seed + pair - 1, seconds)
             results[name].append(res)
             print(f"pair {pair} {name}: " + " ".join(
                 f"{m['name']}={res['metrics'][m['name']]['value']:.4g}" for m in declared)
                 + f" failed={res['failed']}/{res['attempted']}", flush=True)
 
-    summary = {"workload": args.workload, "pairs": args.pairs, "seconds": seconds,
+    summary = {"workload": workload, "pairs": args.pairs, "seconds": seconds,
                "seeds": [args.first_seed + k for k in range(args.pairs)], "metrics": {}}
     print(f"{'metric':<24}{'parent':>12}{'this':>12}{'this/parent':>13}{'won':>7}"
           f"{'parent IQR':>12}{'IQR/median':>12}  verdict")
@@ -107,10 +131,7 @@ def main(argv=None) -> int:
         failed, attempted = (sum(r[key] for r in res) for key in ("failed", "attempted"))
         summary["operations"][name] = {"failed": failed, "attempted": attempted}
         print(f"{name}: failed {failed} of {attempted} operations")
-    if args.json:
-        pathlib.Path(args.json).write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return 0
+    return summary
 
 
 if __name__ == "__main__":

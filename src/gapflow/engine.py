@@ -33,7 +33,9 @@ group of one, quiescent or not. An EpochRunner owns its generators, step
 plan and tables, and each walk takes the seed and the norm policy; the
 ensemble oracle reads the runner's epoch-0 table on the run's own grid, the
 one grid of a command. run_ensemble walks each index range on a
-runner it is handed, in blocks (ensemble.BLOCK), and run_trajectory walks a
+runner it is handed, in blocks of the most trajectories whose walk arrays
+fit a byte budget (ensemble.walk_block: 16 MiB, 36,157 three_mode
+trajectories or 675 of a dim-512 fan-out), and run_trajectory walks a
 block of one, so both run the same epoch loop. run_trajectory reads the
 walk's groups one epoch at a time, and one samples builder,
 TrajectorySamples.of, gathers the recorded rows of each epoch's table as

@@ -42,9 +42,16 @@ from .errors import GapflowError, ProvenanceError
 from .model import ScenarioModel
 from .rules import RuleSet
 
-# Trajectories one walk advances together; the walk's arrays hold
-# O(BLOCK x launch components) floats.
-BLOCK = 2048
+# Bytes of walk arrays one block of trajectories may hold (walk_block); a
+# block pays the walk's fixed cost, some 170 numpy calls, once. Measured
+# in-process on 2 shared vCPUs (interleaved medians, two rounds):
+# three_mode's 10,000 trajectories take 7.7-8.3 ms in one block against
+# 9.0-9.4 ms in blocks of 2048; 200,000 take 126-132 ms in blocks of
+# 36,157 against 170-209 ms in blocks of 2048 and 178-207 ms in one; the
+# dim-512 fan-out's 400 (675 to a block) 2.0-2.1 ms against 2.8-2.9 ms in
+# three blocks. A block's tracemalloc peak was 386 B per three_mode
+# trajectory and 15.1 kB per dim-512 star trajectory, under the count.
+WALK_BYTES = 2 ** 24
 
 Z_THRESHOLD_DEFAULT = 3.0
 # Large-sample 1% critical value of the one-sample KS statistic is
@@ -256,18 +263,35 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
 
 # --- ensemble execution -----------------------------------------------------
 
+def trajectory_bytes(model: ScenarioModel) -> int:
+    """Bytes a trajectory of ``model`` holds in a walk, counted as if it
+    hit: 288 for its key, its epoch's Philox words and draws and its
+    group's step, row, hit, scale and summary columns, 2 x 16 dim for its
+    gathered and scaled pre-hit state, and 2 x 8 per launch candidate for
+    its launch weights and their cumulative sums."""
+    return 288 + 32 * model.dim + 16 * len(model.launch_candidate_ids)
+
+
+def walk_block(model: ScenarioModel) -> int:
+    """Trajectories one walk advances together: the most whose walk arrays
+    fit WALK_BYTES, and at least one."""
+    return max(1, WALK_BYTES // trajectory_bytes(model))
+
+
 def _run_range(runner, seed, policy, start, stop):
     """Per trajectory of [start, stop) of ``seed`` under ``policy``: first
     hit time or nan, first choice or -1, negative-current steps and whether
     it ended quiescent, as arrays.
 
-    The range is walked in blocks of BLOCK through run_trajectory's epoch
-    loop on ``runner``, whose tables every block shares, so epoch 0 and each
-    epoch after a collapse onto a one-dimensional component is integrated
-    once and each trajectory only draws against it.
+    The range is walked in blocks of walk_block(model) through
+    run_trajectory's epoch loop on ``runner``, whose tables every block
+    shares, so epoch 0 and each epoch after a collapse onto a
+    one-dimensional component is integrated once and each trajectory only
+    draws against it.
     """
-    blocks = [_block_summary(runner, seed, policy, np.arange(lo, min(lo + BLOCK, stop)))
-              for lo in range(start, stop, BLOCK)]
+    size = walk_block(runner.model)
+    blocks = [_block_summary(runner, seed, policy, np.arange(lo, min(lo + size, stop)))
+              for lo in range(start, stop, size)]
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 

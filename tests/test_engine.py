@@ -41,7 +41,7 @@ from gapflow.errors import (
     NoChoiceError,
 )
 from gapflow.fixtures import BUILDERS, chain_three_level, three_mode, two_level
-from gapflow.ensemble import BLOCK
+from gapflow.ensemble import walk_block
 from gapflow.substreams import (CROSSOVER, philox_words, substream_draws, substream_keys,
                                  substream_pair)
 from gapflow.model import (ACTIVE, LAUNCH, REALIZED, ZEROED, component_moduli, load_scenario,
@@ -961,12 +961,13 @@ def test_philox_words_equal_random_raw():
 
 def test_substream_pair_equals_trajectory_rng():
     """substream_pair(keys, p) for p = 0..3 is the (p + 1)-th
-    standard_exponential() and random() of trajectory_rng, over 105,216 keys
-    in blocks of 1 and CROSSOVER - 1 (the per-key loop) and of CROSSOVER and
-    BLOCK (arrays). Thousands of the array blocks' keys have an exponential
-    that leaves numpy's ziggurat fast path, reading more than one word, and
-    take the loop."""
-    sizes = [1, CROSSOVER - 1, CROSSOVER] + [BLOCK] * 17
+    standard_exponential() and random() of trajectory_rng, over some 108,000
+    keys in blocks of 1 and CROSSOVER - 1 (the per-key loop) and of
+    CROSSOVER and of a narrow model's walk block (arrays), the size an
+    ensemble of three_mode draws at. Thousands of the array blocks' keys
+    have an exponential that leaves numpy's ziggurat fast path, reading
+    more than one word, and take the loop."""
+    sizes = [1, CROSSOVER - 1, CROSSOVER] + [walk_block(three_mode())] * 3
     bounds = np.cumsum([0] + sizes).tolist()
     left_fast_path = 0
     for seed in (0, 2026, 2**70 + 3):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from gapflow.dynamics import EpochTable, GapSemantics, IntegratorConfig, StepPla
 from gapflow.engine import (PRESERVE_TOTAL, TERMINAL_QUIESCENT, EpochRunner, run_trajectory,
                             step_grid)
 from gapflow.ensemble import (
-    BLOCK,
+    WALK_BYTES,
     ComparisonReport,
     EnsembleStats,
     OracleResult,
@@ -23,6 +24,8 @@ from gapflow.ensemble import (
     _run_range,
     ks_statistic_grid,
     run_ensemble,
+    trajectory_bytes,
+    walk_block,
 )
 from gapflow.errors import GapflowError, ProvenanceError
 from gapflow.fixtures import (BUILDERS, chain_three_level, detuned_two_level, three_mode,
@@ -442,8 +445,8 @@ def test_calling_process_walks_the_first_range(three_mode_model, monkeypatch):
 
 @pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda mode: mode.token)
 @pytest.mark.parametrize("build", [three_mode, chain_three_level], ids=["three_mode", "chain"])
-def test_array_draws_agree_with_per_key_loop(build, mode):
-    """Above BLOCK (a full block and a tail block, both of at least
+def test_array_draws_agree_with_per_key_loop(build, mode, monkeypatch):
+    """In blocks of 2048 (a full block and a tail block, both of at least
     CROSSOVER keys) an ensemble's epochs draw as arrays, while run_trajectory
     walks a block of one through the per-key loop; both give each sampled
     index the same first hit, choice, negative-current steps and ending, and
@@ -451,12 +454,15 @@ def test_array_draws_agree_with_per_key_loop(build, mode):
     model = build()
     rules = RuleSet(model.defaults.rules)
     cfg = IntegratorConfig(dt=model.defaults.dt, t_max=model.defaults.t_max)
-    n = BLOCK + 300
-    assert n - BLOCK >= CROSSOVER
+    block = 2048
+    monkeypatch.setattr(ensemble, "WALK_BYTES", block * trajectory_bytes(model))
+    assert walk_block(model) == block
+    n = block + 300
+    assert n - block >= CROSSOVER
     t_first, first, negative, quiescent = _run_range(EpochRunner(model, rules, cfg, mode), 2026,
                                                      PRESERVE_TOTAL, 0, n)
     runner = EpochRunner(model, rules, cfg, mode)
-    for i in [*range(0, n, 41), BLOCK, n - 1]:
+    for i in [*range(0, n, 41), block, n - 1]:
         rec = run_trajectory(model, rules, cfg, mode, 2026, traj_index=i, record_samples=False,
                              runner=runner)
         hit = (rec.events[0].t_sc, rec.events[0].chosen) if rec.events else (None, -1)
@@ -469,6 +475,67 @@ def test_array_draws_agree_with_per_key_loop(build, mode):
     for a, b in ((one.hit_times, two.hit_times), (one.hit_components, two.hit_components)):
         assert np.array_equal(a, b)
     assert (one.counts, one.no_collapse, one.totals) == (two.counts, two.no_collapse, two.totals)
+
+
+def _wide_launch():
+    return load_scenario(json.dumps(WIDE_LAUNCH))
+
+
+def _record_block_sizes(monkeypatch) -> list[int]:
+    """The size of every block _run_range walks from now on, in order."""
+    sizes, summary = [], ensemble._block_summary
+
+    def recording(runner, seed, policy, indices):
+        sizes.append(len(indices))
+        return summary(runner, seed, policy, indices)
+
+    monkeypatch.setattr(ensemble, "_block_summary", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("build, n", [(three_mode, 300), (chain_three_level, 300),
+                                      (_wide_launch, 60)],
+                         ids=["three_mode", "chain", "wide_launch"])
+def test_block_split_changes_nothing(build, n, monkeypatch):
+    """Blocks of 1 and of 7 (the per-key draw loop) and one block of the
+    whole range (arrays) give one EnsembleStats: substreams are keyed per
+    trajectory and the reduce runs in index order. WIDE_LAUNCH's collapses
+    onto its two-dimensional component run on tables of their own."""
+    model = build()
+    d = model.defaults
+    rules, mode = RuleSet(d.rules), GapSemantics.from_token(d.gap_mode)
+    cfg = IntegratorConfig(dt=d.dt, t_max=d.t_max)
+    assert walk_block(model) >= n
+    whole = summary_of(run_ensemble(model, rules, cfg, mode, n, 17))
+    sizes = _record_block_sizes(monkeypatch)
+    for size in (1, 7):
+        monkeypatch.setattr(ensemble, "WALK_BYTES", size * trajectory_bytes(model))
+        sizes.clear()
+        assert summary_of(run_ensemble(model, rules, cfg, mode, n, 17)) == whole
+        assert sizes == [size] * (n // size) + ([n % size] if n % size else [])
+
+
+def test_wide_range_walks_in_blocks_within_budget(monkeypatch):
+    """5,000 trajectories of a dim-512 star walk in blocks of walk_block, the
+    most that fit WALK_BYTES, and one block's walk, on tables already grown,
+    allocates less than that at its peak."""
+    model = star_model(511)
+    cfg = IntegratorConfig(dt=0.02, t_max=1.0)
+    size = walk_block(model)
+    assert size * trajectory_bytes(model) <= WALK_BYTES < (size + 1) * trajectory_bytes(model)
+    assert 1 < size < 5000
+    sizes = _record_block_sizes(monkeypatch)
+    runner = EpochRunner(model, R3, cfg, ONEWAY)
+    t_first = _run_range(runner, 5, PRESERVE_TOTAL, 0, 5000)[0]
+    assert sizes == [size] * (5000 // size) + [5000 % size]
+    assert np.isfinite(t_first).sum() > 1000
+    tracemalloc.start()
+    try:
+        _block_summary(runner, 5, PRESERVE_TOTAL, np.arange(size))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= WALK_BYTES
 
 
 def test_blocks_agree_with_blocks_of_one():

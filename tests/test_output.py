@@ -1,16 +1,19 @@
-"""CSV rendering: the array renderer gives '%.17g' % x byte for byte."""
+"""CSV rendering: the array renderer gives '%.17g' % x byte for byte; JSON
+reports: dump_json gives json.dumps(indent=2, sort_keys=True)'s bytes."""
 
+import json
 import math
 import pathlib
 import types
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapflow.engine import TrajectorySamples
-from gapflow.output import (CROSSOVER, _render, write_histogram_csv, write_survival_csv,
-                            write_trajectory_csv)
+from gapflow.output import (CROSSOVER, _render, dump_json, write_histogram_csv,
+                            write_survival_csv, write_trajectory_csv)
 
 EDGES = [1e16, 1e17, 9.9999999999999995e16, 99999999999999999.0, 1e-4, 1e-5, 0.5, 2.5,
          5e-324, 1.7976931348623157e308, -1e-100,
@@ -142,3 +145,40 @@ def test_survival_csv_matches_percent(tmp_path):
     expected = b"t,survival_empirical,survival_predicted\n" + reference_lines(
         zip(times.tolist(), s_emp.tolist(), np.exp(-times).tolist()))
     assert path.read_bytes() == expected
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6))
+JSON_KEYS = st.text(max_size=4) | st.integers(-5, 5) | st.floats(allow_nan=True, width=16)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=5)
+                   | st.dictionaries(st.integers(-5, 5) | st.floats(width=16), inner,
+                                     max_size=3)
+                   | st.dictionaries(JSON_KEYS, inner, max_size=2)),
+    max_leaves=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(JSON_VALUES)
+@example({"a": {}, "b": [[], {"c": []}, [{}]], "d": {"e": {"f": 1.5}}})
+@example({"stats": {"n": 3, "totals": {"terminals": {"t_max": 3}}}, "z": [0.5, -0.0]})
+@example({"x": [1.0, math.inf]})
+@example([{"y": math.nan}])
+@example({1.5: {"a": 1}, -2: [True, None]})
+@example({0: {"": None, 0: None}, math.inf: None})
+def test_dump_json_matches_indented_json_dumps(obj):
+    """Nested, empty and non-finite values, str and number keys: the bytes of
+    json.dumps(indent=2, sort_keys=True, allow_nan=False) and a newline, or
+    its refusal with its exception and message (ValueError naming a
+    non-finite float, TypeError for keys that do not sort), the first fault
+    it meets where a document has two."""
+    try:
+        expected = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except (ValueError, TypeError) as exc:
+        with pytest.raises(type(exc)) as refused:
+            dump_json(obj)
+        assert str(refused.value) == str(exc)
+        return
+    assert dump_json(obj) == expected
