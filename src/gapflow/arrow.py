@@ -21,8 +21,9 @@ tables, so a seed loop integrates each path once. The profile reads the
 sampled rows of the same runner's epoch-0 table, grown to its end, so a cold
 experiment steps once per table row as well; its peak backflow is one
 gap_backflow call over all those rows, one row_dots over each gap's feed
-entries, with no loop over rows. The cache keeps the
-RUN_CACHE_SIZE most recent runners; a table holds 16 dim + 8 (launch
+entries, with no loop over rows. One cache holds each experiment's runner
+with its profile's extrema, so an experiment makes one lookup; it keeps the
+RUN_CACHE_SIZE most recent, and a table holds 16 dim + 8 (launch
 components) + 32 bytes per step, twice that when t_max is off the dt grid.
 """
 
@@ -39,9 +40,10 @@ from .errors import GapflowError
 from .model import LAUNCH, ScenarioModel
 from .rules import FREEZE_RULES, RuleSet, ruleset_for_rule
 
-# Runners kept per process (_runner): the seed loops over the arrow fixtures
-# (criterion 1, the arrow command's four experiments) cycle through at most a
-# dozen (model, start, rules, mode, config) combinations.
+# Runners kept per process, with their profiles' extrema
+# (_profile_extrema_cached): the seed loops over the arrow fixtures
+# (criterion 1, the arrow command's four experiments) cycle through at most
+# a dozen (model, start, rules, mode, config) combinations.
 RUN_CACHE_SIZE = 16
 
 FORWARD = "forward"
@@ -101,32 +103,28 @@ def _resolve(model, ruleset, gap_mode, seed):
 
 
 @lru_cache(maxsize=RUN_CACHE_SIZE)
-def _runner(model, ruleset, gap_mode, cfg) -> EpochRunner:
-    """The runner of every seed of one experiment, and of its profile; the
-    model's equality covers its start state psi0."""
-    return EpochRunner(model, ruleset, cfg, gap_mode)
-
-
-@lru_cache(maxsize=64)
 def _profile_extrema_cached(model, ruleset, gap_mode, cfg):
-    """Peak backflow, forward-current range and state drift over the no-hit
-    profile (EpochRunner.profile) of the experiment's epoch-0 table, the one
-    its trajectories draw against, read over all its rows at once.
-    Seed-independent, so seed loops hit the cache.
+    """The runner of every seed of one experiment, then the peak backflow,
+    forward-current range and state drift over its no-hit profile
+    (EpochRunner.profile), the epoch-0 table its trajectories draw against,
+    read over all its rows at once. Seed-independent, so seed loops hit the
+    cache; the model's equality covers its start state psi0.
     """
-    table, rows, _ = _runner(model, ruleset, gap_mode, cfg).profile()
+    runner = EpochRunner(model, ruleset, cfg, gap_mode)
+    table, rows, _ = runner.profile()
     states, currents = table.states[rows], table.J[rows]
     flows = gap_backflow(states, table.gen).values()
     max_back = max([0.0, *(float(f.max()) for f in flows)])
     fwd = (float(currents.max()), float(currents.min())) if currents.size else (0.0, 0.0)
-    return max_back, *fwd, float(np.abs(states - states[0]).max())
+    return runner, max_back, *fwd, float(np.abs(states - states[0]).max())
 
 
 def _experiment(direction, model, cfg, ruleset, gap_mode, seed) -> ArrowReport:
     """Profile of ``model``'s no-hit evolution plus one trajectory's hits."""
-    max_back, max_fwd, min_fwd, delta = _profile_extrema_cached(model, ruleset, gap_mode, cfg)
+    runner, max_back, max_fwd, min_fwd, delta = _profile_extrema_cached(
+        model, ruleset, gap_mode, cfg)
     rec = run_trajectory(model, ruleset, cfg, gap_mode, seed, record_samples=False,
-                         runner=_runner(model, ruleset, gap_mode, cfg))
+                         runner=runner)
     hits = len(rec.events)
     if direction == FORWARD:
         verdict, delta = (FLOWED if max_fwd > 0.0 else BLOCKED), 0.0

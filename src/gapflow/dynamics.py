@@ -90,8 +90,8 @@ SPARSE_FILL_LIMIT = 4
 
 # RK4 step matrices kept per generator, the first built dropped first: a run
 # needs dt and perhaps a shorter last step rem, the ensemble oracle dt / 2
-# and rem / 2; fd_current_check's two probes, beyond those, drop the two
-# built first.
+# and rem / 2; a central-difference probe's two steps, beyond those, drop
+# the two built first.
 PROPAGATOR_CACHE_SIZE = 4
 
 # Rows an EpochTable steps before it fills their other columns at once.
@@ -136,9 +136,6 @@ class CurrentVector:
 
     def as_dict(self) -> dict[int, float]:
         return {m: float(j) for m, j in zip(self.ids, self.J)}
-
-    def total_positive(self) -> float:
-        return float(np.maximum(self.J, 0.0).sum())
 
 
 Operator = np.ndarray | sp.csr_matrix
@@ -473,9 +470,7 @@ def _non_finite(gen: EffectiveGenerator, h: float,
 
 def step(state: np.ndarray, gen: EffectiveGenerator, dt: float) -> np.ndarray:
     """One RK4 update of dpsi/dt = gen.apply(psi): step_block of one row.
-
-    dt may be negative (used by the central-difference current oracle).
-    """
+    dt may be negative."""
     psi = np.asarray(state, dtype=np.complex128)
     return step_block(psi, gen, dt, np.empty((1, len(psi)), dtype=np.complex128))[0]
 
@@ -485,21 +480,6 @@ def component_currents(state: np.ndarray, gen: EffectiveGenerator) -> CurrentVec
     block_currents of one row."""
     psi = np.asarray(state, dtype=np.complex128)
     return CurrentVector(ids=gen.launch_ids, J=block_currents(gen, psi[None, :])[0][0])
-
-
-def fd_current_check(state: np.ndarray, gen: EffectiveGenerator,
-                     dt_probe: float = 1e-6) -> CurrentVector:
-    """Central-difference oracle for component_currents."""
-    psi = np.asarray(state, dtype=np.complex128)
-    fwd = step(psi, gen, dt_probe)
-    bwd = step(psi, gen, -dt_probe)
-    J = np.empty(len(gen.launch_ids))
-    for k, comp_id in enumerate(gen.launch_ids):
-        idx = gen.launch_indices[comp_id]
-        s_fwd = float(np.vdot(fwd[idx], fwd[idx]).real)
-        s_bwd = float(np.vdot(bwd[idx], bwd[idx]).real)
-        J[k] = (s_fwd - s_bwd) / (2.0 * dt_probe)
-    return CurrentVector(ids=gen.launch_ids, J=J)
 
 
 def gap_backflow(states: np.ndarray, gen: EffectiveGenerator) -> dict[tuple[int, int], np.ndarray]:

@@ -22,15 +22,17 @@ table's, s and J |c|^2 times, rates and hazard unchanged. Once its E is
 drawn, an epoch of a trajectory is a lookup into its table, so
 EpochRunner.walk advances a block of trajectories at once, grouped by
 (epoch, last chosen component): one searchsorted finds every hit row of a
-group, one cumulative-weights comparison every choice, and one array pass
-collapses every choice of a one-dimensional component, at any epoch and from
-any table, onto the next epoch's shared table. Every trajectory that rests
-in a one-dimensional component sourcing no gap is filed in one quiescent
-group per epoch, with no table: the ensemble only counts it, and
-run_trajectory reads the component's shared table for its start row. A
-collapse onto a wider component starts a table of its own, walked as a
-group of one, quiescent or not. An EpochRunner owns its generators, step
-plan and tables, and each walk takes the seed and the norm policy; the
+group, one cumulative-weights comparison every choice, and one collapse
+routine (rule n3_3) collapses every hit of the group, one array pass per
+component size, at any epoch and from any table. A collapse onto a
+one-dimensional component is a scale on the next epoch's shared table.
+Every trajectory that rests in a one-dimensional component sourcing no gap
+is filed in one quiescent group per epoch, with no table: the ensemble only
+counts it, and run_trajectory reads the component's shared table for its
+start row. A collapse onto a wider component starts a table of its own,
+walked as a group of one, quiescent or not. An EpochRunner owns its
+generators, step plan and tables, and each walk takes the seed and the
+norm policy; the
 ensemble oracle reads the runner's epoch-0 table on the run's own grid, the
 one grid of a command. run_ensemble walks each index range on a
 runner it is handed, in blocks of the most trajectories whose walk arrays
@@ -51,7 +53,6 @@ numbers through gapflow.substreams.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -62,8 +63,7 @@ from .dynamics import (CurrentVector, EffectiveGenerator, EpochTable, GapSemanti
                        square_moduli)
 from .dynamics import step_grid  # noqa: F401  (kept importable as engine.step_grid)
 from .errors import CollapseOnEmptyError, GapflowError, NoChoiceError
-from .model import (LAUNCH, REALIZED, ZEROED, ScenarioModel, component_moduli, project,
-                    square_modulus)
+from .model import LAUNCH, REALIZED, ZEROED, ScenarioModel, component_moduli
 from .rules import RuleSet
 from .substreams import substream_keys, substream_pair
 from .substreams import trajectory_rng  # noqa: F401  (kept importable as engine.trajectory_rng)
@@ -148,10 +148,6 @@ class TrajectoryRecord:
     terminal: str
     meta: dict = field(default_factory=dict)
 
-    @property
-    def first_event(self) -> CollapseEvent | None:
-        return self.events[0] if self.events else None
-
 
 def _choose(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per row of non-negative ``weights``, the column that the uniform draw
@@ -186,25 +182,6 @@ def post_collapse_statuses(model: ScenarioModel, chosen: int) -> dict[int, str]:
 def _check_policy(policy: str):
     if policy not in NORM_POLICIES:
         raise GapflowError(f"unknown norm policy {policy!r}")
-
-
-def collapse_state(psi: np.ndarray, chosen: int, model: ScenarioModel,
-                   policy: str = PRESERVE_TOTAL) -> np.ndarray:
-    """``psi`` with everything outside ``chosen`` zeroed.
-
-    Under preserve_total (default) the surviving amplitudes are rescaled so
-    the total square modulus is unchanged; under raw they are kept verbatim.
-    """
-    _check_policy(policy)
-    s_pre = square_modulus(psi)
-    collapsed = project(psi, chosen, model)
-    s_chosen = square_modulus(collapsed)
-    if s_chosen <= 0.0:
-        raise CollapseOnEmptyError(
-            f"component {chosen} has zero amplitude at collapse time")
-    if policy == PRESERVE_TOTAL:
-        collapsed *= math.sqrt(s_pre / s_chosen)
-    return collapsed
 
 
 def _unit(model: ScenarioModel, chosen: int) -> np.ndarray:
@@ -248,13 +225,13 @@ class EpochRunner:
         self.plan = StepPlan.of(cfg)
         self.times, self.sampled, self.rem, self.n_full = self.plan
         self._sources = frozenset(g.low for g in model.gaps if g.irreversible)
-        # Component ids, sorted, and per id the basis index of a
-        # one-dimensional component or -1 for a wider one, and whether it
-        # sources no gap.
+        # Component ids, sorted, and per id its size class in
+        # model._by_size, its row there, and whether it sources no gap.
         ids = sorted(model.index_arrays)
         self._ids = np.array(ids)
-        self._col = np.array([int(model.index_arrays[c][0]) if len(model.index_arrays[c]) == 1
-                              else -1 for c in ids])
+        where = {model.components[k].id: (g, r) for g, (pos, _) in enumerate(model._by_size)
+                 for r, k in enumerate(pos.tolist())}
+        self._kind, self._row = np.array([where[c] for c in ids], dtype=np.intp).T
         self._rests = np.array([c not in self._sources for c in ids])
 
     @classmethod
@@ -396,49 +373,66 @@ class EpochRunner:
         return LegGroup(epoch, table, pos, scale, k0, n, last, chosen_now, False)
 
     def _regroup(self, group: LegGroup, nxt: dict, policy: str):
-        """Collapse a group's hits under ``policy``, filed under their next
-        epoch's key: the choices of one-dimensional components at once, onto
-        the shared tables or, for every component that sources no gap, under
-        the one _RESTING key, and each choice of a wider one onto its own."""
+        """Collapse every hit of a group under ``policy`` (rule n3_3) in one
+        array pass per component size, filed under its next epoch's key: a
+        one-dimensional choice as its next scale on the shared table or, for
+        a component that sources no gap, under the one _RESTING key; a wider
+        one as the start state of a table of its own.
+
+        Each hit's scaled pre-hit row is gathered once. s_pre is one
+        square_moduli of those rows and s_chosen one of each hit's chosen
+        amplitudes a; preserve_total multiplies a by sqrt(s_pre / s_chosen).
+        A wider component's a is scattered onto zeros first, into its start
+        state, and s_chosen is taken over that state, as np.vdot over the
+        collapsed state takes it: a sum over a alone pairs the terms
+        otherwise, and its last bit differed in 4 % (size 2) and 9 % (size
+        3) of random draws. A
+        single amplitude's other terms are exact zeros, so it needs no
+        scatter. An empty choice raises for the first one-dimensional hit,
+        else for the first wider one.
+        """
         h = (group.chosen >= 0).nonzero()[0]
         if not h.size:
             return
-        table, rows, chosen, scale = group.table, group.last[h], group.chosen[h], group.scale[h]
-        k0 = group.k0[h] + group.n[h]
-        pos = group.pos[h]
+        chosen, pos, k0 = group.chosen[h], group.pos[h], group.k0[h] + group.n[h]
+        psi = group.scale[h, None] * group.table.states[group.last[h]]
         at = self._ids.searchsorted(chosen)
-        col = self._col[at]
-        one = col >= 0
-        if one.any():
-            after = self._unit_scales(table, rows[one], chosen[one], col[one], scale[one],
-                                      policy)
-            key = np.where(self._rests[at[one]], _RESTING, chosen[one])
-            for c in sorted(set(key.tolist())):
-                sel = key == c
-                entry = nxt.setdefault((c, -1), (None, [], [], []))
-                for bucket, values in zip(entry[1:], (pos[one][sel], after[sel], k0[one][sel])):
-                    bucket.append(values)
-        for j in (~one).nonzero()[0].tolist():          # a table of its own
-            start = collapse_state(scale[j] * table.states[int(rows[j])], int(chosen[j]),
-                                   self.model, policy)
-            nxt[(int(chosen[j]), int(pos[j]))] = (start, [pos[j:j + 1]], [np.ones(1, complex)],
-                                                  [k0[j:j + 1]])
-
-    def _unit_scales(self, table: EpochTable, rows: np.ndarray, chosen: np.ndarray,
-                     col: np.ndarray, scale: np.ndarray, policy: str) -> np.ndarray:
-        """The next epoch's scale after collapsing ``scale`` times each of
-        the table's ``rows`` onto the one-dimensional ``chosen`` at basis
-        index ``col``: collapse_state's floats, as one array pass. s_pre and
-        s_chosen are stacked products on the scaled rows and on their chosen
-        amplitudes, so both round as collapse_state's np.vdot does (the other
-        terms of its s_chosen are exact zeros)."""
-        psi = scale[:, None] * table.states[rows]
-        a = psi[np.arange(len(rows)), col]
-        s_chosen = square_moduli(a[:, None])
+        kind, row = self._kind[at], self._row[at]
+        s_chosen, parts = np.empty(len(h)), []
+        for g, (_, indices) in enumerate(self.model._by_size):
+            if not (sel := (kind == g).nonzero()[0]).size:
+                continue
+            idx = indices[row[sel]]
+            if idx.shape[1] == 1:
+                a = psi[sel[:, None], idx]
+            else:
+                a = np.zeros((len(sel), self.model.dim), np.complex128)
+                a[np.arange(len(sel))[:, None], idx] = psi[sel[:, None], idx]
+            s_chosen[sel] = square_moduli(a)
+            parts.append((sel, a, idx.shape[1] > 1))
         if (bad := (s_chosen <= 0.0).nonzero()[0]).size:
+            wide = np.array([indices.shape[1] > 1 for _, indices in self.model._by_size])
             raise CollapseOnEmptyError(
-                f"component {int(chosen[bad[0]])} has zero amplitude at collapse time")
-        return a if policy == RAW else a * np.sqrt(square_moduli(psi) / s_chosen)
+                f"component {int(chosen[bad[wide[kind[bad]].argmin()]])} has zero amplitude "
+                "at collapse time")
+        if policy == PRESERVE_TOTAL:
+            factor = np.sqrt(square_moduli(psi) / s_chosen)[:, None]
+        starts = {}
+        for sel, a, wider in parts:
+            if policy == PRESERVE_TOTAL:
+                a *= factor[sel]
+            if wider:
+                starts.update(zip(sel.tolist(), a))
+                continue
+            key = np.where(self._rests[at[sel]], _RESTING, chosen[sel])
+            for c in sorted(set(key.tolist())):
+                on = sel[key == c]
+                entry = nxt.setdefault((c, -1), (None, [], [], []))
+                for bucket, values in zip(entry[1:], (pos[on], a[key == c, 0], k0[on])):
+                    bucket.append(values)
+        for j in sorted(starts):                        # a table of its own
+            nxt[(int(chosen[j]), int(pos[j]))] = (starts[j], [pos[j:j + 1]],
+                                                  [np.ones(1, complex)], [k0[j:j + 1]])
 
 
 def run_trajectory(model: ScenarioModel, ruleset: RuleSet, cfg: IntegratorConfig,

@@ -39,7 +39,6 @@ from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (GapflowError, ScenarioParseError, ScenarioValidationError,
                      UnknownComponentError)
@@ -114,16 +113,6 @@ class OperatorBlock:
 
     dim: int
     entries: tuple[tuple[int, int, complex], ...]
-
-    def to_coo(self) -> sp.coo_matrix:
-        if not self.entries:
-            return sp.coo_matrix((self.dim, self.dim), dtype=np.complex128)
-        rows, cols, vals = zip(*self.entries)
-        return sp.coo_matrix((np.array(vals, dtype=np.complex128), (rows, cols)),
-                             shape=(self.dim, self.dim))
-
-    def adjoint_entries(self) -> tuple[tuple[int, int, complex], ...]:
-        return tuple((c, r, v.conjugate()) for r, c, v in self.entries)
 
 
 @dataclass(frozen=True)
@@ -260,17 +249,6 @@ class ScenarioModel:
     def initial_statuses(self) -> dict[int, str]:
         return {c.id: c.status for c in self.components}
 
-    def full_hamiltonian(self) -> sp.csr_matrix:
-        """H = sum of own blocks + sum over gaps of (feed + feed-adjoint)."""
-        total = sp.coo_matrix((self.dim, self.dim), dtype=np.complex128)
-        for block in self.hamiltonian.own.values():
-            total = total + block.to_coo()
-        for gap in self.gaps:
-            feed = gap.interaction
-            total = total + feed.to_coo()
-            total = total + OperatorBlock(self.dim, feed.adjoint_entries()).to_coo()
-        return total.tocsr()
-
     def fingerprint(self) -> str:
         """SHA-256 of the canonical document as compact JSON: equal for equal
         model content. It is never written to an artifact.
@@ -288,14 +266,6 @@ class ScenarioModel:
         return hashlib.sha256(json.dumps(_scenario_document(self)).encode()).hexdigest()
 
 
-def project(state: np.ndarray, comp_id: int, model: ScenarioModel) -> np.ndarray:
-    """Zero the amplitudes outside ``comp_id``'s basis indices."""
-    idx = model.indices_of(comp_id)
-    out = np.zeros_like(np.asarray(state, dtype=np.complex128))
-    out[idx] = state[idx]
-    return out
-
-
 def component_moduli(states: np.ndarray, model: ScenarioModel) -> np.ndarray:
     """Square modulus of each component, in model order, per row of ``states``.
 
@@ -310,11 +280,6 @@ def component_moduli(states: np.ndarray, model: ScenarioModel) -> np.ndarray:
     for pos, moduli in sums:
         out[:, pos] = moduli
     return out
-
-
-def component_square_moduli(state: np.ndarray, model: ScenarioModel) -> dict[int, float]:
-    moduli = component_moduli(np.asarray(state)[None, :], model)[0]
-    return {c.id: float(m) for c, m in zip(model.components, moduli)}
 
 
 # ---------------------------------------------------------------------------

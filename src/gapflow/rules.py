@@ -65,10 +65,6 @@ class RuleSet:
     def trigger_suspended(self) -> bool:
         return bool(self.suspended & TRIGGER_RULES)
 
-    def with_suspended(self, rules) -> "RuleSet":
-        """Copy with additional suspended rules (validated against the variant)."""
-        return RuleSet(self.variant, self.suspended | frozenset(rules))
-
 
 def ruleset_for_rule(rule: str) -> str:
     """Variant a rule identifier belongs to."""

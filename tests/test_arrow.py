@@ -24,6 +24,7 @@ from gapflow.model import OperatorBlock, ScenarioModel, load_scenario
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 
 from conftest import WIDE_LAUNCH, star_model
+from reference import adjoint_entries, to_coo
 
 R3 = RuleSet(NRULES3)
 R4 = RuleSet(NRULES4)
@@ -168,12 +169,13 @@ def test_cold_experiments_step_once_per_table_row(t_max, monkeypatch):
     """A cold reverse experiment makes one step call per row of its epoch-0
     table, which the profile and the trajectory share, plus one for the
     point at t_max off the dt grid; a warm one makes none, and a cold
-    forward experiment makes no more than a cold reverse one."""
+    forward experiment makes no more than a cold reverse one. Each
+    experiment makes one lookup in the one arrow cache: a miss cold, a hit
+    warm."""
     model, cfg = BUILDERS["three_mode"](), IntegratorConfig(dt=0.01, t_max=t_max)
     plan = StepPlan.of(cfg)
     calls = count_steps(monkeypatch)
     for experiment in (reverse_experiment, forward_experiment):
-        arrow._runner.cache_clear()
         arrow._profile_extrema_cached.cache_clear()
         calls.clear()
         experiment(model, cfg, seed=3)
@@ -181,6 +183,8 @@ def test_cold_experiments_step_once_per_table_row(t_max, monkeypatch):
         calls.clear()
         experiment(model, cfg, seed=4)
         assert calls == []
+        info = arrow._profile_extrema_cached.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (1, 1, arrow.RUN_CACHE_SIZE)
         if experiment is reverse_experiment:
             reverse_cold = cold
             assert cold == plan.n_full + (plan.rem > 0.0)
@@ -212,19 +216,19 @@ def per_state_backflow(states, model, pairs):
 
 def adjoint_backflow(states, model, pairs):
     """2 Im<psi|F^dagger psi> per row and per included gap, through the
-    adjoint built from the model's OperatorBlock.adjoint_entries: the
+    adjoint built from the model's entries by reference.adjoint_entries: the
     product the backflow was before it read the feed entries."""
     out = {}
     for gap in model.gaps:
         if (gap.low, gap.high) in pairs:
-            back = OperatorBlock(model.dim, gap.interaction.adjoint_entries()).to_coo().tocsr()
+            back = to_coo(OperatorBlock(model.dim, adjoint_entries(gap.interaction))).tocsr()
             out[(gap.low, gap.high)] = np.array(
                 [2.0 * float(np.vdot(psi, back @ psi).imag) for psi in states])
     return out
 
 
 @pytest.mark.parametrize("start", [FORWARD, REVERSE])
-@pytest.mark.parametrize("rules", [R3, R3.with_suspended(["n3_1"])],
+@pytest.mark.parametrize("rules", [R3, RuleSet(NRULES3, {"n3_1"})],
                          ids=lambda r: "-".join([r.variant, *sorted(r.suspended)]))
 @pytest.mark.parametrize("name", sorted(BACKFLOW_MODELS))
 def test_block_backflow_matches_per_state_loop(name, rules, start):
@@ -272,7 +276,7 @@ def test_cold_profile_reads_backflow_once(monkeypatch):
     monkeypatch.setattr(arrow, "gap_backflow", counted)
     arrow._profile_extrema_cached.cache_clear()
     cfg = IntegratorConfig(dt=0.01, t_max=1.0)
-    report = reverse_experiment(two_level(), cfg, ruleset=R3.with_suspended(["n3_1"]),
+    report = reverse_experiment(two_level(), cfg, ruleset=RuleSet(NRULES3, {"n3_1"}),
                                 gap_mode=GapSemantics.HERMITIAN_TRUNCATED)
     assert calls == [StepPlan.of(cfg).n_full + 1]
     assert report.max_backflow > 0.0

@@ -33,7 +33,6 @@ from gapflow.dynamics import (
     StepPlan,
     assemble_generator,
     component_currents,
-    fd_current_check,
     gap_backflow,
     row_dots,
     row_products,
@@ -48,6 +47,8 @@ from gapflow.model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, ZEROED, Operator
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 
 from conftest import WIDE_LAUNCH, star_model
+from reference import (adjoint_entries, expm_rows, fd_current_check, full_hamiltonian,
+                       gauge_reference, held, to_coo)
 
 R3 = RuleSet(NRULES3)
 R4 = RuleSet(NRULES4)
@@ -55,12 +56,7 @@ R4 = RuleSet(NRULES4)
 ONEWAY = GapSemantics.ONE_WAY_FEED
 COMPENSATED = GapSemantics.NORM_COMPENSATED
 HERMITIAN = GapSemantics.HERMITIAN_TRUNCATED
-RABI = R3.with_suspended(["n3_1"])
-
-
-def held(op):
-    """An operator as _operator's rule holds it, as an array."""
-    return op.toarray() if sp.issparse(op) else op
+RABI = RuleSet(NRULES3, {"n3_1"})
 
 
 def rabi_generator(model=None):
@@ -147,16 +143,16 @@ def test_launch_own_block_frozen_under_active_rules(detuned_model):
 
 def test_suspended_hermitian_equals_full_hamiltonian(detuned_model):
     """Suspending the freeze rule restores H0 + H01 entrywise."""
-    rules = R3.with_suspended(["n3_1"])
+    rules = RuleSet(NRULES3, {"n3_1"})
     gen = assemble_generator(detuned_model, rules, HERMITIAN)
-    full = detuned_model.full_hamiltonian().toarray()
+    full = full_hamiltonian(detuned_model).toarray()
     assert np.array_equal(held(gen.op), full)
 
 
 def test_nrules4_freeze_suspension_token(detuned_model):
-    rules = R4.with_suspended(["n4_4"])
+    rules = RuleSet(NRULES4, {"n4_4"})
     gen = assemble_generator(detuned_model, rules, HERMITIAN)
-    full = detuned_model.full_hamiltonian().toarray()
+    full = full_hamiltonian(detuned_model).toarray()
     assert np.array_equal(held(gen.op), full)
 
 
@@ -199,7 +195,7 @@ def test_backflow_blocks_present_only_in_hermitian(three_mode_model):
         g = held(gen.op)
         flows = gap_backflow(states, gen)
         for gap, model_gap in zip(gen.gaps, model.gaps):
-            feed = model_gap.interaction.to_coo().toarray()
+            feed = to_coo(model_gap.interaction).toarray()
             rows, cols, vals = zip(*model_gap.interaction.entries)
             assert gap.rows.tolist() == list(rows) and gap.cols.tolist() == list(cols)
             assert gap.vals.tobytes() == np.array(vals, dtype=np.complex128).tobytes()
@@ -234,8 +230,8 @@ def entrywise_matrix(model, rules, mode, statuses):
         if included:
             entries.extend(gap.interaction.entries)
             if mode is HERMITIAN:
-                entries.extend(gap.interaction.adjoint_entries())
-    return OperatorBlock(model.dim, tuple(entries)).to_coo().tocsr()
+                entries.extend(adjoint_entries(gap.interaction))
+    return to_coo(OperatorBlock(model.dim, tuple(entries))).tocsr()
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS) + ["wide_launch", "star300"])
@@ -261,7 +257,7 @@ def test_bulk_assembly_equals_entrywise_assembly(name):
 
 
 def test_provenance_records_assembly_inputs(three_mode_model):
-    rules = R4.with_suspended(["n4_4"])
+    rules = RuleSet(NRULES4, {"n4_4"})
     gen = assemble_generator(three_mode_model, rules, HERMITIAN, epoch=2)
     assert gen.mode is HERMITIAN
     assert gen.epoch == 2
@@ -322,14 +318,11 @@ def test_rk4_step_matches_expm_oracle():
     1e-12. A oneway generator with G^2 = 0 (every fixture's but
     detuned_two_level's) makes RK4 exact, so those rows sit at rounding
     (measured: 0)."""
-    import scipy.linalg
-
     model, gen = rabi_generator()
     rng = np.random.default_rng(7)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     dt = 0.001
-    u = scipy.linalg.expm(-1j * held(gen.op) * dt)
-    expected = u @ psi
+    expected = expm_rows(gen.op, psi, dt, 2)[1]
     got = step(psi, gen, dt)
     assert np.allclose(got, expected, atol=1e-14)
 
@@ -341,63 +334,11 @@ def test_rk4_step_matches_expm_oracle():
             runner = EpochRunner(model, R3, IntegratorConfig(dt=dt, t_max=model.defaults.t_max),
                                  mode)
             table, rows, _ = runner.profile(every_step=True)
-            u = scipy.linalg.expm(-1j * held(runner.generator(None, 0).op) * dt)
-            exact = [model.psi0]
-            for _ in rows[1:]:
-                exact.append(u @ exact[-1])
-            errors.append(np.abs(table.states[rows] - np.array(exact)).max())
+            exact = expm_rows(runner.generator(None, 0).op, model.psi0, dt, len(rows))
+            errors.append(np.abs(table.states[rows] - exact).max())
             assert errors[-1] <= 2.0 * dt ** 4, (name, mode.token, dt, errors)
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse <= 1e-12 or coarse >= 12.0 * fine, (name, mode.token, errors)
-
-
-def gauge_reference(model, times):
-    """The compensated no-hit profile at ``times`` from its reduced system,
-    with no call into the engine. In the sink modes nothing feeds a source,
-    and each loss term is a real multiple of its source's own vector, so a
-    source c evolves as x_c(t) = lambda_c(t) exp(-i A_c t) x_c(0), with A_c
-    its own block and lambda_c real, lambda_c' = -(sum_gaps j_gap / 2 s_c)
-    lambda_c; the launch sector y (frozen under nrules3) is fed through
-    y' = -i sum_c F_c x_c. The reduced system is integrated by DOP853."""
-    import scipy.integrate
-
-    statuses, idx = model.initial_statuses(), model.index_arrays
-    sources = [c.id for c in model.components if statuses[c.id] in (ACTIVE, REALIZED)]
-    launch = np.concatenate([idx[c.id] for c in model.components if statuses[c.id] == LAUNCH])
-    psi0 = np.asarray(model.psi0)
-    own = {c: model.hamiltonian.own[c].to_coo().toarray()[np.ix_(idx[c], idx[c])]
-           if c in model.hamiltonian.own else np.zeros((len(idx[c]),) * 2) for c in sources}
-    eig = {c: np.linalg.eigh(a) for c, a in own.items()}
-    s0 = {c: float(np.vdot(psi0[idx[c]], psi0[idx[c]]).real) for c in sources}
-    feeds = [(sources.index(g.low), g.interaction.to_coo().toarray()[np.ix_(launch, idx[g.low])])
-             for g in model.gaps if g.low in sources and statuses[g.high] == LAUNCH]
-
-    def unitary_part(t):
-        """exp(-i A_c t) x_c(0) per source."""
-        return [v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0[idx[c]]))
-                for c, (w, v) in eig.items()]
-
-    def rhs(t, z):
-        lam, y, u = z[:len(sources)].real, z[len(sources):], unitary_part(t)
-        dlam, dy = np.zeros(len(sources), dtype=complex), np.zeros(len(y), dtype=complex)
-        for k, f in feeds:
-            fed = f @ u[k]
-            dy -= 1j * lam[k] * fed
-            # j_gap / (2 s_c) lambda_c, with j_gap = 2 lambda_c Im<y|F u_c>
-            # and s_c = lambda_c^2 s_c(0).
-            dlam[k] -= np.vdot(y, fed).imag / s0[sources[k]] if s0[sources[k]] else 0.0
-        return np.concatenate([dlam, dy])
-
-    z0 = np.concatenate([np.ones(len(sources), dtype=complex), psi0[launch]])
-    sol = scipy.integrate.solve_ivp(rhs, (0.0, times[-1]), z0, method="DOP853",
-                                    rtol=1e-13, atol=1e-15, t_eval=times)
-    assert sol.success
-    out = np.zeros((len(times), model.dim), dtype=complex)
-    for j, t in enumerate(times):
-        for k, (c, u) in enumerate(zip(sources, unitary_part(t))):
-            out[j, idx[c]] = sol.y[k, j].real * u
-        out[j, launch] = sol.y[len(sources):, j]
-    return out
 
 
 @pytest.mark.parametrize("name", ["detuned_two_level", "three_mode", "chain_three_level",
@@ -752,7 +693,7 @@ def test_current_vector_accessors(three_mode_model):
     psi = np.array([1.0, 0.1j, -0.1j, 0.2j])
     J = component_currents(psi, gen)
     assert set(J.as_dict()) == {1, 2, 3}
-    assert J.total_positive() == pytest.approx(sum(max(v, 0.0) for v in J.as_dict().values()))
+    assert J.as_dict() == {m: J[m] for m in (1, 2, 3)}
 
 
 def test_three_mode_current_ratios(three_mode_model):

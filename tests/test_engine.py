@@ -28,7 +28,6 @@ from gapflow.engine import (
     LegGroup,
     _RESTING,
     _choose,
-    collapse_state,
     post_collapse_statuses,
     run_trajectory,
     step_grid,
@@ -49,6 +48,7 @@ from gapflow.model import (ACTIVE, LAUNCH, REALIZED, ZEROED, component_moduli, l
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 
 from conftest import WIDE_LAUNCH, star_model
+from reference import collapse_state, small_models
 
 R3 = RuleSet(NRULES3)
 R4 = RuleSet(NRULES4)
@@ -312,6 +312,64 @@ def test_later_collapse_on_empty_component_raises_as_collapse_state(name):
         f"component {c} has zero amplitude at collapse time"
 
 
+_parts = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@given(model=small_models(), mode=st.sampled_from(list(GapSemantics)), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_collapses_equal_reference_on_generated_models(model, mode, data):
+    """On generated models (components of 1-3 indices, among them a wider
+    one that sources a gap and one that sources none), one _regroup of hits
+    at random rows, with random choices and complex scales, under both
+    policies: each one-dimensional choice's next scale and each wider
+    choice's start state hold the bytes of reference.collapse_state. Where a
+    chosen component is empty (row 0 is drawn too), _regroup raises the
+    reference's error for the first empty one-dimensional choice, else for
+    the first empty wider one."""
+    runner = EpochRunner(model, R3, IntegratorConfig(dt=0.05, t_max=1.0), mode)
+    table = runner.table(0, None)
+    table.grow(math.inf, runner.n_full)
+    size = data.draw(st.integers(1, 12))
+    rows = data.draw(st.lists(st.integers(1, runner.n_full), min_size=size, max_size=size))
+    if data.draw(st.booleans()):            # some hits at row 0, where every launch is empty
+        empty = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        rows = [0 if e else r for r, e in zip(rows, empty)]
+    chosen = data.draw(st.lists(st.sampled_from(table.launch_ids), min_size=size,
+                                max_size=size))
+    scale = np.array([complex(*data.draw(st.tuples(_parts, _parts))) or 1.0 for _ in rows])
+    wide = [len(model.indices_of(c)) > 1 for c in chosen]
+    for policy in (PRESERVE_TOTAL, RAW):
+        expected, error = {}, None
+        for j in sorted(range(size), key=lambda j: wide[j]):     # one-dimensional first
+            try:
+                expected[j] = collapse_state(scale[j] * table.states[rows[j]], chosen[j], model,
+                                             policy)
+            except CollapseOnEmptyError as exc:
+                error = error or str(exc)
+        nxt = {}
+        if error is not None:
+            with pytest.raises(CollapseOnEmptyError) as got:
+                runner._regroup(hit_group(table, 0, rows, chosen, scale), nxt, policy)
+            assert str(got.value) == error
+            continue
+        runner._regroup(hit_group(table, 0, rows, chosen, scale), nxt, policy)
+        filed = []
+        for (key, own), (start, pos, scales, _) in nxt.items():
+            pos = np.concatenate(pos).tolist()
+            if own >= 0:
+                (j,) = pos
+                assert own == j and wide[j] and key == chosen[j]
+                assert start.tobytes() == expected[j].tobytes()
+            else:
+                assert start is None and not any(wide[j] for j in pos)
+                assert all(runner.quiescent(chosen[j]) if key == _RESTING else chosen[j] == key
+                           for j in pos)
+                want = [expected[j][model.indices_of(chosen[j])[0]] for j in pos]
+                assert np.concatenate(scales).tobytes() == np.array(want, complex).tobytes()
+            filed += pos
+        assert sorted(filed) == list(range(size))
+
+
 @pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
 @pytest.mark.parametrize("name", sorted(QUIESCENCE_MODELS))
 def test_walked_choices_are_launch_components(name, mode):
@@ -565,8 +623,8 @@ def test_epoch_hazard_bias_is_second_order_in_dt():
         assert 3.0 <= coarse / fine <= 5.0
 
 
-@pytest.mark.parametrize("rules", [R3, R3.with_suspended(["n3_1"]), R4,
-                                   R4.with_suspended(["n4_4"])],
+@pytest.mark.parametrize("rules", [R3, RuleSet(NRULES3, {"n3_1"}), R4,
+                                   RuleSet(NRULES4, {"n4_4"})],
                          ids=lambda r: "-".join([r.variant, *sorted(r.suspended)]))
 @pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
 @pytest.mark.parametrize("name", sorted(QUIESCENCE_MODELS))
@@ -648,8 +706,8 @@ def test_trajectory_is_deterministic(two_level_model):
 def test_trajectory_seed_changes_outcome(two_level_model):
     # A seed may have no hit before t_max (probability 1/37 each here); the
     # first-hit times of the seeds that hit are compared.
-    firsts = [run_once(two_level_model, seed=s).first_event for s in range(12)]
-    times = {e.t_sc for e in firsts if e is not None}
+    recs = [run_once(two_level_model, seed=s) for s in range(12)]
+    times = {rec.events[0].t_sc for rec in recs if rec.events}
     assert len(times) > 6
 
 
@@ -674,7 +732,7 @@ def test_only_freeze_and_trigger_rules_can_be_suspended():
     with pytest.raises(ValueError, match="cannot be suspended"):
         RuleSet(NRULES3, {"n3_3"})
     with pytest.raises(ValueError, match="cannot be suspended"):
-        R3.with_suspended(["n3_1", "n3_3"])
+        RuleSet(NRULES3, {"n3_1", "n3_3"})
     assert RuleSet(NRULES3, {"n3_1", "n3_2"}).trigger_suspended
 
 
@@ -825,7 +883,7 @@ def test_samples_equal_per_row_reference(name, gap_mode):
 
 
 @pytest.mark.parametrize("model, rules, cfg, mode, seed", [
-    (three_mode(), R3.with_suspended(["n3_2"]), IntegratorConfig(dt=0.01, t_max=2.005,
+    (three_mode(), RuleSet(NRULES3, {"n3_2"}), IntegratorConfig(dt=0.01, t_max=2.005,
                                                                  sample_every=3),
      GapSemantics.HERMITIAN_TRUNCATED, 5),
     (two_level(), R3, IntegratorConfig(dt=0.01, t_max=6.0), ONEWAY, 6),
@@ -878,7 +936,7 @@ def test_run_trajectory_refuses_another_runner(field):
     statuses but another generator), rule set, config or gap mode than the
     run's is refused, and nothing is drawn against it."""
     run = (two_level(), R3, IntegratorConfig(dt=0.01, t_max=6.0), ONEWAY)
-    other = (BUILDERS["detuned_two_level"](), R3.with_suspended(["n3_1"]),
+    other = (BUILDERS["detuned_two_level"](), RuleSet(NRULES3, {"n3_1"}),
              IntegratorConfig(dt=0.02, t_max=6.0), GapSemantics.HERMITIAN_TRUNCATED)
     runner = EpochRunner(*run[:field], other[field], *run[field + 1:])
     with pytest.raises(GapflowError, match="another model"):

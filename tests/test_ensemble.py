@@ -306,7 +306,7 @@ def test_single_trajectory_ensemble_matches_run_trajectory(three_mode_model):
     rec = run_trajectory(three_mode_model, R3, CFG, ONEWAY, 13, traj_index=0,
                          record_samples=False)
     assert stats.n == 1
-    ev = rec.first_event
+    ev = rec.events[0] if rec.events else None
     if ev is None:
         assert stats.no_collapse == 1
     else:
@@ -323,7 +323,7 @@ def test_ensemble_matches_per_index_trajectories(three_mode_model):
     for k in range(n):
         rec = run_trajectory(three_mode_model, R3, CFG, ONEWAY, 21, traj_index=k,
                              record_samples=False)
-        ev = rec.first_event
+        ev = rec.events[0] if rec.events else None
         if ev is not None:
             expected_times.append(ev.t_sc)
             expected_comps.append(ev.chosen)
@@ -340,7 +340,7 @@ def test_ensemble_chained_fixture_uses_fallback(chain_model):
     for k in range(30):
         rec = run_trajectory(chain_model, R3, cfg, ONEWAY, 5, traj_index=k,
                              record_samples=False)
-        ev = rec.first_event
+        ev = rec.events[0] if rec.events else None
         if ev is not None:
             times.append(ev.t_sc)
             comps.append(ev.chosen)
@@ -381,7 +381,7 @@ def test_shorter_last_step_matches_per_index_trajectories():
         recs = [run_trajectory(model, R3, cfg, ONEWAY, 9, traj_index=k, record_samples=False)
                 for k in range(n)]
         assert np.array_equal(stats.hit_times,
-                              np.array([r.first_event.t_sc for r in recs if r.events]))
+                              np.array([r.events[0].t_sc for r in recs if r.events]))
         assert stats.totals["negative_current_steps"] == 0
         tail_hits += sum(ev.t_sc == t_max for r in recs for ev in r.events)
         assert all(r.meta["final_t"] == t_max for r in recs if r.terminal == "t_max")
@@ -658,7 +658,7 @@ def test_compare_rejects_mismatched_suspensions():
     """Stats and oracle must suspend the same rules; the rule-set variant
     alone is not compared, so nrules3 and nrules4 without suspensions match."""
     model, hermitian = chain_three_level(), GapSemantics.HERMITIAN_TRUNCATED
-    suspended = R3.with_suspended(["n3_1"])
+    suspended = RuleSet(NRULES3, {"n3_1"})
     stats = run_ensemble(model, suspended, CFG, hermitian, 50, 1)
     with pytest.raises(ProvenanceError):
         compare(stats, deterministic_oracle(model, CFG, hermitian))
@@ -674,7 +674,7 @@ def test_suspended_freeze_ensemble_passes_its_oracle():
     hermitian chain_three_level ensemble matches it (the oracle of the frozen
     dynamics gives KS 0.150 against a threshold of 0.025 here)."""
     model, hermitian = chain_three_level(), GapSemantics.HERMITIAN_TRUNCATED
-    rules = R3.with_suspended(["n3_1"])
+    rules = RuleSet(NRULES3, {"n3_1"})
     stats = run_ensemble(model, rules, CFG, hermitian, 5000, 1)
     report = compare(stats, deterministic_oracle(model, CFG, hermitian, ruleset=rules))
     assert report.z_pass, report.z_scores
