@@ -10,8 +10,10 @@ on it.
 CSV tables are rendered in chunks of rows by array arithmetic (_render),
 which gives '%.17g''s bytes without a per-value conversion; the rare value
 the arrays cannot decide, and every chunk below CROSSOVER values, take '%'
-itself. A chunk holds the rows whose render arrays fit _RENDER_BYTES, at
-208 bytes a value (2 MiB: 10,082 values, 9 rows of a 1025-column table).
+itself. Each value's text is selected from a 48-byte cell built as six
+uint64 words. A chunk holds the rows whose render arrays fit _RENDER_BYTES,
+at 160 bytes a value as tracemalloc measures it (2 MiB: 13,107 values, 12
+rows of a 1025-column table).
 JSON texts are serialised by the caller (dump_json, dump_events) and
 written as given, so a command can refuse a report before it makes its
 output directory.
@@ -64,38 +66,48 @@ def scenario_hash(path) -> str:
 # integer part lies outside [1e16, 1e17 - 1): a k that log10 put off by
 # one, or a v that rounds up to 1e17.
 #
-# Each value's text is selected from a 56-byte cell that holds the digits
-# twice, so that the point needs no slot of its own between them:
+# Each value's text is selected from a 48-byte cell of six uint64 words that
+# holds the digits twice, so that the point needs no slot of its own
+# between them:
 #   0-5    "-0.000"   sign, and the "0." and zeros of a fixed-form value below 1
-#   8-24   d0 ... d16, read up to the point
-#   31     "."
-#   32-48  d0 ... d16, read after the point
-#   49-54  "e", exponent sign, three exponent digits, separator
-# Bytes 6-7, 25-30 and 55 are never read. A keep mask per (sign, layout,
-# significant digits) selects the text's bytes; it has a few long runs, which
-# numpy's boolean selection copies fastest.
+#   6-22   d0 ... d16, read up to the point
+#   23     "."
+#   24-40  d0 ... d16, read after the point
+#   41-46  "e", exponent sign, three exponent digits, separator
+# Byte 47 is never read. Words 3 and 4 are the digit groups q01 = d0-d7 and
+# q23 = d8-d15; words 0-2 hold the same digits six bytes up, and word 5 is
+# the exponent's tail with d16 in its low byte. A keep mask per (sign,
+# layout, significant digits) selects the text's bytes; it has a few long
+# runs, which numpy's boolean selection copies fastest.
 
 _K_MIN, _K_MAX = -252, 251      # floor(log10 |x|) of |x| in [1e-250, 1e250], and one beyond
 _TIE = 1e-9
 _SPLIT = 134217729.0            # 2**27 + 1: Veltkamp's split into 26-bit halves
-_CELL = 56
-_HEAD, _POINT = np.frombuffer(b"-0.000\0\0" + b"\0" * 7 + b".", np.uint64)  # bytes 0-7, 24-31
+_HIGH_BITS = np.uint64(0xFFFFFFFFF8000000)  # a float's sign, exponent, top 25 mantissa bits
+_CELL = 48
+_HEAD = int.from_bytes(b"-0.000", "little")         # bytes 0-5 of word 0
+_POINT = ord(".") << 8                              # above d16 in word 2's top bytes
+_NEWLINE = (ord(",") ^ ord("\n")) << 48             # turns word 5's "," into "\n"
 # Layouts 0-20: the fixed form of k = layout - 4; 21 and 22: the exponent
 # form with two and with three exponent digits.
 _LAYOUTS = 23
-# Below this many values a block is rendered with one % per row: the array
-# path's fixed cost, about 70 us on a 2-vCPU Xeon, is that of some 250 %
-# conversions.
+# Below this many values a block is rendered with one % per row. On a
+# 2-vCPU Xeon (hot, in-process medians) the array path's fixed cost is
+# about 56 us, a 3-value block, and a % conversion about 0.47 us; the two
+# break even between 153 and 180 values, so below 256 the array path saves
+# at most some 35 us a block. The ensemble's 153- and 180-value CSVs stay
+# on the % path.
 CROSSOVER = 256
-# Bytes of render arrays one chunk of _write_csv may hold: each value holds
-# a 56-byte cell, a 56-byte keep mask and about a dozen 8-byte temporaries
-# (_VALUE_BYTES), so a chunk is 10,082 values, whose arrays fill a core's
-# 2 MiB L2 and pay the renderer's fixed cost, some 50 numpy calls, once.
-# In the wide_fanout benchmark (2 shared vCPUs, three 8-s runs each) the
-# p90 command, the dim-512 currents.csv, read 74.8 ms in such chunks
-# against 80.3 ms in 4096-value ones and 75.7 ms in 15,375-value ones.
+# Bytes of render arrays one chunk of _write_csv may hold, and the bytes a
+# value takes at a chunk's peak (_VALUE_BYTES), as tracemalloc measures a
+# 1025-column chunk: 152 a value for the dim-512 fan-out's currents and 159
+# where every text is the longest, 17 digits and a three-digit exponent.
+# The peak comes at the selection, which holds the row stack, the cells,
+# their keep mask and the selected text twice (as an array and as bytes).
+# A 1025-column chunk is then 12 rows, whose arrays fill a core's 2 MiB L2
+# and pay the renderer's fixed cost, some 80 numpy calls, once.
 _RENDER_BYTES = 2 ** 21
-_VALUE_BYTES = 2 * _CELL + 12 * 8
+_VALUE_BYTES = 160
 
 
 def _keep_cols(negative: bool, layout: int, n_sig: int) -> list[int]:
@@ -112,12 +124,12 @@ def _keep_cols(negative: bool, layout: int, n_sig: int) -> list[int]:
             n_digits = max(n_sig, before)
     else:
         before, n_digits = 1, max(n_sig, 1)
-    cols += range(8, 8 + before)
+    cols += range(6, 6 + before)
     if n_digits > before:
-        cols += [31, *range(32 + before, 32 + n_digits)]
+        cols += [23, *range(24 + before, 24 + n_digits)]
     if layout > 20:
-        cols += [49, 50, 51, 52, 53] if layout == 22 else [49, 50, 52, 53]
-    cols.append(54)
+        cols += [41, 42, 43, 44, 45] if layout == 22 else [41, 42, 44, 45]
+    cols.append(46)
     return cols
 
 
@@ -127,9 +139,11 @@ def _tables() -> tuple[np.ndarray, ...]:
     - pow10: rows hi, lo, hi_h, hi_l with a column per k in [_K_MIN, _K_MAX]:
       10^(16-k) as a double-double hi + lo, exact to about 2^-106, and hi's
       Veltkamp halves;
-    - quads: the four digit bytes of each 4-digit group, as a uint32;
-    - sig: each group's digits up to its last nonzero one (0 for 0);
-    - tails: cell bytes 48-55 per k, with byte 48 (the last digit) left 0;
+    - quads: the four digit bytes of each 4-digit group, as a uint64;
+    - sig: per group position j, the digits of d up to the group's last
+      nonzero one, 4j plus its own count (0 for the group 0);
+    - tails: cell bytes 40-47 per k, with byte 40 (d16) left 0;
+    - keep_row: the first keep row of k's layout, layout * 18;
     - keep: the keep mask per (sign, layout, significant digits).
     """
     rows = []
@@ -141,18 +155,22 @@ def _tables() -> tuple[np.ndarray, ...]:
         t = _SPLIT * hi
         hi_h = t - (t - hi)
         rows.append((hi, (num * q - m * den) / (den * q), hi_h, hi - hi_h))
+    ks = np.arange(_K_MIN, _K_MAX + 1)
+    layout = np.where((ks >= -4) & (ks <= 16), ks + 4, np.where(np.abs(ks) >= 100, 22, 21))
     group = np.arange(10000, dtype=np.uint16)
     digits = group[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")
+    sig = 4 - sum(group % scale == 0 for scale in (10, 100, 1000, 10000))
     keep = np.zeros((2 * _LAYOUTS * 18, _CELL), bool)
-    for i, (negative, layout, n_sig) in enumerate(
+    for i, (negative, lay, n_sig) in enumerate(
             itertools.product((False, True), range(_LAYOUTS), range(18))):
-        keep[i, _keep_cols(negative, layout, n_sig)] = True
+        keep[i, _keep_cols(negative, lay, n_sig)] = True
     tables = (
         np.array(rows).T.copy(),
-        digits.astype(np.uint8).view(np.uint32).ravel(),
-        4 - sum(group % scale == 0 for scale in (10, 100, 1000, 10000)).astype(np.uint8),
+        digits.astype(np.uint8).view(np.uint32).ravel().astype(np.uint64),
+        np.where(group > 0, 4 * np.arange(4)[:, None] + sig, 0).astype(np.uint8),
         np.frombuffer(b"".join(b"\0e%c%03d,\0" % (b"-" if k < 0 else b"+", abs(k))
-                               for k in range(_K_MIN, _K_MAX + 1)), np.uint64),
+                               for k in ks.tolist()), np.uint64),
+        layout * 18,
         keep,
     )
     for a in tables:
@@ -162,70 +180,96 @@ def _tables() -> tuple[np.ndarray, ...]:
 
 def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 17 significant digits of each value of ``x`` as an integer d,
-    its decimal exponent k, and the indices of the values whose digits this
-    cannot decide, whose d and k are 0 like zero's."""
+    the column k - _K_MIN of its decimal exponent k in _tables' per-k
+    tables, and the indices of the values whose digits this cannot decide,
+    whose d and k are 0 like zero's."""
     pow10 = _tables()[0]
     a = np.abs(x)
     ok = (a >= 1e-250) & (a <= 1e250)
     y = np.where(ok, a, 1.0)
-    k = np.floor(np.log10(y)).astype(np.intp)
-    hi, lo, hi_h, hi_l = pow10.take(k - _K_MIN, axis=1)
+    col = np.log10(y)
+    np.floor(col, out=col)
+    col = col.astype(np.intp)
+    col -= _K_MIN
+    hi, lo, hi_h, hi_l = pow10.take(col, axis=1)
     # v = y (hi + lo) = p + c: p = fl(y hi) is an integer (v >= 2^53), and c,
-    # the TwoProduct error of y hi plus y lo, is the small rest.
-    t = _SPLIT * y
-    y_h = t - (t - y)
+    # the TwoProduct error of y hi plus y lo, is the small rest. y's halves
+    # are split by its bits: y_h keeps 26 significant bits and y_l the other
+    # 27, so each product of halves is exact.
+    y_h = (y.view(np.uint64) & _HIGH_BITS).view(np.float64)
     y_l = y - y_h
     p = y * hi
-    c = ((y_h * hi_h - p) + y_h * hi_l + y_l * hi_h) + y_l * hi_l + y * lo
+    c = y_h * hi_h
+    c -= p
+    c += y_h * hi_l
+    c += y_l * hi_h
+    c += y_l * hi_l
+    c += y * lo
     c_floor = np.floor(c)
-    frac = c - c_floor
-    d = p.astype(np.int64) + c_floor.astype(np.int64)
-    undecided = (d < 10**16) | (d >= 10**17 - 1) | (np.abs(frac - 0.5) < _TIE)
-    d += frac > 0.5
-    fallback = undecided | ~(ok | (x == 0.0))
-    d[~ok | fallback] = 0
-    k[~ok | fallback] = 0
-    return d, k, np.flatnonzero(fallback)
+    c -= c_floor                        # the fraction of v
+    d = p.astype(np.int64)
+    d += c_floor.astype(np.int64)
+    c -= 0.5
+    undecided = (d < 10**16) | (d >= 10**17 - 1) | (np.abs(c) < _TIE)
+    d += c > 0.0
+    zero = ~ok | undecided              # a zero's y is 1.0, which is decided
+    d[zero] = 0
+    col[zero] = -_K_MIN
+    return d, col, np.flatnonzero(zero & (x != 0.0))
+
+
+def _cells(x: np.ndarray, n_cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each value's cell as six uint64 words, each word one whole column
+    write; each value's keep row; and _digits' fallback indices. The last
+    of every ``n_cols`` cells ends in "\\n"."""
+    _, quads, sig, tails, keep_row, _ = _tables()
+    d, col, fallback = _digits(x)
+    quad, n_sig = [], np.zeros(x.size, np.uint8)
+    for j in range(4):                  # d0-d3, d4-d7, d8-d11, d12-d15
+        scale = 10 ** (13 - 4 * j)
+        group = d // scale
+        d -= group * scale
+        quad.append(quads.take(group))
+        np.maximum(n_sig, sig[j].take(group), out=n_sig)
+    n_sig[d > 0] = 17
+    q01 = quad[0] | quad[1] << 32
+    q23 = quad[2] | quad[3] << 32
+    del quad                            # else the cells, not the selection, set the peak
+    d16 = (d + ord("0")).view(np.uint64)
+    words = np.empty((x.size, _CELL // 8), np.uint64)
+    words[:, 0] = q01 << 48 | _HEAD
+    words[:, 1] = q01 >> 16 | q23 << 48
+    words[:, 2] = q23 >> 16 | (d16 | _POINT) << 48
+    words[:, 3] = q01
+    words[:, 4] = q23
+    words[:, 5] = tails.take(col) | d16
+    words[n_cols - 1::n_cols, 5] ^= _NEWLINE
+    row = keep_row.take(col)
+    row += n_sig
+    row += np.signbit(x) * (_LAYOUTS * 18)
+    return words, row, fallback
 
 
 def _render(block: np.ndarray) -> bytes:
     """The CSV lines of a 2-D float64 block: '%.17g' % x of each value,
     joined by "," within a row, each row ended by "\\n". The digits come
-    from _digits, in a function of their own so that its arrays are freed
-    before the cells are built."""
-    n_rows, n_cols = block.shape
+    from _digits and the cells from _cells, each in a function of its own
+    so that its temporaries are freed before the next step's arrays are
+    made."""
+    n_cols = block.shape[1]
     if block.size < CROSSOVER:
         fmt = ",".join(["%.17g"] * n_cols) + "\n"
         return "".join(fmt % tuple(row) for row in block.tolist()).encode()
-    _, quads, sig, tails, keep = _tables()
     x = block.ravel()
-    d, k, fallback = _digits(x)
-
-    words = np.empty((x.size, _CELL // 8), np.uint64)
-    words[:, 0] = _HEAD
-    words[:, 3] = _POINT
-    quad_cols = words.view(np.uint32)
-    n_sig = np.zeros(x.size, np.intp)
-    for j in range(4):                  # d0-d3, d4-d7, d8-d11, d12-d15
-        scale = 10 ** (13 - 4 * j)
-        group = d // scale
-        d -= group * scale
-        quad_cols[:, 2 + j] = quads.take(group)
-        n_sig = np.where(group > 0, 4 * j + sig.take(group), n_sig)
-    quad_cols[:, 8:12] = quad_cols[:, 2:6]
-    n_sig[d > 0] = 17
-    words[:, 6] = tails.take(k - _K_MIN)
+    words, row, fallback = _cells(x, n_cols)
+    mask = _tables()[-1].take(row, axis=0)
+    del row                             # freed before the selection, the peak
     cells = words.view(np.uint8)
-    cells[:, 48] = d + ord("0")
-    cells[:, 24] = cells[:, 48]
-    cells.reshape(n_rows, n_cols, -1)[:, -1, 54] = ord("\n")
-    layout = np.where((k >= -4) & (k <= 16), k + 4, np.where(np.abs(k) >= 100, 22, 21))
-    mask = keep.take((np.signbit(x) * _LAYOUTS + layout) * 18 + n_sig, axis=0)
     if fallback.size:
         texts = ["%.17g" % v for v in x[fallback].tolist()]
-        cells[fallback, :54] = np.frombuffer(
-            "".join(s.ljust(54) for s in texts).encode(), np.uint8).reshape(-1, 54)
-        mask[fallback, :54] = np.arange(54) < np.array([len(s) for s in texts])[:, None]
+        cells[fallback, :46] = np.frombuffer(
+            "".join(s.ljust(46) for s in texts).encode(), np.uint8).reshape(-1, 46)
+        mask[fallback, :46] = np.arange(46) < np.array([len(s) for s in texts])[:, None]
     return cells[mask].tobytes()
 
 

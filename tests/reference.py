@@ -9,6 +9,9 @@ entry, with no call into the routine under test:
 * to_coo, adjoint_entries and full_hamiltonian: a block's entries as a
   scipy COO matrix, its adjoint's entries, and H = own blocks + every gap's
   feed + feed adjoint, summed block by block.
+* four_rule_generator: the four-rule form's generator as edits of H, whole
+  blocks kept or dropped as the dynamics module docstring states them; the
+  three-rule assemble_generator must hold its entries and gaps.
 * fd_current_check: the launch currents as a central difference of the
   launch sector's square modulus over two RK4 steps.
 * expm_rows: rows U^k psi0, U = expm(-i G h), the exact evolution that a
@@ -28,8 +31,8 @@ from hypothesis import strategies as st
 from gapflow.dynamics import CurrentVector, step
 from gapflow.engine import NORM_POLICIES, PRESERVE_TOTAL
 from gapflow.errors import CollapseOnEmptyError, GapflowError
-from gapflow.model import (ACTIVE, LAUNCH, REALIZED, Component, Gap, HamiltonianPartition,
-                           OperatorBlock, ScenarioModel, validate_model)
+from gapflow.model import (ACTIVE, LAUNCH, REALIZED, ZEROED, Component, Gap, GapSemantics,
+                           HamiltonianPartition, OperatorBlock, ScenarioModel, validate_model)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +95,43 @@ def full_hamiltonian(model: ScenarioModel) -> sp.csr_matrix:
         total = total + to_coo(feed)
         total = total + to_coo(OperatorBlock(model.dim, adjoint_entries(feed)))
     return total.tocsr()
+
+
+def four_rule_generator(model: ScenarioModel, statuses: dict[int, str], mode: GapSemantics,
+                        freeze_suspended: bool) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The four-rule form's generator at ``statuses``, built from H =
+    full_hamiltonian(model) by the edits the dynamics module docstring
+    states, and the (low, high) pairs of the gaps it keeps, in model
+    order. Each block of H, the rows of one component and the columns of
+    another, is kept whole or dropped whole:
+
+    * the own block of an active or realized component, and of a launch
+      component when the freeze is suspended (the sources);
+    * a gap's feed block (high, low) where its high side is launch and its
+      low side a source;
+    * that gap's adjoint block (low, high) in hermitian mode only;
+    * in hermitian mode with the freeze suspended, the feed and adjoint
+      blocks of every gap between two components that are not zeroed.
+    """
+    hermitian = mode is GapSemantics.HERMITIAN_TRUNCATED
+    sources = (ACTIVE, REALIZED, LAUNCH) if freeze_suspended else (ACTIVE, REALIZED)
+    blocks = [(c, c) for c in model.hamiltonian.own if statuses[c] in sources]
+    pairs = []
+    for gap in model.gaps:
+        if hermitian and freeze_suspended:
+            kept = ZEROED not in (statuses[gap.low], statuses[gap.high])
+        else:
+            kept = statuses[gap.high] == LAUNCH and statuses[gap.low] in sources
+        if kept:
+            pairs.append((gap.low, gap.high))
+            blocks.append((gap.high, gap.low))
+            if hermitian:
+                blocks.append((gap.low, gap.high))
+    idx = model.index_arrays
+    keep = np.zeros((model.dim, model.dim), dtype=bool)
+    for rows, cols in blocks:
+        keep[np.ix_(idx[rows], idx[cols])] = True
+    return np.where(keep, full_hamiltonian(model).toarray(), 0.0), pairs
 
 
 def held(op) -> np.ndarray:

@@ -42,13 +42,13 @@ from gapflow.dynamics import (
 from gapflow.engine import EpochRunner, post_collapse_statuses
 from gapflow.errors import GapflowError, NonFiniteStateError, NormDriftError
 from gapflow.fixtures import BUILDERS, three_mode, two_level
-from gapflow.model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, ZEROED, OperatorBlock,
-                           component_moduli, load_scenario, validate_model)
+from gapflow.model import (ACTIVE, LAUNCH, MAX_STEPS, REALIZED, STATUSES, ZEROED,
+                           OperatorBlock, component_moduli, load_scenario, validate_model)
 from gapflow.rules import NRULES3, NRULES4, RuleSet
 
 from conftest import WIDE_LAUNCH, star_model
-from reference import (adjoint_entries, expm_rows, fd_current_check, full_hamiltonian,
-                       gauge_reference, held, to_coo)
+from reference import (adjoint_entries, expm_rows, fd_current_check, four_rule_generator,
+                       full_hamiltonian, gauge_reference, held, small_models, to_coo)
 
 R3 = RuleSet(NRULES3)
 R4 = RuleSet(NRULES4)
@@ -172,6 +172,61 @@ def test_realized_component_keeps_own_block(detuned_model):
     h = held(gen.op)
     assert h[0, 0] == pytest.approx(1.5)
     assert np.count_nonzero(h) == 1
+
+
+def reachable_statuses(model):
+    """Every status set a run of ``model`` can reach: the initial one and,
+    in turn, the one after a collapse into each launch component."""
+    seen, todo = [], [model.initial_statuses()]
+    while todo:
+        statuses = todo.pop()
+        if statuses not in seen:
+            seen.append(statuses)
+            todo += [post_collapse_statuses(model, cid)
+                     for cid, st in statuses.items() if st == LAUNCH]
+    return seen
+
+
+def assert_three_rules_assemble_four_rule_generator(model, status_sets):
+    """assemble_generator under nrules3 holds, entry by entry, the generator
+    that the four-rule edits of H give (reference.four_rule_generator), and
+    includes the gaps it keeps, at each of ``status_sets``, in every gap
+    mode, with the freeze on and suspended. Returns the cases checked."""
+    cases = 0
+    for statuses in status_sets:
+        for mode, freeze_suspended in itertools.product(GapSemantics, (False, True)):
+            rules = RuleSet(NRULES3, {"n3_1"} if freeze_suspended else ())
+            gen = assemble_generator(model, rules, mode, statuses=statuses)
+            expected, pairs = four_rule_generator(model, statuses, mode, freeze_suspended)
+            assert np.array_equal(held(gen.op), expected), (statuses, mode, freeze_suspended)
+            if mode is COMPENSATED:
+                assert [g.pair for g in gen.gaps] == pairs, (statuses, freeze_suspended)
+            cases += 1
+    return cases
+
+
+def test_three_rules_assemble_the_four_rule_generator_on_fixtures():
+    """The paper's four-to-three reduction, checked by a second route that
+    shares no assembly code with assemble_generator: the five fixtures and
+    WIDE_LAUNCH, whose launch own block and chained gap the others lack,
+    reach 17 status sets, so 102 cases. Both routes are written from the
+    same prose, so this checks the reduction's implementation, not its
+    physics."""
+    models = [builder() for _, builder in sorted(BUILDERS.items())]
+    models.append(load_scenario(json.dumps(WIDE_LAUNCH)))
+    assert sum(assert_three_rules_assemble_four_rule_generator(m, reachable_statuses(m))
+               for m in models) == 102
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=small_models(), data=st.data())
+def test_three_rules_assemble_the_four_rule_generator_on_generated_models(model, data):
+    """Every reachable status set of a generated model, and one drawn
+    freely: no reachable set has a launch component on a gap's low side
+    while its high side is launch, the case where a suspended freeze lets
+    a launch component source a gap."""
+    drawn = {c.id: data.draw(st.sampled_from(STATUSES)) for c in model.components}
+    assert_three_rules_assemble_four_rule_generator(model, reachable_statuses(model) + [drawn])
 
 
 def test_hermitian_generator_is_hermitian(three_mode_model):

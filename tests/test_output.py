@@ -1,9 +1,11 @@
 """CSV rendering: the array renderer gives '%.17g' % x byte for byte; JSON
 reports: dump_json gives json.dumps(indent=2, sort_keys=True)'s bytes."""
 
+import itertools
 import json
 import math
 import pathlib
+import tracemalloc
 import types
 
 import numpy as np
@@ -12,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapflow.engine import TrajectorySamples
-from gapflow.output import (CROSSOVER, _render, dump_json, write_histogram_csv,
-                            write_survival_csv, write_trajectory_csv)
+from gapflow.output import (_RENDER_BYTES, _VALUE_BYTES, CROSSOVER, _render, dump_json,
+                            write_histogram_csv, write_survival_csv, write_trajectory_csv)
 
 EDGES = [1e16, 1e17, 9.9999999999999995e16, 99999999999999999.0, 1e-4, 1e-5, 0.5, 2.5,
          5e-324, 1.7976931348623157e308, -1e-100,
@@ -60,12 +62,55 @@ def test_render_matches_percent_on_edge_values():
     assert_renders_as_percent(tiled([-v for v in EDGES]))
 
 
+def render_key(text: str) -> tuple[bool, int, int]:
+    """The (sign, layout, significant digits) of a '%.17g' text, the key of
+    _render's keep mask: layouts 0-20 are the fixed form of k = layout - 4,
+    21 and 22 the exponent form with two and three exponent digits, and
+    trailing zeros are not significant (zero has none)."""
+    negative = text.startswith("-")
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    integer, _, fraction = mantissa.partition(".")
+    digits = (integer + fraction).lstrip("0").rstrip("0")
+    if exponent:
+        layout = 21 if len(exponent) == 3 else 22
+    elif integer != "0" or not digits:
+        layout = len(integer) + 3                       # k = len(integer) - 1
+    else:
+        layout = 3 - (len(fraction) - len(fraction.lstrip("0")))
+    return negative, layout, len(digits)
+
+
+# Every key the renderer can meet: 23 layouts, 1-17 significant digits and
+# both signs, and zero of either sign.
+RENDER_KEYS = ({(sign, layout, n) for sign in (False, True) for layout in range(23)
+                for n in range(1, 18)} | {(False, 4, 0), (True, 4, 0)})
+
+
 def test_render_matches_percent_on_every_layout():
-    """Every decade from 1e-300 to 1e300 and every count of significant digits."""
+    """Every decade from 1e-300 to 1e300, and every key: one value for each
+    of the 784 keys, found by trying decimal strings d.dd...de{k} of the
+    key's digit count and a k of its layout until the reference text has
+    that key, all within [1e-250, 1e250], where the arrays decide the
+    digits."""
     rng = np.random.default_rng(7)
     decades = 10.0 ** np.arange(-300, 301)
     digits = [round(m, n) for n in range(17) for m in rng.uniform(1.0, 10.0, 4)]
     assert_renders_as_percent(np.outer(decades, digits))
+
+    exponents = [[layout - 4] for layout in range(21)]
+    exponents += [[*range(-99, -4), *range(17, 100)], [*range(-250, -99), *range(100, 251)]]
+    values = [0.0, -0.0]
+    for layout, n in itertools.product(range(23), range(1, 18)):
+        for _ in range(500):
+            inner = "".join(map(str, rng.integers(0, 10, max(n - 2, 0))))
+            last = str(rng.integers(1, 10)) if n > 1 else ""
+            x = float(f"{rng.integers(1, 10)}.{inner}{last}e{rng.choice(exponents[layout])}")
+            if render_key("%.17g" % x) == (False, layout, n):
+                values += [x, -x]
+                break
+    assert len(RENDER_KEYS) == 784
+    assert {render_key("%.17g" % x) for x in values} == RENDER_KEYS
+    assert_renders_as_percent(np.reshape(values, (-1, 8)))
 
 
 def test_render_falls_back_where_log10_is_off_by_one(monkeypatch):
@@ -111,6 +156,32 @@ def test_trajectory_csv_matches_percent_across_chunks(tmp_path):
     samples = samples_of(table, 511)
     path = tmp_path / "currents.csv"
     write_trajectory_csv(path, samples)
+    assert path.read_bytes() == trajectory_reference(samples)
+
+
+@pytest.mark.parametrize("texts", ["fan-out", "longest"])
+def test_one_chunk_peaks_under_the_render_budget(tmp_path, texts):
+    """One _write_csv chunk of a 1025-column table, the rows _VALUE_BYTES
+    lets into _RENDER_BYTES, allocates at most _RENDER_BYTES at its peak
+    (tracemalloc): for the dim-512 fan-out's currents, and where every text
+    is the longest, 17 digits and a three-digit exponent."""
+    rows = _RENDER_BYTES // (_VALUE_BYTES * 1025)
+    rng = np.random.default_rng(9)
+    if texts == "fan-out":
+        table = rng.standard_normal((rows, 1025)) * 10.0 ** rng.integers(-8, 8, (rows, 1025))
+    else:
+        table = -(1.0 + rng.random((rows, 1025))) * 10.0 ** rng.integers(-249, -99, (rows, 1025))
+    samples = samples_of(table, 511)
+    path = tmp_path / "currents.csv"
+    write_trajectory_csv(path, samples)         # builds the render tables
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(path, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows >= 8
+    assert peak < _RENDER_BYTES
     assert path.read_bytes() == trajectory_reference(samples)
 
 
