@@ -12,13 +12,16 @@ After all pairs it prints, per end-to-end metric of BENCHMARK.json, the
 median over the runs of each side, the ratio this / parent, in how many
 pairs this tree did better, and the interquartile range of the parent's
 runs, also as a share of their median, marked "unresolved" where that share
-exceeds the metric's bound. Two verdicts follow: "gain" where this tree won
-at least 9 in 10 of the pairs and its median is better than the parent's by
-more than the parent's IQR, and "worse" where its median is worse than the
-parent's by more than the metric's bound. Last come the failed and attempted
-operations of each side. With --json PATH the same summary is also written to
-PATH as a JSON object: the workload, seeds, seconds and number of pairs; per
-metric both medians, the parent's quartiles, IQR / median, the pairs won and
+exceeds the metric's bound. Three verdicts follow: "gain" where this tree
+won at least 9 in 10 of the pairs and its median is better than the parent's
+by more than the parent's IQR; "slower", its mirror, where this tree lost at
+least 9 in 10 of the pairs and its median is worse than the parent's by more
+than the parent's IQR, so a steady small regression shows even below the
+bound; and "worse" where its median is worse than the parent's by more than
+the metric's bound. Last come the failed and attempted operations of each
+side. With --json PATH the same summary is also written to PATH as a JSON
+object: the workload, seeds, seconds and number of pairs; per metric both
+medians, the parent's quartiles, IQR / median, the pairs won and lost and
 the verdicts; and per side the failed and attempted operations.
 
 --workload takes several names, each given once: their pairs run one
@@ -100,7 +103,7 @@ def compare_workload(args, declared: list[dict], workload: str, seconds: float) 
 
     summary = {"workload": workload, "pairs": args.pairs, "seconds": seconds,
                "seeds": [args.first_seed + k for k in range(args.pairs)], "metrics": {}}
-    print(f"{'metric':<24}{'parent':>12}{'this':>12}{'this/parent':>13}{'won':>7}"
+    print(f"{'metric':<24}{'parent':>12}{'this':>12}{'this/parent':>13}{'won':>7}{'lost':>7}"
           f"{'parent IQR':>12}{'IQR/median':>12}  verdict")
     for info in declared:
         metric = info["name"]
@@ -110,6 +113,7 @@ def compare_workload(args, declared: list[dict], workload: str, seconds: float) 
         ratio = med["this"] / med["parent"] if med["parent"] else float("nan")
         sign = 1.0 if info["better"] == "higher" else -1.0
         won = sum(sign * (t - p) > 0.0 for p, t in zip(values["parent"], values["this"]))
+        lost = sum(sign * (t - p) < 0.0 for p, t in zip(values["parent"], values["this"]))
         q1, _, q3 = (statistics.quantiles(values["parent"], n=4) if args.pairs > 1
                      else (med["parent"],) * 3)
         spread = (q3 - q1) / med["parent"] if med["parent"] else float("nan")
@@ -117,15 +121,17 @@ def compare_workload(args, declared: list[dict], workload: str, seconds: float) 
         verdict = [word for word, holds in (
             ("unresolved", spread > info["bound"]),
             ("gain", 10 * won >= 9 * args.pairs and better > q3 - q1),
+            ("slower", 10 * lost >= 9 * args.pairs and -better > q3 - q1),
             ("worse", -better > info["bound"] * abs(med["parent"]))) if holds]
         print(f"{metric + ' (' + info['unit'] + ')':<24}{med['parent']:>12.4g}"
               f"{med['this']:>12.4g}{ratio:>13.3f}{f'{won}/{args.pairs}':>7}"
+              f"{f'{lost}/{args.pairs}':>7}"
               f"{q3 - q1:>12.4g}{spread:>12.3f}  {' '.join(verdict) or '-'}")
         summary["metrics"][metric] = {
             "unit": info["unit"], "better": info["better"], "bound": info["bound"],
             "median_parent": med["parent"], "median_this": med["this"],
             "parent_q1": q1, "parent_q3": q3, "parent_iqr_over_median": spread,
-            "won": won, "verdict": verdict}
+            "won": won, "lost": lost, "verdict": verdict}
     summary["operations"] = {}
     for name, res in results.items():
         failed, attempted = (sum(r[key] for r in res) for key in ("failed", "attempted"))

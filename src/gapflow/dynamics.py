@@ -630,9 +630,20 @@ class EpochTable:
         """(steps taken, table row reached, hit) per epoch with hazard draw E
         and at most ``steps`` steps: the first row whose hazard exceeds E;
         without one, the last step, and where ``tail`` is set the shorter
-        last step after it, on which the hit may still land."""
+        last step after it, on which the hit may still land. More than one
+        draw is searched in sorted order, which spares the search its
+        mispredicted branches, and the rows are scattered back: the same
+        rows (fresh draws each call: 10,000 into 602 rows 261 against 539
+        us, 400 into 52 rows 9.9 against 13.3 us, 30 into 52 rows 2.1
+        against 1.5 us). A single draw is searched as given."""
         self.grow(E.max(), steps.max())
-        r = self.H[:self.n + 1].searchsorted(E, side="right")
+        H = self.H[:self.n + 1]
+        if len(E) > 1:
+            order = E.argsort()
+            r = np.empty(len(E), np.intp)
+            r[order] = H.searchsorted(E[order], side="right")
+        else:
+            r = H.searchsorted(E, side="right")
         hit = r <= np.minimum(self.n, steps)
         n = np.where(hit, r, steps)
         last = n.copy()

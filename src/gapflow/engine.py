@@ -24,12 +24,18 @@ EpochRunner.walk advances a block of trajectories at once, grouped by
 (epoch, last chosen component): one searchsorted finds every hit row of a
 group, one cumulative-weights comparison every choice, and one collapse
 routine (rule n3_3) collapses every hit of the group, one array pass per
-component size, at any epoch and from any table. A collapse onto a
-one-dimensional component is a scale on the next epoch's shared table.
-Every trajectory that rests in a one-dimensional component sourcing no gap
-is filed in one quiescent group per epoch, with no table: the ensemble only
-counts it, and run_trajectory reads the component's shared table for its
-start row. A collapse onto a wider component starts a table of its own,
+component size, at any epoch and from any table. A hit reads only what
+depends on its trajectory: its draws, its scale and the chosen component's
+columns of its pre-hit row. The rest comes from the table row: at scale
+exactly 1, as at epoch 0, the row's s is the hit's s_pre and its clipped J
+the hit's choice weights (which need only |c|^2 = 1), whose sums a group
+takes once per distinct row where its hits outnumber the rows the table
+has grown through. A collapse
+onto a one-dimensional component is a scale on the next epoch's shared
+table. Every trajectory that rests in a one-dimensional component sourcing
+no gap is filed in one quiescent group per epoch, with no table: the
+ensemble only counts it, and run_trajectory reads the component's shared
+table for its start row. A collapse onto a wider component starts a table of its own,
 walked as a group of one, quiescent or not. An EpochRunner owns its
 generators, step plan and tables, and each walk takes the seed and the
 norm policy; the
@@ -149,19 +155,42 @@ class TrajectoryRecord:
     meta: dict = field(default_factory=dict)
 
 
-def _choose(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row of non-negative ``weights``, the column that the uniform draw
-    u lands in: the first whose cumulative weight exceeds u times the row's
-    total."""
+def _choose(weights: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Per uniform draw u, the column of its row of non-negative ``weights``
+    that u lands in: the first whose cumulative weight exceeds u times the
+    row's total. Draw j reads row ``rows[j]``, or row j without ``rows``, so
+    draws that share a row share its sums."""
     total = weights.sum(axis=1)
     if not (total > 0.0).all():
         raise NoChoiceError("no component carries positive current")
-    k = (weights.cumsum(axis=1) <= (u * total)[:, None]).sum(axis=1)
+    cum = weights.cumsum(axis=1)
+    if rows is not None:
+        cum, total = cum[rows], total[rows]
+    k = (cum <= (u * total)[:, None]).sum(axis=1)
     for j in (k == weights.shape[1]).nonzero()[0].tolist():
         # u rounded up to the total: take the last component that carries
         # current, never a trailing zero-weight one.
-        k[j] = weights[j].nonzero()[0][-1]
+        k[j] = weights[j if rows is None else rows[j]].nonzero()[0][-1]
     return k
+
+
+def _choices(table: EpochTable, last: np.ndarray, s2: np.ndarray,
+             u: np.ndarray) -> np.ndarray:
+    """_choose's column for each hit at table row ``last`` with square
+    modulus of scale s2 = |c|^2 and draw u: the weights are the row's
+    positive launch currents times s2. Where every s2 is exactly 1, as at
+    epoch 0, they are the rows' own clipped J, so where the hits also
+    outnumber the rows the table has grown through, each distinct row's
+    sums are taken once for all its hits, with the same floats. A block of
+    one never shares."""
+    if len(last) > table.n + 1 and (s2 == 1.0).all():
+        seen = np.zeros(len(table.s), bool)
+        seen[last] = True
+        rows = seen.nonzero()[0]
+        where = np.empty(len(table.s), np.intp)
+        where[rows] = np.arange(rows.size)
+        return _choose(np.clip(table.J[rows], 0.0, None), u, where[last])
+    return _choose(np.clip(s2[:, None] * table.J[last], 0.0, None), u)
 
 
 def post_collapse_statuses(model: ScenarioModel, chosen: int) -> dict[int, str]:
@@ -347,7 +376,9 @@ class EpochRunner:
     def _epoch(self, epoch, chosen, start, keys, pos, scale, k0) -> LegGroup:
         """Advance one group through its epoch: with no table where it
         rests (``chosen`` _RESTING), on the shared table with ``start`` None,
-        else on a new table of its own from ``start``."""
+        else on a new table of its own from ``start``. A trajectory reads
+        its two draws and its scale; its hit row, s and J come from the
+        table, and each hit's choice from _choices."""
         zeros = np.zeros(len(pos), np.int64)
         # With no bridged gap left after a collapse the realized component
         # evolves unitarily and no further hit can fire.
@@ -368,8 +399,7 @@ class EpochRunner:
         chosen_now = zeros - 1
         h = hit.nonzero()[0]
         if h.size:
-            weights = np.clip(s2[h, None] * table.J[last[h]], 0.0, None)
-            chosen_now[h] = np.asarray(gen.launch_ids)[_choose(weights, u[h])]
+            chosen_now[h] = np.asarray(gen.launch_ids)[_choices(table, last[h], s2[h], u[h])]
         return LegGroup(epoch, table, pos, scale, k0, n, last, chosen_now, False)
 
     def _regroup(self, group: LegGroup, nxt: dict, policy: str):
@@ -379,23 +409,29 @@ class EpochRunner:
         a component that sources no gap, under the one _RESTING key; a wider
         one as the start state of a table of its own.
 
-        Each hit's scaled pre-hit row is gathered once. s_pre is one
-        square_moduli of those rows and s_chosen one of each hit's chosen
-        amplitudes a; preserve_total multiplies a by sqrt(s_pre / s_chosen).
+        A hit reads only what depends on its trajectory. Its chosen
+        amplitudes a are its scale times the chosen component's columns of
+        its pre-hit table row, elementwise the floats of the scaled row's
+        columns, and s_chosen is one square_moduli of them. preserve_total
+        multiplies a by sqrt(s_pre / s_chosen). Where the scale is exactly
+        1 + 0j, as for every epoch-0 hit, s_pre is the table's s of the row,
+        the square modulus of that very row: 1 psi differs from psi only in
+        the signs of zeros, which |.|^2 ignores. Only the other hits gather
+        their scaled row for its square_moduli; raw gathers none.
+
         A wider component's a is scattered onto zeros first, into its start
         state, and s_chosen is taken over that state, as np.vdot over the
         collapsed state takes it: a sum over a alone pairs the terms
         otherwise, and its last bit differed in 4 % (size 2) and 9 % (size
-        3) of random draws. A
-        single amplitude's other terms are exact zeros, so it needs no
-        scatter. An empty choice raises for the first one-dimensional hit,
-        else for the first wider one.
+        3) of random draws. A single amplitude's other terms are exact
+        zeros, so it needs no scatter. An empty choice raises for the first
+        one-dimensional hit, else for the first wider one.
         """
         h = (group.chosen >= 0).nonzero()[0]
         if not h.size:
             return
         chosen, pos, k0 = group.chosen[h], group.pos[h], group.k0[h] + group.n[h]
-        psi = group.scale[h, None] * group.table.states[group.last[h]]
+        scale, last, states = group.scale[h], group.last[h], group.table.states
         at = self._ids.searchsorted(chosen)
         kind, row = self._kind[at], self._row[at]
         s_chosen, parts = np.empty(len(h)), []
@@ -403,11 +439,10 @@ class EpochRunner:
             if not (sel := (kind == g).nonzero()[0]).size:
                 continue
             idx = indices[row[sel]]
-            if idx.shape[1] == 1:
-                a = psi[sel[:, None], idx]
-            else:
-                a = np.zeros((len(sel), self.model.dim), np.complex128)
-                a[np.arange(len(sel))[:, None], idx] = psi[sel[:, None], idx]
+            a = scale[sel, None] * states[last[sel, None], idx]
+            if idx.shape[1] > 1:
+                a, columns = np.zeros((len(sel), self.model.dim), np.complex128), a
+                a[np.arange(len(sel))[:, None], idx] = columns
             s_chosen[sel] = square_moduli(a)
             parts.append((sel, a, idx.shape[1] > 1))
         if (bad := (s_chosen <= 0.0).nonzero()[0]).size:
@@ -416,7 +451,10 @@ class EpochRunner:
                 f"component {int(chosen[bad[wide[kind[bad]].argmin()]])} has zero amplitude "
                 "at collapse time")
         if policy == PRESERVE_TOTAL:
-            factor = np.sqrt(square_moduli(psi) / s_chosen)[:, None]
+            s_pre = group.table.s[last]
+            if (other := (scale != 1.0).nonzero()[0]).size:
+                s_pre[other] = square_moduli(scale[other, None] * states[last[other]])
+            factor = np.sqrt(s_pre / s_chosen)[:, None]
         starts = {}
         for sel, a, wider in parts:
             if policy == PRESERVE_TOTAL:

@@ -49,8 +49,7 @@ from .rules import RuleSet
 # 9.0-9.4 ms in blocks of 2048; 200,000 take 126-132 ms in blocks of
 # 36,157 against 170-209 ms in blocks of 2048 and 178-207 ms in one; the
 # dim-512 fan-out's 400 (675 to a block) 2.0-2.1 ms against 2.8-2.9 ms in
-# three blocks. A block's tracemalloc peak was 386 B per three_mode
-# trajectory and 15.1 kB per dim-512 star trajectory, under the count.
+# three blocks. A block's peak is under the count (trajectory_bytes).
 WALK_BYTES = 2 ** 24
 
 Z_THRESHOLD_DEFAULT = 3.0
@@ -265,10 +264,16 @@ def deterministic_oracle(model: ScenarioModel, cfg: IntegratorConfig,
 
 def trajectory_bytes(model: ScenarioModel) -> int:
     """Bytes a trajectory of ``model`` holds in a walk, counted as if it
-    hit: 288 for its key, its epoch's Philox words and draws and its
-    group's step, row, hit, scale and summary columns, 2 x 16 dim for its
-    gathered and scaled pre-hit state, and 2 x 8 per launch candidate for
-    its launch weights and their cumulative sums."""
+    hit at a scale other than 1, as after a collapse: 288 for its key, its
+    epoch's Philox words and draws and its group's step, row, hit, scale
+    and summary columns, 2 x 16 dim for its gathered and scaled pre-hit
+    row, whose square modulus preserve_total takes, and 2 x 8 per launch
+    candidate for its launch weights and their cumulative sums. A hit at
+    scale 1, as every epoch-0 hit is, gathers only its chosen amplitudes
+    and, where hits share table rows, the cumulative sums of its row, so
+    the count is an upper bound: a block's tracemalloc peak was 290 B per
+    three_mode trajectory (count 464) and 3.1 kB per dim-512 star
+    trajectory (count 24.8 kB)."""
     return 288 + 32 * model.dim + 16 * len(model.launch_candidate_ids)
 
 

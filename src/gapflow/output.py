@@ -265,11 +265,14 @@ def _render(block: np.ndarray) -> bytes:
     mask = _tables()[-1].take(row, axis=0)
     del row                             # freed before the selection, the peak
     cells = words.view(np.uint8)
-    if fallback.size:
-        texts = ["%.17g" % v for v in x[fallback].tolist()]
-        cells[fallback, :46] = np.frombuffer(
+    # CROSSOVER texts at a time: their strings, join and encoded copy stay
+    # a small part of the chunk's budget, however many values fall back.
+    for i in range(0, fallback.size, CROSSOVER):
+        at = fallback[i:i + CROSSOVER]
+        texts = ["%.17g" % v for v in x[at].tolist()]
+        cells[at, :46] = np.frombuffer(
             "".join(s.ljust(46) for s in texts).encode(), np.uint8).reshape(-1, 46)
-        mask[fallback, :46] = np.arange(46) < np.array([len(s) for s in texts])[:, None]
+        mask[at, :46] = np.arange(46) < np.array([len(s) for s in texts])[:, None]
     return cells[mask].tobytes()
 
 

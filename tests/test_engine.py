@@ -1,8 +1,10 @@
 """Hit rates, choices, collapse bookkeeping, step plans and full trajectory tests."""
 
+import cmath
 import json
 import math
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -27,6 +29,7 @@ from gapflow.engine import (
     EpochRunner,
     LegGroup,
     _RESTING,
+    _choices,
     _choose,
     post_collapse_statuses,
     run_trajectory,
@@ -313,6 +316,13 @@ def test_later_collapse_on_empty_component_raises_as_collapse_state(name):
 
 
 _parts = st.floats(-2.0, 2.0, allow_subnormal=False)
+# A trajectory's scale: any complex number, exactly 1 + 0j (every epoch-0
+# hit, which reads s_pre from the table) or a unit-modulus phase other than 1.
+_scales = st.one_of(
+    st.tuples(_parts, _parts).map(lambda p: complex(*p) or 1.0),
+    st.just(1 + 0j),
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True).map(lambda phi: cmath.exp(1j * phi))
+    .filter(lambda z: z != 1.0))
 
 
 @given(model=small_models(), mode=st.sampled_from(list(GapSemantics)), data=st.data())
@@ -322,7 +332,8 @@ def test_collapses_equal_reference_on_generated_models(model, mode, data):
     one that sources a gap and one that sources none), one _regroup of hits
     at random rows, with random choices and complex scales, under both
     policies: each one-dimensional choice's next scale and each wider
-    choice's start state hold the bytes of reference.collapse_state. Where a
+    choice's start state hold the bytes of reference.collapse_state, for
+    scales of exactly 1 (s_pre read from the table) as for others. Where a
     chosen component is empty (row 0 is drawn too), _regroup raises the
     reference's error for the first empty one-dimensional choice, else for
     the first empty wider one."""
@@ -336,7 +347,7 @@ def test_collapses_equal_reference_on_generated_models(model, mode, data):
         rows = [0 if e else r for r, e in zip(rows, empty)]
     chosen = data.draw(st.lists(st.sampled_from(table.launch_ids), min_size=size,
                                 max_size=size))
-    scale = np.array([complex(*data.draw(st.tuples(_parts, _parts))) or 1.0 for _ in rows])
+    scale = np.array(data.draw(st.lists(_scales, min_size=size, max_size=size)), complex)
     wide = [len(model.indices_of(c)) > 1 for c in chosen]
     for policy in (PRESERVE_TOTAL, RAW):
         expected, error = {}, None
@@ -368,6 +379,81 @@ def test_collapses_equal_reference_on_generated_models(model, mode, data):
                 assert np.concatenate(scales).tobytes() == np.array(want, complex).tobytes()
             filed += pos
         assert sorted(filed) == list(range(size))
+
+
+def per_hit_choices(table, last, s2, u) -> np.ndarray:
+    """_choices of each hit alone, as a block of one takes it: every hit
+    weighs a row of its own."""
+    return np.concatenate([_choices(table, last[j:j + 1], s2[j:j + 1], u[j:j + 1])
+                           for j in range(len(last))])
+
+
+@pytest.mark.parametrize("n_modes", [4, 511])
+def test_row_shared_choices_equal_per_hit_choices_on_stars(n_modes):
+    """On a star fan-out's epoch-0 table, where hits at scale 1 outnumber
+    the table's rows and _choices sums each distinct row once, every hit
+    picks the component a per-hit choice picks, also with u the largest
+    float below 1; so does a group with one hit at |c|^2 = 0.3, which weighs
+    every row per hit."""
+    runner = EpochRunner(star_model(n_modes), R3, IntegratorConfig(dt=0.02, t_max=1.0), ONEWAY)
+    table = runner.table(0, None)
+    table.grow(math.inf, runner.n_full)
+    rng = np.random.default_rng(n_modes)
+    size = 8 * (table.n + 1)
+    last = rng.integers(1, table.n + 1, size)
+    u = rng.random(size)
+    u[:10] = np.nextafter(1.0, 0.0)
+    unit, scaled = np.ones(size), np.ones(size)
+    scaled[size // 2] = 0.3
+    for s2 in (unit, scaled):
+        assert np.array_equal(_choices(table, last, s2, u), per_hit_choices(table, last, s2, u))
+
+
+def test_row_shared_choices_fall_back_and_raise_as_per_hit():
+    """Shared rows keep _choose's edges: where u times the total rounds up
+    to the total, the hit takes the last column that carries weight, never
+    a trailing zero one; a row with no positive current raises
+    NoChoiceError whichever hit reads it."""
+    # Row 1's total is the least subnormal. The hit with u just below 1
+    # rounds u times it up to it and falls back to row 1's middle column,
+    # not to a column of row 0, the first shared row.
+    J = np.array([[1.0, 0.0, 0.0], [0.0, 5e-324, 0.0], [-1.0, 0.0, 0.0]])
+    table = types.SimpleNamespace(n=2, s=np.ones(3), J=J)
+    last, s2 = np.array([0, 1, 0, 1, 0]), np.ones(5)
+    u = np.array([0.75, 0.5, 0.25, np.nextafter(1.0, 0.0), 0.75])
+    assert (u[[1, 3]] * 5e-324).tolist() == [0.0, 5e-324]
+    assert _choices(table, last, s2, u).tolist() == [0, 1, 0, 1, 0]
+    assert per_hit_choices(table, last, s2, u).tolist() == [0, 1, 0, 1, 0]
+    with pytest.raises(NoChoiceError):
+        _choices(table, np.array([0, 1, 2, 1]), np.ones(4), np.full(4, 0.5))
+
+
+@given(model=small_models(), mode=st.sampled_from(list(GapSemantics)), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_row_shared_choices_equal_per_hit_choices_on_generated_models(model, mode, data):
+    """On generated models, two to four hits per table row, all at scale
+    exactly 1 (rows shared) or at any scales: _choices picks what per-hit
+    choices pick, or raises NoChoiceError where they do (a row with no
+    positive current, as every row 0 is)."""
+    runner = EpochRunner(model, R3, IntegratorConfig(dt=0.05, t_max=1.0), mode)
+    table = runner.table(0, None)
+    table.grow(math.inf, runner.n_full)
+    size = data.draw(st.integers(2 * (table.n + 1), 4 * (table.n + 1)))
+    low = data.draw(st.integers(0, 1))
+    last = np.array(data.draw(st.lists(st.integers(low, table.n), min_size=size,
+                                       max_size=size)))
+    scales = st.just(1 + 0j) if data.draw(st.booleans()) else _scales
+    scale = np.array(data.draw(st.lists(scales, min_size=size, max_size=size)), complex)
+    s2 = scale.real * scale.real + scale.imag * scale.imag
+    u = np.array(data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=size,
+                                    max_size=size)))
+    try:
+        expected = per_hit_choices(table, last, s2, u)
+    except NoChoiceError:
+        with pytest.raises(NoChoiceError):
+            _choices(table, last, s2, u)
+        return
+    assert np.array_equal(_choices(table, last, s2, u), expected)
 
 
 @pytest.mark.parametrize("mode", list(GapSemantics), ids=lambda m: m.token)
@@ -479,6 +565,41 @@ def grow_to_end(table, steps):
     """Grow ``table`` through all ``steps`` with E = inf; True if that hit."""
     _, _, hit = table.ends(np.array([np.inf]), np.array([steps]), np.array([False]))
     return bool(hit[0])
+
+
+@pytest.mark.parametrize("t_max", [1.0, 1.005])
+def test_sorted_hit_search_equals_direct_search(t_max):
+    """A group of more than one draw searches them in sorted order and
+    scatters the rows back: per draw the same steps, row and hit as a block
+    of one, which searches directly, and as searchsorted of H, for draws
+    tied exactly to H values, draws past the table's end and draws from any
+    step of the run, with and without a shorter last step, in groups of
+    502 draws (more than the table's rows) and of two."""
+    model, cfg = three_mode(), IntegratorConfig(dt=0.01, t_max=t_max)
+    runner = EpochRunner(model, R3, cfg, ONEWAY)
+    table = runner.table(0, None)
+    table.grow(math.inf, runner.n_full)
+    H = table.H[:table.n + 1]
+    rng = np.random.default_rng(30)
+    E = np.concatenate([H[rng.integers(0, len(H), 200)], rng.uniform(0.0, H[-1], 200),
+                        H[-1] + rng.exponential(1.0, 100), [H[-1], 0.0]])
+    rng.shuffle(E)
+    k0 = rng.integers(0, runner.n_full + 2, len(E))
+    steps = np.maximum(runner.n_full - k0, 0)
+    tail = (k0 <= runner.n_full) if runner.rem else None
+    assert len(E) > len(H) and bool(runner.rem) == (t_max == 1.005)
+    n, last, hit = table.ends(E, steps, tail)
+    pair = table.ends(E[:2], steps[:2], None if tail is None else tail[:2])
+    assert all(np.array_equal(a, b[:2]) for a, b in zip(pair, (n, last, hit)))
+    for j in range(len(E)):
+        alone = table.ends(E[j:j + 1], steps[j:j + 1], None if tail is None else tail[j:j + 1])
+        assert (n[j], last[j], hit[j]) == tuple(column[0] for column in alone)
+    r = H.searchsorted(E, side="right")
+    grid = r <= np.minimum(table.n, steps)
+    assert np.array_equal(hit[grid], grid[grid]) and np.array_equal(last[grid], r[grid])
+    assert (last[~grid] >= steps[~grid]).all()
+    if tail is not None:
+        assert (last[tail & ~grid] > table.n).any()
 
 
 @pytest.mark.parametrize("build, chosen", [(three_mode, None), (chain_three_level, None),

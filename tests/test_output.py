@@ -159,18 +159,23 @@ def test_trajectory_csv_matches_percent_across_chunks(tmp_path):
     assert path.read_bytes() == trajectory_reference(samples)
 
 
-@pytest.mark.parametrize("texts", ["fan-out", "longest"])
+@pytest.mark.parametrize("texts", ["fan-out", "longest", "fallback"])
 def test_one_chunk_peaks_under_the_render_budget(tmp_path, texts):
     """One _write_csv chunk of a 1025-column table, the rows _VALUE_BYTES
     lets into _RENDER_BYTES, allocates at most _RENDER_BYTES at its peak
-    (tracemalloc): for the dim-512 fan-out's currents, and where every text
-    is the longest, 17 digits and a three-digit exponent."""
+    (tracemalloc): for the dim-512 fan-out's currents, where every text
+    is the longest, 17 digits and a three-digit exponent, and where every
+    value is below 1e-250, so every text takes the per-value fallback."""
     rows = _RENDER_BYTES // (_VALUE_BYTES * 1025)
     rng = np.random.default_rng(9)
     if texts == "fan-out":
         table = rng.standard_normal((rows, 1025)) * 10.0 ** rng.integers(-8, 8, (rows, 1025))
-    else:
+    elif texts == "longest":
         table = -(1.0 + rng.random((rows, 1025))) * 10.0 ** rng.integers(-249, -99, (rows, 1025))
+    else:
+        table = rng.choice([-1.0, 1.0], (rows, 1025)) * (1.0 + rng.random((rows, 1025))) \
+            * 10.0 ** rng.integers(-300, -251, (rows, 1025))
+        assert (np.abs(table) < 1e-250).all()
     samples = samples_of(table, 511)
     path = tmp_path / "currents.csv"
     write_trajectory_csv(path, samples)         # builds the render tables
